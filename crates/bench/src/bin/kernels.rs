@@ -12,8 +12,9 @@
 //!    thread) on the pre-PR naive path (fresh `Graph` per draw, allocating
 //!    backward and gradient accumulation) vs the reuse path (one graph +
 //!    gradient store recycled via `reset`/`backward_into`/`add_assign`).
-//! 3. **newton** — the Fig. 3 warm-started DC sweep with full-refactor
-//!    Newton vs Jacobian-reuse Newton: iterations, LU factorizations, and
+//! 3. **newton** — the Fig. 3 warm-started DC sweep as a cache-less
+//!    `solve_with_guess` loop (full-refactor Newton) vs the cached
+//!    `dc_sweep` (Jacobian-reuse Newton): iterations, LU factorizations, and
 //!    sweep throughput.
 //!
 //! ```sh
@@ -25,7 +26,7 @@ use pnc_core::{LossKind, Pnn, PnnConfig};
 use pnc_linalg::{Matrix, ParallelConfig};
 use pnc_spice::circuits::{NonlinearCircuitParams, PtanhCircuit, VDD};
 use pnc_spice::sweep::linspace;
-use pnc_spice::DcSolver;
+use pnc_spice::Solution;
 use pnc_surrogate::{build_dataset, train_surrogate, DatasetConfig, TrainConfig as STrain};
 use serde::Serialize;
 use std::path::Path;
@@ -322,21 +323,43 @@ fn bench_epoch(quick: bool) -> Result<EpochSection, Box<dyn std::error::Error>> 
     })
 }
 
+/// The Fig. 3 sweep over `grid`: the cached `dc_sweep` with `reuse`,
+/// otherwise the same warm-started continuation through the cache-less
+/// `solve_with_guess`, which runs classic full Newton.
+fn fig3_sweep(ckt: &PtanhCircuit, reuse: bool, grid: &[f64]) -> Vec<Solution> {
+    if reuse {
+        return ckt
+            .clone()
+            .transfer_curve_solutions(grid)
+            .expect("sweep converges");
+    }
+    let mut circuit = ckt.circuit().clone();
+    let mut guess: Option<Vec<f64>> = None;
+    grid.iter()
+        .map(|&v| {
+            circuit
+                .set_vsource(ckt.input_source(), v)
+                .expect("input is a voltage source");
+            let sol = ckt
+                .solver()
+                .solve_with_guess(&circuit, guess.as_deref())
+                .expect("sweep converges");
+            guess = Some(sol.voltages()[1..].to_vec());
+            sol
+        })
+        .collect()
+}
+
 fn sweep_stats(
     reuse: bool,
     grid: &[f64],
     reps: usize,
 ) -> Result<(usize, usize, f64), Box<dyn std::error::Error>> {
-    let mut ckt = PtanhCircuit::build(&NonlinearCircuitParams::nominal())?;
-    ckt.set_solver(DcSolver {
-        newton_reuse: reuse,
-        ..DcSolver::new()
-    });
+    let ckt = PtanhCircuit::build(&NonlinearCircuitParams::nominal())?;
     let wall_ms = time_best(reps, || {
-        let mut c = ckt.clone();
-        c.transfer_curve_solutions(grid).expect("sweep converges");
+        fig3_sweep(&ckt, reuse, grid);
     });
-    let sols = ckt.transfer_curve_solutions(grid)?;
+    let sols = fig3_sweep(&ckt, reuse, grid);
     let iterations = sols.iter().map(|s| s.diagnostics().iterations).sum();
     let factorizations = sols.iter().map(|s| s.diagnostics().factorizations).sum();
     Ok((

@@ -1,21 +1,17 @@
-//! Solver-backend shootout: dense LU vs sparse LU vs coordinate descent on
-//! the two circuit families where the choice matters — resistor ladders
-//! (high diameter, where coordinate descent struggles) and crossbar
-//! networks (the paper's topology, where sparsity pays). Results go to
-//! `BENCH_spice.json` at the repo root, with the `spice.*` metrics summary
-//! beside it in `BENCH_spice_metrics.json`.
+//! Solver-backend shootout: dense LU vs sparse LU on two circuit families —
+//! resistor ladders (tridiagonal-plus-border) and crossbar networks (the
+//! paper's topology, where sparsity pays). The full grid steps both
+//! families through 9–73 nodes so the dense/sparse crossover is measured,
+//! not guessed. Results go to `BENCH_spice.json` at the repo root, with the
+//! `spice.*` metrics summary beside it in `BENCH_spice_metrics.json`.
 //!
-//! Every timed circuit is also solved once per backend for an *in-situ*
-//! agreement check against the dense-LU oracle: `worst_sparse_dev` and
-//! `worst_cd_dev` in the report are the largest node-voltage deviations
-//! seen anywhere in the run, and `scripts/check_bench_spice.sh` holds them
-//! to the tolerances documented in `docs/SOLVERS.md`. The same script
-//! enforces the headline scaling bar: on the largest crossbar (≥ 10× the
-//! Fig. 1 node count) dense LU must be ≥ 5× slower than sparse LU.
-//!
-//! Coordinate-descent entries are `null` where the backend is not run
-//! (long ladders — its documented high-diameter weakness) or where it
-//! reports non-convergence; a `null` is never an agreement failure.
+//! Every timed circuit is also solved once on sparse LU for an *in-situ*
+//! agreement check against the dense-LU oracle: `worst_sparse_dev` in the
+//! report is the largest node-voltage deviation seen anywhere in the run,
+//! and `scripts/check_bench_spice.sh` holds it to the tolerance documented
+//! in `docs/SOLVERS.md`. The same script enforces the headline scaling bar:
+//! on the largest crossbar (≥ 10× the Fig. 1 node count) dense LU must be
+//! ≥ 5× slower than sparse LU.
 //!
 //! ```sh
 //! cargo run --release -p pnc-bench --bin spice_backends -- [--quick]
@@ -30,15 +26,7 @@ use std::time::Instant;
 /// Sparse LU must track the dense oracle to linear-solver precision.
 const SPARSE_TOL: f64 = 1e-8;
 
-/// Coordinate descent agrees within its residual-implied bound at default
-/// tolerances (see `docs/SOLVERS.md`).
-const CD_TOL: f64 = 2e-4;
-
-/// Ladders longer than this skip coordinate descent: information moves one
-/// node per sweep, so the sweep count grows with the diameter.
-const CD_LADDER_LIMIT: usize = 24;
-
-/// One circuit measured under every applicable backend.
+/// One circuit measured under both backends.
 #[derive(Debug, Serialize)]
 struct CircuitResult {
     /// `"ladder"` or `"crossbar"`.
@@ -51,13 +39,8 @@ struct CircuitResult {
     dense_solves_per_s: f64,
     /// Cold solves per second under sparse LU.
     sparse_solves_per_s: f64,
-    /// Cold solves per second under coordinate descent; `null` where the
-    /// backend is skipped or did not converge.
-    cd_solves_per_s: Option<f64>,
     /// Largest |voltage difference| vs the dense oracle across all nodes.
     sparse_max_dev: f64,
-    /// Same for coordinate descent; `null` where skipped.
-    cd_max_dev: Option<f64>,
 }
 
 /// The scaling headline: the crossbar where sparsity must pay.
@@ -79,17 +62,14 @@ struct Report {
     quick: bool,
     circuits: Vec<CircuitResult>,
     headline: Headline,
-    /// Smallest measured node count where sparse LU out-solves dense LU;
-    /// `null` if dense won everywhere (it never should at these sizes).
+    /// Smallest measured node count from which sparse LU out-solves dense
+    /// LU on every measured circuit at least that large; `null` if dense
+    /// won on the largest circuit (it never should at these sizes).
     crossover_nodes: Option<usize>,
-    /// The agreement bars the deviations below are held to.
+    /// The agreement bar `worst_sparse_dev` is held to.
     sparse_agreement_tol: f64,
-    cd_agreement_tol: f64,
     /// Largest sparse-vs-dense node-voltage deviation anywhere in the run.
     worst_sparse_dev: f64,
-    /// Largest coord-descent-vs-dense deviation over the circuits where
-    /// coordinate descent ran.
-    worst_cd_dev: f64,
 }
 
 fn logical_threads() -> usize {
@@ -153,54 +133,41 @@ fn solves_per_s(circuit: &Circuit, backend: SolverBackend, reps: usize, target_s
     best
 }
 
-/// Largest |node-voltage difference| between a backend's solution and the
-/// dense oracle's, over every non-ground node.
-fn max_deviation(circuit: &Circuit, oracle: &[f64], backend: SolverBackend) -> Option<f64> {
-    let got = DcSolver::with_backend(backend).solve(circuit).ok()?;
-    Some(
-        oracle
-            .iter()
-            .zip(got.voltages())
-            .map(|(a, b)| (a - b).abs())
-            .fold(0.0_f64, f64::max),
-    )
+/// Largest |node-voltage difference| between the sparse backend's solution
+/// and the dense oracle's, over every non-ground node; infinite if the
+/// sparse solve fails.
+fn sparse_deviation(circuit: &Circuit, oracle: &[f64]) -> f64 {
+    let Ok(got) = DcSolver::with_backend(SolverBackend::SparseLu).solve(circuit) else {
+        return f64::INFINITY;
+    };
+    oracle
+        .iter()
+        .zip(got.voltages())
+        .map(|(a, b)| (a - b).abs())
+        .fold(0.0_f64, f64::max)
 }
 
-/// Measures one circuit under every applicable backend.
+/// Measures one circuit under both backends.
 fn measure(
     family: &str,
     label: String,
     circuit: &Circuit,
-    run_cd: bool,
     reps: usize,
     target_s: f64,
 ) -> CircuitResult {
     eprintln!("  {label} ({} nodes) ...", circuit.num_nodes());
     let oracle = DcSolver::new().solve(circuit).expect("dense oracle solves");
-    let sparse_max_dev =
-        max_deviation(circuit, oracle.voltages(), SolverBackend::SparseLu).unwrap_or(f64::INFINITY);
-    let cd_max_dev = if run_cd {
-        max_deviation(circuit, oracle.voltages(), SolverBackend::CoordDescent)
-    } else {
-        None
-    };
+    let sparse_max_dev = sparse_deviation(circuit, oracle.voltages());
     let dense = solves_per_s(circuit, SolverBackend::DenseLu, reps, target_s);
     let sparse = solves_per_s(circuit, SolverBackend::SparseLu, reps, target_s);
-    // Only time coordinate descent where its agreement solve converged.
-    let cd = cd_max_dev.map(|_| solves_per_s(circuit, SolverBackend::CoordDescent, reps, target_s));
-    eprintln!(
-        "    dense {dense:.0}/s   sparse {sparse:.0}/s   cd {}",
-        cd.map_or("skipped".to_string(), |c| format!("{c:.0}/s")),
-    );
+    eprintln!("    dense {dense:.0}/s   sparse {sparse:.0}/s");
     CircuitResult {
         family: family.to_string(),
         label,
         nodes: circuit.num_nodes(),
         dense_solves_per_s: dense,
         sparse_solves_per_s: sparse,
-        cd_solves_per_s: cd,
         sparse_max_dev,
-        cd_max_dev,
     }
 }
 
@@ -216,7 +183,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let ladder_sections: &[usize] = if quick {
         &[8, 24, 96]
     } else {
-        &[8, 24, 96, 384]
+        &[8, 12, 16, 20, 24, 32, 40, 48, 56, 64, 96, 384]
     };
     for &sections in ladder_sections {
         let (ladder, _) = resistor_ladder(sections, 1_000.0, 10_000.0)?;
@@ -224,7 +191,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             "ladder",
             format!("ladder-{sections}"),
             &ladder,
-            sections <= CD_LADDER_LIMIT,
             reps,
             target_s,
         ));
@@ -234,7 +200,19 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let crossbar_layers: &[&[usize]] = if quick {
         &[&[4, 4], &[8, 8, 8], &[16, 16, 16, 16]]
     } else {
-        &[&[4, 4], &[8, 8, 8], &[12, 12, 12], &[16, 16, 16, 16]]
+        // 11, 16, 21, 31, 41, 53, 65, 73, 109 and 209 nodes.
+        &[
+            &[2, 2],
+            &[3, 3],
+            &[4, 4],
+            &[6, 6],
+            &[8, 8],
+            &[4, 4, 4, 4],
+            &[8, 8, 6],
+            &[8, 8, 8],
+            &[12, 12, 12],
+            &[16, 16, 16, 16],
+        ]
     };
     let mut headline: Option<Headline> = None;
     for &layers in crossbar_layers {
@@ -247,14 +225,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 .join("x")
         );
         let net = CrossbarNetwork::build(layers, 42)?;
-        let result = measure(
-            "crossbar",
-            label.clone(),
-            net.circuit(),
-            true,
-            reps,
-            target_s,
-        );
+        let result = measure("crossbar", label.clone(), net.circuit(), reps, target_s);
         headline = Some(Headline {
             label,
             nodes: result.nodes,
@@ -266,20 +237,19 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     let headline = headline.expect("at least one crossbar is always measured");
 
+    // Walk down from the largest circuit while sparse keeps winning: one
+    // noisy small-circuit win below a dense win does not move the crossover.
     let mut by_nodes: Vec<&CircuitResult> = circuits.iter().collect();
-    by_nodes.sort_by_key(|r| r.nodes);
+    by_nodes.sort_by_key(|r| std::cmp::Reverse(r.nodes));
     let crossover_nodes = by_nodes
         .iter()
-        .find(|r| r.sparse_solves_per_s > r.dense_solves_per_s)
+        .take_while(|r| r.sparse_solves_per_s > r.dense_solves_per_s)
+        .last()
         .map(|r| r.nodes);
 
     let worst_sparse_dev = circuits
         .iter()
         .map(|r| r.sparse_max_dev)
-        .fold(0.0_f64, f64::max);
-    let worst_cd_dev = circuits
-        .iter()
-        .filter_map(|r| r.cd_max_dev)
         .fold(0.0_f64, f64::max);
 
     let report = Report {
@@ -289,9 +259,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         headline,
         crossover_nodes,
         sparse_agreement_tol: SPARSE_TOL,
-        cd_agreement_tol: CD_TOL,
         worst_sparse_dev,
-        worst_cd_dev,
     };
 
     let out = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_spice.json");
@@ -306,14 +274,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     println!(
         "headline {}: {} nodes, dense {:.0}/s vs sparse {:.0}/s ({:.1}x), \
-         worst sparse dev {:.2e}, worst cd dev {:.2e}",
+         crossover {:?} nodes, worst sparse dev {:.2e}",
         report.headline.label,
         report.headline.nodes,
         report.headline.dense_solves_per_s,
         report.headline.sparse_solves_per_s,
         report.headline.dense_vs_sparse_slowdown,
+        report.crossover_nodes,
         report.worst_sparse_dev,
-        report.worst_cd_dev,
     );
     Ok(())
 }

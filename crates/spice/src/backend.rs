@@ -1,37 +1,26 @@
-//! Solver-backend selection: which algorithm computes DC operating points.
+//! Solver-backend selection: which linear solver sits inside the Newton
+//! loop that computes DC operating points.
 //!
-//! The workspace carries three interchangeable backends behind one
-//! [`DcSolver`](crate::DcSolver) API (full catalogue, selection guidance,
-//! and tolerance contract in `docs/SOLVERS.md` at the workspace root):
+//! Two backends share one [`DcSolver`](crate::DcSolver) API, one MNA stamp
+//! pass and one acceptance contract (catalogue, selection guidance and
+//! tolerances in `docs/SOLVERS.md` at the workspace root):
 //!
 //! * [`SolverBackend::DenseLu`] — damped Newton over a dense MNA matrix
-//!   with dense LU. The oracle: every other backend is validated against
+//!   with dense LU. The oracle: the sparse backend is validated against
 //!   it. O(dim³) per factorization.
 //! * [`SolverBackend::SparseLu`] — the same Newton iteration over
 //!   compressed-sparse-column assembly with Markowitz-ordered sparse LU;
 //!   the symbolic analysis is cached and reused across same-pattern
 //!   refactorizations (Newton iterations, sweep points).
-//! * [`SolverBackend::CoordDescent`] — the exact coordinate-descent method
-//!   of Scellier, *A Fast Algorithm to Simulate Nonlinear Resistive
-//!   Networks* (arXiv 2402.11674): no global linear solve at all; each
-//!   node's KCL equation is solved exactly in turn until the whole network
-//!   settles. Requires every voltage source to be referenced to ground.
 //!
-//! Selection is per-circuit via [`DcSolver::backend`](crate::DcSolver) or
-//! process-wide via the [`BACKEND_ENV_VAR`] environment variable. An
-//! unrecognized spelling is a hard [`SpiceError::Config`] error — never a
-//! silent fallback.
+//! Selection is in code only, per solver, via
+//! [`DcSolver::with_backend`](crate::DcSolver::with_backend).
 
-use crate::SpiceError;
 use serde::{Deserialize, Serialize};
 
-/// Environment variable selecting the process-wide default solver backend
-/// for [`DcSolver`](crate::DcSolver)s that do not pin one in code. Accepted
-/// values: `dense-lu` (default when unset), `sparse-lu`, `coord-descent`.
-pub const BACKEND_ENV_VAR: &str = "PNC_SPICE_BACKEND";
-
-/// The algorithm a [`DcSolver`](crate::DcSolver) uses for operating-point
-/// solves. See the module docs and `docs/SOLVERS.md` for the contract.
+/// The linear solver a [`DcSolver`](crate::DcSolver) uses for
+/// operating-point solves. See the module docs and `docs/SOLVERS.md` for
+/// the contract.
 #[derive(
     Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize, Default,
 )]
@@ -43,112 +32,11 @@ pub enum SolverBackend {
     /// Damped Newton over sparse MNA assembly with Markowitz-ordered sparse
     /// LU and cached symbolic analysis.
     SparseLu,
-    /// Exact nonlinear coordinate descent (Scellier 2024): per-node scalar
-    /// solves swept until global KCL convergence.
-    CoordDescent,
-}
-
-impl SolverBackend {
-    /// Stable lower-kebab-case name used in configuration, metrics, and
-    /// bench reports.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            SolverBackend::DenseLu => "dense-lu",
-            SolverBackend::SparseLu => "sparse-lu",
-            SolverBackend::CoordDescent => "coord-descent",
-        }
-    }
-
-    /// Every backend, in documentation order (benches iterate this).
-    pub fn all() -> [SolverBackend; 3] {
-        [
-            SolverBackend::DenseLu,
-            SolverBackend::SparseLu,
-            SolverBackend::CoordDescent,
-        ]
-    }
-
-    /// Parses a backend name: `dense-lu`, `sparse-lu`, or `coord-descent`
-    /// (underscores accepted for hyphens), case-insensitively and ignoring
-    /// surrounding whitespace.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SpiceError::Config`] for any other spelling. There is no
-    /// silent fallback: a typo'd backend in a deployment environment must
-    /// fail loudly, not quietly solve with a different algorithm.
-    pub fn parse(raw: &str) -> Result<Self, SpiceError> {
-        match raw.trim().to_ascii_lowercase().replace('_', "-").as_str() {
-            "dense-lu" => Ok(SolverBackend::DenseLu),
-            "sparse-lu" => Ok(SolverBackend::SparseLu),
-            "coord-descent" => Ok(SolverBackend::CoordDescent),
-            other => Err(SpiceError::Config {
-                detail: format!(
-                    "unrecognized solver backend {other:?} (expected dense-lu, sparse-lu, or \
-                     coord-descent)"
-                ),
-            }),
-        }
-    }
-
-    /// Reads the backend from the [`BACKEND_ENV_VAR`] environment variable.
-    /// Unset means [`Self::DenseLu`]; a set but unrecognized value is a hard
-    /// [`SpiceError::Config`] error surfaced to the caller.
-    ///
-    /// The variable is re-read on every call (solves are orders of magnitude
-    /// more expensive than an environment lookup), so tests and long-lived
-    /// processes observe changes immediately.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SpiceError::Config`] when the variable is set to anything
-    /// other than a recognized backend name.
-    pub fn from_env() -> Result<Self, SpiceError> {
-        match std::env::var(BACKEND_ENV_VAR) {
-            Ok(raw) => Self::parse(&raw).map_err(|_| SpiceError::Config {
-                detail: format!(
-                    "environment variable {BACKEND_ENV_VAR}={raw:?} is not a valid solver \
-                     backend (expected dense-lu, sparse-lu, or coord-descent)"
-                ),
-            }),
-            Err(_) => Ok(SolverBackend::DenseLu),
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn parse_accepts_all_spellings() {
-        assert_eq!(
-            SolverBackend::parse("dense-lu").unwrap(),
-            SolverBackend::DenseLu
-        );
-        assert_eq!(
-            SolverBackend::parse(" Sparse_LU ").unwrap(),
-            SolverBackend::SparseLu
-        );
-        assert_eq!(
-            SolverBackend::parse("COORD-DESCENT").unwrap(),
-            SolverBackend::CoordDescent
-        );
-    }
-
-    #[test]
-    fn parse_rejects_unknown_with_typed_error() {
-        let err = SolverBackend::parse("newton").unwrap_err();
-        assert!(matches!(err, SpiceError::Config { .. }), "{err:?}");
-        assert!(err.to_string().contains("newton"), "{err}");
-    }
-
-    #[test]
-    fn names_round_trip() {
-        for b in SolverBackend::all() {
-            assert_eq!(SolverBackend::parse(b.as_str()).unwrap(), b);
-        }
-    }
 
     #[test]
     fn default_is_the_oracle() {

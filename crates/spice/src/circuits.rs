@@ -302,6 +302,12 @@ impl PtanhCircuit {
     pub fn circuit(&self) -> &Circuit {
         &self.circuit
     }
+
+    /// The input voltage source the transfer-curve sweeps drive, for
+    /// callers that step [`Self::circuit`] through their own solve loop.
+    pub fn input_source(&self) -> DeviceId {
+        self.vin
+    }
 }
 
 /// Convenience: the characteristic curve of the circuit parameterized by
@@ -344,10 +350,7 @@ fn lcg_uniform(state: &mut u64) -> f64 {
 ///
 /// The MNA matrix is tridiagonal-plus-border, the canonical topology where
 /// sparse LU scales linearly while dense LU pays the full O(n³) — the
-/// solver-backend bench sweeps this family. Its diameter also grows with
-/// `sections`, which is exactly the regime where the coordinate-descent
-/// backend degrades (information moves one node per sweep); see
-/// `docs/SOLVERS.md`.
+/// solver-backend bench sweeps this family (see `docs/SOLVERS.md`).
 ///
 /// # Errors
 ///
@@ -401,9 +404,9 @@ pub fn resistor_ladder(
 /// This is the crossbar-scale workload ROADMAP item 1 calls for: a
 /// `[16, 16, 16, 16]` network has hundreds of MNA unknowns — more than 10×
 /// the Fig. 1 subcircuit — at a few nonzeros per row, the regime where the
-/// sparse and coordinate-descent backends of [`DcSolver`]
-/// pull away from dense LU. All component values derive deterministically
-/// from `seed`, so benchmark netlists are reproducible.
+/// sparse backend of [`DcSolver`] pulls away from dense LU. All component
+/// values derive deterministically from `seed`, so benchmark netlists are
+/// reproducible.
 ///
 /// # Examples
 ///
@@ -586,20 +589,15 @@ mod tests {
             net.circuit().num_nodes()
         );
         let dense = net.solve().unwrap();
-        // Agreement bounds per SOLVERS.md: sparse LU solves the same Newton
-        // system (tight); coordinate descent only guarantees the shared KCL
-        // residual tolerance, which the ~200 kΩ output impedance maps to a
-        // couple of 1e-4 V of voltage slack.
-        for (backend, tol) in [
-            (crate::SolverBackend::SparseLu, 1e-8),
-            (crate::SolverBackend::CoordDescent, 2e-4),
-        ] {
-            let mut alt = net.clone();
-            alt.set_solver(crate::DcSolver::with_backend(backend));
-            let got = alt.solve().unwrap();
-            for (a, b) in dense.iter().zip(&got) {
-                assert!((a - b).abs() < tol, "{backend:?}: dense {a} vs {b}");
-            }
+        // Sparse LU solves the same Newton system, so it agrees to linear
+        // solver precision (SOLVERS.md).
+        let mut alt = net.clone();
+        alt.set_solver(crate::DcSolver::with_backend(
+            crate::SolverBackend::SparseLu,
+        ));
+        let got = alt.solve().unwrap();
+        for (a, b) in dense.iter().zip(&got) {
+            assert!((a - b).abs() < 1e-8, "dense {a} vs sparse {b}");
         }
     }
 

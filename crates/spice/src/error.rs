@@ -39,24 +39,6 @@ pub enum SpiceError {
         /// Human-readable description.
         detail: String,
     },
-    /// A solver configuration value was invalid — e.g. an unrecognized
-    /// `PNC_SPICE_BACKEND` spelling. Configuration typos fail loudly instead
-    /// of silently falling back to a different solver (the same contract as
-    /// `PNC_INFER_PRECISION` in `pnc-core`).
-    Config {
-        /// Human-readable description of the rejected configuration.
-        detail: String,
-    },
-    /// The selected solver backend cannot handle this circuit's topology
-    /// (e.g. the coordinate-descent backend requires every voltage source to
-    /// be referenced to ground). Switch backends; the dense/sparse LU paths
-    /// handle every topology the netlist builder accepts.
-    UnsupportedTopology {
-        /// The backend that rejected the circuit (its `as_str` name).
-        backend: &'static str,
-        /// What the backend cannot represent.
-        detail: String,
-    },
 }
 
 impl fmt::Display for SpiceError {
@@ -79,10 +61,6 @@ impl fmt::Display for SpiceError {
                 write!(f, "singular MNA system: {source}")
             }
             SpiceError::BadDeviceRef { detail } => write!(f, "bad device reference: {detail}"),
-            SpiceError::Config { detail } => write!(f, "invalid solver configuration: {detail}"),
-            SpiceError::UnsupportedTopology { backend, detail } => {
-                write!(f, "backend {backend} cannot solve this circuit: {detail}")
-            }
         }
     }
 }

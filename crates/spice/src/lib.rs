@@ -12,12 +12,10 @@
 //!   channel-length modulation ([`EgtModel`]),
 //! * damped **Newton–Raphson** iteration with analytic device Jacobians and a
 //!   `gmin` safety conductance ([`DcSolver`]),
-//! * three interchangeable **solver backends** — dense LU (the oracle),
-//!   sparse LU with cached symbolic analysis, and the exact
-//!   coordinate-descent method of Scellier 2024 — selected per-circuit via
-//!   [`DcSolver::backend`] or process-wide via `PNC_SPICE_BACKEND`
-//!   ([`SolverBackend`]; catalogue and selection guidance in
-//!   `docs/SOLVERS.md` at the workspace root),
+//! * two interchangeable **solver backends** — dense LU (the oracle) and
+//!   sparse LU with cached symbolic analysis — selected in code via
+//!   [`DcSolver::with_backend`] ([`SolverBackend`]; catalogue and selection
+//!   guidance in `docs/SOLVERS.md` at the workspace root),
 //! * **DC sweeps** with warm-started continuation ([`sweep::dc_sweep`]), and
 //! * ready-made netlists of the paper's nonlinear subcircuits: the two-stage
 //!   tanh-like `ptanh` circuit, the single-stage negative-weight inverter,
@@ -33,10 +31,9 @@
 //! capacitors in transient analysis, linearized companion models for EGTs —
 //! and each voltage source contributes a branch row `v₊ − v₋ = V` plus
 //! `±1` couplings that inject its branch current into the terminal node
-//! rows. Every backend solves this same system (coordinate descent
-//! eliminates the branch unknowns by clamping source-driven nodes) and all
-//! honor the same dual convergence contract: the voltage update *and* the
-//! KCL residual must settle below their tolerances.
+//! rows. One stamp pass writes this system into either backend's matrix,
+//! and both honor the same dual convergence contract: the voltage update
+//! *and* the KCL residual must settle below their tolerances.
 //!
 //! The substitution preserves what the downstream pipeline needs: a smooth
 //! family of tanh-like transfer curves, nonlinearly parameterized by the seven
@@ -72,7 +69,6 @@
 #![warn(missing_docs)]
 
 pub mod backend;
-mod cd;
 pub mod circuits;
 mod egt;
 mod error;
@@ -82,12 +78,11 @@ mod netlist_io;
 pub mod sweep;
 mod transient;
 
-pub use backend::{SolverBackend, BACKEND_ENV_VAR};
+pub use backend::SolverBackend;
 pub use egt::{EgtModel, EgtOperatingPoint};
 pub use error::SpiceError;
 pub use mna::{
-    DcSolver, FaultInjection, NewtonCache, RecoveryPolicy, RecoveryRung, Solution,
-    SolveDiagnostics, NEWTON_REUSE_ENV_VAR,
+    DcSolver, FaultInjection, NewtonCache, RecoveryPolicy, RecoveryRung, Solution, SolveDiagnostics,
 };
 pub use netlist::{Circuit, Device, DeviceId, Node, GROUND};
 pub use netlist_io::parse_value;

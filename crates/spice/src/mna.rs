@@ -4,7 +4,6 @@ use pnc_linalg::sparse::{CscMatrix, SparseBuilder, SparseLu};
 use pnc_linalg::{LinalgError, Lu, Matrix};
 use pnc_obs::{Counter, FieldValue, Histogram};
 use serde::{Deserialize, Serialize};
-use std::sync::OnceLock;
 
 // Observability: one record per (possibly recovered) solve, taken at the
 // `solve_recovered` wrapper so plain DC solves, every recovery rung, and
@@ -23,11 +22,9 @@ static OBS_GMIN_STEPS: Counter = Counter::new("spice.recovery.gmin_steps");
 static OBS_SOURCE_STEPS: Counter = Counter::new("spice.recovery.source_steps");
 static OBS_RESIDUAL: Histogram = Histogram::new("spice.newton.residual");
 // Backend-dispatch tallies: one per-solve count on the backend that ran it,
-// plus the sparse/coordinate-descent work counters those backends emit.
+// plus the work counters of the sparse backend.
 static OBS_BACKEND_DENSE: Counter = Counter::new("spice.backend.dense_lu");
 static OBS_BACKEND_SPARSE: Counter = Counter::new("spice.backend.sparse_lu");
-static OBS_BACKEND_CD: Counter = Counter::new("spice.backend.coord_descent");
-pub(crate) static OBS_CD_SWEEPS: Counter = Counter::new("spice.backend.cd_sweeps");
 static OBS_SPARSE_SYMBOLIC: Counter = Counter::new("spice.backend.sparse_symbolic");
 static OBS_SPARSE_REFACTOR: Counter = Counter::new("spice.backend.sparse_refactor");
 
@@ -50,29 +47,9 @@ fn obs_register() {
         OBS_RESIDUAL.register();
         OBS_BACKEND_DENSE.register();
         OBS_BACKEND_SPARSE.register();
-        OBS_BACKEND_CD.register();
-        OBS_CD_SWEEPS.register();
         OBS_SPARSE_SYMBOLIC.register();
         OBS_SPARSE_REFACTOR.register();
     });
-}
-
-/// Environment variable gating Jacobian reuse in [`DcSolver`] (see
-/// [`DcSolver::newton_reuse`]). Set to `0`, `off`, or `false` to force
-/// classic full-Newton solves even when a [`NewtonCache`] is supplied.
-pub const NEWTON_REUSE_ENV_VAR: &str = "PNC_NEWTON_REUSE";
-
-/// Process-wide default of [`DcSolver::newton_reuse`], read once from
-/// [`NEWTON_REUSE_ENV_VAR`]; reuse is on unless explicitly disabled.
-fn newton_reuse_default() -> bool {
-    static REUSE: OnceLock<bool> = OnceLock::new();
-    *REUSE.get_or_init(|| match std::env::var(NEWTON_REUSE_ENV_VAR) {
-        Ok(v) => {
-            let v = v.trim().to_ascii_lowercase();
-            !matches!(v.as_str(), "0" | "off" | "false")
-        }
-        Err(_) => true,
-    })
 }
 
 /// Modified-Newton keeps a stale Jacobian only while each iteration shrinks
@@ -93,9 +70,11 @@ const CACHE_GUESS_TOL: f64 = 0.05;
 /// While the residual keeps contracting geometrically the stale
 /// factorization is reused — across iterations *and* across sweep points
 /// whose operating point moved little — so iterations-per-factorization
-/// rises above one. The cache is pure acceleration state: every iteration
-/// still evaluates the exact residual of the freshly assembled system, so
-/// dropping (or never supplying) a cache only costs speed, never accuracy.
+/// rises above one. Passing a cache is what selects modified Newton; solves
+/// without one run classic full Newton. The cache is pure acceleration
+/// state: every iteration still evaluates the exact residual of the freshly
+/// assembled system, so dropping (or never supplying) a cache only costs
+/// speed, never accuracy.
 #[derive(Debug, Default)]
 pub struct NewtonCache {
     lu: Option<Lu>,
@@ -204,9 +183,9 @@ pub struct SolveDiagnostics {
     /// Jacobian LU factorizations performed across the counted successful
     /// attempts (failed attempts are excluded — their factorization count is
     /// not recoverable from the error). Classic full Newton factors once per
-    /// iteration; the Jacobian-reuse path ([`DcSolver::newton_reuse`] with a
-    /// [`NewtonCache`]) factors only when contraction stalls, so
-    /// `iterations / factorizations` measures the reuse win. `0` is possible
+    /// iteration; the Jacobian-reuse path (a solve given a [`NewtonCache`])
+    /// factors only when contraction stalls, so `iterations /
+    /// factorizations` measures the reuse win. `0` is possible
     /// when a solve converges entirely on a factorization carried over from
     /// an earlier warm-started solve.
     pub factorizations: usize,
@@ -433,20 +412,9 @@ pub struct DcSolver {
     pub recovery: RecoveryPolicy,
     /// Deterministic test-only fault injection; `None` in production.
     pub fault_injection: Option<FaultInjection>,
-    /// Whether solves given a [`NewtonCache`] may keep a stale Jacobian
-    /// factorization across iterations (and warm-started sweep points)
-    /// while the residual contracts geometrically — modified Newton.
-    /// Defaults from the `PNC_NEWTON_REUSE` environment variable
-    /// ([`NEWTON_REUSE_ENV_VAR`]; `0`/`off`/`false` disable, enabled
-    /// otherwise). Solves without a cache always run classic full Newton.
-    pub newton_reuse: bool,
-    /// Which algorithm computes the operating point (see [`SolverBackend`]
-    /// and `docs/SOLVERS.md`). `None` — the default — resolves the
-    /// `PNC_SPICE_BACKEND` environment variable at each solve, so an
-    /// unrecognized value there surfaces as [`SpiceError::Config`] from the
-    /// solve itself rather than silently falling back; `Some(backend)` pins
-    /// the choice in code and ignores the environment.
-    pub backend: Option<SolverBackend>,
+    /// Which linear solver runs inside the Newton loop (see
+    /// [`SolverBackend`] and `docs/SOLVERS.md`); dense LU by default.
+    pub backend: SolverBackend,
 }
 
 impl Default for DcSolver {
@@ -459,8 +427,7 @@ impl Default for DcSolver {
             gmin: 1e-12,
             recovery: RecoveryPolicy::default(),
             fault_injection: None,
-            newton_reuse: newton_reuse_default(),
-            backend: None,
+            backend: SolverBackend::DenseLu,
         }
     }
 }
@@ -472,8 +439,7 @@ impl DcSolver {
         DcSolver::default()
     }
 
-    /// Creates a default solver pinned to `backend`, ignoring the
-    /// `PNC_SPICE_BACKEND` environment variable.
+    /// Creates a default solver that runs on `backend`.
     ///
     /// # Examples
     ///
@@ -485,14 +451,14 @@ impl DcSolver {
     /// let n = ckt.new_node();
     /// ckt.vsource(n, GROUND, 1.0)?;
     /// ckt.resistor(n, GROUND, 1_000.0)?;
-    /// let sol = DcSolver::with_backend(SolverBackend::CoordDescent).solve(&ckt)?;
+    /// let sol = DcSolver::with_backend(SolverBackend::SparseLu).solve(&ckt)?;
     /// assert!((sol.voltage(n) - 1.0).abs() < 1e-9);
     /// # Ok(())
     /// # }
     /// ```
     pub fn with_backend(backend: SolverBackend) -> Self {
         DcSolver {
-            backend: Some(backend),
+            backend,
             ..DcSolver::default()
         }
     }
@@ -532,8 +498,8 @@ impl DcSolver {
     /// Solves the DC operating point from a warm-start guess while carrying
     /// modified-Newton state in `cache` (see [`NewtonCache`]).
     ///
-    /// With [`DcSolver::newton_reuse`] enabled, the plain Newton loop keeps
-    /// the cached Jacobian factorization while the residual contracts
+    /// The plain Newton loop runs modified Newton: it keeps the cached
+    /// Jacobian factorization while the residual contracts
     /// geometrically — across its own iterations and across consecutive
     /// calls whose warm-start point moved little — and refactors only when
     /// contraction stalls. Convergence criteria are unchanged, so the
@@ -575,30 +541,11 @@ impl DcSolver {
         cache: Option<&mut NewtonCache>,
     ) -> Result<Solution, SpiceError> {
         obs_register();
-        // Resolve the backend once per solve. A bad `PNC_SPICE_BACKEND`
-        // value errors out here, before any numeric work — no fallback.
-        let resolved = match self.backend {
-            Some(b) => b,
-            None => SolverBackend::from_env()?,
-        };
-        match resolved {
+        match self.backend {
             SolverBackend::DenseLu => OBS_BACKEND_DENSE.increment(),
             SolverBackend::SparseLu => OBS_BACKEND_SPARSE.increment(),
-            SolverBackend::CoordDescent => OBS_BACKEND_CD.increment(),
         }
-        // Pin the resolved backend so every recovery rung (some clone the
-        // solver) dispatches identically without re-reading the environment.
-        let pinned;
-        let solver = if self.backend == Some(resolved) {
-            self
-        } else {
-            pinned = DcSolver {
-                backend: Some(resolved),
-                ..self.clone()
-            };
-            &pinned
-        };
-        let result = solver.solve_recovered_inner(circuit, guess, cap_state, cache);
+        let result = self.solve_recovered_inner(circuit, guess, cap_state, cache);
         OBS_SOLVES.increment();
         match &result {
             Ok(sol) => {
@@ -883,14 +830,13 @@ impl DcSolver {
     /// below their tolerances, so a stalled damped update is not mistaken
     /// for convergence.
     ///
-    /// With `cache` supplied and [`DcSolver::newton_reuse`] enabled, the
-    /// loop runs modified Newton: the Jacobian factorization is kept while
-    /// the residual contracts geometrically (including a factorization
-    /// carried in from an earlier warm-started solve whose operating point
-    /// is close) and rebuilt only when contraction stalls. The residual is
-    /// always evaluated on the freshly assembled system, so the acceptance
-    /// criteria — and hence the returned solution's accuracy — are
-    /// identical to the full-Newton path.
+    /// With `cache` supplied the loop runs modified Newton: the Jacobian
+    /// factorization is kept while the residual contracts geometrically
+    /// (including a factorization carried in from an earlier warm-started
+    /// solve whose operating point is close) and rebuilt only when
+    /// contraction stalls. The residual is always evaluated on the freshly
+    /// assembled system, so the acceptance criteria — and hence the
+    /// returned solution's accuracy — are identical to the full-Newton path.
     pub(crate) fn newton_solve(
         &self,
         circuit: &Circuit,
@@ -938,18 +884,16 @@ impl DcSolver {
 
         // Backend dispatch happens after the shared prelude so guess
         // validation, trivial circuits, and fault injection behave the same
-        // regardless of backend. `None` only reaches this point via direct
-        // internal calls; it means the dense default.
-        match self.backend.unwrap_or_default() {
+        // regardless of backend.
+        match self.backend {
             SolverBackend::DenseLu => self.newton_dense(circuit, x, cap_state, rung, cache),
             SolverBackend::SparseLu => self.newton_sparse(circuit, x, cap_state, rung, cache),
-            SolverBackend::CoordDescent => crate::cd::solve(self, circuit, &x, cap_state, rung),
         }
     }
 
     /// The dense Newton loop behind [`SolverBackend::DenseLu`]: full dense
     /// assembly, dense LU per iteration (or modified Newton with `cache`).
-    /// This is the oracle path the other backends are validated against.
+    /// This is the oracle path the sparse backend is validated against.
     fn newton_dense(
         &self,
         circuit: &Circuit,
@@ -963,8 +907,8 @@ impl DcSolver {
 
         // A factorization carried over from an earlier solve is only
         // trusted when the warm-start point stayed near where it was taken;
-        // otherwise (or with reuse disabled) start cold.
-        let reuse = self.newton_reuse && cache.is_some();
+        // otherwise start cold.
+        let reuse = cache.is_some();
         if let Some(c) = cache.as_deref_mut() {
             if !reuse || !c.matches(dim, &x) {
                 c.clear();
@@ -1077,10 +1021,10 @@ impl DcSolver {
     /// damped iteration and acceptance criteria as [`Self::newton_dense`],
     /// but over compressed-sparse-column assembly with Markowitz-ordered
     /// sparse LU. Classic Newton refactors numerically every iteration while
-    /// reusing the cached symbolic pivot order; with a [`NewtonCache`] and
-    /// [`DcSolver::newton_reuse`], the numeric factorization is additionally
-    /// kept while the residual contracts geometrically (modified Newton),
-    /// across iterations and warm-started sweep points.
+    /// reusing the cached symbolic pivot order; with a [`NewtonCache`], the
+    /// numeric factorization is additionally kept while the residual
+    /// contracts geometrically (modified Newton), across iterations and
+    /// warm-started sweep points.
     fn newton_sparse(
         &self,
         circuit: &Circuit,
@@ -1092,9 +1036,9 @@ impl DcSolver {
         let n = circuit.num_nodes();
         let dim = x.len();
 
-        let reuse = self.newton_reuse && cache.is_some();
+        let reuse = cache.is_some();
         if let Some(c) = cache.as_deref_mut() {
-            if !reuse || !c.matches_sparse(dim, &x) {
+            if !c.matches_sparse(dim, &x) {
                 c.clear();
             }
         }
@@ -1213,179 +1157,63 @@ impl DcSolver {
         })
     }
 
-    /// Sparse counterpart of [`Self::assemble`]: identical stamps pushed
-    /// into a [`SparseBuilder`]. The builder keeps explicit zeros and the
-    /// stamp positions depend only on the netlist topology (never on `x`),
-    /// so the pattern — and with it the cached symbolic pivot order — is
-    /// stable across Newton iterations and same-circuit sweep points.
-    fn assemble_sparse(
-        &self,
-        circuit: &Circuit,
-        x: &[f64],
-        cap_state: Option<(&[f64], f64)>,
-    ) -> Result<(CscMatrix, Vec<f64>), SpiceError> {
-        let n = circuit.num_nodes();
-        let m = circuit.num_vsources();
-        let dim = n + m;
-        let mut b = SparseBuilder::new(dim, dim);
-        let mut rhs = vec![0.0; dim];
-
-        // gmin from every node to ground keeps floating nodes solvable.
-        for i in 0..n {
-            b.push(i, i, self.gmin);
-        }
-
-        // Voltage of a node under the current estimate (ground = 0).
-        let volt = |node: crate::Node| -> f64 {
-            if node.index() == 0 {
-                0.0
-            } else {
-                x[node.index() - 1]
-            }
-        };
-        // Row/col index of a node in the MNA system, None for ground.
-        let idx = |node: crate::Node| -> Option<usize> {
-            if node.index() == 0 {
-                None
-            } else {
-                Some(node.index() - 1)
-            }
-        };
-
-        let mut vsrc_counter = 0usize;
-        for device in circuit.devices() {
-            match device {
-                Device::Resistor {
-                    a,
-                    b: nb,
-                    resistance,
-                } => {
-                    let cond = 1.0 / resistance;
-                    if let Some(i) = idx(*a) {
-                        b.push(i, i, cond);
-                    }
-                    if let Some(j) = idx(*nb) {
-                        b.push(j, j, cond);
-                    }
-                    if let (Some(i), Some(j)) = (idx(*a), idx(*nb)) {
-                        b.push(i, j, -cond);
-                        b.push(j, i, -cond);
-                    }
-                }
-                Device::VSource {
-                    plus,
-                    minus,
-                    voltage,
-                } => {
-                    let k = n + vsrc_counter;
-                    vsrc_counter += 1;
-                    if let Some(i) = idx(*plus) {
-                        b.push(i, k, 1.0);
-                        b.push(k, i, 1.0);
-                    }
-                    if let Some(j) = idx(*minus) {
-                        b.push(j, k, -1.0);
-                        b.push(k, j, -1.0);
-                    }
-                    rhs[k] = *voltage;
-                }
-                Device::Capacitor {
-                    a,
-                    b: nb,
-                    capacitance,
-                } => {
-                    let Some((prev, h)) = cap_state else {
-                        continue; // open circuit in DC analysis
-                    };
-                    let g_c = capacitance / h;
-                    let v_prev = prev[a.index()] - prev[nb.index()];
-                    if let Some(i) = idx(*a) {
-                        b.push(i, i, g_c);
-                        rhs[i] += g_c * v_prev;
-                    }
-                    if let Some(j) = idx(*nb) {
-                        b.push(j, j, g_c);
-                        rhs[j] -= g_c * v_prev;
-                    }
-                    if let (Some(i), Some(j)) = (idx(*a), idx(*nb)) {
-                        b.push(i, j, -g_c);
-                        b.push(j, i, -g_c);
-                    }
-                }
-                Device::ISource { from, to, current } => {
-                    if let Some(i) = idx(*from) {
-                        rhs[i] -= current;
-                    }
-                    if let Some(j) = idx(*to) {
-                        rhs[j] += current;
-                    }
-                }
-                Device::Egt {
-                    drain,
-                    gate,
-                    source,
-                    model,
-                } => {
-                    let vgs = volt(*gate) - volt(*source);
-                    let vds = volt(*drain) - volt(*source);
-                    let op = model.evaluate(vgs, vds);
-                    // Companion model: i_d ≈ i_eq + gm·v_gs + gds·v_ds.
-                    let i_eq = op.id - op.gm * vgs - op.gds * vds;
-
-                    let d = idx(*drain);
-                    let gt = idx(*gate);
-                    let s = idx(*source);
-
-                    // KCL at drain: +i_d leaves the node into the channel.
-                    if let Some(di) = d {
-                        rhs[di] -= i_eq;
-                        if let Some(gi) = gt {
-                            b.push(di, gi, op.gm);
-                        }
-                        b.push(di, di, op.gds);
-                        if let Some(si) = s {
-                            b.push(di, si, -(op.gm + op.gds));
-                        }
-                    }
-                    // KCL at source: −i_d (channel current enters the node).
-                    if let Some(si) = s {
-                        rhs[si] += i_eq;
-                        if let Some(gi) = gt {
-                            b.push(si, gi, -op.gm);
-                        }
-                        if let Some(di) = d {
-                            b.push(si, di, -op.gds);
-                        }
-                        b.push(si, si, op.gm + op.gds);
-                    }
-                    // Gate draws no DC current.
-                }
-            }
-        }
-
-        Ok((b.build()?, rhs))
-    }
-
-    /// Assembles the linearized MNA system `G·x = rhs` at the estimate `x`.
-    ///
-    /// With `cap_state = Some((prev_voltages, h))`, capacitors contribute
-    /// their backward-Euler companion (conductance `C/h` plus a history
-    /// current); otherwise they are open circuits (DC analysis).
+    /// Assembles the linearized MNA system `G·x = rhs` at the estimate `x`
+    /// into a dense matrix (see [`Self::stamp`]).
     fn assemble(
         &self,
         circuit: &Circuit,
         x: &[f64],
         cap_state: Option<(&[f64], f64)>,
     ) -> (Matrix, Vec<f64>) {
+        let dim = circuit.num_nodes() + circuit.num_vsources();
+        let mut g = Matrix::zeros(dim, dim);
+        let rhs = self.stamp(circuit, x, cap_state, &mut g);
+        (g, rhs)
+    }
+
+    /// Sparse counterpart of [`Self::assemble`]: the same stamps pushed into
+    /// a [`SparseBuilder`]. The builder keeps explicit zeros and the stamp
+    /// positions depend only on the netlist topology (never on `x`), so the
+    /// pattern — and with it the cached symbolic pivot order — is stable
+    /// across Newton iterations and same-circuit sweep points.
+    fn assemble_sparse(
+        &self,
+        circuit: &Circuit,
+        x: &[f64],
+        cap_state: Option<(&[f64], f64)>,
+    ) -> Result<(CscMatrix, Vec<f64>), SpiceError> {
+        let dim = circuit.num_nodes() + circuit.num_vsources();
+        let mut b = SparseBuilder::new(dim, dim);
+        let rhs = self.stamp(circuit, x, cap_state, &mut b);
+        Ok((b.build()?, rhs))
+    }
+
+    /// The one MNA stamp pass behind both backends: writes the linearized
+    /// system at the estimate `x` into `sink` and returns its right-hand
+    /// side.
+    ///
+    /// With `cap_state = Some((prev_voltages, h))`, capacitors contribute
+    /// their backward-Euler companion (conductance `C/h` plus a history
+    /// current); otherwise they are open circuits (DC analysis).
+    ///
+    /// Every matrix entry is stamped as an addition — a subtraction as the
+    /// addition of the negated value, which IEEE 754 makes bit-identical to
+    /// `-=` — so the dense matrix is unchanged by sharing this pass, and the
+    /// sparse triplets arrive in the same order as the dense updates.
+    fn stamp<S: StampSink>(
+        &self,
+        circuit: &Circuit,
+        x: &[f64],
+        cap_state: Option<(&[f64], f64)>,
+        sink: &mut S,
+    ) -> Vec<f64> {
         let n = circuit.num_nodes();
         let m = circuit.num_vsources();
-        let dim = n + m;
-        let mut g = Matrix::zeros(dim, dim);
-        let mut rhs = vec![0.0; dim];
+        let mut rhs = vec![0.0; n + m];
 
         // gmin from every node to ground keeps floating nodes solvable.
         for i in 0..n {
-            g[(i, i)] += self.gmin;
+            sink.add(i, i, self.gmin);
         }
 
         // Voltage of a node under the current estimate (ground = 0).
@@ -1411,14 +1239,14 @@ impl DcSolver {
                 Device::Resistor { a, b, resistance } => {
                     let cond = 1.0 / resistance;
                     if let Some(i) = idx(*a) {
-                        g[(i, i)] += cond;
+                        sink.add(i, i, cond);
                     }
                     if let Some(j) = idx(*b) {
-                        g[(j, j)] += cond;
+                        sink.add(j, j, cond);
                     }
                     if let (Some(i), Some(j)) = (idx(*a), idx(*b)) {
-                        g[(i, j)] -= cond;
-                        g[(j, i)] -= cond;
+                        sink.add(i, j, -cond);
+                        sink.add(j, i, -cond);
                     }
                 }
                 Device::VSource {
@@ -1429,12 +1257,12 @@ impl DcSolver {
                     let k = n + vsrc_counter;
                     vsrc_counter += 1;
                     if let Some(i) = idx(*plus) {
-                        g[(i, k)] += 1.0;
-                        g[(k, i)] += 1.0;
+                        sink.add(i, k, 1.0);
+                        sink.add(k, i, 1.0);
                     }
                     if let Some(j) = idx(*minus) {
-                        g[(j, k)] -= 1.0;
-                        g[(k, j)] -= 1.0;
+                        sink.add(j, k, -1.0);
+                        sink.add(k, j, -1.0);
                     }
                     rhs[k] = *voltage;
                 }
@@ -1445,16 +1273,16 @@ impl DcSolver {
                     let g_c = capacitance / h;
                     let v_prev = prev[a.index()] - prev[b.index()];
                     if let Some(i) = idx(*a) {
-                        g[(i, i)] += g_c;
+                        sink.add(i, i, g_c);
                         rhs[i] += g_c * v_prev;
                     }
                     if let Some(j) = idx(*b) {
-                        g[(j, j)] += g_c;
+                        sink.add(j, j, g_c);
                         rhs[j] -= g_c * v_prev;
                     }
                     if let (Some(i), Some(j)) = (idx(*a), idx(*b)) {
-                        g[(i, j)] -= g_c;
-                        g[(j, i)] -= g_c;
+                        sink.add(i, j, -g_c);
+                        sink.add(j, i, -g_c);
                     }
                 }
                 Device::ISource { from, to, current } => {
@@ -1485,30 +1313,50 @@ impl DcSolver {
                     if let Some(di) = d {
                         rhs[di] -= i_eq;
                         if let Some(gi) = gt {
-                            g[(di, gi)] += op.gm;
+                            sink.add(di, gi, op.gm);
                         }
-                        g[(di, di)] += op.gds;
+                        sink.add(di, di, op.gds);
                         if let Some(si) = s {
-                            g[(di, si)] -= op.gm + op.gds;
+                            sink.add(di, si, -(op.gm + op.gds));
                         }
                     }
                     // KCL at source: −i_d (channel current enters the node).
                     if let Some(si) = s {
                         rhs[si] += i_eq;
                         if let Some(gi) = gt {
-                            g[(si, gi)] -= op.gm;
+                            sink.add(si, gi, -op.gm);
                         }
                         if let Some(di) = d {
-                            g[(si, di)] -= op.gds;
+                            sink.add(si, di, -op.gds);
                         }
-                        g[(si, si)] += op.gm + op.gds;
+                        sink.add(si, si, op.gm + op.gds);
                     }
                     // Gate draws no DC current.
                 }
             }
         }
 
-        (g, rhs)
+        rhs
+    }
+}
+
+/// Where [`DcSolver::stamp`] writes matrix entries: the dense backend
+/// accumulates into a [`Matrix`], the sparse backend records triplets in a
+/// [`SparseBuilder`] (which sums duplicates when it builds).
+trait StampSink {
+    /// Adds `value` to entry `(row, col)`.
+    fn add(&mut self, row: usize, col: usize, value: f64);
+}
+
+impl StampSink for Matrix {
+    fn add(&mut self, row: usize, col: usize, value: f64) {
+        self[(row, col)] += value;
+    }
+}
+
+impl StampSink for SparseBuilder {
+    fn add(&mut self, row: usize, col: usize, value: f64) {
+        self.push(row, col, value);
     }
 }
 
@@ -1924,78 +1772,6 @@ mod tests {
     }
 
     #[test]
-    fn coord_descent_matches_dense_on_nonlinear_circuit() {
-        for vin in [0.0, 0.3, 0.5, 0.8, 1.0] {
-            let (c, out) = egt_inverter_circuit(vin);
-            let dense = DcSolver::new().solve(&c).unwrap();
-            let cd = DcSolver::with_backend(SolverBackend::CoordDescent)
-                .solve(&c)
-                .unwrap();
-            // CD stops once the KCL residual is below tolerance; through the
-            // 200 kΩ output impedance that allows a few µV of voltage slack
-            // (the documented cross-backend agreement bound in SOLVERS.md).
-            assert!(
-                (dense.voltage(out) - cd.voltage(out)).abs() < 1e-5,
-                "vin {vin}: dense {} vs cd {}",
-                dense.voltage(out),
-                cd.voltage(out)
-            );
-            assert!((dense.source_current(0) - cd.source_current(0)).abs() < 1e-8);
-            assert_eq!(cd.diagnostics().factorizations, 0);
-        }
-    }
-
-    #[test]
-    fn coord_descent_source_currents_match_dense() {
-        let mut c = Circuit::new();
-        let vin = c.new_node();
-        let mid = c.new_node();
-        c.vsource(vin, GROUND, 1.0).unwrap();
-        c.resistor(vin, mid, 1_000.0).unwrap();
-        c.resistor(mid, GROUND, 1_000.0).unwrap();
-        let cd = DcSolver::with_backend(SolverBackend::CoordDescent)
-            .solve(&c)
-            .unwrap();
-        assert!((cd.voltage(mid) - 0.5).abs() < 1e-9);
-        assert!((cd.source_current(0) + 0.5e-3).abs() < 1e-8);
-    }
-
-    #[test]
-    fn coord_descent_handles_minus_clamped_sources() {
-        // A vsource wired ground-to-node clamps the node at −V.
-        let mut c = Circuit::new();
-        let n = c.new_node();
-        c.vsource(GROUND, n, 1.0).unwrap();
-        c.resistor(n, GROUND, 1_000.0).unwrap();
-        let cd = DcSolver::with_backend(SolverBackend::CoordDescent)
-            .solve(&c)
-            .unwrap();
-        let dense = DcSolver::new().solve(&c).unwrap();
-        assert!((cd.voltage(n) + 1.0).abs() < 1e-9);
-        assert!((cd.source_current(0) - dense.source_current(0)).abs() < 1e-8);
-    }
-
-    #[test]
-    fn coord_descent_rejects_floating_vsource() {
-        let mut c = Circuit::new();
-        let a = c.new_node();
-        let b = c.new_node();
-        c.vsource(a, b, 0.5).unwrap();
-        c.resistor(a, GROUND, 1_000.0).unwrap();
-        c.resistor(b, GROUND, 1_000.0).unwrap();
-        let err = DcSolver::with_backend(SolverBackend::CoordDescent).solve(&c);
-        assert!(
-            matches!(err, Err(SpiceError::UnsupportedTopology { backend, .. }) if backend == "coord-descent"),
-            "{err:?}"
-        );
-        // The LU backends handle the same circuit fine.
-        DcSolver::new().solve(&c).unwrap();
-        DcSolver::with_backend(SolverBackend::SparseLu)
-            .solve(&c)
-            .unwrap();
-    }
-
-    #[test]
     fn sparse_backend_reuses_symbolic_analysis_across_sweep() {
         // A warm-started sweep through one cache must refactor numerically
         // without redoing the Markowitz analysis (counted via diagnostics:
@@ -2034,7 +1810,7 @@ mod tests {
 
     #[test]
     fn backend_solves_are_deterministic() {
-        for backend in SolverBackend::all() {
+        for backend in [SolverBackend::DenseLu, SolverBackend::SparseLu] {
             let (c, _) = egt_inverter_circuit(0.45);
             let solver = DcSolver::with_backend(backend);
             let a = solver.solve(&c).unwrap();

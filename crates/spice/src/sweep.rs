@@ -47,7 +47,7 @@ pub fn dc_sweep(
     // One modified-Newton cache across the whole continuation: consecutive
     // points warm-start near each other, so the factored Jacobian usually
     // carries over and iterations-per-factorization climbs above one (see
-    // `DcSolver::newton_reuse`; a no-op when reuse is disabled).
+    // `DcSolver::solve_with_cache`).
     let mut cache = NewtonCache::new();
     let mut out = Vec::with_capacity(values.len());
     let mut guess: Option<Vec<f64>> = None;

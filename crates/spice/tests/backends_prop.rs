@@ -1,12 +1,17 @@
 //! Cross-backend property tests: on random ladder and crossbar topologies
 //! the sparse-LU backend must track the dense-LU oracle to linear-solver
-//! precision, coordinate descent must agree within its documented
-//! residual-implied tolerance, and every backend must be bit-identical
-//! across thread counts (the determinism contract of `docs/SOLVERS.md`).
+//! precision, and both backends must be bit-identical across thread counts
+//! (the determinism contract of `docs/SOLVERS.md`). The differential tests
+//! at the end drive the sparse backend through the stamps only transient
+//! analysis and the recovery ladder reach: the capacitor companion, the
+//! gmin override and the scaled sources.
 
 use pnc_linalg::ParallelConfig;
 use pnc_spice::circuits::{resistor_ladder, CrossbarNetwork, NonlinearCircuitParams, PtanhCircuit};
-use pnc_spice::{sweep, Circuit, DcSolver, Node, SolverBackend, GROUND};
+use pnc_spice::{
+    sweep, Circuit, DcSolver, EgtModel, FaultInjection, Node, RecoveryPolicy, RecoveryRung,
+    Solution, SolverBackend, TransientSolver, GROUND,
+};
 use proptest::prelude::*;
 
 /// A random crossbar-like linear layer: `ins` source-driven columns fan
@@ -42,10 +47,7 @@ fn random_crossbar(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// Random ladders: sparse LU tracks dense LU to solver precision and
-    /// coordinate descent stays within its residual-implied bound. Short
-    /// ladders only — coordinate descent propagates information one node
-    /// per sweep, its documented weakness on high-diameter topologies.
+    /// Random ladders: sparse LU tracks dense LU to solver precision.
     #[test]
     fn backends_agree_on_random_ladders(
         sections in 1usize..24,
@@ -57,27 +59,15 @@ proptest! {
         let sparse = DcSolver::with_backend(SolverBackend::SparseLu)
             .solve(&ladder)
             .expect("sparse converges");
-        let cd = DcSolver::with_backend(SolverBackend::CoordDescent)
-            .solve(&ladder)
-            .expect("cd converges");
-        for ((d, s), c) in dense
-            .voltages()
-            .iter()
-            .zip(sparse.voltages())
-            .zip(cd.voltages())
-        {
+        for (d, s) in dense.voltages().iter().zip(sparse.voltages()) {
             prop_assert!((d - s).abs() < 1e-9, "sparse: {d} vs {s}");
-            prop_assert!((d - c).abs() < 2e-4, "cd: {d} vs {c}");
         }
         prop_assert!(
             (dense.source_current(0) - sparse.source_current(0)).abs() < 1e-9
         );
-        prop_assert!(
-            (dense.source_current(0) - cd.source_current(0)).abs() < 1e-7
-        );
     }
 
-    /// Random single-layer crossbars: all three backends agree on every
+    /// Random single-layer crossbars: both backends agree on every
     /// weighted-sum row voltage.
     #[test]
     fn backends_agree_on_random_crossbars(
@@ -91,12 +81,8 @@ proptest! {
         let sparse = DcSolver::with_backend(SolverBackend::SparseLu)
             .solve(&c)
             .expect("sparse converges");
-        let cd = DcSolver::with_backend(SolverBackend::CoordDescent)
-            .solve(&c)
-            .expect("cd converges");
         for &row in &rows {
             prop_assert!((dense.voltage(row) - sparse.voltage(row)).abs() < 1e-9);
-            prop_assert!((dense.voltage(row) - cd.voltage(row)).abs() < 2e-4);
         }
     }
 }
@@ -107,7 +93,7 @@ proptest! {
 #[test]
 fn every_backend_is_thread_invariant_on_fig1_circuit() {
     let grid = sweep::linspace(0.0, 1.0, 41);
-    for backend in SolverBackend::all() {
+    for backend in [SolverBackend::DenseLu, SolverBackend::SparseLu] {
         let mut ckt = PtanhCircuit::build(&NonlinearCircuitParams::nominal()).expect("builds");
         ckt.set_solver(DcSolver::with_backend(backend));
         let one = ckt
@@ -125,8 +111,7 @@ fn every_backend_is_thread_invariant_on_fig1_circuit() {
 }
 
 /// Cross-backend agreement on the paper's Fig. 1 nonlinear transfer curve:
-/// sparse LU tracks the dense oracle tightly; coordinate descent within its
-/// documented tolerance.
+/// sparse LU tracks the dense oracle tightly.
 #[test]
 fn backends_agree_on_fig1_transfer_curve() {
     let grid = sweep::linspace(0.0, 1.0, 41);
@@ -137,28 +122,131 @@ fn backends_agree_on_fig1_transfer_curve() {
     };
     let dense = curve(SolverBackend::DenseLu);
     let sparse = curve(SolverBackend::SparseLu);
-    let cd = curve(SolverBackend::CoordDescent);
-    for (((_, d), (_, s)), (_, c)) in dense.iter().zip(&sparse).zip(&cd) {
+    for ((_, d), (_, s)) in dense.iter().zip(&sparse) {
         assert!((d - s).abs() < 1e-8, "sparse: {d} vs {s}");
-        assert!((d - c).abs() < 2e-4, "cd: {d} vs {c}");
     }
 }
 
-/// The crossbar-scale network solves on every backend with matching
+/// The crossbar-scale network solves on both backends with matching
 /// outputs — the in-repo version of the bench's in-situ agreement bar.
 #[test]
 fn backends_agree_on_crossbar_network() {
     let net = CrossbarNetwork::build(&[10, 8, 6], 1234).expect("builds");
     let dense = net.solve().expect("dense solves");
-    for (backend, tol) in [
-        (SolverBackend::SparseLu, 1e-8),
-        (SolverBackend::CoordDescent, 2e-4),
-    ] {
-        let mut alt = net.clone();
-        alt.set_solver(DcSolver::with_backend(backend));
-        let got = alt.solve().expect("alt backend solves");
-        for (d, g) in dense.iter().zip(&got) {
-            assert!((d - g).abs() < tol, "{backend:?}: {d} vs {g}");
-        }
+    let mut alt = net.clone();
+    alt.set_solver(DcSolver::with_backend(SolverBackend::SparseLu));
+    let got = alt.solve().expect("sparse solves");
+    for (d, g) in dense.iter().zip(&got) {
+        assert!((d - g).abs() < 1e-8, "sparse: {d} vs {g}");
     }
+}
+
+/// Largest |difference| between two solutions' node voltages.
+fn max_dev(a: &Solution, b: &Solution) -> f64 {
+    a.voltages()
+        .iter()
+        .zip(b.voltages())
+        .map(|(x, y)| (x - y).abs())
+        .fold(0.0, f64::max)
+}
+
+/// Backward-Euler transient of an RC-loaded EGT inverter: a gate RC from
+/// the input and a Miller capacitor from the gate to the output put the
+/// capacitor companion stamp on both a grounded and a floating branch.
+#[test]
+fn backends_agree_on_rc_egt_transient() {
+    let mut c = Circuit::new();
+    let supply = c.new_node();
+    let input = c.new_node();
+    let gate = c.new_node();
+    let out = c.new_node();
+    c.vsource(supply, GROUND, 1.0).expect("valid");
+    let src = c.vsource(input, GROUND, 0.0).expect("valid");
+    c.resistor(input, gate, 10_000.0).expect("valid");
+    c.capacitor(gate, GROUND, 1e-7).expect("valid");
+    c.capacitor(gate, out, 2e-8).expect("valid");
+    c.resistor(supply, out, 200_000.0).expect("valid");
+    c.capacitor(out, GROUND, 5e-8).expect("valid");
+    c.egt(out, gate, GROUND, EgtModel::printed(600e-6, 20e-6))
+        .expect("valid");
+
+    let wave = |backend: SolverBackend| {
+        let solver = TransientSolver {
+            dc: DcSolver::with_backend(backend),
+            ..TransientSolver::new(2e-5)
+        };
+        solver
+            .simulate(&mut c.clone(), 4e-3, |t, ckt| {
+                ckt.set_vsource(src, if t > 1e-3 { 1.0 } else { 0.0 })
+            })
+            .expect("transient converges")
+    };
+    let dense = wave(SolverBackend::DenseLu);
+    let sparse = wave(SolverBackend::SparseLu);
+    assert_eq!(dense.times, sparse.times);
+    let swing =
+        dense.solutions[0].voltage(out) - dense.solutions.last().expect("steps").voltage(out);
+    assert!(
+        swing > 0.5,
+        "the step must switch the inverter, swing {swing}"
+    );
+    for (k, (d, s)) in dense.solutions.iter().zip(&sparse.solutions).enumerate() {
+        let dev = max_dev(d, s);
+        assert!(dev < 1e-9, "step {k}: dense vs sparse {dev:e} V");
+    }
+}
+
+/// The Fig. 3 sweep with `FaultInjection::recoverable_at` on one grid
+/// point, which fails plain Newton and the perturbed restarts there: both
+/// backends must report `rescue` as the rung that saved that point, with
+/// the same iteration and factorization totals, and agree on every
+/// operating point of the sweep. The totals catch a rung that solved a
+/// different system on one backend (an ignored gmin override, say) yet
+/// ended on the same point.
+fn assert_backends_agree_under_fault(solver: DcSolver, rescue: RecoveryRung) {
+    let grid = sweep::linspace(0.0, 1.0, 21);
+    let trigger = grid[10];
+    let sweep = |backend: SolverBackend| {
+        let mut ckt = PtanhCircuit::build(&NonlinearCircuitParams::nominal()).expect("builds");
+        ckt.set_solver(DcSolver {
+            backend,
+            fault_injection: Some(FaultInjection::recoverable_at(vec![trigger])),
+            ..solver.clone()
+        });
+        ckt.transfer_curve_solutions(&grid)
+            .expect("the ladder rescues")
+    };
+    let dense = sweep(SolverBackend::DenseLu);
+    let sparse = sweep(SolverBackend::SparseLu);
+    let work = |sol: &Solution| {
+        (
+            sol.diagnostics().iterations,
+            sol.diagnostics().factorizations,
+        )
+    };
+    assert_eq!(work(&dense[10]), work(&sparse[10]), "rescue work");
+    for (i, (d, s)) in dense.iter().zip(&sparse).enumerate() {
+        let expected = if i == 10 { rescue } else { RecoveryRung::Plain };
+        assert_eq!(d.diagnostics().rung, expected, "dense at point {i}");
+        assert_eq!(s.diagnostics().rung, expected, "sparse at point {i}");
+        let dev = max_dev(d, s);
+        assert!(dev < 1e-9, "point {i}: dense vs sparse {dev:e} V");
+    }
+}
+
+#[test]
+fn backends_agree_when_gmin_stepping_rescues() {
+    assert_backends_agree_under_fault(DcSolver::new(), RecoveryRung::GminStepping);
+}
+
+#[test]
+fn backends_agree_when_source_stepping_rescues() {
+    let solver = DcSolver {
+        recovery: RecoveryPolicy {
+            gmin_steps: 0,
+            ..RecoveryPolicy::default()
+        },
+        ..DcSolver::new()
+    };
+    assert_backends_agree_under_fault(solver, RecoveryRung::SourceStepping);
 }

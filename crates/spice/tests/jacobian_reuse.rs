@@ -1,27 +1,41 @@
 //! Jacobian-reuse (modified-Newton) solver contract on the paper's Fig. 3
-//! nonlinear circuits: same accepted solutions as full-refactor Newton —
-//! every point within the solver's residual bound — while factoring the
-//! Jacobian strictly less than once per iteration across a warm-started
-//! transfer-curve sweep.
+//! nonlinear circuits: the cached sweep `dc_sweep` runs lands on the same
+//! accepted solutions as a cache-less full-refactor Newton loop — every
+//! point within the solver's residual bound — while factoring the Jacobian
+//! strictly less than once per iteration.
 
 use pnc_spice::circuits::{NonlinearCircuitParams, PtanhCircuit};
 use pnc_spice::sweep::linspace;
-use pnc_spice::{DcSolver, NewtonCache, RecoveryRung};
+use pnc_spice::{DcSolver, NewtonCache, RecoveryRung, Solution};
 
-fn fig3_circuit(reuse: bool) -> PtanhCircuit {
-    let mut ckt = PtanhCircuit::build(&NonlinearCircuitParams::nominal()).unwrap();
-    ckt.set_solver(DcSolver {
-        newton_reuse: reuse,
-        ..DcSolver::new()
-    });
-    ckt
+fn fig3_circuit() -> PtanhCircuit {
+    PtanhCircuit::build(&NonlinearCircuitParams::nominal()).unwrap()
+}
+
+/// The same warm-started continuation as `dc_sweep`, but through the
+/// cache-less `solve_with_guess`, i.e. classic full Newton at every point.
+fn classic_sweep(grid: &[f64]) -> Vec<Solution> {
+    let ckt = fig3_circuit();
+    let mut circuit = ckt.circuit().clone();
+    let mut guess: Option<Vec<f64>> = None;
+    grid.iter()
+        .map(|&v| {
+            circuit.set_vsource(ckt.input_source(), v).unwrap();
+            let sol = ckt
+                .solver()
+                .solve_with_guess(&circuit, guess.as_deref())
+                .unwrap();
+            guess = Some(sol.voltages()[1..].to_vec());
+            sol
+        })
+        .collect()
 }
 
 #[test]
 fn reuse_sweep_matches_full_refactor_sweep_within_residual_bound() {
     let grid = linspace(0.0, 1.0, 81);
-    let full = fig3_circuit(false).transfer_curve_solutions(&grid).unwrap();
-    let reused = fig3_circuit(true).transfer_curve_solutions(&grid).unwrap();
+    let full = classic_sweep(&grid);
+    let reused = fig3_circuit().transfer_curve_solutions(&grid).unwrap();
     let tol = DcSolver::new().residual_tolerance;
     for (i, (a, b)) in full.iter().zip(&reused).enumerate() {
         // Both paths must satisfy the identical acceptance criterion...
@@ -41,7 +55,7 @@ fn reuse_sweep_matches_full_refactor_sweep_within_residual_bound() {
 #[test]
 fn reuse_sweep_factors_less_than_once_per_iteration() {
     let grid = linspace(0.0, 1.0, 81);
-    let sols = fig3_circuit(true).transfer_curve_solutions(&grid).unwrap();
+    let sols = fig3_circuit().transfer_curve_solutions(&grid).unwrap();
     let iterations: usize = sols.iter().map(|s| s.diagnostics().iterations).sum();
     let factorizations: usize = sols.iter().map(|s| s.diagnostics().factorizations).sum();
     assert!(
@@ -60,45 +74,13 @@ fn reuse_sweep_factors_less_than_once_per_iteration() {
 #[test]
 fn full_newton_factors_exactly_once_per_iteration() {
     let grid = linspace(0.0, 1.0, 31);
-    let sols = fig3_circuit(false).transfer_curve_solutions(&grid).unwrap();
-    for (i, s) in sols.iter().enumerate() {
+    for (i, s) in classic_sweep(&grid).iter().enumerate() {
         let d = s.diagnostics();
         assert_eq!(
             d.iterations, d.factorizations,
             "classic path at point {i} must factor every iteration"
         );
     }
-}
-
-#[test]
-fn cache_is_ignored_when_reuse_is_disabled() {
-    // With reuse disabled, solve_with_cache must run the classic path
-    // bitwise-identically to solve_with_guess and leave the cache cold.
-    let ckt = fig3_circuit(false);
-    let solver = ckt.solver().clone();
-    let mut cache = NewtonCache::new();
-    let mut guess: Option<Vec<f64>> = None;
-    let plain = solver
-        .solve_with_guess(ckt.circuit(), guess.as_deref())
-        .unwrap();
-    let cached = solver
-        .solve_with_cache(ckt.circuit(), guess.as_deref(), &mut cache)
-        .unwrap();
-    assert_eq!(plain.voltages(), cached.voltages());
-    assert_eq!(plain.diagnostics(), cached.diagnostics());
-    assert!(!cache.is_warm(), "disabled reuse must never warm the cache");
-    guess = Some(plain.voltages()[1..].to_vec());
-    let warm = solver
-        .solve_with_cache(ckt.circuit(), guess.as_deref(), &mut cache)
-        .unwrap();
-    assert_eq!(
-        warm.voltages(),
-        solver
-            .solve_with_guess(ckt.circuit(), guess.as_deref())
-            .unwrap()
-            .voltages()
-    );
-    assert!(!cache.is_warm());
 }
 
 #[test]
@@ -109,7 +91,7 @@ fn warm_cache_carries_across_close_operating_points() {
     // cached LU is taken at the operating point itself, so further solves
     // reuse it entirely — zero new factorizations — while still meeting
     // the residual bound.
-    let ckt = fig3_circuit(true);
+    let ckt = fig3_circuit();
     let solver = ckt.solver().clone();
     let mut cache = NewtonCache::new();
     let first = solver

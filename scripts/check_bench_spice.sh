@@ -1,9 +1,8 @@
 #!/usr/bin/env bash
 # Assert that BENCH_spice.json parses, carries every key the EXPERIMENTS.md
 # schema documents, and holds the two hard guarantees of the solver-backend
-# subsystem: every backend agreed with the dense-LU oracle in situ (sparse
-# to linear-solver precision, coordinate descent within its documented
-# residual-implied bound — see docs/SOLVERS.md), and on the headline
+# subsystem: sparse LU agreed with the dense-LU oracle in situ to
+# linear-solver precision (see docs/SOLVERS.md), and on the headline
 # crossbar-scale circuit (>= 10x the Fig. 1 node count) dense LU was at
 # least 5x slower than sparse LU. Run after the `spice_backends` bench bin:
 #
@@ -42,7 +41,7 @@ def need(obj, key, where, kind):
 
 need(report, "machine_threads", "report", int)
 need(report, "quick", "report", bool)
-for key in ("sparse_agreement_tol", "cd_agreement_tol", "worst_sparse_dev", "worst_cd_dev"):
+for key in ("sparse_agreement_tol", "worst_sparse_dev"):
     need(report, key, "report", number)
 
 need(report, "circuits", "report", list)
@@ -62,12 +61,6 @@ for i, c in enumerate(circuits):
         need(c, key, where, number)
         if isinstance(c.get(key), number) and c[key] < 0:
             failures.append(f"{where}.{key}: negative")
-    # Nullable coordinate-descent entries: present together or null together.
-    for key in ("cd_solves_per_s", "cd_max_dev"):
-        if key not in c:
-            failures.append(f"{where}: missing key '{key}'")
-        elif c[key] is not None and not isinstance(c[key], number):
-            failures.append(f"{where}.{key}: expected number or null")
     families.add(c.get("family"))
 for family in ("ladder", "crossbar"):
     if family not in families:
@@ -106,21 +99,6 @@ if isinstance(sparse_tol, number) and isinstance(sparse_dev, number):
             f"worst_sparse_dev: {sparse_dev:.3e} >= tol {sparse_tol:.1e} — "
             "sparse LU drifted from the dense oracle"
         )
-cd_tol = report.get("cd_agreement_tol")
-cd_dev = report.get("worst_cd_dev")
-if isinstance(cd_tol, number) and isinstance(cd_dev, number):
-    if cd_dev >= cd_tol:
-        failures.append(
-            f"worst_cd_dev: {cd_dev:.3e} >= tol {cd_tol:.1e} — coordinate "
-            "descent drifted beyond its documented bound"
-        )
-if not any(
-    isinstance(c, dict) and c.get("cd_max_dev") is not None for c in circuits
-):
-    failures.append(
-        "circuits: coordinate descent never ran — at least one circuit must "
-        "carry a non-null cd_max_dev"
-    )
 
 if failures:
     for line in failures:
@@ -130,6 +108,7 @@ if failures:
 print(
     f"{path}: schema ok "
     f"(headline {headline.get('label')}: {nodes} nodes, dense {slowdown:.1f}x "
-    f"slower than sparse; worst devs sparse {sparse_dev:.2e} cd {cd_dev:.2e})"
+    f"slower than sparse; crossover {report.get('crossover_nodes')} nodes; "
+    f"worst sparse dev {sparse_dev:.2e})"
 )
 PY
