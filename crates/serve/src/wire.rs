@@ -25,6 +25,11 @@ use std::thread::JoinHandle;
 /// not trigger a giant allocation.
 pub const MAX_FRAME_BYTES: usize = 16 * 1024 * 1024;
 
+/// Initial payload buffer of [`read_frame`] (64 KiB). Larger frames grow
+/// the buffer only as their bytes arrive, so a length prefix alone cannot
+/// pin [`MAX_FRAME_BYTES`] of memory.
+const READ_BUFFER_START_BYTES: usize = 64 * 1024;
+
 /// One classification request: which model, which feature row. `id` is
 /// echoed on the response so clients can pipeline requests on one
 /// connection.
@@ -83,12 +88,18 @@ impl WireResponse {
     }
 }
 
-/// Writes one length-prefixed frame.
+/// Writes one length-prefixed frame with a single `write_all`.
+///
+/// The prefix and payload leave together: written separately on a socket
+/// with Nagle's algorithm on, the payload waits until the peer acknowledges
+/// the 4-byte prefix, and the peer delays that ACK by up to 40 ms because
+/// it has nothing to send yet.
 ///
 /// # Errors
 ///
 /// Propagates transport failures; rejects payloads over
-/// [`MAX_FRAME_BYTES`] as [`std::io::ErrorKind::InvalidData`].
+/// [`MAX_FRAME_BYTES`] as [`std::io::ErrorKind::InvalidData`] before
+/// writing anything.
 pub fn write_frame(stream: &mut impl Write, payload: &[u8]) -> std::io::Result<()> {
     if payload.len() > MAX_FRAME_BYTES {
         return Err(std::io::Error::new(
@@ -96,8 +107,10 @@ pub fn write_frame(stream: &mut impl Write, payload: &[u8]) -> std::io::Result<(
             format!("frame of {} bytes exceeds MAX_FRAME_BYTES", payload.len()),
         ));
     }
-    stream.write_all(&(payload.len() as u32).to_be_bytes())?;
-    stream.write_all(payload)?;
+    let mut frame = Vec::with_capacity(4 + payload.len());
+    frame.extend_from_slice(&(payload.len() as u32).to_be_bytes());
+    frame.extend_from_slice(payload);
+    stream.write_all(&frame)?;
     stream.flush()
 }
 
@@ -105,10 +118,10 @@ pub fn write_frame(stream: &mut impl Write, payload: &[u8]) -> std::io::Result<(
 ///
 /// # Errors
 ///
-/// Propagates transport failures (including clean EOF as
-/// [`std::io::ErrorKind::UnexpectedEof`]); rejects length prefixes over
-/// [`MAX_FRAME_BYTES`] as [`std::io::ErrorKind::InvalidData`] without
-/// allocating.
+/// Propagates transport failures (including clean EOF, and a payload cut
+/// short, as [`std::io::ErrorKind::UnexpectedEof`]); rejects length
+/// prefixes over [`MAX_FRAME_BYTES`] as [`std::io::ErrorKind::InvalidData`]
+/// without allocating.
 pub fn read_frame(stream: &mut impl Read) -> std::io::Result<Vec<u8>> {
     let mut len = [0u8; 4];
     stream.read_exact(&mut len)?;
@@ -119,8 +132,14 @@ pub fn read_frame(stream: &mut impl Read) -> std::io::Result<Vec<u8>> {
             format!("frame length prefix {len} exceeds MAX_FRAME_BYTES"),
         ));
     }
-    let mut payload = vec![0u8; len];
-    stream.read_exact(&mut payload)?;
+    let mut payload = Vec::with_capacity(len.min(READ_BUFFER_START_BYTES));
+    Read::take(&mut *stream, len as u64).read_to_end(&mut payload)?;
+    if payload.len() < len {
+        return Err(std::io::Error::new(
+            std::io::ErrorKind::UnexpectedEof,
+            format!("frame ended after {} of {len} payload bytes", payload.len()),
+        ));
+    }
     Ok(payload)
 }
 
@@ -139,16 +158,17 @@ pub struct WireClient {
 }
 
 impl WireClient {
-    /// Connects to a [`TcpServer`] (or anything speaking the protocol).
+    /// Connects to a [`TcpServer`] (or anything speaking the protocol),
+    /// with `TCP_NODELAY` set so a frame never waits behind an
+    /// unacknowledged one.
     ///
     /// # Errors
     ///
-    /// Propagates connection failures.
+    /// Propagates connection failures and a failure to set `TCP_NODELAY`.
     pub fn connect(addr: impl ToSocketAddrs) -> Result<WireClient, ServeError> {
-        Ok(WireClient {
-            stream: TcpStream::connect(addr)?,
-            next_id: 1,
-        })
+        let stream = TcpStream::connect(addr)?;
+        stream.set_nodelay(true)?;
+        Ok(WireClient { stream, next_id: 1 })
     }
 
     /// Sends one classification request and blocks for its response,
@@ -214,6 +234,11 @@ pub struct TcpServer {
 }
 
 fn handle_connection(server: &Server, mut stream: TcpStream) {
+    // Without TCP_NODELAY a pipelined response waits until the client
+    // acknowledges the previous one.
+    if stream.set_nodelay(true).is_err() {
+        return;
+    }
     loop {
         let raw = match read_frame(&mut stream) {
             Ok(raw) => raw,

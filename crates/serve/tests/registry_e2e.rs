@@ -18,7 +18,7 @@ use pnc_surrogate::{
     build_dataset, train_surrogate, DatasetConfig, SurrogateModel, TrainConfig as SurrogateTrain,
 };
 use std::sync::{Arc, OnceLock};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn surrogate() -> Arc<SurrogateModel> {
     static CELL: OnceLock<Arc<SurrogateModel>> = OnceLock::new();
@@ -218,6 +218,36 @@ fn tcp_round_trip_preserves_bit_identity() {
         Err(pnc_serve::ServeError::BadRequest { .. })
     ));
 
+    tcp.shutdown();
+    server.shutdown();
+}
+
+/// Sequential round trips on one connection take the serving time, not a
+/// Nagle/delayed-ACK stall: a frame written as two writes without
+/// `TCP_NODELAY` waits up to 40 ms for the peer's ACK, each way.
+#[test]
+fn sequential_tcp_round_trips_do_not_stall() {
+    let fx = fixture();
+    let registry = registry_from_disk("stall");
+    let server = Arc::new(Server::start(&registry, serving_config(1)));
+    let tcp = wire::TcpServer::start(Arc::clone(&server), "127.0.0.1:0").expect("binds");
+    let mut client = wire::WireClient::connect(tcp.local_addr()).expect("connects");
+    let start = Instant::now();
+    for step in 0..50 {
+        let i = step % fx.test_rows.len();
+        let scored = client
+            .classify("Iris", &fx.test_rows[i])
+            .expect("tcp classify");
+        assert_eq!(
+            scored.class, fx.reference[i].1,
+            "row {i}: TCP class differs"
+        );
+    }
+    let elapsed = start.elapsed();
+    assert!(
+        elapsed < Duration::from_secs(1),
+        "50 sequential round trips took {elapsed:?}"
+    );
     tcp.shutdown();
     server.shutdown();
 }
