@@ -53,14 +53,14 @@ pub fn check_gradients(
 ) -> GradcheckReport {
     let eval = |mats: &[Matrix], build: &mut dyn FnMut(&mut Graph, &[Var]) -> Var| -> f64 {
         let mut g = Graph::new();
-        let vars: Vec<Var> = mats.iter().map(|m| g.leaf(m.clone())).collect();
+        let vars: Vec<Var> = mats.iter().map(|m| g.leaf(m)).collect();
         let loss = build(&mut g, &vars);
         g.value(loss)[(0, 0)]
     };
 
     // Analytic gradients.
     let mut g = Graph::new();
-    let vars: Vec<Var> = inputs.iter().map(|m| g.leaf(m.clone())).collect();
+    let vars: Vec<Var> = inputs.iter().map(|m| g.leaf(m)).collect();
     let loss = build(&mut g, &vars);
     // pnc-lint: allow(no-panic-in-lib) — test utility; the documented contract is to fail loudly on a malformed build closure
     // pnc-lint: allow(panic-reachability) — same contract: check_gradients is a dev/test harness whose pub API promises a loud abort, not a Result

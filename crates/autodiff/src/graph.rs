@@ -1,5 +1,6 @@
 use crate::AutodiffError;
 use pnc_linalg::{Matrix, Workspace};
+use std::borrow::Borrow;
 
 /// Handle to a tensor node in a [`Graph`].
 ///
@@ -426,19 +427,32 @@ impl Graph {
         Var(self.nodes.len() - 1)
     }
 
-    /// Registers a trainable leaf.
-    pub fn leaf(&mut self, value: Matrix) -> Var {
-        self.push(value, Op::Leaf)
+    /// Pushes a node whose value is a pooled copy of a caller-owned matrix.
+    /// Every buffer [`Graph::reset`] retires then came out of the pool, so
+    /// the pool stays the same size across shape-stable steps instead of
+    /// gaining one buffer per input per step.
+    fn push_copy(&mut self, value: &Matrix, op: Op) -> Var {
+        let pooled = self.pool.take_copy(value);
+        self.push(pooled, op)
     }
 
-    /// Registers a non-trainable constant.
-    pub fn constant(&mut self, value: Matrix) -> Var {
-        self.push(value, Op::Constant)
+    /// Registers a trainable leaf. The tape keeps its own copy of `value`,
+    /// so a borrowed matrix needs no clone.
+    pub fn leaf(&mut self, value: impl Borrow<Matrix>) -> Var {
+        self.push_copy(value.borrow(), Op::Leaf)
+    }
+
+    /// Registers a non-trainable constant. The tape keeps its own copy of
+    /// `value`, so a borrowed matrix needs no clone.
+    pub fn constant(&mut self, value: impl Borrow<Matrix>) -> Var {
+        self.push_copy(value.borrow(), Op::Constant)
     }
 
     /// Registers a `1×1` scalar constant.
     pub fn scalar(&mut self, value: f64) -> Var {
-        self.constant(Matrix::filled(1, 1, value))
+        let mut out = self.pool.take(1, 1);
+        out[(0, 0)] = value;
+        self.push(out, Op::Constant)
     }
 
     fn binary(
@@ -741,7 +755,7 @@ impl Graph {
                 rhs: projected.shape(),
             });
         }
-        Ok(self.push(projected, Op::Ste(a)))
+        Ok(self.push_copy(&projected, Op::Ste(a)))
     }
 
     /// Clamps elementwise to `[lo, hi]` with a straight-through (identity)
@@ -1790,6 +1804,40 @@ mod tests {
             g.backward_into(loss, &mut store).unwrap();
             assert_eq!(store.get(w), reference.get(w_f));
             assert_eq!(store.get(x), reference.get(x_f));
+        }
+    }
+
+    #[test]
+    fn shape_stable_steps_keep_both_pools_constant() {
+        // Every buffer `reset` and `backward_into` retire came out of their
+        // pool, so after one warm-up step neither pool gains a buffer or
+        // capacity: leaves, constants, scalars and STE projections included.
+        fn step(g: &mut Graph, store: &mut GradStore, seed: f64) {
+            g.reset();
+            let (loss, w, _) = build_mixed_tape(g, seed);
+            let projected = g.value(w).map(|v| v.clamp(-1.0, 1.0));
+            let wp = g.ste(w, projected).unwrap();
+            let half = g.scalar(0.5);
+            let scaled = g.mul(wp, half).unwrap();
+            let extra = g.sum(scaled);
+            let loss = g.add(loss, extra).unwrap();
+            g.backward_into(loss, store).unwrap();
+        }
+        fn pools(g: &Graph, store: &GradStore) -> [usize; 4] {
+            [
+                g.pool.available(),
+                g.pool.pooled_capacity(),
+                store.pool.available(),
+                store.pool.pooled_capacity(),
+            ]
+        }
+        let mut g = Graph::new();
+        let mut store = GradStore::new();
+        step(&mut g, &mut store, 0.0);
+        let warm = pools(&g, &store);
+        for i in 1..=50 {
+            step(&mut g, &mut store, 0.01 * i as f64);
+            assert_eq!(pools(&g, &store), warm, "pools changed at step {i}");
         }
     }
 }

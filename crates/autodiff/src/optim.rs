@@ -79,7 +79,7 @@ impl Parameter {
 
     /// Registers this parameter's current value as a leaf on `graph`.
     pub fn leaf(&self, graph: &mut Graph) -> Var {
-        graph.leaf(self.value.clone())
+        graph.leaf(&self.value)
     }
 
     /// Resets optimizer state (moments and step count).
@@ -380,7 +380,7 @@ mod tests {
 
         let mut g = Graph::new();
         let x = via_store.leaf(&mut g);
-        let w = g.constant(grad.clone());
+        let w = g.constant(&grad);
         let prod = g.mul(x, w).unwrap();
         let loss = g.sum(prod);
         let grads = g.backward(loss).unwrap();

@@ -14,18 +14,12 @@
 //!    every dispatch carries exactly one request) under the same 8-client
 //!    concurrent load the batching server faces: the no-coalescing
 //!    baseline throughput and latency.
-//! 3. **load** — the batching server (`max_batch = 32`, zero dwell =
-//!    adaptive drain-what's-queued coalescing, same worker count) hammered
-//!    by concurrent client threads. The headline `batching_speedup`
+//! 3. **load** — the batching server (`max_batch = 32`: each free worker
+//!    drains whatever is queued, same worker count) hammered by concurrent
+//!    client threads. The headline `batching_speedup`
 //!    (8-client batched throughput over the 8-client one-at-a-time
 //!    baseline) must stay ≥ 1: with everything else equal, coalescing may
 //!    never be slower than one-at-a-time dispatch.
-//!
-//! The dwell knob trades latency for fuller batches under *open-loop*
-//! traffic; under this benchmark's closed-loop clients (each waits for its
-//! response before sending the next request) a dwell deadline only adds
-//! latency, so the throughput phase runs it at zero and the correctness
-//! phase exercises the non-zero-dwell path instead.
 //!
 //! ```sh
 //! cargo run --release -p pnc-bench --bin serving -- [--quick]
@@ -42,7 +36,7 @@ use pnc_surrogate::{build_dataset, train_surrogate, DatasetConfig, TrainConfig a
 use serde::Serialize;
 use std::path::Path;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// The served model, for report self-description.
 #[derive(Debug, Serialize)]
@@ -61,7 +55,6 @@ struct ModelInfo {
 #[derive(Debug, Serialize)]
 struct ConfigInfo {
     max_batch: usize,
-    max_wait_us: u64,
     queue_capacity: usize,
     worker_threads: usize,
 }
@@ -316,23 +309,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Export → registry: the deployment path the serving layer exists for.
     let artifact = PnnArtifact::from_pnn(&pnn, "Iris")?;
     let precision = PlanPrecision::F64;
-    // Dwelling config for the correctness phase: a real deadline forces the
-    // dwell path of the batcher under concurrent traffic.
-    let dwell_config = ServeConfig {
+    // Throughput config: a single worker, so the serial/batched ratio
+    // isolates dispatch coalescing rather than queue-mutex contention
+    // between workers. The correctness phase runs two workers.
+    let load_config = ServeConfig {
         precision,
         max_batch: 32,
-        max_wait: Duration::from_micros(200),
         queue_capacity: 1024,
-        worker_threads: 2,
-    };
-    // Throughput config: zero dwell — adaptive coalescing of whatever the
-    // closed-loop clients have queued (see the module docs) — and a single
-    // worker, so the serial/batched ratio isolates dispatch coalescing
-    // rather than queue-mutex contention between workers.
-    let load_config = ServeConfig {
-        max_wait: Duration::ZERO,
         worker_threads: 1,
-        ..dwell_config.clone()
     };
     let mut registry = ModelRegistry::new(precision, load_config.max_batch);
     registry.insert(artifact.clone())?;
@@ -346,7 +330,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Phase 1: correctness — batched serving and the TCP hop vs direct bits.
     eprintln!("verifying bit identity through the batching server ...");
-    let server = Arc::new(Server::start(&registry, dwell_config));
+    let server = Arc::new(Server::start(
+        &registry,
+        ServeConfig {
+            worker_threads: 2,
+            ..load_config.clone()
+        },
+    ));
     let (_, mut bit_identical) = drive_load(&server, &rows, &reference, 4, rows.len());
 
     eprintln!("verifying bit identity over the framed-TCP hop ...");
@@ -430,7 +420,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         },
         config: ConfigInfo {
             max_batch: load_config.max_batch,
-            max_wait_us: load_config.max_wait.as_micros() as u64,
             queue_capacity: load_config.queue_capacity,
             worker_threads: load_config.worker_threads,
         },

@@ -159,7 +159,7 @@ impl PLayer {
         // Printing variation multiplies printable values.
         let theta_eps = match theta_factors {
             Some(f) => {
-                let fc = g.constant(f.clone());
+                let fc = g.constant(f);
                 g.mul(theta_p, fc)?
             }
             None => theta_p,
@@ -329,7 +329,7 @@ mod tests {
         let run = |factors: Option<&Matrix>| -> Matrix {
             let mut g = Graph::new();
             let theta = layer.theta.leaf(&mut g);
-            let x = g.constant(x_data.clone());
+            let x = g.constant(&x_data);
             let (act, inv) = toy_etas(&mut g);
             let out = layer
                 .forward(&mut g, theta, x, &[(act, inv)], 0.01, 1.0, factors, true)

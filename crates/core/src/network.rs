@@ -333,7 +333,7 @@ impl Pnn {
         }
 
         let mut thetas = Vec::with_capacity(self.layers.len());
-        let mut h = g.constant(x.clone());
+        let mut h = g.constant(x);
         let last = self.layers.len() - 1;
         for (i, layer) in self.layers.iter().enumerate() {
             let theta_var = layer.theta.leaf(g);

@@ -55,15 +55,33 @@ impl Workspace {
     /// whose capacity already fits when one exists (searched newest-first so
     /// shape-stable loops hit their own buffer), growing one otherwise.
     pub fn take(&mut self, rows: usize, cols: usize) -> Matrix {
-        let n = rows * cols;
+        let mut buf = self.empty_buffer(rows * cols);
+        buf.resize(rows * cols, 0.0);
+        // Length matches by construction; the fallback keeps this panic-free.
+        Matrix::from_vec(rows, cols, buf).unwrap_or_else(|_| Matrix::zeros(rows, cols))
+    }
+
+    /// Checks out a pooled copy of `src`: the same buffer [`Self::take`]
+    /// would pick for its shape, filled straight from `src` without
+    /// zeroing it first.
+    pub fn take_copy(&mut self, src: &Matrix) -> Matrix {
+        let (rows, cols) = src.shape();
+        let mut buf = self.empty_buffer(rows * cols);
+        buf.extend_from_slice(src.as_slice());
+        // Length matches by construction; the fallback keeps this panic-free.
+        Matrix::from_vec(rows, cols, buf).unwrap_or_else(|_| src.clone())
+    }
+
+    /// An empty pooled buffer for `n` elements: the newest whose capacity
+    /// already fits (so shape-stable loops hit their own buffer), else one
+    /// that will grow.
+    fn empty_buffer(&mut self, n: usize) -> Vec<f64> {
         let mut buf = match self.pool.iter().rposition(|b| b.capacity() >= n) {
             Some(i) => self.pool.swap_remove(i),
             None => self.pool.pop().unwrap_or_default(),
         };
         buf.clear();
-        buf.resize(n, 0.0);
-        // Length matches by construction; the fallback keeps this panic-free.
-        Matrix::from_vec(rows, cols, buf).unwrap_or_else(|_| Matrix::zeros(rows, cols))
+        buf
     }
 
     /// Returns a matrix's buffer to the pool for later reuse.
@@ -119,6 +137,16 @@ mod tests {
         assert_eq!(m.shape(), (3, 3));
         // The 100-element buffer was chosen; the 2-element one remains.
         assert_eq!(ws.pooled_capacity(), 2);
+    }
+
+    #[test]
+    fn take_copy_matches_the_source_and_reuses_the_pool() {
+        let mut ws = Workspace::new();
+        ws.give(Matrix::zeros(3, 3));
+        let src = Matrix::from_fn(2, 3, |i, j| (i * 3 + j) as f64 - 2.5);
+        let copy = ws.take_copy(&src);
+        assert_eq!(copy, src);
+        assert_eq!(ws.available(), 0, "the pooled buffer was reused");
     }
 
     #[test]

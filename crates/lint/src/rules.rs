@@ -107,10 +107,8 @@ const NUMERIC_CRATES: &[&str] = &[
 ];
 
 /// Crates allowed to read the wall clock: timing is the purpose of
-/// `pnc-obs` and `pnc-bench`, and `pnc-serve`'s micro-batcher dwells on a
-/// real deadline (traffic shape is wall-clock-dependent by nature; response
-/// payloads stay deterministic).
-const WALLCLOCK_CRATES: &[&str] = &["pnc-obs", "pnc-bench", "pnc-serve"];
+/// `pnc-obs` and `pnc-bench`.
+const WALLCLOCK_CRATES: &[&str] = &["pnc-obs", "pnc-bench"];
 
 /// The one file allowed to spell out raw rayon reductions: it *implements*
 /// the ordered helpers everything else must call.

@@ -31,20 +31,21 @@ fn rule_lines(findings: &[pnc_lint::Finding], rule: &str) -> Vec<u32> {
 #[test]
 fn no_wallclock_catches_seeded_reads() {
     let text = include_str!("fixtures/wallclock.rs");
-    let findings = run(
-        "crates/core/src/wallclock.rs",
-        "pnc-core",
-        FileKind::Lib,
-        text,
-        &Docs::default(),
-    );
-    // Instant::now once, SystemTime twice; the comment, string-literal, and
-    // cfg(test) mentions must all stay quiet.
-    assert_eq!(
-        rule_lines(&findings, "no-wallclock").len(),
-        3,
-        "{findings:?}"
-    );
+    // pnc-serve times requests through pnc-obs spans and has no deadline of
+    // its own, so it gets no exemption either.
+    for (path, crate_name) in [
+        ("crates/core/src/wallclock.rs", "pnc-core"),
+        ("crates/serve/src/wallclock.rs", "pnc-serve"),
+    ] {
+        let findings = run(path, crate_name, FileKind::Lib, text, &Docs::default());
+        // Instant::now once, SystemTime twice; the comment, string-literal,
+        // and cfg(test) mentions must all stay quiet.
+        assert_eq!(
+            rule_lines(&findings, "no-wallclock").len(),
+            3,
+            "{crate_name}: {findings:?}"
+        );
+    }
 }
 
 #[test]

@@ -1,9 +1,11 @@
-//! Per-model micro-batching: a bounded queue, a dwell policy, and batch
-//! workers that coalesce concurrent requests into one plan call.
+//! Per-model micro-batching: a bounded queue and batch workers that
+//! coalesce concurrent requests into one plan call.
 //!
-//! The batching policy is `max_batch` / `max_wait`: a worker blocks until
-//! the first request arrives, then dwells up to `max_wait` for more before
-//! running whatever it has (never more than `max_batch` rows). Because the
+//! The batching policy is drain-what-is-queued: a worker blocks until the
+//! first request arrives, then takes every request already waiting (never
+//! more than `max_batch` rows) and runs them at once, with no deadline.
+//! Requests that arrive while a worker runs a batch queue up and coalesce
+//! into its next one, so batches grow with load on their own. Because the
 //! compiled plans have no cross-row coupling (DESIGN.md §12), coalescing is
 //! purely an overhead amortization — every response is bit-identical to a
 //! single-sample plan call, whatever the batch composition.
@@ -20,7 +22,6 @@ use pnc_linalg::Matrix;
 use std::collections::VecDeque;
 use std::sync::mpsc::SyncSender;
 use std::sync::{Arc, Condvar, Mutex};
-use std::time::{Duration, Instant};
 
 /// One classification result: the output voltages and the argmax class,
 /// exactly as a direct [`pnc_core::InferencePlan`] `infer` + `predict` pair
@@ -99,11 +100,11 @@ impl ModelQueue {
         self.ready.notify_all();
     }
 
-    /// Blocks for the next micro-batch: waits for a first request, dwells
-    /// up to `max_wait` for companions, drains at most `max_batch`.
-    /// Returns `None` only when the queue is closed *and* empty — the
-    /// worker's signal to exit after a complete drain.
-    pub(crate) fn next_batch(&self, max_batch: usize, max_wait: Duration) -> Option<Vec<Pending>> {
+    /// Blocks for the next micro-batch: waits for a first request, then
+    /// drains at most `max_batch` of whatever is queued, without waiting
+    /// for more. Returns `None` only when the queue is closed *and* empty —
+    /// the worker's signal to exit after a complete drain.
+    pub(crate) fn next_batch(&self, max_batch: usize) -> Option<Vec<Pending>> {
         let max_batch = max_batch.max(1);
         let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
         while state.items.is_empty() {
@@ -111,28 +112,6 @@ impl ModelQueue {
                 return None;
             }
             state = self.ready.wait(state).unwrap_or_else(|e| e.into_inner());
-        }
-        if !max_wait.is_zero() {
-            // Dwell: trade a bounded latency hit for a fuller batch. A
-            // closed queue cuts the dwell short — drain fast on shutdown.
-            let deadline = Instant::now() + max_wait;
-            while state.items.len() < max_batch && state.open {
-                let now = Instant::now();
-                let Some(remaining) = deadline
-                    .checked_duration_since(now)
-                    .filter(|d| !d.is_zero())
-                else {
-                    break;
-                };
-                let (next, timeout) = self
-                    .ready
-                    .wait_timeout(state, remaining)
-                    .unwrap_or_else(|e| e.into_inner());
-                state = next;
-                if timeout.timed_out() {
-                    break;
-                }
-            }
         }
         let take = state.items.len().min(max_batch);
         Some(state.items.drain(..take).collect())
@@ -153,14 +132,9 @@ fn argmax_row(row: &[f64]) -> usize {
 /// A batch worker's main loop: pull micro-batches until the queue drains
 /// closed, run each through this worker's own plan clone, and answer every
 /// request in the batch.
-pub(crate) fn run_worker(
-    mut plan: CompiledPnn,
-    queue: Arc<ModelQueue>,
-    max_batch: usize,
-    max_wait: Duration,
-) {
+pub(crate) fn run_worker(mut plan: CompiledPnn, queue: Arc<ModelQueue>, max_batch: usize) {
     let (in_dim, out_dim) = (plan.in_dim(), plan.out_dim());
-    while let Some(batch) = queue.next_batch(max_batch, max_wait) {
+    while let Some(batch) = queue.next_batch(max_batch) {
         let rows = batch.len();
         OBS_BATCHES.increment();
         OBS_BATCH_SIZE.observe(rows as f64);
@@ -193,6 +167,7 @@ pub(crate) fn run_worker(
 mod tests {
     use super::*;
     use std::sync::mpsc::sync_channel;
+    use std::time::Duration;
 
     fn pending() -> (
         Pending,
@@ -218,7 +193,7 @@ mod tests {
         assert!(q.push(p2).is_ok());
         assert!(matches!(q.push(p3), Err(PushError::Full)));
         // The two accepted requests are still there, in order.
-        let batch = q.next_batch(8, Duration::ZERO).expect("open queue");
+        let batch = q.next_batch(8).expect("open queue");
         assert_eq!(batch.len(), 2);
     }
 
@@ -233,9 +208,9 @@ mod tests {
         let (p3, _r3) = pending();
         assert!(matches!(q.push(p3), Err(PushError::Closed)));
         // Graceful drain: one item per batch at max_batch=1, then None.
-        assert_eq!(q.next_batch(1, Duration::ZERO).expect("first").len(), 1);
-        assert_eq!(q.next_batch(1, Duration::ZERO).expect("second").len(), 1);
-        assert!(q.next_batch(1, Duration::ZERO).is_none());
+        assert_eq!(q.next_batch(1).expect("first").len(), 1);
+        assert_eq!(q.next_batch(1).expect("second").len(), 1);
+        assert!(q.next_batch(1).is_none());
     }
 
     #[test]
@@ -247,15 +222,15 @@ mod tests {
             assert!(q.push(p).is_ok());
             receivers.push(r);
         }
-        assert_eq!(q.next_batch(3, Duration::ZERO).expect("batch").len(), 3);
-        assert_eq!(q.next_batch(3, Duration::ZERO).expect("rest").len(), 2);
+        assert_eq!(q.next_batch(3).expect("batch").len(), 3);
+        assert_eq!(q.next_batch(3).expect("rest").len(), 2);
     }
 
     #[test]
     fn blocked_worker_wakes_on_close() {
         let q = Arc::new(ModelQueue::new(4));
         let worker_q = Arc::clone(&q);
-        let worker = std::thread::spawn(move || worker_q.next_batch(4, Duration::from_millis(50)));
+        let worker = std::thread::spawn(move || worker_q.next_batch(4));
         std::thread::sleep(Duration::from_millis(20));
         q.close();
         assert!(worker.join().expect("worker exits").is_none());

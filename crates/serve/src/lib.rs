@@ -9,10 +9,10 @@
 //!   and compiles each into a [`pnc_core::CompiledPnn`] at a
 //!   registry-level [`pnc_core::PlanPrecision`].
 //! * [`Server`] — per-model micro-batching workers: concurrent requests
-//!   coalesce into chunked plan batch calls under a `max_batch` /
-//!   `max_wait` policy, with bounded queues, explicit typed overload
-//!   rejection ([`ServeError::Overloaded`]), and graceful drain on
-//!   shutdown.
+//!   coalesce into chunked plan batch calls (each free worker takes
+//!   whatever is queued, up to `max_batch`, without waiting for more),
+//!   with bounded queues, explicit typed overload rejection
+//!   ([`ServeError::Overloaded`]), and graceful drain on shutdown.
 //! * [`wire`] — a zero-dependency framed-TCP request path
 //!   (length-prefixed JSON), [`wire::TcpServer`].
 //!
@@ -61,7 +61,6 @@ pub use server::Server;
 
 use pnc_core::PlanPrecision;
 use pnc_obs::{Counter, Histogram};
-use std::time::Duration;
 
 // Observability: serving traffic. Catalogued in docs/METRICS.md. Traffic
 // metrics are load- and scheduling-dependent (unlike the numeric crates'
@@ -93,8 +92,6 @@ pub(crate) fn obs_register() {
 
 /// Environment variable: micro-batch size cap (rows per plan call).
 pub const MAX_BATCH_ENV_VAR: &str = "PNC_SERVE_MAX_BATCH";
-/// Environment variable: micro-batch dwell deadline in microseconds.
-pub const MAX_WAIT_ENV_VAR: &str = "PNC_SERVE_MAX_WAIT_US";
 /// Environment variable: bounded per-model queue capacity.
 pub const QUEUE_ENV_VAR: &str = "PNC_SERVE_QUEUE";
 /// Environment variable: worker threads per model.
@@ -107,12 +104,10 @@ pub struct ServeConfig {
     /// registry-level setting; `PNC_INFER_PRECISION` under
     /// [`Self::from_env`]).
     pub precision: PlanPrecision,
-    /// Most rows a worker coalesces into one plan call (≥ 1; default 32).
+    /// Most queued rows a worker coalesces into one plan call (≥ 1;
+    /// default 32). A worker never waits for a batch to fill: it runs
+    /// whatever is queued when it becomes free.
     pub max_batch: usize,
-    /// How long a worker dwells for more requests after the first arrives
-    /// and before running a partial batch (default 200 µs; zero = dispatch
-    /// immediately, i.e. single-request-at-a-time when load is serial).
-    pub max_wait: Duration,
     /// Bounded per-model queue capacity; a full queue rejects with
     /// [`ServeError::Overloaded`] (≥ 1; default 1024).
     pub queue_capacity: usize,
@@ -127,7 +122,6 @@ impl Default for ServeConfig {
         ServeConfig {
             precision: PlanPrecision::F64,
             max_batch: 32,
-            max_wait: Duration::from_micros(200),
             queue_capacity: 1024,
             worker_threads: 1,
         }
@@ -153,8 +147,8 @@ fn env_usize(var: &str, default: usize, min: usize) -> Result<usize, ServeError>
 
 impl ServeConfig {
     /// Reads the config from the environment, starting from
-    /// [`Self::default`]: `PNC_SERVE_MAX_BATCH`, `PNC_SERVE_MAX_WAIT_US`,
-    /// `PNC_SERVE_QUEUE`, `PNC_SERVE_THREADS`, and the shared
+    /// [`Self::default`]: `PNC_SERVE_MAX_BATCH`, `PNC_SERVE_QUEUE`,
+    /// `PNC_SERVE_THREADS`, and the shared
     /// `PNC_INFER_PRECISION` (see [`PlanPrecision::from_env`]).
     ///
     /// # Errors
@@ -167,11 +161,9 @@ impl ServeConfig {
         let precision = PlanPrecision::from_env().map_err(|e| ServeError::Config {
             detail: e.to_string(),
         })?;
-        let max_wait_us = env_usize(MAX_WAIT_ENV_VAR, defaults.max_wait.as_micros() as usize, 0)?;
         Ok(ServeConfig {
             precision,
             max_batch: env_usize(MAX_BATCH_ENV_VAR, defaults.max_batch, 1)?,
-            max_wait: Duration::from_micros(max_wait_us as u64),
             queue_capacity: env_usize(QUEUE_ENV_VAR, defaults.queue_capacity, 1)?,
             worker_threads: env_usize(THREADS_ENV_VAR, defaults.worker_threads, 1)?,
         })

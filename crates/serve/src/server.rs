@@ -48,9 +48,8 @@ impl Server {
             for _ in 0..config.worker_threads.max(1) {
                 let plan = entry.plan().clone();
                 let queue = Arc::clone(&queue);
-                let max_wait = config.max_wait;
                 workers.push(std::thread::spawn(move || {
-                    run_worker(plan, queue, max_batch, max_wait);
+                    run_worker(plan, queue, max_batch);
                 }));
             }
             models.insert(
@@ -76,7 +75,8 @@ impl Server {
     /// # Errors
     ///
     /// [`ServeError::UnknownModel`] for an unregistered id,
-    /// [`ServeError::BadRequest`] on a feature-width mismatch,
+    /// [`ServeError::BadRequest`] on a feature-width mismatch or a
+    /// non-finite feature (NaN or ±∞),
     /// [`ServeError::Overloaded`] when the model's bounded queue is full
     /// (the backpressure signal — retry with backoff),
     /// [`ServeError::ShuttingDown`] after [`Self::shutdown`] began, and
@@ -97,6 +97,12 @@ impl Server {
                     handle.in_dim,
                     features.len()
                 ),
+            });
+        }
+        if let Some((j, v)) = features.iter().enumerate().find(|(_, v)| !v.is_finite()) {
+            OBS_REJECT_BAD_REQUEST.increment();
+            return Err(ServeError::BadRequest {
+                detail: format!("feature {j} is {v}, not a finite number"),
             });
         }
         let span = Span::new(&OBS_LATENCY);

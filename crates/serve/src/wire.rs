@@ -9,8 +9,11 @@
 //! f64 features and scores travel as JSON numbers. Rust's float formatting
 //! is shortest-round-trip (every finite f64 prints to a decimal string that
 //! parses back to the same bits), so the wire hop preserves the serving
-//! layer's bit-identity contract; non-finite values cannot occur because
-//! artifacts are validated finite at load time and the forward is a
+//! layer's bit-identity contract. JSON has no non-finite numbers: the
+//! codec writes NaN and ±∞ as `null` and reads `null` back as NaN. A
+//! request carrying one is rejected as a bad request by
+//! [`Server::classify`], and scores stay finite because artifacts are
+//! validated finite at load time and the forward of finite features is a
 //! composition of finite operations.
 
 use crate::{Scored, ServeError, Server};

@@ -191,8 +191,8 @@ impl Committee {
             let mut opt = Adam::new(config.learning_rate);
             for _ in 0..config.epochs {
                 g.reset();
-                let xv = g.constant(x.clone());
-                let tv = g.constant(y.clone());
+                let xv = g.constant(&x);
+                let tv = g.constant(&y);
                 let (pred, vars) = mlp.forward_train(&mut g, xv)?;
                 let diff = g.sub(pred, tv)?;
                 let sq = g.powi(diff, 2);

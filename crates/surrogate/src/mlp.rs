@@ -153,8 +153,8 @@ impl Mlp {
         let mut h = x;
         let last = self.weights.len() - 1;
         for (layer, (w, b)) in self.weights.iter().zip(&self.biases).enumerate() {
-            let wv = g.constant(w.value().clone());
-            let bv = g.constant(b.value().clone());
+            let wv = g.constant(w.value());
+            let bv = g.constant(b.value());
             let lin = g.matmul(h, wv)?;
             let lin = g.add(lin, bv)?;
             h = if layer < last { g.tanh(lin) } else { lin };
@@ -261,8 +261,8 @@ mod tests {
         let mut final_loss = f64::INFINITY;
         for _ in 0..400 {
             let mut g = Graph::new();
-            let x = g.constant(xs.clone());
-            let t = g.constant(ys.clone());
+            let x = g.constant(&xs);
+            let t = g.constant(&ys);
             let (pred, vars) = mlp.forward_train(&mut g, x).unwrap();
             let diff = g.sub(pred, t).unwrap();
             let sq = g.powi(diff, 2);

@@ -240,8 +240,8 @@ pub fn train_surrogate(
     for epoch in 0..config.max_epochs {
         epochs_run = epoch + 1;
         let mut g = Graph::new();
-        let x = g.constant(x_train.clone());
-        let t = g.constant(y_train.clone());
+        let x = g.constant(&x_train);
+        let t = g.constant(&y_train);
         let (pred, vars) = mlp.forward_train(&mut g, x)?;
         let diff = g.sub(pred, t)?;
         let sq = g.powi(diff, 2);

@@ -62,7 +62,7 @@ for key in ("in_dim", "out_dim"):
 
 need(report, "config", "report", dict)
 config = report.get("config", {})
-for key in ("max_batch", "max_wait_us", "queue_capacity", "worker_threads"):
+for key in ("max_batch", "queue_capacity", "worker_threads"):
     need(config, key, "config", int)
 
 need(report, "serial", "report", dict)
