@@ -1,6 +1,5 @@
 //! Inference-path benchmark: the autodiff-graph forward vs the compiled
-//! allocation-free [`InferencePlan`] (f64 / f32 / Q1.14 fixed-point) on the
-//! paper's Iris network. Results go to `BENCH_infer.json` at the repo root,
+//! allocation-free f64 [`InferencePlan`] on the paper's Iris network. Results go to `BENCH_infer.json` at the repo root,
 //! with the `infer.*` counter summary beside it in
 //! `BENCH_infer_metrics.json`.
 //!
@@ -12,7 +11,7 @@
 //!    `speedup_f64_vs_graph` compares p50s and must stay ≥ 3× (enforced by
 //!    `scripts/check_bench_infer.sh`).
 //! 2. **batched** — steady-state inferences/s at batch 128 for the graph
-//!    path and all three plan precisions.
+//!    path and the plan.
 //!
 //! The report also carries `bit_identical_f64`: the f64 plan's outputs on
 //! the held-out rows are compared against the graph forward with exact
@@ -23,10 +22,7 @@
 //! cargo run --release -p pnc-bench --bin infer -- [--quick]
 //! ```
 
-use pnc_core::{
-    InferencePlan, InferencePlanF32, InferencePlanQuant, LabeledData, Pnn, PnnConfig, TrainConfig,
-    Trainer, VariationModel,
-};
+use pnc_core::{InferencePlan, LabeledData, Pnn, PnnConfig, TrainConfig, Trainer, VariationModel};
 use pnc_datasets::generators::iris;
 use pnc_linalg::{Matrix, ParallelConfig};
 use pnc_surrogate::{build_dataset, train_surrogate, DatasetConfig, TrainConfig as STrain};
@@ -60,10 +56,6 @@ struct SingleSampleSection {
     graph_p99_us: f64,
     plan_f64_p50_us: f64,
     plan_f64_p99_us: f64,
-    plan_f32_p50_us: f64,
-    plan_f32_p99_us: f64,
-    plan_q16_p50_us: f64,
-    plan_q16_p99_us: f64,
     /// `graph_p50_us / plan_f64_p50_us` — the headline compiled-plan win.
     speedup_f64_vs_graph: f64,
 }
@@ -75,8 +67,6 @@ struct BatchedSection {
     batch: usize,
     graph_inferences_per_s: f64,
     plan_f64_inferences_per_s: f64,
-    plan_f32_inferences_per_s: f64,
-    plan_q16_inferences_per_s: f64,
 }
 
 #[derive(Debug, Serialize)]
@@ -213,8 +203,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     )?;
 
     let mut plan64 = InferencePlan::compile(&pnn)?;
-    let mut plan32 = InferencePlanF32::compile(&pnn)?;
-    let mut planq = InferencePlanQuant::compile(&pnn)?;
 
     // Bit-identity of the f64 plan on held-out rows, on the very network
     // being timed — the DESIGN.md §12 contract, re-checked in situ.
@@ -240,28 +228,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .expect("f64 plan forward");
         black_box(&out1);
     });
-    let f32_t = time_calls(reps, || {
-        plan32
-            .infer_into(black_box(&x1), &mut out1)
-            .expect("f32 plan forward");
-        black_box(&out1);
-    });
-    let q16_t = time_calls(reps, || {
-        planq
-            .infer_into(black_box(&x1), &mut out1)
-            .expect("quant plan forward");
-        black_box(&out1);
-    });
     let single_sample = SingleSampleSection {
         reps,
         graph_p50_us: percentile(&graph_t, 50.0),
         graph_p99_us: percentile(&graph_t, 99.0),
         plan_f64_p50_us: percentile(&f64_t, 50.0),
         plan_f64_p99_us: percentile(&f64_t, 99.0),
-        plan_f32_p50_us: percentile(&f32_t, 50.0),
-        plan_f32_p99_us: percentile(&f32_t, 99.0),
-        plan_q16_p50_us: percentile(&q16_t, 50.0),
-        plan_q16_p99_us: percentile(&q16_t, 99.0),
         speedup_f64_vs_graph: percentile(&graph_t, 50.0) / percentile(&f64_t, 50.0),
     };
     eprintln!(
@@ -291,25 +263,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 .expect("f64 plan forward");
             black_box(&outb);
         })),
-        plan_f32_inferences_per_s: per_s(time_best(breps, || {
-            plan32
-                .infer_into(black_box(&xb), &mut outb)
-                .expect("f32 plan forward");
-            black_box(&outb);
-        })),
-        plan_q16_inferences_per_s: per_s(time_best(breps, || {
-            planq
-                .infer_into(black_box(&xb), &mut outb)
-                .expect("quant plan forward");
-            black_box(&outb);
-        })),
     };
     eprintln!(
-        "  graph {:.0}/s   f64 {:.0}/s   f32 {:.0}/s   q16 {:.0}/s",
-        batched.graph_inferences_per_s,
-        batched.plan_f64_inferences_per_s,
-        batched.plan_f32_inferences_per_s,
-        batched.plan_q16_inferences_per_s
+        "  graph {:.0}/s   f64 {:.0}/s",
+        batched.graph_inferences_per_s, batched.plan_f64_inferences_per_s
     );
 
     let report = Report {

@@ -47,8 +47,6 @@ struct ModelInfo {
     in_dim: usize,
     /// Output classes.
     out_dim: usize,
-    /// Registry-level plan precision.
-    precision: String,
 }
 
 /// The batching policy under test.
@@ -308,17 +306,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Export → registry: the deployment path the serving layer exists for.
     let artifact = PnnArtifact::from_pnn(&pnn, "Iris")?;
-    let precision = PlanPrecision::F64;
     // Throughput config: a single worker, so the serial/batched ratio
     // isolates dispatch coalescing rather than queue-mutex contention
     // between workers. The correctness phase runs two workers.
     let load_config = ServeConfig {
-        precision,
         max_batch: 32,
         queue_capacity: 1024,
         worker_threads: 1,
     };
-    let mut registry = ModelRegistry::new(precision, load_config.max_batch);
+    let mut registry = ModelRegistry::new(PlanPrecision::F64, load_config.max_batch);
     registry.insert(artifact.clone())?;
 
     let rows: Arc<Vec<Vec<f64>>> = Arc::new(
@@ -416,7 +412,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             dataset: ds.name.clone(),
             in_dim: artifact.in_dim,
             out_dim: artifact.out_dim,
-            precision: precision.name().to_string(),
         },
         config: ConfigInfo {
             max_batch: load_config.max_batch,

@@ -191,14 +191,14 @@ pub struct ArtifactLayer {
 }
 
 /// A trained pNN exported for deployment: everything a serving registry
-/// needs to rebuild a [`crate::CompiledPnn`] **bit-identically** — no live
+/// needs to rebuild a [`crate::InferencePlan`] **bit-identically** — no live
 /// network, autodiff graph, or surrogate model required — plus the
 /// [`PrintedDesign`] the same training run would send to a printer.
 ///
 /// The layer payload carries the exact f64 numbers
 /// [`crate::InferencePlan::compile`] extracts (graph-path η, normalized
 /// sign-split weights), so a plan compiled from the artifact reproduces the
-/// originating network's outputs bit for bit at every precision.
+/// originating network's outputs bit for bit.
 ///
 /// Loading always validates: [`Self::from_json`] / [`Self::load`] reject
 /// artifacts with non-finite values (the vendored JSON layer round-trips
@@ -309,7 +309,18 @@ impl PnnArtifact {
             if l.out_dim == 0 {
                 return fail(format!("layer {i}: zero output width"));
             }
-            let w_len = (l.in_dim + 2) * l.out_dim;
+            // Checked: a hostile in_dim near usize::MAX must not wrap the
+            // expected length down to a small, matching value.
+            let Some(w_len) = l
+                .in_dim
+                .checked_add(2)
+                .and_then(|r| r.checked_mul(l.out_dim))
+            else {
+                return fail(format!(
+                    "layer {i}: (in+2)*out overflows for in_dim {} and out_dim {}",
+                    l.in_dim, l.out_dim
+                ));
+            };
             if l.w_pos.len() != w_len || l.w_neg.len() != w_len {
                 return fail(format!(
                     "layer {i}: weight lengths {}/{} != (in+2)*out = {w_len}",
@@ -600,6 +611,18 @@ mod tests {
         let mut broken_chain = good.clone();
         broken_chain.layers[1].in_dim += 1;
         assert!(broken_chain.validate().is_err(), "broken layer chain");
+
+        // (in+2)*out would wrap to out_dim without overflow checks.
+        let mut overflowing = good.clone();
+        let out_dim = overflowing.layers[0].out_dim;
+        overflowing.in_dim = usize::MAX;
+        overflowing.layers[0].in_dim = usize::MAX;
+        overflowing.layers[0].w_pos.truncate(out_dim);
+        overflowing.layers[0].w_neg.truncate(out_dim);
+        assert!(
+            matches!(overflowing.validate(), Err(PnnError::Artifact { .. })),
+            "overflowing weight shape"
+        );
 
         let mut no_layers = good;
         no_layers.layers.clear();

@@ -1,4 +1,4 @@
-//! Compiled allocation-free inference plans for trained pNNs.
+//! Compiled allocation-free inference plan for trained pNNs.
 //!
 //! [`Pnn::infer`] walks the full autodiff graph on every call: it re-runs
 //! the 13-layer surrogate MLP per circuit pair, re-projects θ, and rebuilds
@@ -6,29 +6,16 @@
 //! trained network. [`InferencePlan::compile`] hoists that work to
 //! construction time: the printable weights `W⁺`/`W⁻` of Eq. 1 and the η
 //! curve parameters of Eqs. 2–3 are extracted **once** (through the same
-//! graph machinery the training forward uses, so the f64 plan is
-//! bit-identical to [`Pnn::infer`]), and the per-call work collapses to a
-//! fixed sequence of microkernel GEMMs and tanh curve evaluations over
-//! preallocated buffers — zero allocations and zero graph-walking per
-//! forward, for single samples and micro-batches alike.
+//! graph machinery the training forward uses, so the plan is bit-identical
+//! to [`Pnn::infer`]), and the per-call work collapses to a fixed sequence
+//! of microkernel GEMMs and tanh curve evaluations over preallocated
+//! buffers — zero allocations and zero graph-walking per forward, for
+//! single samples and micro-batches alike.
 //!
-//! Three precisions share one compiled structure (see DESIGN.md §12 for the
-//! full contract):
-//!
-//! * [`InferencePlan`] — f64, **bit-identical** to the graph path at every
-//!   batch size and thread count.
-//! * [`InferencePlanF32`] — f32 weights, activations, and curve evaluation;
-//!   bounded-error parity (classification agreement is property-tested
-//!   across the 13-dataset suite).
-//! * [`InferencePlanQuant`] — fixed-point Q1.14 `i16` weights and
-//!   activations with `i32` accumulators ([`pnc_linalg::simd::gemm_i16_i32`]);
-//!   curve nonlinearities evaluate in f32 between crossbars. The Q1.14
-//!   scheme is overflow-safe by construction: normalized crossbar columns
-//!   sum to 1, so each accumulator stays below `2·2^15·2^14 < i32::MAX`.
-//!
-//! [`CompiledPnn`] wraps the three behind one API, selected by
-//! [`PlanPrecision`] — programmatically or via the `PNC_INFER_PRECISION`
-//! environment variable.
+//! The plan is f64 only: it reproduces the printed circuit's nominal
+//! forward pass bit for bit at every batch size and thread count. See
+//! DESIGN.md §12 for the full contract and for the measurement that retired
+//! the f32 and Q1.14 plans.
 //!
 //! Plans capture the *nominal* network: printing variation (a training and
 //! robustness-evaluation concern) stays on the graph path.
@@ -51,7 +38,7 @@ use crate::layer::project_printable;
 use crate::network::Pnn;
 use crate::PnnError;
 use pnc_autodiff::Graph;
-use pnc_linalg::simd::{gemm_f32, gemm_f64, gemm_i16_i32};
+use pnc_linalg::simd::gemm_f64;
 use pnc_linalg::{Matrix, ParallelConfig};
 use pnc_obs::Counter;
 
@@ -69,88 +56,9 @@ fn obs_register() {
     });
 }
 
-/// Environment variable selecting the default plan precision for
-/// [`PlanPrecision::from_env`] / [`CompiledPnn::compile_from_env`]:
-/// `f64` (default), `f32`, or `q16` (aliases `i16`, `quant`).
-pub const PRECISION_ENV_VAR: &str = "PNC_INFER_PRECISION";
-
 /// Default micro-batch capacity of a compiled plan: forward buffers are
 /// sized for this many rows; larger batches stream through in chunks.
 pub const DEFAULT_CAPACITY: usize = 64;
-
-/// Q1.14 fixed-point scale of [`InferencePlanQuant`] (14 fractional bits).
-const Q14_SCALE: f32 = 16384.0;
-/// Dequantization factor for a product of two Q1.14 values (Q2.28).
-const Q28_DEQ: f32 = 1.0 / (16384.0 * 16384.0);
-/// Largest magnitude representable in Q1.14 without `i16` overflow.
-const Q14_CLAMP: f32 = 1.9999;
-
-fn quantize_q14(x: f32) -> i16 {
-    (x.clamp(-Q14_CLAMP, Q14_CLAMP) * Q14_SCALE).round() as i16
-}
-
-/// Numeric precision of a compiled inference plan.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PlanPrecision {
-    /// Full f64 — bit-identical to the autodiff-graph forward.
-    F64,
-    /// Single precision — bounded-error parity with the f64 plan.
-    F32,
-    /// Fixed-point Q1.14 `i16` crossbars with `i32` accumulation.
-    QuantI16,
-}
-
-impl PlanPrecision {
-    /// Parses a precision name: `f64`, `f32`, or `q16` (aliases `i16`,
-    /// `quant`), case-insensitively and ignoring surrounding whitespace.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PnnError::Config`] for any other spelling. There is no
-    /// silent fallback: a typo in a deployment config must fail loudly, not
-    /// quietly serve a different numeric contract.
-    pub fn parse(raw: &str) -> Result<Self, PnnError> {
-        match raw.trim().to_ascii_lowercase().as_str() {
-            "f64" => Ok(PlanPrecision::F64),
-            "f32" => Ok(PlanPrecision::F32),
-            "q16" | "i16" | "quant" => Ok(PlanPrecision::QuantI16),
-            other => Err(PnnError::Config {
-                detail: format!(
-                    "unrecognized plan precision {other:?} (expected f64, f32, or q16/i16/quant)"
-                ),
-            }),
-        }
-    }
-
-    /// Reads the precision from the `PNC_INFER_PRECISION` environment
-    /// variable. Unset means [`Self::F64`]; a set but unrecognized value is
-    /// a hard [`PnnError::Config`] error surfaced to the caller.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PnnError::Config`] when the variable is set to anything
-    /// other than `f64`, `f32`, or `q16`/`i16`/`quant`.
-    pub fn from_env() -> Result<Self, PnnError> {
-        match std::env::var(PRECISION_ENV_VAR) {
-            Ok(raw) => Self::parse(&raw).map_err(|_| PnnError::Config {
-                detail: format!(
-                    "invalid {PRECISION_ENV_VAR}={raw:?} (expected f64, f32, or q16/i16/quant)"
-                ),
-            }),
-            Err(_) => Ok(PlanPrecision::F64),
-        }
-    }
-
-    /// Canonical lower-case name (`f64`, `f32`, `q16`), accepted back by
-    /// [`Self::parse`].
-    pub fn name(&self) -> &'static str {
-        match self {
-            PlanPrecision::F64 => "f64",
-            PlanPrecision::F32 => "f32",
-            PlanPrecision::QuantI16 => "q16",
-        }
-    }
-}
 
 /// One crossbar layer, flattened for execution: printable weights split by
 /// sign, η curve parameters per circuit pair, and the precomputed inverter
@@ -191,16 +99,6 @@ fn inv_curve(e: &[f64; 4], x: f64) -> f64 {
 /// graph's exact scalar operation sequence.
 #[inline]
 fn ptanh_curve(e: &[f64; 4], x: f64) -> f64 {
-    ((x - e[2]) * e[3]).tanh() * e[1] + e[0]
-}
-
-#[inline]
-fn inv_curve_f32(e: &[f32; 4], x: f32) -> f32 {
-    e[0] - ((x - e[2]) * e[3]).tanh() * e[1]
-}
-
-#[inline]
-fn ptanh_curve_f32(e: &[f32; 4], x: f32) -> f32 {
     ((x - e[2]) * e[3]).tanh() * e[1] + e[0]
 }
 
@@ -396,14 +294,6 @@ fn run_layers_f64(layers: &[ExtractedLayer], s: &mut Scratch, b: usize) {
     }
 }
 
-fn argmax_row(row: &[f64]) -> usize {
-    row.iter()
-        .enumerate()
-        .max_by(|a, b| a.1.total_cmp(b.1))
-        .map(|(j, _)| j)
-        .unwrap_or(0)
-}
-
 fn check_input(x: &Matrix, in_dim: usize) -> Result<(), PnnError> {
     if x.cols() != in_dim {
         return Err(PnnError::Data {
@@ -581,7 +471,7 @@ impl InferencePlan {
     pub fn predict(&mut self, x: &Matrix) -> Result<Vec<usize>, PnnError> {
         let scores = self.infer(x)?;
         Ok((0..scores.rows())
-            .map(|i| argmax_row(scores.row(i)))
+            .map(|i| crate::argmax_row(scores.row(i)))
             .collect())
     }
 
@@ -616,904 +506,43 @@ impl InferencePlan {
     }
 }
 
-/// f32 sibling of [`ExtractedLayer`].
-#[derive(Debug, Clone)]
-struct LayerF32 {
-    in_dim: usize,
-    out_dim: usize,
-    w_pos: Vec<f32>,
-    w_neg: Vec<f32>,
-    etas: Vec<([f32; 4], [f32; 4])>,
-    inv_ones: Vec<f32>,
-    apply_act: bool,
+/// Numeric precision of a compiled plan. It carries no choice: the only
+/// variant is [`Self::F64`]. It stays only so the `benchmark` package,
+/// which names it, keeps compiling.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PlanPrecision {
+    /// Full f64 — bit-identical to the autodiff-graph forward.
+    F64,
 }
 
-impl LayerF32 {
-    fn ext_dim(&self) -> usize {
-        self.in_dim + 2
-    }
-
-    fn from_f64(l: &ExtractedLayer) -> LayerF32 {
-        let etas: Vec<([f32; 4], [f32; 4])> = l
-            .etas
-            .iter()
-            .map(|(a, i)| (a.map(|v| v as f32), i.map(|v| v as f32)))
-            .collect();
-        // inv(1 V) recomputed in f32 so the bias leg sees the same
-        // arithmetic as the data legs.
-        let inv_ones = etas.iter().map(|(_, i)| inv_curve_f32(i, 1.0)).collect();
-        LayerF32 {
-            in_dim: l.in_dim,
-            out_dim: l.out_dim,
-            w_pos: l.w_pos.iter().map(|&w| w as f32).collect(),
-            w_neg: l.w_neg.iter().map(|&w| w as f32).collect(),
-            etas,
-            inv_ones,
-            apply_act: l.apply_act,
-        }
-    }
-}
-
-#[derive(Debug, Clone)]
-struct ScratchF32 {
-    h: Vec<f32>,
-    x_ext: Vec<f32>,
-    x_inv: Vec<f32>,
-    z_pos: Vec<f32>,
-    z_neg: Vec<f32>,
-}
-
-impl ScratchF32 {
-    fn new(layers: &[LayerF32], capacity: usize) -> ScratchF32 {
-        let max_ext = layers.iter().map(LayerF32::ext_dim).max().unwrap_or(2);
-        let max_out = layers.iter().map(|l| l.out_dim).max().unwrap_or(1);
-        let max_width = layers
-            .iter()
-            .map(|l| l.in_dim.max(l.out_dim))
-            .max()
-            .unwrap_or(1);
-        ScratchF32 {
-            h: vec![0.0; capacity * max_width],
-            x_ext: vec![0.0; capacity * max_ext],
-            x_inv: vec![0.0; capacity * max_ext],
-            z_pos: vec![0.0; capacity * max_out],
-            z_neg: vec![0.0; capacity * max_out],
-        }
-    }
-}
-
-fn run_layers_f32(layers: &[LayerF32], s: &mut ScratchF32, b: usize) {
-    for layer in layers {
-        let (input, ext, out) = (layer.in_dim, layer.ext_dim(), layer.out_dim);
-        for i in 0..b {
-            let src_start = i * input;
-            let dst = i * ext;
-            for k in 0..input {
-                s.x_ext[dst + k] = s.h[src_start + k];
-            }
-            s.x_ext[dst + input] = 1.0;
-            s.x_ext[dst + input + 1] = 0.0;
-        }
-        if layer.etas.len() == 1 {
-            let (eta_act, eta_inv) = &layer.etas[0];
-            for i in 0..b {
-                let row = i * ext;
-                for k in 0..input {
-                    s.x_inv[row + k] = inv_curve_f32(eta_inv, s.x_ext[row + k]);
-                }
-                s.x_inv[row + input] = layer.inv_ones[0];
-                s.x_inv[row + input + 1] = 0.0;
-            }
-            gemm_f32(
-                b,
-                ext,
-                out,
-                &s.x_ext[..b * ext],
-                &layer.w_pos,
-                &mut s.z_pos[..b * out],
-            );
-            gemm_f32(
-                b,
-                ext,
-                out,
-                &s.x_inv[..b * ext],
-                &layer.w_neg,
-                &mut s.z_neg[..b * out],
-            );
-            for idx in 0..b * out {
-                let z = s.z_pos[idx] + s.z_neg[idx];
-                s.h[idx] = if layer.apply_act {
-                    ptanh_curve_f32(eta_act, z)
-                } else {
-                    z
-                };
-            }
-        } else {
-            for (j, (eta_act, eta_inv)) in layer.etas.iter().enumerate() {
-                for i in 0..b {
-                    let row = i * ext;
-                    for k in 0..input {
-                        s.x_inv[row + k] = inv_curve_f32(eta_inv, s.x_ext[row + k]);
-                    }
-                    s.x_inv[row + input] = layer.inv_ones[j];
-                    s.x_inv[row + input + 1] = 0.0;
-                }
-                for i in 0..b {
-                    let row = i * ext;
-                    let mut z_pos = 0.0_f32;
-                    for k in 0..ext {
-                        z_pos += s.x_ext[row + k] * layer.w_pos[k * out + j];
-                    }
-                    let mut z_neg = 0.0_f32;
-                    for k in 0..ext {
-                        z_neg += s.x_inv[row + k] * layer.w_neg[k * out + j];
-                    }
-                    let z = z_pos + z_neg;
-                    s.h[i * out + j] = if layer.apply_act {
-                        ptanh_curve_f32(eta_act, z)
-                    } else {
-                        z
-                    };
-                }
-            }
-        }
-    }
-}
-
-/// Single-precision compiled plan: same op layout as [`InferencePlan`] with
-/// f32 weights, buffers, and curve evaluation ([`pnc_linalg::simd::gemm_f32`]
-/// microkernels). Parity with the f64 plan is bounded-error, property-tested
-/// as ≥ 99.5 % classification agreement on held-out rows.
-#[derive(Debug, Clone)]
-pub struct InferencePlanF32 {
-    layers: Vec<LayerF32>,
-    in_dim: usize,
-    out_dim: usize,
-    capacity: usize,
-    scratch: ScratchF32,
-}
-
-impl InferencePlanF32 {
-    /// Compiles with the [`DEFAULT_CAPACITY`] micro-batch size.
-    ///
-    /// # Errors
-    ///
-    /// Propagates surrogate/graph failures from η extraction.
-    pub fn compile(pnn: &Pnn) -> Result<InferencePlanF32, PnnError> {
-        Self::compile_with_capacity(pnn, DEFAULT_CAPACITY)
-    }
-
-    /// Compiles with an explicit micro-batch capacity (clamped to ≥ 1).
-    ///
-    /// # Errors
-    ///
-    /// Propagates surrogate/graph failures from η extraction.
-    pub fn compile_with_capacity(pnn: &Pnn, capacity: usize) -> Result<InferencePlanF32, PnnError> {
-        obs_register();
-        let layers: Vec<LayerF32> = extract_layers(pnn)?
-            .iter()
-            .map(LayerF32::from_f64)
-            .collect();
-        let capacity = capacity.max(1);
-        let scratch = ScratchF32::new(&layers, capacity);
-        OBS_PLANS_COMPILED.increment();
-        Ok(InferencePlanF32 {
-            in_dim: pnn.config().layer_sizes[0],
-            out_dim: layers.last().map(|l| l.out_dim).unwrap_or(0),
-            layers,
-            capacity,
-            scratch,
-        })
-    }
-
-    /// Compiles from an exported [`crate::PnnArtifact`] (see
-    /// [`InferencePlan::compile_artifact`]); the f64 → f32 narrowing is the
-    /// same one [`Self::compile`] applies, so artifact- and network-compiled
-    /// f32 plans are bit-identical to each other.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PnnError::Artifact`] if the artifact fails validation.
-    pub fn compile_artifact(artifact: &crate::PnnArtifact) -> Result<InferencePlanF32, PnnError> {
-        Self::compile_artifact_with_capacity(artifact, DEFAULT_CAPACITY)
-    }
-
-    /// [`Self::compile_artifact`] with an explicit micro-batch capacity
-    /// (clamped to ≥ 1).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PnnError::Artifact`] if the artifact fails validation.
-    pub fn compile_artifact_with_capacity(
-        artifact: &crate::PnnArtifact,
-        capacity: usize,
-    ) -> Result<InferencePlanF32, PnnError> {
-        obs_register();
-        artifact.validate()?;
-        let layers: Vec<LayerF32> = artifact
-            .extracted_layers()
-            .iter()
-            .map(LayerF32::from_f64)
-            .collect();
-        let capacity = capacity.max(1);
-        let scratch = ScratchF32::new(&layers, capacity);
-        OBS_PLANS_COMPILED.increment();
-        Ok(InferencePlanF32 {
-            in_dim: artifact.in_dim,
-            out_dim: artifact.out_dim,
-            layers,
-            capacity,
-            scratch,
-        })
-    }
-
-    /// Input width the plan was compiled for.
-    pub fn in_dim(&self) -> usize {
-        self.in_dim
-    }
-
-    /// Output width (number of classes).
-    pub fn out_dim(&self) -> usize {
-        self.out_dim
-    }
-
-    /// Output voltages (f32 math, widened to f64 for the caller).
-    /// Allocates only the returned matrix; use [`Self::infer_into`] for the
-    /// fully allocation-free path.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PnnError::Data`] if `x` does not match the input width.
-    pub fn infer(&mut self, x: &Matrix) -> Result<Matrix, PnnError> {
-        let mut out = Matrix::zeros(x.rows(), self.out_dim);
-        self.infer_into(x, &mut out)?;
-        Ok(out)
-    }
-
-    /// Writes output voltages for a batch into `out` (`x.rows() ×
-    /// out_dim`), allocation-free.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PnnError::Data`] on input-width or output-shape mismatch.
-    pub fn infer_into(&mut self, x: &Matrix, out: &mut Matrix) -> Result<(), PnnError> {
-        check_input(x, self.in_dim)?;
-        check_output(out, x.rows(), self.out_dim)?;
-        let (rows, in_dim, out_dim) = (x.rows(), self.in_dim, self.out_dim);
-        let mut start = 0;
-        while start < rows {
-            let end = (start + self.capacity).min(rows);
-            let b = end - start;
-            for (dst, &src) in self.scratch.h[..b * in_dim]
-                .iter_mut()
-                .zip(&x.as_slice()[start * in_dim..end * in_dim])
-            {
-                *dst = src as f32;
-            }
-            run_layers_f32(&self.layers, &mut self.scratch, b);
-            for (dst, &src) in out.as_mut_slice()[start * out_dim..end * out_dim]
-                .iter_mut()
-                .zip(&self.scratch.h[..b * out_dim])
-            {
-                *dst = f64::from(src);
-            }
-            start = end;
-        }
-        OBS_SAMPLES.add(rows as u64);
-        OBS_BATCHES.increment();
-        Ok(())
-    }
-
-    /// Argmax class predictions.
-    ///
-    /// # Errors
-    ///
-    /// As for [`Self::infer`].
-    pub fn predict(&mut self, x: &Matrix) -> Result<Vec<usize>, PnnError> {
-        let scores = self.infer(x)?;
-        Ok((0..scores.rows())
-            .map(|i| argmax_row(scores.row(i)))
-            .collect())
-    }
-
-    /// Parallel batched inference over `capacity`-row bands; bit-identical
-    /// to [`Self::infer`] at every thread count (per-band scratch, one
-    /// allocation per band).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PnnError::Data`] if `x` does not match the input width.
-    pub fn infer_parallel(&self, x: &Matrix, par: &ParallelConfig) -> Result<Matrix, PnnError> {
-        check_input(x, self.in_dim)?;
-        let (rows, in_dim, out_dim) = (x.rows(), self.in_dim, self.out_dim);
-        let bands = pnc_linalg::kernels::row_bands(rows, self.capacity);
-        let results = par.ordered_par_map(&bands, |&(s, e)| {
-            let b = e - s;
-            let mut scratch = ScratchF32::new(&self.layers, b);
-            for (dst, &src) in scratch.h[..b * in_dim]
-                .iter_mut()
-                .zip(&x.as_slice()[s * in_dim..e * in_dim])
-            {
-                *dst = src as f32;
-            }
-            run_layers_f32(&self.layers, &mut scratch, b);
-            scratch.h[..b * out_dim].to_vec()
-        });
-        let mut out = Matrix::zeros(rows, out_dim);
-        for (&(s, e), band) in bands.iter().zip(&results) {
-            for (dst, &src) in out.as_mut_slice()[s * out_dim..e * out_dim]
-                .iter_mut()
-                .zip(band)
-            {
-                *dst = f64::from(src);
-            }
-        }
-        OBS_SAMPLES.add(rows as u64);
-        OBS_BATCHES.increment();
-        Ok(out)
-    }
-}
-
-/// Fixed-point sibling: Q1.14 `i16` weights, Q1.14 activations, `i32`
-/// accumulators; η curves evaluated in f32 between crossbars.
-#[derive(Debug, Clone)]
-struct LayerQuant {
-    in_dim: usize,
-    out_dim: usize,
-    w_pos: Vec<i16>,
-    w_neg: Vec<i16>,
-    etas: Vec<([f32; 4], [f32; 4])>,
-    inv_ones_q: Vec<i16>,
-    apply_act: bool,
-}
-
-impl LayerQuant {
-    fn ext_dim(&self) -> usize {
-        self.in_dim + 2
-    }
-
-    fn from_f64(l: &ExtractedLayer) -> LayerQuant {
-        let etas: Vec<([f32; 4], [f32; 4])> = l
-            .etas
-            .iter()
-            .map(|(a, i)| (a.map(|v| v as f32), i.map(|v| v as f32)))
-            .collect();
-        let inv_ones_q = etas
-            .iter()
-            .map(|(_, i)| quantize_q14(inv_curve_f32(i, 1.0)))
-            .collect();
-        LayerQuant {
-            in_dim: l.in_dim,
-            out_dim: l.out_dim,
-            w_pos: l.w_pos.iter().map(|&w| quantize_q14(w as f32)).collect(),
-            w_neg: l.w_neg.iter().map(|&w| quantize_q14(w as f32)).collect(),
-            etas,
-            inv_ones_q,
-            apply_act: l.apply_act,
-        }
-    }
-}
-
-#[derive(Debug, Clone)]
-struct ScratchQuant {
-    /// Current activations, Q1.14.
-    h_q: Vec<i16>,
-    /// Current activations, f32 (the last layer's values are the output).
-    h_f: Vec<f32>,
-    x_ext: Vec<i16>,
-    x_inv: Vec<i16>,
-    z_pos: Vec<i32>,
-    z_neg: Vec<i32>,
-}
-
-impl ScratchQuant {
-    fn new(layers: &[LayerQuant], capacity: usize) -> ScratchQuant {
-        let max_ext = layers.iter().map(LayerQuant::ext_dim).max().unwrap_or(2);
-        let max_out = layers.iter().map(|l| l.out_dim).max().unwrap_or(1);
-        let max_width = layers
-            .iter()
-            .map(|l| l.in_dim.max(l.out_dim))
-            .max()
-            .unwrap_or(1);
-        ScratchQuant {
-            h_q: vec![0; capacity * max_width],
-            h_f: vec![0.0; capacity * max_width],
-            x_ext: vec![0; capacity * max_ext],
-            x_inv: vec![0; capacity * max_ext],
-            z_pos: vec![0; capacity * max_out],
-            z_neg: vec![0; capacity * max_out],
-        }
-    }
-}
-
-fn run_layers_quant(layers: &[LayerQuant], s: &mut ScratchQuant, b: usize) {
-    const ONE_Q14: i16 = 16384;
-    for layer in layers {
-        let (input, ext, out) = (layer.in_dim, layer.ext_dim(), layer.out_dim);
-        for i in 0..b {
-            let src_start = i * input;
-            let dst = i * ext;
-            for k in 0..input {
-                s.x_ext[dst + k] = s.h_q[src_start + k];
-            }
-            s.x_ext[dst + input] = ONE_Q14;
-            s.x_ext[dst + input + 1] = 0;
-        }
-        if layer.etas.len() == 1 {
-            let (eta_act, eta_inv) = &layer.etas[0];
-            for i in 0..b {
-                let row = i * ext;
-                for k in 0..input {
-                    let xf = f32::from(s.x_ext[row + k]) / Q14_SCALE;
-                    s.x_inv[row + k] = quantize_q14(inv_curve_f32(eta_inv, xf));
-                }
-                s.x_inv[row + input] = layer.inv_ones_q[0];
-                s.x_inv[row + input + 1] = 0;
-            }
-            gemm_i16_i32(
-                b,
-                ext,
-                out,
-                &s.x_ext[..b * ext],
-                &layer.w_pos,
-                &mut s.z_pos[..b * out],
-            );
-            gemm_i16_i32(
-                b,
-                ext,
-                out,
-                &s.x_inv[..b * ext],
-                &layer.w_neg,
-                &mut s.z_neg[..b * out],
-            );
-            for idx in 0..b * out {
-                // Q2.28 accumulator → f32 voltage. Overflow-safe: the two
-                // crossbar column sums each stay below 2^15 · 2^14.
-                let z = (s.z_pos[idx] + s.z_neg[idx]) as f32 * Q28_DEQ;
-                s.h_f[idx] = if layer.apply_act {
-                    ptanh_curve_f32(eta_act, z)
-                } else {
-                    z
-                };
-            }
-        } else {
-            for (j, (eta_act, eta_inv)) in layer.etas.iter().enumerate() {
-                for i in 0..b {
-                    let row = i * ext;
-                    for k in 0..input {
-                        let xf = f32::from(s.x_ext[row + k]) / Q14_SCALE;
-                        s.x_inv[row + k] = quantize_q14(inv_curve_f32(eta_inv, xf));
-                    }
-                    s.x_inv[row + input] = layer.inv_ones_q[j];
-                    s.x_inv[row + input + 1] = 0;
-                }
-                for i in 0..b {
-                    let row = i * ext;
-                    let mut z_pos = 0_i32;
-                    for k in 0..ext {
-                        z_pos += i32::from(s.x_ext[row + k]) * i32::from(layer.w_pos[k * out + j]);
-                    }
-                    let mut z_neg = 0_i32;
-                    for k in 0..ext {
-                        z_neg += i32::from(s.x_inv[row + k]) * i32::from(layer.w_neg[k * out + j]);
-                    }
-                    let z = (z_pos + z_neg) as f32 * Q28_DEQ;
-                    s.h_f[i * out + j] = if layer.apply_act {
-                        ptanh_curve_f32(eta_act, z)
-                    } else {
-                        z
-                    };
-                }
-            }
-        }
-        // Requantize for the next crossbar (harmless after the last layer).
-        for idx in 0..b * out {
-            s.h_q[idx] = quantize_q14(s.h_f[idx]);
-        }
-    }
-}
-
-/// Fixed-point compiled plan: Q1.14 `i16` crossbars with `i32`
-/// accumulation ([`pnc_linalg::simd::gemm_i16_i32`]), f32 curve evaluation
-/// between layers. Voltages are clamped to ±1.9999 V at quantization — far
-/// outside the 0–1 V supply range real circuits produce. Parity with the
-/// f64 plan is bounded-error, property-tested as ≥ 99.5 % classification
-/// agreement on held-out rows.
-#[derive(Debug, Clone)]
-pub struct InferencePlanQuant {
-    layers: Vec<LayerQuant>,
-    in_dim: usize,
-    out_dim: usize,
-    capacity: usize,
-    scratch: ScratchQuant,
-}
-
-impl InferencePlanQuant {
-    /// Compiles with the [`DEFAULT_CAPACITY`] micro-batch size.
-    ///
-    /// # Errors
-    ///
-    /// Propagates surrogate/graph failures from η extraction.
-    pub fn compile(pnn: &Pnn) -> Result<InferencePlanQuant, PnnError> {
-        Self::compile_with_capacity(pnn, DEFAULT_CAPACITY)
-    }
-
-    /// Compiles with an explicit micro-batch capacity (clamped to ≥ 1).
-    ///
-    /// # Errors
-    ///
-    /// Propagates surrogate/graph failures from η extraction.
-    pub fn compile_with_capacity(
-        pnn: &Pnn,
-        capacity: usize,
-    ) -> Result<InferencePlanQuant, PnnError> {
-        obs_register();
-        let layers: Vec<LayerQuant> = extract_layers(pnn)?
-            .iter()
-            .map(LayerQuant::from_f64)
-            .collect();
-        let capacity = capacity.max(1);
-        let scratch = ScratchQuant::new(&layers, capacity);
-        OBS_PLANS_COMPILED.increment();
-        Ok(InferencePlanQuant {
-            in_dim: pnn.config().layer_sizes[0],
-            out_dim: layers.last().map(|l| l.out_dim).unwrap_or(0),
-            layers,
-            capacity,
-            scratch,
-        })
-    }
-
-    /// Compiles from an exported [`crate::PnnArtifact`] (see
-    /// [`InferencePlan::compile_artifact`]); quantization is the same one
-    /// [`Self::compile`] applies, so artifact- and network-compiled Q1.14
-    /// plans are bit-identical to each other.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PnnError::Artifact`] if the artifact fails validation.
-    pub fn compile_artifact(artifact: &crate::PnnArtifact) -> Result<InferencePlanQuant, PnnError> {
-        Self::compile_artifact_with_capacity(artifact, DEFAULT_CAPACITY)
-    }
-
-    /// [`Self::compile_artifact`] with an explicit micro-batch capacity
-    /// (clamped to ≥ 1).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PnnError::Artifact`] if the artifact fails validation.
-    pub fn compile_artifact_with_capacity(
-        artifact: &crate::PnnArtifact,
-        capacity: usize,
-    ) -> Result<InferencePlanQuant, PnnError> {
-        obs_register();
-        artifact.validate()?;
-        let layers: Vec<LayerQuant> = artifact
-            .extracted_layers()
-            .iter()
-            .map(LayerQuant::from_f64)
-            .collect();
-        let capacity = capacity.max(1);
-        let scratch = ScratchQuant::new(&layers, capacity);
-        OBS_PLANS_COMPILED.increment();
-        Ok(InferencePlanQuant {
-            in_dim: artifact.in_dim,
-            out_dim: artifact.out_dim,
-            layers,
-            capacity,
-            scratch,
-        })
-    }
-
-    /// Input width the plan was compiled for.
-    pub fn in_dim(&self) -> usize {
-        self.in_dim
-    }
-
-    /// Output width (number of classes).
-    pub fn out_dim(&self) -> usize {
-        self.out_dim
-    }
-
-    /// Output voltages (fixed-point crossbars, widened to f64). Allocates
-    /// only the returned matrix; use [`Self::infer_into`] for the fully
-    /// allocation-free path.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PnnError::Data`] if `x` does not match the input width.
-    pub fn infer(&mut self, x: &Matrix) -> Result<Matrix, PnnError> {
-        let mut out = Matrix::zeros(x.rows(), self.out_dim);
-        self.infer_into(x, &mut out)?;
-        Ok(out)
-    }
-
-    /// Writes output voltages for a batch into `out` (`x.rows() ×
-    /// out_dim`), allocation-free.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PnnError::Data`] on input-width or output-shape mismatch.
-    pub fn infer_into(&mut self, x: &Matrix, out: &mut Matrix) -> Result<(), PnnError> {
-        check_input(x, self.in_dim)?;
-        check_output(out, x.rows(), self.out_dim)?;
-        let (rows, in_dim, out_dim) = (x.rows(), self.in_dim, self.out_dim);
-        let mut start = 0;
-        while start < rows {
-            let end = (start + self.capacity).min(rows);
-            let b = end - start;
-            for (dst, &src) in self.scratch.h_q[..b * in_dim]
-                .iter_mut()
-                .zip(&x.as_slice()[start * in_dim..end * in_dim])
-            {
-                *dst = quantize_q14(src as f32);
-            }
-            run_layers_quant(&self.layers, &mut self.scratch, b);
-            for (dst, &src) in out.as_mut_slice()[start * out_dim..end * out_dim]
-                .iter_mut()
-                .zip(&self.scratch.h_f[..b * out_dim])
-            {
-                *dst = f64::from(src);
-            }
-            start = end;
-        }
-        OBS_SAMPLES.add(rows as u64);
-        OBS_BATCHES.increment();
-        Ok(())
-    }
-
-    /// Argmax class predictions.
-    ///
-    /// # Errors
-    ///
-    /// As for [`Self::infer`].
-    pub fn predict(&mut self, x: &Matrix) -> Result<Vec<usize>, PnnError> {
-        let scores = self.infer(x)?;
-        Ok((0..scores.rows())
-            .map(|i| argmax_row(scores.row(i)))
-            .collect())
-    }
-
-    /// Parallel batched inference over `capacity`-row bands; bit-identical
-    /// to [`Self::infer`] at every thread count (per-band scratch, one
-    /// allocation per band).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PnnError::Data`] if `x` does not match the input width.
-    pub fn infer_parallel(&self, x: &Matrix, par: &ParallelConfig) -> Result<Matrix, PnnError> {
-        check_input(x, self.in_dim)?;
-        let (rows, in_dim, out_dim) = (x.rows(), self.in_dim, self.out_dim);
-        let bands = pnc_linalg::kernels::row_bands(rows, self.capacity);
-        let results = par.ordered_par_map(&bands, |&(s, e)| {
-            let b = e - s;
-            let mut scratch = ScratchQuant::new(&self.layers, b);
-            for (dst, &src) in scratch.h_q[..b * in_dim]
-                .iter_mut()
-                .zip(&x.as_slice()[s * in_dim..e * in_dim])
-            {
-                *dst = quantize_q14(src as f32);
-            }
-            run_layers_quant(&self.layers, &mut scratch, b);
-            scratch.h_f[..b * out_dim].to_vec()
-        });
-        let mut out = Matrix::zeros(rows, out_dim);
-        for (&(s, e), band) in bands.iter().zip(&results) {
-            for (dst, &src) in out.as_mut_slice()[s * out_dim..e * out_dim]
-                .iter_mut()
-                .zip(band)
-            {
-                *dst = f64::from(src);
-            }
-        }
-        OBS_SAMPLES.add(rows as u64);
-        OBS_BATCHES.increment();
-        Ok(out)
-    }
-}
-
-/// A compiled pNN at any precision, behind one dispatching API.
+/// A compiled pNN behind the benchmark's dispatch API. It carries no
+/// choice: the only variant wraps an [`InferencePlan`]. It stays only so
+/// the `benchmark` package, which names it, keeps compiling; everything
+/// else uses [`InferencePlan`] directly.
 #[derive(Debug, Clone)]
 pub enum CompiledPnn {
     /// Bit-exact f64 plan.
     F64(InferencePlan),
-    /// Single-precision plan.
-    F32(InferencePlanF32),
-    /// Fixed-point Q1.14 plan.
-    QuantI16(InferencePlanQuant),
 }
 
 impl CompiledPnn {
-    /// Compiles at the requested precision.
+    /// Compiles `pnn` into an [`InferencePlan`].
     ///
     /// # Errors
     ///
     /// Propagates surrogate/graph failures from η extraction.
     pub fn compile(pnn: &Pnn, precision: PlanPrecision) -> Result<CompiledPnn, PnnError> {
-        Ok(match precision {
-            PlanPrecision::F64 => CompiledPnn::F64(InferencePlan::compile(pnn)?),
-            PlanPrecision::F32 => CompiledPnn::F32(InferencePlanF32::compile(pnn)?),
-            PlanPrecision::QuantI16 => CompiledPnn::QuantI16(InferencePlanQuant::compile(pnn)?),
-        })
+        let PlanPrecision::F64 = precision;
+        Ok(CompiledPnn::F64(InferencePlan::compile(pnn)?))
     }
 
-    /// Compiles at the precision named by `PNC_INFER_PRECISION` (f64 when
-    /// unset).
-    ///
-    /// # Errors
-    ///
-    /// As for [`Self::compile`], plus [`PnnError::Config`] when the
-    /// variable is set to an unrecognized value ([`PlanPrecision::from_env`]
-    /// — operator typos fail loudly instead of silently serving f64).
-    pub fn compile_from_env(pnn: &Pnn) -> Result<CompiledPnn, PnnError> {
-        Self::compile(pnn, PlanPrecision::from_env()?)
-    }
-
-    /// Compiles an exported [`crate::PnnArtifact`] at the requested
-    /// precision and micro-batch capacity — the serving-registry entry
-    /// point: no live network or surrogate required, and the f64 variant is
-    /// bit-identical to a plan compiled from the originating network.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PnnError::Artifact`] if the artifact fails validation.
-    pub fn compile_artifact(
-        artifact: &crate::PnnArtifact,
-        precision: PlanPrecision,
-        capacity: usize,
-    ) -> Result<CompiledPnn, PnnError> {
-        Ok(match precision {
-            PlanPrecision::F64 => CompiledPnn::F64(InferencePlan::compile_artifact_with_capacity(
-                artifact, capacity,
-            )?),
-            PlanPrecision::F32 => CompiledPnn::F32(
-                InferencePlanF32::compile_artifact_with_capacity(artifact, capacity)?,
-            ),
-            PlanPrecision::QuantI16 => CompiledPnn::QuantI16(
-                InferencePlanQuant::compile_artifact_with_capacity(artifact, capacity)?,
-            ),
-        })
-    }
-
-    /// The plan's precision.
-    pub fn precision(&self) -> PlanPrecision {
-        match self {
-            CompiledPnn::F64(_) => PlanPrecision::F64,
-            CompiledPnn::F32(_) => PlanPrecision::F32,
-            CompiledPnn::QuantI16(_) => PlanPrecision::QuantI16,
-        }
-    }
-
-    /// Input width the plan was compiled for.
-    pub fn in_dim(&self) -> usize {
-        match self {
-            CompiledPnn::F64(p) => p.in_dim(),
-            CompiledPnn::F32(p) => p.in_dim(),
-            CompiledPnn::QuantI16(p) => p.in_dim(),
-        }
-    }
-
-    /// Output width (number of classes).
-    pub fn out_dim(&self) -> usize {
-        match self {
-            CompiledPnn::F64(p) => p.out_dim(),
-            CompiledPnn::F32(p) => p.out_dim(),
-            CompiledPnn::QuantI16(p) => p.out_dim(),
-        }
-    }
-
-    /// Writes output voltages for a batch into `out` (`x.rows() ×
-    /// out_dim`), allocation-free.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PnnError::Data`] on input-width or output-shape mismatch.
-    pub fn infer_into(&mut self, x: &Matrix, out: &mut Matrix) -> Result<(), PnnError> {
-        match self {
-            CompiledPnn::F64(p) => p.infer_into(x, out),
-            CompiledPnn::F32(p) => p.infer_into(x, out),
-            CompiledPnn::QuantI16(p) => p.infer_into(x, out),
-        }
-    }
-
-    /// Output voltages for a batch (dispatching [`InferencePlan::infer`]
-    /// and siblings).
+    /// Output voltages for a batch ([`InferencePlan::infer`]).
     ///
     /// # Errors
     ///
     /// Returns [`PnnError::Data`] if `x` does not match the input width.
     pub fn infer(&mut self, x: &Matrix) -> Result<Matrix, PnnError> {
-        match self {
-            CompiledPnn::F64(p) => p.infer(x),
-            CompiledPnn::F32(p) => p.infer(x),
-            CompiledPnn::QuantI16(p) => p.infer(x),
-        }
-    }
-
-    /// Argmax class predictions.
-    ///
-    /// # Errors
-    ///
-    /// As for [`Self::infer`].
-    pub fn predict(&mut self, x: &Matrix) -> Result<Vec<usize>, PnnError> {
-        match self {
-            CompiledPnn::F64(p) => p.predict(x),
-            CompiledPnn::F32(p) => p.predict(x),
-            CompiledPnn::QuantI16(p) => p.predict(x),
-        }
-    }
-
-    /// Parallel batched inference.
-    ///
-    /// # Errors
-    ///
-    /// As for [`Self::infer`].
-    pub fn infer_parallel(&self, x: &Matrix, par: &ParallelConfig) -> Result<Matrix, PnnError> {
-        match self {
-            CompiledPnn::F64(p) => p.infer_parallel(x, par),
-            CompiledPnn::F32(p) => p.infer_parallel(x, par),
-            CompiledPnn::QuantI16(p) => p.infer_parallel(x, par),
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn quantization_round_trips_supply_range() {
-        for v in [0.0_f32, 0.25, 0.5, 0.9999, 1.0, -0.3] {
-            let q = quantize_q14(v);
-            let back = f32::from(q) / Q14_SCALE;
-            assert!((back - v).abs() <= 0.5 / Q14_SCALE + 1e-7, "{v} -> {back}");
-        }
-        // Saturation instead of wraparound outside the representable range.
-        assert_eq!(quantize_q14(3.0), quantize_q14(Q14_CLAMP));
-        assert_eq!(quantize_q14(-3.0), quantize_q14(-Q14_CLAMP));
-    }
-
-    #[test]
-    fn precision_parse_accepts_all_spellings() {
-        // Exercises the parsing helper directly to avoid mutating process
-        // env (`from_env` is `parse` plus the unset → F64 default).
-        assert_eq!(PlanPrecision::parse("f32").unwrap(), PlanPrecision::F32);
-        assert_eq!(
-            PlanPrecision::parse(" Q16 ").unwrap(),
-            PlanPrecision::QuantI16
-        );
-        assert_eq!(
-            PlanPrecision::parse("i16").unwrap(),
-            PlanPrecision::QuantI16
-        );
-        assert_eq!(
-            PlanPrecision::parse("quant").unwrap(),
-            PlanPrecision::QuantI16
-        );
-        assert_eq!(PlanPrecision::parse("F64").unwrap(), PlanPrecision::F64);
-        for p in [
-            PlanPrecision::F64,
-            PlanPrecision::F32,
-            PlanPrecision::QuantI16,
-        ] {
-            assert_eq!(PlanPrecision::parse(p.name()).unwrap(), p);
-        }
-    }
-
-    #[test]
-    fn precision_parse_rejects_unknown_values_with_typed_error() {
-        // The silent-fallback regression: a typo'd precision used to
-        // quietly select F64; it must now surface as a Config error.
-        for bad in ["garbage", "f16", "", "q14", "fp64"] {
-            match PlanPrecision::parse(bad) {
-                Err(PnnError::Config { detail }) => {
-                    assert!(
-                        detail.contains("precision"),
-                        "error should name the problem: {detail}"
-                    );
-                }
-                other => panic!("{bad:?} must be a Config error, got {other:?}"),
-            }
-        }
+        let CompiledPnn::F64(plan) = self;
+        plan.infer(x)
     }
 }

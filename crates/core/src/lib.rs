@@ -32,8 +32,8 @@
 //! early stopping, [`eval`] measures Monte-Carlo robustness the way Tab. II
 //! reports it, [`PrintedDesign`] exports the component values a printer
 //! would receive, and [`InferencePlan`] compiles a trained network into an
-//! allocation-free forward pass (bit-identical f64, plus f32 and Q1.14
-//! fixed-point variants — see [`infer`]).
+//! allocation-free forward pass, bit-identical to the graph (see
+//! [`infer`]).
 //!
 //! # Examples
 //!
@@ -95,9 +95,9 @@ pub use export::{
     ArtifactLayer, CircuitDesign, CrossbarDesign, PnnArtifact, PrintedDesign,
     ARTIFACT_FORMAT_VERSION,
 };
-pub use infer::{CompiledPnn, InferencePlan, InferencePlanF32, InferencePlanQuant, PlanPrecision};
+pub use infer::{CompiledPnn, InferencePlan, PlanPrecision};
 pub use layer::{project_printable, PLayer};
-pub use network::{LossKind, NonlinearityGranularity, Pnn, PnnConfig, PnnVars};
+pub use network::{argmax_row, LossKind, NonlinearityGranularity, Pnn, PnnConfig, PnnVars};
 pub use nonlinearity::{apply_inv, apply_ptanh, NonlinearCircuit};
 pub use train::{train_best_of_seeds, LabeledData, TrainConfig, TrainReport, Trainer};
 pub use variation::{NoiseSample, VariationModel};

@@ -442,22 +442,40 @@ impl Pnn {
     pub fn predict(&self, x: &Matrix, noise: Option<&NoiseSample>) -> Result<Vec<usize>, PnnError> {
         let scores = self.infer(x, noise)?;
         Ok((0..scores.rows())
-            .map(|i| {
-                let row = scores.row(i);
-                row.iter()
-                    .enumerate()
-                    .max_by(|a, b| a.1.total_cmp(b.1))
-                    .map(|(j, _)| j)
-                    .unwrap_or(0)
-            })
+            .map(|i| argmax_row(scores.row(i)))
             .collect())
     }
+}
+
+/// Index of the largest score in `row` under IEEE total order; the last
+/// maximum wins on exact ties, and an empty row maps to class 0. The one
+/// argmax behind [`Pnn::predict`], [`crate::InferencePlan::predict`] and
+/// the served `class` field, so all three agree bit for bit.
+pub fn argmax_row(row: &[f64]) -> usize {
+    row.iter()
+        .enumerate()
+        .max_by(|a, b| a.1.total_cmp(b.1))
+        .map(|(j, _)| j)
+        .unwrap_or(0)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use pnc_surrogate::{build_dataset, train_surrogate, DatasetConfig, TrainConfig};
+
+    #[test]
+    fn argmax_matches_plan_tie_breaking() {
+        // Last maximum wins on exact ties, and positive NaN sorts above
+        // every number under IEEE total order — the plan's exact semantics
+        // (NaN can't occur in served scores, but the tie-breaking must
+        // match bit-for-bit regardless).
+        assert_eq!(argmax_row(&[1.0, 3.0, 2.0]), 1);
+        assert_eq!(argmax_row(&[2.0, 2.0, 1.0]), 1);
+        assert_eq!(argmax_row(&[f64::NAN, 0.0]), 0);
+        assert_eq!(argmax_row(&[0.0, -0.0]), 0, "+0 beats -0 in total order");
+        assert_eq!(argmax_row(&[]), 0);
+    }
 
     fn quick_surrogate() -> Arc<SurrogateModel> {
         let data = build_dataset(&DatasetConfig {

@@ -1,17 +1,12 @@
-//! Parity contracts of the compiled inference plans (DESIGN.md §12),
+//! Parity contract of the compiled inference plan (DESIGN.md §12),
 //! exercised on the paper's network topology across the full 13-dataset
-//! benchmark suite:
-//!
-//! * the f64 [`InferencePlan`] is **bit-identical** to the autodiff-graph
-//!   forward — exact `assert_eq!`, at every batch chunking and at 1/2/8
-//!   threads, on trained and freshly initialized networks alike;
-//! * the f32 and Q1.14 fixed-point plans are bounded-error: aggregate
-//!   classification agreement with the f64 path on held-out rows must be
-//!   ≥ 99.5 %, and each is bit-identical to *itself* across thread counts.
+//! benchmark suite: the f64 [`InferencePlan`] is **bit-identical** to the
+//! autodiff-graph forward — exact `assert_eq!`, at every batch chunking and
+//! at 1/2/8 threads, on trained and freshly initialized networks alike.
 
 use pnc_core::{
-    InferencePlan, InferencePlanF32, InferencePlanQuant, LabeledData, NonlinearityGranularity, Pnn,
-    PnnConfig, TrainConfig, Trainer, VariationModel,
+    InferencePlan, LabeledData, NonlinearityGranularity, Pnn, PnnConfig, TrainConfig, Trainer,
+    VariationModel,
 };
 use pnc_datasets::{benchmark_suite, Dataset};
 use pnc_linalg::{Matrix, ParallelConfig};
@@ -159,70 +154,12 @@ fn f64_plan_covers_every_granularity_and_headless_output() {
     }
 }
 
+/// Micro-batch chunking edge cases: an empty batch (0 rows — a serving
+/// micro-batcher flushing an empty queue), and row counts sitting exactly
+/// on, one under, and one over the capacity boundary. Chunking must never
+/// panic and never change bits.
 #[test]
-fn f32_and_quant_plans_agree_with_f64_on_995_permille_of_held_out_rows() {
-    let mut total = 0usize;
-    let mut f32_agree = 0usize;
-    let mut quant_agree = 0usize;
-    for (i, ds) in benchmark_suite().iter().enumerate() {
-        let (train, val, test) = ds.split(17);
-        let pnn = network_for(ds, &train, &val, 70 + i as u64, training_epochs(ds));
-        let mut plan64 = InferencePlan::compile(&pnn).expect("f64 compiles");
-        let mut plan32 = InferencePlanF32::compile(&pnn).expect("f32 compiles");
-        let mut planq = InferencePlanQuant::compile(&pnn).expect("quant compiles");
-        let p64 = plan64.predict(&test.features).expect("f64 predict");
-        let p32 = plan32.predict(&test.features).expect("f32 predict");
-        let pq = planq.predict(&test.features).expect("quant predict");
-        total += p64.len();
-        f32_agree += p64.iter().zip(&p32).filter(|(a, b)| a == b).count();
-        quant_agree += p64.iter().zip(&pq).filter(|(a, b)| a == b).count();
-    }
-    let f32_rate = f32_agree as f64 / total as f64;
-    let quant_rate = quant_agree as f64 / total as f64;
-    assert!(
-        f32_rate >= 0.995,
-        "f32 agreement {f32_rate:.4} < 99.5% over {total} held-out rows"
-    );
-    assert!(
-        quant_rate >= 0.995,
-        "quant agreement {quant_rate:.4} < 99.5% over {total} held-out rows"
-    );
-}
-
-#[test]
-fn reduced_precision_plans_are_self_consistent_across_threads() {
-    let ds = &benchmark_suite()[1];
-    let (train, val, test) = ds.split(23);
-    let pnn = network_for(ds, &train, &val, 9, training_epochs(ds));
-    let mut plan32 = InferencePlanF32::compile_with_capacity(&pnn, 5).expect("f32 compiles");
-    let mut planq = InferencePlanQuant::compile_with_capacity(&pnn, 5).expect("quant compiles");
-    let serial32 = plan32.infer(&test.features).expect("f32 serial");
-    let serialq = planq.infer(&test.features).expect("quant serial");
-    for threads in [1, 2, 8] {
-        let par = ParallelConfig::with_threads(threads);
-        assert_eq!(
-            serial32,
-            plan32
-                .infer_parallel(&test.features, &par)
-                .expect("f32 par"),
-            "f32 plan changed bits at {threads} threads"
-        );
-        assert_eq!(
-            serialq,
-            planq
-                .infer_parallel(&test.features, &par)
-                .expect("quant par"),
-            "quant plan changed bits at {threads} threads"
-        );
-    }
-}
-
-/// Micro-batch chunking edge cases through all three precisions: an empty
-/// batch (0 rows — a serving micro-batcher flushing an empty queue), and
-/// row counts sitting exactly on, one under, and one over the capacity
-/// boundary. Chunking must never panic and never change bits.
-#[test]
-fn empty_and_capacity_boundary_batches_chunk_correctly_at_all_precisions() {
+fn empty_and_capacity_boundary_batches_chunk_correctly_in_f64() {
     let ds = &benchmark_suite()[0];
     let (train, val, test) = ds.split(29);
     let pnn = network_for(ds, &train, &val, 3, training_epochs(ds));
@@ -230,22 +167,14 @@ fn empty_and_capacity_boundary_batches_chunk_correctly_at_all_precisions() {
 
     for capacity in [1, 3, 4] {
         let mut plan64 = InferencePlan::compile_with_capacity(&pnn, capacity).expect("f64");
-        let mut plan32 = InferencePlanF32::compile_with_capacity(&pnn, capacity).expect("f32");
-        let mut planq = InferencePlanQuant::compile_with_capacity(&pnn, capacity).expect("q16");
-
-        // Reference outputs at full batch, per precision.
-        let ref32 = plan32.infer(&test.features).expect("f32 full");
-        let refq = planq.infer(&test.features).expect("q16 full");
 
         // 0 rows: must succeed with a 0-row output, not panic.
         let empty = Matrix::zeros(0, ds.num_features());
-        for (name, out) in [
-            ("f64", plan64.infer(&empty).expect("f64 empty")),
-            ("f32", plan32.infer(&empty).expect("f32 empty")),
-            ("q16", planq.infer(&empty).expect("q16 empty")),
-        ] {
-            assert_eq!(out.shape(), (0, ds.num_classes), "{name} empty batch");
-        }
+        assert_eq!(
+            plan64.infer(&empty).expect("f64 empty").shape(),
+            (0, ds.num_classes),
+            "f64 empty batch"
+        );
         assert_eq!(
             plan64.predict(&empty).expect("f64 empty predict"),
             Vec::<usize>::new()
@@ -263,22 +192,18 @@ fn empty_and_capacity_boundary_batches_chunk_correctly_at_all_precisions() {
         }
 
         // capacity-1, capacity, and capacity+1 rows: the exact boundary at
-        // which the chunk loop rolls over. Bits must match the full-batch
-        // reference rows.
+        // which the chunk loop rolls over. Bits must match the graph's
+        // full-batch rows.
         for rows in [capacity.saturating_sub(1), capacity, capacity + 1] {
             let rows = rows.min(test.features.rows());
             let x = Matrix::from_fn(rows, ds.num_features(), |i, j| test.features[(i, j)]);
             let out64 = plan64.infer(&x).expect("f64 boundary");
-            let out32 = plan32.infer(&x).expect("f32 boundary");
-            let outq = planq.infer(&x).expect("q16 boundary");
             for i in 0..rows {
                 assert_eq!(
                     out64.row(i),
                     graph_all.row(i),
                     "f64 cap {capacity} rows {rows}"
                 );
-                assert_eq!(out32.row(i), ref32.row(i), "f32 cap {capacity} rows {rows}");
-                assert_eq!(outq.row(i), refq.row(i), "q16 cap {capacity} rows {rows}");
             }
         }
     }

@@ -21,10 +21,10 @@
 //!   methods, tunable via the `PNC_MATMUL_BLOCK` environment variable; every
 //!   variant is bit-identical to the naive reference at any block size and
 //!   thread count.
-//! * [`simd`] — autovectorization-friendly register-tiled microkernels
-//!   (f64×4, f32×8, i16→i32) shared by the blocked matmul and the compiled
-//!   inference plans in `pnc-core`, all safe code, all honoring the same
-//!   ascending-`k` accumulation order.
+//! * [`simd`] — autovectorization-friendly register-tiled `f64`
+//!   microkernels shared by the blocked matmul and the compiled inference
+//!   plan in `pnc-core`, all safe code, all honoring the same ascending-`k`
+//!   accumulation order.
 //! * [`sparse`] — compressed-sparse-column storage and Markowitz-ordered
 //!   sparse LU with a cached symbolic analysis, the factorization behind
 //!   the `sparse-lu` circuit-solver backend (docs/SOLVERS.md at the

@@ -327,9 +327,8 @@ fn env_var_registry_checks_both_directions() {
 #[test]
 fn infer_observability_names_match_the_real_docs() {
     // Unlike the other fixtures, this one runs against the REAL workspace
-    // docs: the `infer.*` counters and the PNC_INFER_PRECISION variable it
-    // constructs/reads are exactly the ones `pnc-core::infer` ships, so
-    // docs/METRICS.md and the README env-var table must keep them
+    // docs: the `infer.*` counters it constructs are exactly the ones
+    // `pnc-core::infer` ships, so docs/METRICS.md must keep them
     // documented. (Docs→code ghosts about the rest of the workspace are
     // expected here — the pretend workspace is one file — so findings are
     // filtered to the fixture's path.)

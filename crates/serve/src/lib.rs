@@ -6,8 +6,7 @@
 //!
 //! * [`ModelRegistry`] — loads exported [`pnc_core::PnnArtifact`] files
 //!   (the deployment output of `pnc-core`'s export seam), validates them,
-//!   and compiles each into a [`pnc_core::CompiledPnn`] at a
-//!   registry-level [`pnc_core::PlanPrecision`].
+//!   and compiles each into a [`pnc_core::InferencePlan`].
 //! * [`Server`] — per-model micro-batching workers: concurrent requests
 //!   coalesce into chunked plan batch calls (each free worker takes
 //!   whatever is queued, up to `max_batch`, without waiting for more),
@@ -31,11 +30,12 @@
 //! # Examples
 //!
 //! ```no_run
+//! use pnc_core::PlanPrecision;
 //! use pnc_serve::{ModelRegistry, ServeConfig, Server};
 //!
 //! # fn main() -> Result<(), pnc_serve::ServeError> {
 //! let config = ServeConfig::from_env()?;
-//! let mut registry = ModelRegistry::new(config.precision, config.max_batch);
+//! let mut registry = ModelRegistry::new(PlanPrecision::F64, config.max_batch);
 //! registry.load_dir(std::path::Path::new("artifacts/models"))?;
 //! let server = Server::start(&registry, config);
 //! let scored = server.classify("Iris", &[0.1, 0.5, 0.3, 0.2])?;
@@ -59,7 +59,6 @@ pub use error::ServeError;
 pub use registry::{ModelEntry, ModelRegistry};
 pub use server::Server;
 
-use pnc_core::PlanPrecision;
 use pnc_obs::{Counter, Histogram};
 
 // Observability: serving traffic. Catalogued in docs/METRICS.md. Traffic
@@ -97,13 +96,9 @@ pub const QUEUE_ENV_VAR: &str = "PNC_SERVE_QUEUE";
 /// Environment variable: worker threads per model.
 pub const THREADS_ENV_VAR: &str = "PNC_SERVE_THREADS";
 
-/// Serving policy: batching, backpressure, and numeric precision.
+/// Serving policy: batching and backpressure.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
-    /// Numeric precision every registry plan compiles at (shared
-    /// registry-level setting; `PNC_INFER_PRECISION` under
-    /// [`Self::from_env`]).
-    pub precision: PlanPrecision,
     /// Most queued rows a worker coalesces into one plan call (≥ 1;
     /// default 32). A worker never waits for a batch to fill: it runs
     /// whatever is queued when it becomes free.
@@ -120,7 +115,6 @@ pub struct ServeConfig {
 impl Default for ServeConfig {
     fn default() -> Self {
         ServeConfig {
-            precision: PlanPrecision::F64,
             max_batch: 32,
             queue_capacity: 1024,
             worker_threads: 1,
@@ -147,9 +141,8 @@ fn env_usize(var: &str, default: usize, min: usize) -> Result<usize, ServeError>
 
 impl ServeConfig {
     /// Reads the config from the environment, starting from
-    /// [`Self::default`]: `PNC_SERVE_MAX_BATCH`, `PNC_SERVE_QUEUE`,
-    /// `PNC_SERVE_THREADS`, and the shared
-    /// `PNC_INFER_PRECISION` (see [`PlanPrecision::from_env`]).
+    /// [`Self::default`]: `PNC_SERVE_MAX_BATCH`, `PNC_SERVE_QUEUE` and
+    /// `PNC_SERVE_THREADS`.
     ///
     /// # Errors
     ///
@@ -158,11 +151,7 @@ impl ServeConfig {
     /// of silently serving defaults.
     pub fn from_env() -> Result<ServeConfig, ServeError> {
         let defaults = ServeConfig::default();
-        let precision = PlanPrecision::from_env().map_err(|e| ServeError::Config {
-            detail: e.to_string(),
-        })?;
         Ok(ServeConfig {
-            precision,
             max_batch: env_usize(MAX_BATCH_ENV_VAR, defaults.max_batch, 1)?,
             queue_capacity: env_usize(QUEUE_ENV_VAR, defaults.queue_capacity, 1)?,
             worker_threads: env_usize(THREADS_ENV_VAR, defaults.worker_threads, 1)?,

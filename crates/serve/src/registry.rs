@@ -1,5 +1,5 @@
 //! The bespoke-model registry: exported [`PnnArtifact`] files in, compiled
-//! [`CompiledPnn`] plans out.
+//! [`InferencePlan`]s out.
 //!
 //! The registry is the deployment boundary of the "highly-bespoke" story:
 //! every tabular task gets its own tiny network, so a fleet deployment is a
@@ -10,7 +10,7 @@
 //! names, so iteration order never depends on the filesystem).
 
 use crate::{ServeError, OBS_MODELS_LOADED};
-use pnc_core::{CompiledPnn, PlanPrecision, PnnArtifact};
+use pnc_core::{InferencePlan, PlanPrecision, PnnArtifact};
 use std::collections::BTreeMap;
 use std::path::Path;
 
@@ -19,47 +19,45 @@ use std::path::Path;
 pub struct ModelEntry {
     /// The validated artifact, kept for introspection (design, dims, name).
     pub artifact: PnnArtifact,
-    /// The plan compiled at the registry's precision and capacity. Workers
-    /// clone this so each owns its scratch buffers.
-    pub(crate) plan: CompiledPnn,
+    /// The plan compiled at the registry's capacity. Workers clone this so
+    /// each owns its scratch buffers.
+    pub(crate) plan: InferencePlan,
 }
 
 impl ModelEntry {
     /// Compiled plan for this model (shared scratch — clone it to run
     /// inference from several threads).
-    pub fn plan(&self) -> &CompiledPnn {
+    pub fn plan(&self) -> &InferencePlan {
         &self.plan
     }
 }
 
 /// Holds every servable model, keyed by artifact name.
 ///
-/// All models compile at one registry-level [`PlanPrecision`] and one plan
-/// capacity. The capacity should match the server's `max_batch` so every
-/// coalesced micro-batch runs as a single plan chunk (larger batches would
-/// still be correct — chunking never changes bits — just split internally).
+/// All models compile with one plan capacity. The capacity should match
+/// the server's `max_batch` so every coalesced micro-batch runs as a single
+/// plan chunk (larger batches would still be correct — chunking never
+/// changes bits — just split internally).
 #[derive(Debug, Clone)]
 pub struct ModelRegistry {
-    precision: PlanPrecision,
     plan_capacity: usize,
     models: BTreeMap<String, ModelEntry>,
 }
 
 impl ModelRegistry {
-    /// An empty registry compiling plans at `precision` with micro-batch
-    /// buffers sized for `plan_capacity` rows (clamped to ≥ 1).
+    /// An empty registry compiling plans with micro-batch buffers sized
+    /// for `plan_capacity` rows (clamped to ≥ 1).
+    ///
+    /// `precision` carries no choice ([`PlanPrecision`] has the single
+    /// variant `F64`); the argument stays only so the `benchmark` package,
+    /// which passes it, keeps compiling.
     pub fn new(precision: PlanPrecision, plan_capacity: usize) -> ModelRegistry {
+        let PlanPrecision::F64 = precision;
         crate::obs_register();
         ModelRegistry {
-            precision,
             plan_capacity: plan_capacity.max(1),
             models: BTreeMap::new(),
         }
-    }
-
-    /// The precision every plan in this registry compiles at.
-    pub fn precision(&self) -> PlanPrecision {
-        self.precision
     }
 
     /// The micro-batch capacity every plan in this registry compiles with.
@@ -82,7 +80,7 @@ impl ModelRegistry {
                 detail: format!("duplicate model name {:?} in registry", artifact.name),
             });
         }
-        let plan = CompiledPnn::compile_artifact(&artifact, self.precision, self.plan_capacity)?;
+        let plan = InferencePlan::compile_artifact_with_capacity(&artifact, self.plan_capacity)?;
         OBS_MODELS_LOADED.increment();
         self.models
             .insert(artifact.name.clone(), ModelEntry { artifact, plan });

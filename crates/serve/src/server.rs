@@ -36,8 +36,7 @@ pub struct Server {
 
 impl Server {
     /// Spawns the worker pool for every model in `registry` under the
-    /// batching policy in `config` (the registry's precision was fixed at
-    /// compile time; `config.precision` does not re-compile plans).
+    /// batching policy in `config`.
     pub fn start(registry: &ModelRegistry, config: ServeConfig) -> Server {
         crate::obs_register();
         let max_batch = config.max_batch.max(1);

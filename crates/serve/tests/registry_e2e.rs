@@ -13,7 +13,7 @@ use pnc_core::{
 };
 use pnc_datasets::generators::iris;
 use pnc_linalg::{Matrix, ParallelConfig};
-use pnc_serve::{wire, ModelRegistry, ServeConfig, Server};
+use pnc_serve::{wire, ModelRegistry, ServeConfig, ServeError, Server};
 use pnc_surrogate::{
     build_dataset, train_surrogate, DatasetConfig, SurrogateModel, TrainConfig as SurrogateTrain,
 };
@@ -126,7 +126,6 @@ fn serving_config(worker_threads: usize) -> ServeConfig {
         max_batch: 4,
         queue_capacity: 256,
         worker_threads,
-        ..ServeConfig::default()
     }
 }
 
@@ -272,6 +271,20 @@ fn registry_rejects_corrupt_and_duplicate_artifacts() {
         .insert(corrupt)
         .expect_err("non-finite artifact must be rejected");
     assert_eq!(err.kind(), "artifact");
+
+    // A hostile shape whose (in+2)*out length wraps around usize must be
+    // a typed artifact error, not a panic while sizing the plan buffers.
+    let mut overflowing = fx.artifact.clone();
+    overflowing.name = "IrisOverflow".to_string();
+    let out_dim = overflowing.layers[0].out_dim;
+    overflowing.in_dim = usize::MAX;
+    overflowing.layers[0].in_dim = usize::MAX;
+    overflowing.layers[0].w_pos.truncate(out_dim);
+    overflowing.layers[0].w_neg.truncate(out_dim);
+    let err = registry
+        .insert(overflowing)
+        .expect_err("overflowing artifact must be rejected");
+    assert!(matches!(err, ServeError::Artifact(_)), "got {err:?}");
     assert_eq!(
         registry.len(),
         1,
@@ -293,7 +306,6 @@ fn overload_rejections_are_typed_and_accepted_requests_stay_exact() {
         max_batch: 1,
         queue_capacity: 1,
         worker_threads: 1,
-        ..ServeConfig::default()
     };
     let server = Arc::new(Server::start(&registry, config));
     let budget = Instant::now() + Duration::from_secs(20);

@@ -30,8 +30,8 @@ pub enum SurrogateError {
     },
     /// A streaming-configuration knob was invalid (unknown
     /// `PNC_SURROGATE_SAMPLING` value, zero chunk size, malformed
-    /// `PNC_SURROGATE_CHUNK`). Never silently defaulted — the
-    /// `PNC_INFER_PRECISION` precedent.
+    /// `PNC_SURROGATE_CHUNK`). Never silently defaulted — the same rule
+    /// `pnc-serve` applies to its `PNC_SERVE_*` variables.
     Config {
         /// Human-readable description naming the knob and its value.
         detail: String,

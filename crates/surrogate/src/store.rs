@@ -266,7 +266,7 @@ impl SamplingMode {
     ///
     /// Any other value is a hard [`crate::SurrogateError::Config`] naming
     /// the variable and the offending value — never a silent fallback (the
-    /// `PNC_INFER_PRECISION` precedent).
+    /// same rule `pnc-serve` applies to its `PNC_SERVE_*` variables).
     pub fn from_env() -> Result<Self, crate::SurrogateError> {
         match std::env::var(Self::ENV_VAR) {
             Err(_) => Ok(SamplingMode::Uniform),

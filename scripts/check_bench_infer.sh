@@ -54,10 +54,6 @@ for key in (
     "graph_p99_us",
     "plan_f64_p50_us",
     "plan_f64_p99_us",
-    "plan_f32_p50_us",
-    "plan_f32_p99_us",
-    "plan_q16_p50_us",
-    "plan_q16_p99_us",
     "speedup_f64_vs_graph",
 ):
     need(single, key, "single_sample", number)
@@ -65,12 +61,7 @@ for key in (
 need(report, "batched", "report", dict)
 batched = report.get("batched", {})
 need(batched, "batch", "batched", int)
-for key in (
-    "graph_inferences_per_s",
-    "plan_f64_inferences_per_s",
-    "plan_f32_inferences_per_s",
-    "plan_q16_inferences_per_s",
-):
+for key in ("graph_inferences_per_s", "plan_f64_inferences_per_s"):
     need(batched, key, "batched", number)
 
 # The two hard acceptance bars, beyond pure schema shape.

@@ -56,7 +56,6 @@ need(report, "batching_speedup", "report", number)
 need(report, "model", "report", dict)
 model = report.get("model", {})
 need(model, "dataset", "model", str)
-need(model, "precision", "model", str)
 for key in ("in_dim", "out_dim"):
     need(model, key, "model", int)
 
