@@ -949,8 +949,7 @@ impl Graph {
     ///
     /// Kept — like [`Matrix::matmul_reference`] — as the independent
     /// reference the equivalence tests check [`Graph::backward_into`]
-    /// against bitwise, and as the honest baseline the `kernels` bench
-    /// times the buffer-reuse pass over. Not for hot loops.
+    /// against bitwise. Not for hot loops.
     ///
     /// # Errors
     ///

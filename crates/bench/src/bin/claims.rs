@@ -1,0 +1,390 @@
+//! The repository's five measured performance claims, each checked against
+//! its bar. Correctness bars (bit identity, exact TCP round trip, resume
+//! fidelity, sparse-vs-dense agreement) are `cargo test` tests; these are the
+//! claims only a timed or sized run can check.
+//!
+//! | claim | bar |
+//! |---|---|
+//! | streamed-build peak RSS, 8,000 vs 800 points | ratio ≤ 1.2 |
+//! | active vs uniform holdout RMSE, equal 600-point budget | active ≤ uniform |
+//! | dense vs sparse LU slowdown, 209-node crossbar | ≥ 5× at ≥ 60 nodes |
+//! | compiled f64 plan vs graph, single-sample p50 | ≥ 3× |
+//! | 8-client batched vs one-at-a-time serving throughput | ≥ 1.0 |
+//!
+//! The sizes are fixed here; the bin takes no flags and reads no
+//! environment overrides. It writes no report: it prints one `PASS`/`FAIL`
+//! line per claim and exits non-zero if any claim fails. The streamed
+//! builds go to scratch stores in the temp directory, deleted after use.
+//!
+//! ```sh
+//! cargo run --release -p pnc-bench --bin claims
+//! ```
+
+use pnc_core::{
+    InferencePlan, LabeledData, PlanPrecision, Pnn, PnnArtifact, PnnConfig, TrainConfig, Trainer,
+    VariationModel,
+};
+use pnc_datasets::generators::iris;
+use pnc_linalg::{Matrix, ParallelConfig};
+use pnc_serve::{ModelRegistry, ServeConfig, ServeError, Server};
+use pnc_spice::circuits::CrossbarNetwork;
+use pnc_spice::{Circuit, DcSolver, SolverBackend};
+use pnc_surrogate::{
+    build_dataset, build_dataset_opts, train_surrogate, train_surrogate_streaming, ActiveConfig,
+    BuildOptions, DatasetConfig, DatasetEntry, DatasetStore, EtaBounds, SamplingMode,
+    StreamBuilder, StreamConfig, SurrogateModel, TrainConfig as STrain,
+};
+use std::error::Error;
+use std::hint::black_box;
+use std::path::PathBuf;
+use std::process::ExitCode;
+use std::sync::Arc;
+use std::time::Instant;
+
+type Res<T> = Result<T, Box<dyn Error>>;
+
+/// One measured claim against its bar.
+struct Claim {
+    name: &'static str,
+    /// The measurement, already formatted with its unit.
+    measured: String,
+    bar: &'static str,
+    pass: bool,
+}
+
+impl Claim {
+    fn print(&self) {
+        let verdict = if self.pass { "PASS" } else { "FAIL" };
+        println!(
+            "{verdict}  {}: {} (bar: {})",
+            self.name, self.measured, self.bar
+        );
+    }
+}
+
+fn scratch(name: &str) -> PathBuf {
+    std::env::temp_dir().join(format!("pnc_claims_{}_{name}.pncds", std::process::id()))
+}
+
+/// Streams a uniform build of `config` to a scratch store, deletes it, and
+/// returns `VmHWM` read right after the build.
+fn streamed_build_peak_rss(config: &StreamConfig, name: &str) -> Res<u64> {
+    let path = scratch(name);
+    let built = StreamBuilder::create(&path, config).and_then(|mut b| b.run_to_completion());
+    std::fs::remove_file(&path).ok();
+    built?;
+    Ok(pnc_obs::record_peak_rss().ok_or("VmHWM is unreadable")?)
+}
+
+/// Flat memory: the 10×-points build grows peak RSS by at most 1.2×.
+/// `VmHWM` never decreases, so this runs first in the process and the
+/// small build runs before the large one.
+fn stream_rss_claim() -> Res<Claim> {
+    let small = StreamConfig {
+        chunk_points: 256,
+        ..StreamConfig::new(800, 21)
+    };
+    let large = StreamConfig {
+        total_points: 8_000,
+        ..small
+    };
+    let small_rss = streamed_build_peak_rss(&small, "small")?;
+    let large_rss = streamed_build_peak_rss(&large, "large")?;
+    let ratio = large_rss as f64 / small_rss as f64;
+    Ok(Claim {
+        name: "streamed build peak RSS, 8000 vs 800 points",
+        measured: format!(
+            "{ratio:.3} (large {:.1} MiB, small {:.1} MiB)",
+            large_rss as f64 / 1048576.0,
+            small_rss as f64 / 1048576.0
+        ),
+        bar: "<= 1.2",
+        pass: ratio <= 1.2,
+    })
+}
+
+/// Range-normalized RMSE of `model` on the holdout: per-component errors
+/// are divided by the holdout's own η range, then pooled over points and
+/// components.
+fn holdout_rmse(model: &SurrogateModel, holdout: &[DatasetEntry], bounds: &EtaBounds) -> f64 {
+    let mut sum_sq = 0.0;
+    let mut n = 0usize;
+    for entry in holdout {
+        for (c, p) in model.predict_eta(&entry.omega).iter().enumerate() {
+            let range = (bounds.hi[c] - bounds.lo[c]).max(f64::MIN_POSITIVE);
+            let err = (p - entry.eta[c]) / range;
+            sum_sq += err * err;
+            n += 1;
+        }
+    }
+    (sum_sq / n as f64).sqrt()
+}
+
+/// Holdout RMSE averaged over five training seeds, so the comparison ranks
+/// the sampled data rather than one weight initialization.
+fn seed_averaged_rmse(store: &DatasetStore, holdout: &[DatasetEntry]) -> Res<f64> {
+    const SEEDS: u64 = 5;
+    let bounds = EtaBounds::from_entries(holdout)?;
+    let mut total = 0.0;
+    for seed in 0..SEEDS {
+        let config = STrain {
+            layer_sizes: vec![10, 16, 12, 8, 4],
+            learning_rate: 5e-3,
+            max_epochs: 600,
+            patience: 120,
+            seed,
+        };
+        let (model, _) = train_surrogate_streaming(store, &config)?;
+        total += holdout_rmse(&model, holdout, &bounds);
+    }
+    Ok(total / SEEDS as f64)
+}
+
+/// Sample efficiency: at an equal 600-point budget, the committee-driven
+/// build trains a surrogate at least as accurate on a 256-point Sobol'
+/// holdout as the uniform build.
+fn active_sampling_claim() -> Res<Claim> {
+    const BUDGET: usize = 600;
+    const HOLDOUT: usize = 256;
+    // Small chunks: the committee refits at every chunk boundary, so the
+    // chunk size sets how often the sampler reacts to what it has learned.
+    let base = StreamConfig {
+        chunk_points: 64,
+        active: ActiveConfig {
+            committee: 4,
+            candidate_factor: 16,
+            epochs: 480,
+            learning_rate: 1e-2,
+            reservoir: 1536,
+            explore_fraction: 0.1,
+        },
+        ..StreamConfig::new(BUDGET, 21)
+    };
+    // Sobol' prefix consistency: the first BUDGET points of this batch
+    // build are the uniform competitor's training set, so the points past
+    // its entries form a disjoint holdout.
+    let with_holdout = build_dataset_opts(
+        &DatasetConfig {
+            samples: BUDGET + HOLDOUT,
+            sweep_points: base.sweep_points,
+        },
+        &BuildOptions {
+            parallel: base.parallel,
+            ..BuildOptions::default()
+        },
+    )?;
+    let (uniform_path, active_path) = (scratch("uniform"), scratch("active"));
+    let result = (|| -> Res<(f64, f64)> {
+        let config = |sampling| StreamConfig { sampling, ..base };
+        let mut uniform = StreamBuilder::create(&uniform_path, &config(SamplingMode::Uniform))?;
+        let holdout = &with_holdout.entries[uniform.run_to_completion()?.entries..];
+        let mut active = StreamBuilder::create(&active_path, &config(SamplingMode::Active))?;
+        active.run_to_completion()?;
+        Ok((
+            seed_averaged_rmse(uniform.store(), holdout)?,
+            seed_averaged_rmse(active.store(), holdout)?,
+        ))
+    })();
+    std::fs::remove_file(&uniform_path).ok();
+    std::fs::remove_file(&active_path).ok();
+    let (uniform, active) = result?;
+    Ok(Claim {
+        name: "active vs uniform holdout RMSE, 600-point budget",
+        measured: format!(
+            "{:.3} (active {active:.4}, uniform {uniform:.4})",
+            active / uniform
+        ),
+        bar: "active <= uniform",
+        pass: active <= uniform,
+    })
+}
+
+/// Cold solves per second of `circuit` under `backend`, best of three
+/// batches each sized to take about 50 ms from one warmup solve.
+fn solves_per_s(circuit: &Circuit, backend: SolverBackend) -> Res<f64> {
+    let solver = DcSolver::with_backend(backend);
+    let warmup = Instant::now();
+    solver.solve(circuit)?;
+    let one = warmup.elapsed().as_secs_f64().max(1e-7);
+    let batch = ((0.05 / one).ceil() as usize).clamp(1, 20_000);
+    let mut best = 0.0_f64;
+    for _ in 0..3 {
+        let t = Instant::now();
+        for _ in 0..batch {
+            solver.solve(circuit)?;
+        }
+        best = best.max(batch as f64 / t.elapsed().as_secs_f64());
+    }
+    Ok(best)
+}
+
+/// Sparse LU pays at crossbar scale: on the `[16, 16, 16, 16]` network
+/// (seed 42), dense LU is at least 5× slower than sparse LU.
+fn sparse_lu_claim() -> Res<Claim> {
+    let net = CrossbarNetwork::build(&[16, 16, 16, 16], 42)?;
+    let nodes = net.circuit().num_nodes();
+    let dense = solves_per_s(net.circuit(), SolverBackend::DenseLu)?;
+    let sparse = solves_per_s(net.circuit(), SolverBackend::SparseLu)?;
+    let slowdown = sparse / dense;
+    Ok(Claim {
+        name: "dense vs sparse LU slowdown, crossbar [16,16,16,16]",
+        measured: format!(
+            "{slowdown:.1}x at {nodes} nodes (dense {dense:.0}, sparse {sparse:.0} solves/s)"
+        ),
+        bar: ">= 5x at >= 60 nodes",
+        pass: slowdown >= 5.0 && nodes >= 60,
+    })
+}
+
+/// The Iris network behind the inference and serving claims: a quick
+/// fixture surrogate and two training epochs.
+fn iris_fixture() -> Res<(Pnn, Matrix)> {
+    let data = build_dataset(&DatasetConfig {
+        samples: 60,
+        sweep_points: 21,
+    })?;
+    let surrogate_config = STrain {
+        layer_sizes: vec![10, 8, 4],
+        max_epochs: 60,
+        patience: 100,
+        ..STrain::default()
+    };
+    let surrogate = Arc::new(train_surrogate(&data, &surrogate_config)?.0);
+    let ds = iris();
+    let (train, val, test) = ds.split(7);
+    let config = PnnConfig::for_dataset(ds.num_features(), ds.num_classes).with_seed(7);
+    let mut pnn = Pnn::new(config, surrogate)?;
+    Trainer::new(TrainConfig {
+        variation: VariationModel::None,
+        n_train_mc: 1,
+        n_val_mc: 1,
+        max_epochs: 2,
+        patience: 2,
+        parallel: ParallelConfig::serial(),
+        ..TrainConfig::default()
+    })
+    .train(
+        &mut pnn,
+        LabeledData::new(&train.features, &train.labels)?,
+        LabeledData::new(&val.features, &val.labels)?,
+    )?;
+    Ok((pnn, test.features))
+}
+
+/// Median per-call wall time of 300 calls of `f` in microseconds, after 31
+/// warmup calls.
+fn p50_us(mut f: impl FnMut() -> Res<()>) -> Res<f64> {
+    const REPS: usize = 300;
+    for _ in 0..REPS / 10 + 1 {
+        f()?;
+    }
+    let mut samples = Vec::with_capacity(REPS);
+    for _ in 0..REPS {
+        let t = Instant::now();
+        f()?;
+        samples.push(t.elapsed().as_secs_f64() * 1e6);
+    }
+    samples.sort_by(f64::total_cmp);
+    Ok(samples[REPS / 2])
+}
+
+/// The compiled f64 plan answers one held-out row at least 3× faster (p50)
+/// than the autodiff-graph forward.
+fn infer_claim(pnn: &Pnn, test: &Matrix) -> Res<Claim> {
+    let mut plan = InferencePlan::compile(pnn)?;
+    let x = Matrix::from_fn(1, test.cols(), |_, j| test[(0, j)]);
+    let mut out = Matrix::zeros(1, plan.out_dim());
+    let graph = p50_us(|| {
+        black_box(pnn.infer(black_box(&x), None)?);
+        Ok(())
+    })?;
+    let compiled = p50_us(|| {
+        plan.infer_into(black_box(&x), &mut out)?;
+        black_box(&out);
+        Ok(())
+    })?;
+    let speedup = graph / compiled;
+    Ok(Claim {
+        name: "f64 plan vs graph, single-sample p50",
+        measured: format!("{speedup:.1}x (graph {graph:.2} us, plan {compiled:.2} us)"),
+        bar: ">= 3x",
+        pass: speedup >= 3.0,
+    })
+}
+
+/// Completed requests per second of 8 client threads issuing 1,000
+/// classify calls each against a fresh one-worker server.
+fn serve_throughput(registry: &ModelRegistry, max_batch: usize, rows: &[Vec<f64>]) -> Res<f64> {
+    const CLIENTS: usize = 8;
+    const PER_CLIENT: usize = 1_000;
+    let server = Arc::new(Server::start(
+        registry,
+        ServeConfig {
+            max_batch,
+            queue_capacity: 1024,
+            worker_threads: 1,
+        },
+    ));
+    let rows = Arc::new(rows.to_vec());
+    let wall = Instant::now();
+    let clients: Vec<_> = (0..CLIENTS)
+        .map(|c| {
+            let (server, rows) = (Arc::clone(&server), Arc::clone(&rows));
+            std::thread::spawn(move || -> Result<usize, ServeError> {
+                let mut completed = 0;
+                for step in 0..PER_CLIENT {
+                    match server.classify("Iris", &rows[(step + c * 3) % rows.len()]) {
+                        Ok(_) => completed += 1,
+                        Err(ServeError::Overloaded { .. }) => {}
+                        Err(e) => return Err(e),
+                    }
+                }
+                Ok(completed)
+            })
+        })
+        .collect();
+    let mut completed = 0;
+    for client in clients {
+        completed += client.join().map_err(|_| "client thread panicked")??;
+    }
+    let per_s = completed as f64 / wall.elapsed().as_secs_f64();
+    server.shutdown();
+    Ok(per_s)
+}
+
+/// Coalescing pays: under the same 8-client load, a server that batches up
+/// to 32 queued requests per plan call is at least as fast as one that
+/// dispatches one request at a time. One run per side, no best-of-N.
+fn serving_claim(pnn: &Pnn, test: &Matrix) -> Res<Claim> {
+    let mut registry = ModelRegistry::new(PlanPrecision::F64, 32);
+    registry.insert(PnnArtifact::from_pnn(pnn, "Iris")?)?;
+    let rows: Vec<Vec<f64>> = (0..test.rows()).map(|i| test.row(i).to_vec()).collect();
+    let serial = serve_throughput(&registry, 1, &rows)?;
+    let batched = serve_throughput(&registry, 32, &rows)?;
+    let ratio = batched / serial;
+    Ok(Claim {
+        name: "8-client batched vs one-at-a-time serving throughput",
+        measured: format!("{ratio:.3} (batched {batched:.0}, one-at-a-time {serial:.0} req/s)"),
+        bar: ">= 1.0",
+        pass: ratio >= 1.0,
+    })
+}
+
+fn main() -> Res<ExitCode> {
+    let mut claims = Vec::new();
+    // First: the RSS claim reads the process-lifetime high-water mark.
+    claims.push(stream_rss_claim()?);
+    claims.push(active_sampling_claim()?);
+    claims.push(sparse_lu_claim()?);
+    let (pnn, test) = iris_fixture()?;
+    claims.push(infer_claim(&pnn, &test)?);
+    claims.push(serving_claim(&pnn, &test)?);
+    for claim in &claims {
+        claim.print();
+    }
+    Ok(if claims.iter().all(|c| c.pass) {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
+    })
+}

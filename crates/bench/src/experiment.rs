@@ -148,6 +148,9 @@ pub struct CellResult {
     pub stats: McStats,
 }
 
+/// The test variation levels of Tab. II's columns.
+pub const TEST_EPSILONS: [f64; 2] = [0.05, 0.10];
+
 /// One dataset row of Tab. II (8 cells).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct DatasetRow {
@@ -156,6 +159,62 @@ pub struct DatasetRow {
     /// The 8 cells in the paper's column order: fixed-nominal@5/@10,
     /// fixed-VA@5/@10, learnable-nominal@5/@10, learnable-VA@5/@10.
     pub cells: Vec<CellResult>,
+}
+
+impl DatasetRow {
+    /// The cell of `arm` tested at `test_epsilon`, if the row has one.
+    pub fn cell(&self, arm: Arm, test_epsilon: f64) -> Option<&CellResult> {
+        self.cells
+            .iter()
+            .find(|c| c.arm == arm && (c.test_epsilon - test_epsilon).abs() < 1e-12)
+    }
+}
+
+/// Why [`Table2::load`] refused a file.
+#[derive(Debug)]
+#[non_exhaustive]
+pub enum Table2Error {
+    /// The file could not be read.
+    Io(std::io::Error),
+    /// The file is not a serialized [`Table2`].
+    Json(serde_json::Error),
+    /// A dataset row lacks one of the 8 (arm × test ε) cells.
+    MissingCell {
+        /// The row's dataset name.
+        dataset: String,
+        /// The arm of the missing cell.
+        arm: Arm,
+        /// The test variation level of the missing cell.
+        test_epsilon: f64,
+    },
+}
+
+impl std::fmt::Display for Table2Error {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Table2Error::Io(e) => write!(f, "reading the Tab. II grid failed: {e}"),
+            Table2Error::Json(e) => write!(f, "parsing the Tab. II grid failed: {e}"),
+            Table2Error::MissingCell {
+                dataset,
+                arm,
+                test_epsilon,
+            } => write!(
+                f,
+                "Tab. II row {dataset:?} has no cell for the {} arm at test eps {test_epsilon}",
+                arm.label()
+            ),
+        }
+    }
+}
+
+impl std::error::Error for Table2Error {
+    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
+        match self {
+            Table2Error::Io(e) => Some(e),
+            Table2Error::Json(e) => Some(e),
+            Table2Error::MissingCell { .. } => None,
+        }
+    }
 }
 
 /// The full Tab. II result.
@@ -181,13 +240,31 @@ impl Table2 {
         Ok(())
     }
 
-    /// Loads a result saved by [`Table2::save`].
+    /// Loads a result saved by [`Table2::save`], checking that every row
+    /// carries all 8 (arm × test ε) cells that [`summarize`](crate::summarize)
+    /// reads.
     ///
     /// # Errors
     ///
-    /// Returns I/O or deserialization failures.
-    pub fn load(path: &Path) -> Result<Self, Box<dyn std::error::Error>> {
-        Ok(serde_json::from_str(&std::fs::read_to_string(path)?)?)
+    /// Returns [`Table2Error::Io`] or [`Table2Error::Json`] for an unreadable
+    /// file, and [`Table2Error::MissingCell`] for a row that lacks a cell.
+    pub fn load(path: &Path) -> Result<Self, Table2Error> {
+        let text = std::fs::read_to_string(path).map_err(Table2Error::Io)?;
+        let table: Table2 = serde_json::from_str(&text).map_err(Table2Error::Json)?;
+        for row in &table.rows {
+            for arm in Arm::ALL {
+                for test_epsilon in TEST_EPSILONS {
+                    if row.cell(arm, test_epsilon).is_none() {
+                        return Err(Table2Error::MissingCell {
+                            dataset: row.dataset.clone(),
+                            arm,
+                            test_epsilon,
+                        });
+                    }
+                }
+            }
+        }
+        Ok(table)
     }
 }
 
@@ -316,7 +393,7 @@ pub fn run_dataset_row(
             learnable,
             variation_aware: false,
         };
-        for test_eps in [0.05, 0.10] {
+        for test_eps in TEST_EPSILONS {
             cells.push(run_cell(
                 dataset,
                 arm,
@@ -331,7 +408,7 @@ pub fn run_dataset_row(
             learnable,
             variation_aware: true,
         };
-        for eps in [0.05, 0.10] {
+        for eps in TEST_EPSILONS {
             cells.push(run_cell(dataset, arm, eps, eps, surrogate.clone(), budget)?);
         }
     }
@@ -445,30 +522,32 @@ mod tests {
 
     #[test]
     fn table2_round_trips_through_json() {
-        let t = Table2 {
-            budget: Budget::scaled(),
-            rows: vec![DatasetRow {
-                dataset: "toy".into(),
-                cells: vec![CellResult {
-                    arm: Arm {
-                        learnable: true,
-                        variation_aware: true,
-                    },
-                    train_epsilon: 0.05,
-                    test_epsilon: 0.05,
+        let cells = Arm::ALL
+            .into_iter()
+            .flat_map(|arm| {
+                TEST_EPSILONS.map(|eps| CellResult {
+                    arm,
+                    train_epsilon: if arm.variation_aware { eps } else { 0.0 },
+                    test_epsilon: eps,
                     stats: McStats {
                         mean: 0.9,
                         std: 0.01,
                         accuracies: vec![0.9, 0.9],
                     },
-                }],
+                })
+            })
+            .collect();
+        let t = Table2 {
+            budget: Budget::scaled(),
+            rows: vec![DatasetRow {
+                dataset: "toy".into(),
+                cells,
             }],
         };
         let path = std::env::temp_dir().join("pnc_bench_table2_test.json");
         t.save(&path).unwrap();
         let back = Table2::load(&path).unwrap();
-        assert_eq!(back.rows[0].dataset, "toy");
-        assert_eq!(back.rows[0].cells.len(), 1);
+        assert_eq!(back, t);
         std::fs::remove_file(&path).ok();
     }
 }

@@ -1,7 +1,7 @@
 //! Tab. III: per-arm averages over all datasets and the headline
 //! improvement numbers.
 
-use crate::experiment::{Arm, Table2};
+use crate::experiment::{Arm, Table2, TEST_EPSILONS};
 use pnc_linalg::stats;
 use serde::{Deserialize, Serialize};
 
@@ -32,8 +32,8 @@ pub struct Table3 {
 ///
 /// # Panics
 ///
-/// Panics if the table has malformed rows (not the 8-cell layout produced by
-/// [`run_table2`](crate::run_table2)).
+/// Panics if a row lacks one of the 8 cells. Tables from
+/// [`run_table2`](crate::run_table2) and [`Table2::load`] always have them.
 pub fn summarize(table2: &Table2) -> Table3 {
     let arm_rows = [
         Arm {
@@ -61,19 +61,16 @@ pub fn summarize(table2: &Table2) -> Table3 {
                 let mut stds = Vec::new();
                 for row in &table2.rows {
                     let cell = row
-                        .cells
-                        .iter()
-                        .find(|c| c.arm == arm && (c.test_epsilon - eps).abs() < 1e-12)
-                        // pnc-lint: allow(no-panic-in-lib) — bench-internal: Table 2 rows are built with all 8 cells two functions up
-                        // pnc-lint: allow(panic-reachability) — `summarize` is bench tooling; its rows come from `run_table2` in this crate, never from external input
+                        .cell(arm, eps)
+                        // pnc-lint: allow(no-panic-in-lib) — bench-internal: documented `# Panics` contract; `run_table2` builds all 8 cells and `Table2::load` rejects a row missing one
+                        // pnc-lint: allow(panic-reachability) — rows come from `run_table2` or from `Table2::load`, which returns `Table2Error::MissingCell` for a file lacking a cell
                         .expect("8-cell row layout");
                     means.push(cell.stats.mean);
                     stds.push(cell.stats.std);
                 }
                 (stats::mean(&means), stats::mean(&stds))
             };
-            let (mean_5, std_5) = collect(0.05);
-            let (mean_10, std_10) = collect(0.10);
+            let [(mean_5, std_5), (mean_10, std_10)] = TEST_EPSILONS.map(collect);
             SummaryRow {
                 arm,
                 mean_5,

@@ -19,37 +19,15 @@
 //!    [`Workspace`](crate::Workspace) can run matmuls in steady state without
 //!    touching the allocator.
 //!
-//! The block size is tunable via the `PNC_MATMUL_BLOCK` environment variable
-//! (read once per process); any blocking yields the same bits, so the knob is
-//! purely a performance control.
+//! The block edge is the fixed [`BLOCK`]; any blocking yields the same
+//! bits, so it is purely a performance constant.
 
 use crate::Matrix;
-use std::sync::OnceLock;
 
-/// Default cache block (in elements) for the `i`/`k`/`j` loops: 64×64 `f64`
-/// tiles are 32 KiB — an A-tile plus a B-tile stay resident in a typical
+/// Cache block (in elements) for the `i`/`k`/`j` loops: 64×64 `f64` tiles
+/// are 32 KiB — an A-tile plus a B-tile stay resident in a typical
 /// 64 KiB–1 MiB private cache with room for the output rows.
-pub const DEFAULT_BLOCK: usize = 64;
-
-/// Environment variable overriding the matmul cache-block size process-wide.
-pub const BLOCK_ENV_VAR: &str = "PNC_MATMUL_BLOCK";
-
-const MIN_BLOCK: usize = 4;
-const MAX_BLOCK: usize = 4096;
-
-/// The cache-block size in effect: `PNC_MATMUL_BLOCK` clamped to
-/// `[4, 4096]` when set to a positive integer, [`DEFAULT_BLOCK`] otherwise.
-/// Read once per process; the choice never changes results, only speed.
-pub fn block_size() -> usize {
-    static BLOCK: OnceLock<usize> = OnceLock::new();
-    *BLOCK.get_or_init(|| match std::env::var(BLOCK_ENV_VAR) {
-        Ok(raw) => match raw.trim().parse::<usize>() {
-            Ok(n) if n >= 1 => n.clamp(MIN_BLOCK, MAX_BLOCK),
-            _ => DEFAULT_BLOCK,
-        },
-        Err(_) => DEFAULT_BLOCK,
-    })
-}
+pub const BLOCK: usize = 64;
 
 /// Blocked `out[rs..re] = a[rs..re] · b` over the half-open row band
 /// `rs..re`. `out_band` must hold `(re - rs) * b.cols()` elements; it is
@@ -60,8 +38,8 @@ pub fn block_size() -> usize {
 /// visited `i`-block then `k`-block, and the microkernel keeps `k`
 /// ascending per output element, so the accumulation order — and therefore
 /// every output bit — is identical to the naive `i`/`k`/`j` kernel for any
-/// block size. Bands that fit a single cache block (`rows ≤ bs` and
-/// `inner ≤ bs`) dispatch straight to one microkernel call with no blocking
+/// block size. Bands that fit a single cache block (`rows ≤ BLOCK` and
+/// `inner ≤ BLOCK`) dispatch straight to one microkernel call with no blocking
 /// loop — see the crossover note in DESIGN.md §11.
 pub(crate) fn matmul_band_into(a: &Matrix, b: &Matrix, rs: usize, re: usize, out_band: &mut [f64]) {
     let inner = a.cols();
@@ -72,8 +50,7 @@ pub(crate) fn matmul_band_into(a: &Matrix, b: &Matrix, rs: usize, re: usize, out
         return;
     }
     let a_band = &a.as_slice()[rs * inner..re * inner];
-    let bs = block_size();
-    if rows <= bs && inner <= bs {
+    if rows <= BLOCK && inner <= BLOCK {
         // Unblocked fast path: the whole band is one tile, so the blocking
         // loop would only add overhead (the size-64 regression of PR 5).
         crate::simd::gemm_f64_acc_strided(
@@ -89,10 +66,10 @@ pub(crate) fn matmul_band_into(a: &Matrix, b: &Matrix, rs: usize, re: usize, out
     }
     let mut ib = 0;
     while ib < rows {
-        let i_end = (ib + bs).min(rows);
+        let i_end = (ib + BLOCK).min(rows);
         let mut kb = 0;
         while kb < inner {
-            let k_end = (kb + bs).min(inner);
+            let k_end = (kb + BLOCK).min(inner);
             crate::simd::gemm_f64_acc_strided(
                 &a_band[ib * inner + kb..],
                 inner,
@@ -110,7 +87,7 @@ pub(crate) fn matmul_band_into(a: &Matrix, b: &Matrix, rs: usize, re: usize, out
 
 /// Naive `i`/`k`/`j` reference matmul into `out_data` (zeroed first). Kept
 /// branch-free and block-free as the bit-exactness oracle for the blocked
-/// and parallel kernels, and as the pre-overhaul baseline for benchmarks.
+/// and parallel kernels.
 pub(crate) fn matmul_reference_into(a: &Matrix, b: &Matrix, out_data: &mut [f64]) {
     let n = b.cols();
     out_data.fill(0.0);
@@ -184,12 +161,6 @@ pub fn row_bands(rows: usize, band: usize) -> Vec<(usize, usize)> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn block_size_is_positive_and_clamped() {
-        let bs = block_size();
-        assert!((MIN_BLOCK..=MAX_BLOCK).contains(&bs));
-    }
 
     #[test]
     fn row_bands_cover_exactly() {

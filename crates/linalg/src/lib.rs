@@ -18,9 +18,9 @@
 //! * [`Workspace`] — a reusable buffer pool so shape-stable hot loops
 //!   (training epochs, Newton iterations) allocate nothing in steady state.
 //! * [`kernels`] — the cache-blocked matmul kernels behind [`Matrix`]'s hot
-//!   methods, tunable via the `PNC_MATMUL_BLOCK` environment variable; every
-//!   variant is bit-identical to the naive reference at any block size and
-//!   thread count.
+//!   methods, with a fixed 64-element cache block; every variant is
+//!   bit-identical to the naive reference at any block size and thread
+//!   count.
 //! * [`simd`] — autovectorization-friendly register-tiled `f64`
 //!   microkernels shared by the blocked matmul and the compiled inference
 //!   plan in `pnc-core`, all safe code, all honoring the same ascending-`k`

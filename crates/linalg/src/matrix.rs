@@ -289,8 +289,8 @@ impl Matrix {
     }
 
     /// Naive triple-loop matrix product: the bit-exactness oracle for the
-    /// blocked, parallel, and transpose kernels, and the pre-overhaul
-    /// baseline for benchmarks. Prefer [`Matrix::matmul`] everywhere else.
+    /// blocked, parallel, and transpose kernels. Prefer [`Matrix::matmul`]
+    /// everywhere else.
     ///
     /// # Errors
     ///
@@ -856,6 +856,21 @@ mod tests {
     }
 
     #[test]
+    fn matmul_spanning_several_blocks_matches_reference() {
+        // `arb_matmul_pair` keeps the inner dimension below one block, so
+        // this case is the one that walks several `i`- and `k`-blocks,
+        // including ragged last blocks on both.
+        let (rows, inner, cols) = (2 * kernels::BLOCK + 7, 2 * kernels::BLOCK + 3, 9);
+        let a = Matrix::from_fn(rows, inner, |i, j| {
+            ((i * 31 + j * 17) % 23) as f64 * 0.37 - 4.1
+        });
+        let b = Matrix::from_fn(inner, cols, |i, j| {
+            ((i * 13 + j * 7) % 19) as f64 * -0.29 + 2.3
+        });
+        assert_eq!(a.matmul(&b).unwrap(), a.matmul_reference(&b).unwrap());
+    }
+
+    #[test]
     fn matmul_into_rejects_wrong_output_shape() {
         let a = Matrix::zeros(2, 3);
         let b = Matrix::zeros(3, 4);
@@ -978,8 +993,9 @@ mod proptests {
         }
     }
 
-    /// Random rectangular (lhs, rhs) pairs large enough to span several
-    /// cache blocks and parallel row bands.
+    /// Random rectangular (lhs, rhs) pairs large enough to span two row
+    /// blocks and several parallel row bands (the inner dimension stays
+    /// inside one block; see `matmul_spanning_several_blocks_matches_reference`).
     fn arb_matmul_pair() -> impl Strategy<Value = (Matrix, Matrix)> {
         (1usize..80, 1usize..12, 1usize..12).prop_flat_map(|(m, k, n)| {
             let a = proptest::collection::vec(-10.0..10.0f64, m * k)

@@ -26,9 +26,9 @@
 //!   call and writes nothing.
 //!
 //! Metric snapshots serialize to JSON with [`snapshot`] /
-//! [`MetricsSnapshot::to_json`] / [`write_summary`]; the bench binaries call
-//! [`write_summary`] at end of run so every benchmark trajectory carries
-//! solver-effort and robustness columns. The full catalogue of metric names,
+//! [`MetricsSnapshot::to_json`] / [`write_summary`]; the `fig4` binary and
+//! the pipeline example call [`write_summary`] at end of run so their
+//! outputs carry solver-effort and robustness columns. The full catalogue of metric names,
 //! units and emitting sites lives in `docs/METRICS.md` at the workspace
 //! root; the design contract is `DESIGN.md` §9.
 //!

@@ -583,7 +583,8 @@ pub fn reset() {
 }
 
 /// Writes [`snapshot`]`().to_json()` to `path` — the end-of-run metrics
-/// summary the bench binaries emit next to their main output.
+/// summary the `fig4` binary and the pipeline example emit next to their
+/// main output.
 ///
 /// # Errors
 ///

@@ -24,8 +24,8 @@
 //! the bit-identity contract; payloads are not.
 //!
 //! Everything is instrumented through `pnc-obs` (`serve.*` counters and
-//! histograms — see `docs/METRICS.md`), and the `serving` bench bin plus
-//! `scripts/check_bench_serving.sh` gate the throughput floor in CI.
+//! histograms — see `docs/METRICS.md`). The `claims` bin of `pnc-bench`
+//! checks that batched dispatch keeps up with one-at-a-time dispatch.
 //!
 //! # Examples
 //!

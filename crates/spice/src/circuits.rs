@@ -350,7 +350,7 @@ fn lcg_uniform(state: &mut u64) -> f64 {
 ///
 /// The MNA matrix is tridiagonal-plus-border, the canonical topology where
 /// sparse LU scales linearly while dense LU pays the full O(n³) — the
-/// solver-backend bench sweeps this family (see `docs/SOLVERS.md`).
+/// cross-backend tests use it (see `docs/SOLVERS.md`).
 ///
 /// # Errors
 ///
@@ -510,9 +510,8 @@ impl CrossbarNetwork {
         Ok(self.outputs.iter().map(|&n| sol.voltage(n)).collect())
     }
 
-    /// Replaces the DC solver used by [`Self::solve`] — the hook the
-    /// backend bench uses to pin a [`SolverBackend`](crate::SolverBackend)
-    /// per run.
+    /// Replaces the DC solver used by [`Self::solve`], for example to pin
+    /// a [`SolverBackend`](crate::SolverBackend).
     pub fn set_solver(&mut self, solver: DcSolver) {
         self.solver = solver;
     }

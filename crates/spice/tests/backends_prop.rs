@@ -127,18 +127,34 @@ fn backends_agree_on_fig1_transfer_curve() {
     }
 }
 
-/// The crossbar-scale network solves on both backends with matching
-/// outputs — the in-repo version of the bench's in-situ agreement bar.
+/// Largest node-voltage deviation of sparse LU from the dense oracle.
+fn sparse_dev(circuit: &Circuit) -> f64 {
+    let dense = DcSolver::new().solve(circuit).expect("dense solves");
+    let sparse = DcSolver::with_backend(SolverBackend::SparseLu)
+        .solve(circuit)
+        .expect("sparse solves");
+    max_dev(&dense, &sparse)
+}
+
+/// Crossbar networks up to the 209-node `[16, 16, 16, 16]` network: sparse
+/// LU within 1e-8 of the dense oracle on every node.
 #[test]
 fn backends_agree_on_crossbar_network() {
-    let net = CrossbarNetwork::build(&[10, 8, 6], 1234).expect("builds");
-    let dense = net.solve().expect("dense solves");
-    let mut alt = net.clone();
-    alt.set_solver(DcSolver::with_backend(SolverBackend::SparseLu));
-    let got = alt.solve().expect("sparse solves");
-    for (d, g) in dense.iter().zip(&got) {
-        assert!((d - g).abs() < 1e-8, "sparse: {d} vs {g}");
+    for (layers, seed) in [(&[10, 8, 6][..], 1234), (&[16, 16, 16, 16][..], 42)] {
+        let net = CrossbarNetwork::build(layers, seed).expect("builds");
+        let dev = sparse_dev(net.circuit());
+        assert!(dev < 1e-8, "{layers:?}: sparse deviates by {dev:e}");
     }
+}
+
+/// The 385-node ladder: sparse LU within 1e-8 of the dense oracle on every
+/// node.
+#[test]
+fn backends_agree_on_long_ladder() {
+    let (ladder, _) = resistor_ladder(384, 1e3, 1e4).expect("valid");
+    assert_eq!(ladder.num_nodes(), 385);
+    let dev = sparse_dev(&ladder);
+    assert!(dev < 1e-8, "sparse deviates by {dev:e}");
 }
 
 /// Largest |difference| between two solutions' node voltages.

@@ -11,8 +11,7 @@
 //!   writer can lose at most its last, uncommitted frame.
 //! * **Bit-reproducible** — records serialize `f64` by bit pattern and the
 //!   builder is deterministic, so a resumed build produces a file
-//!   byte-identical to an uninterrupted one (asserted by tests and the
-//!   `surrogate_stream` bench).
+//!   byte-identical to an uninterrupted one (asserted by tests).
 //! * **Loud failure** — a torn tail (kill mid-write) is *recovered* with an
 //!   explicit [`ResumeReport`] of what was discarded; actual corruption
 //!   (bad checksum, bad magic, impossible lengths) is a typed

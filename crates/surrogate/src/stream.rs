@@ -10,8 +10,8 @@
 //!   shared `characterize_point`), and committed to the append-only
 //!   [`DatasetStore`] before the next chunk starts;
 //! * peak memory is `O(chunk_points)`, independent of the total build size
-//!   (the `surrogate_stream` bench demonstrates flat RSS from 10k to 100k
-//!   points);
+//!   (the `claims` bin of `pnc-bench` holds peak RSS flat from 800 to
+//!   8,000 points);
 //! * in [`SamplingMode::Uniform`] the point sequence is the *same* Sobol'
 //!   rejection stream the batch oracle draws ([`DesignSampler`]), so a
 //!   streamed dataset is **bit-identical** to the batch build at every chunk
@@ -826,6 +826,17 @@ mod tests {
 
     #[test]
     fn run_summaries_add_up() {
+        // The counters are process-global and other tests build
+        // concurrently, so the check is on the growth across this build.
+        let counters = || {
+            let snap = pnc_obs::snapshot();
+            let read = |name| snap.counter(name).unwrap_or(0);
+            (
+                read("surrogate.stream.chunks"),
+                read("surrogate.stream.points"),
+            )
+        };
+        let (chunks_before, points_before) = counters();
         let path = tmp("summaries");
         let config = small_config(22, 8);
         let mut builder = StreamBuilder::create(&path, &config).unwrap();
@@ -841,6 +852,12 @@ mod tests {
         let report = builder.report().unwrap();
         assert_eq!(report.entries + report.failures, 22);
         assert_eq!(report.chunks, 3);
+        let (chunks_after, points_after) = counters();
+        assert!(chunks_after - chunks_before >= 3, "surrogate.stream.chunks");
+        assert!(
+            points_after - points_before >= 22,
+            "surrogate.stream.points"
+        );
         std::fs::remove_file(&path).ok();
     }
 }

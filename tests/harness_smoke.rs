@@ -2,7 +2,7 @@
 //! Tab. III pipeline over two datasets, exercising the same code paths as
 //! the `table2`/`table3` binaries.
 
-use pnc_bench::{headline_improvements, run_table2, summarize, Arm, Budget};
+use pnc_bench::{headline_improvements, run_table2, summarize, Arm, Budget, Table2Error};
 use printed_neuromorphic::artifacts;
 use printed_neuromorphic::datasets::generators::{acute_inflammation, iris};
 use std::sync::Arc;
@@ -111,5 +111,23 @@ fn miniature_grid_produces_well_formed_tables() {
     table2.save(&path).expect("saves");
     let back = pnc_bench::Table2::load(&path).expect("loads");
     assert_eq!(back.rows.len(), table2.rows.len());
+
+    // A cached grid with a cell dropped is refused with a typed error, not
+    // left for `summarize` to panic on.
+    let mut torn = table2.clone();
+    let dropped = torn.rows[0].cells.remove(3);
+    torn.save(&path).expect("saves");
+    match pnc_bench::Table2::load(&path) {
+        Err(Table2Error::MissingCell {
+            dataset,
+            arm,
+            test_epsilon,
+        }) => {
+            assert_eq!(dataset, torn.rows[0].dataset);
+            assert_eq!(arm, dropped.arm);
+            assert_eq!(test_epsilon, dropped.test_epsilon);
+        }
+        other => panic!("expected MissingCell, got {other:?}"),
+    }
     std::fs::remove_file(&path).ok();
 }
