@@ -158,7 +158,7 @@ impl From<std::io::Error> for StoreError {
 /// FNV-1a 64-bit hash — the store's checksum. Not cryptographic; it guards
 /// against torn writes and bit rot, the failure modes a local dataset file
 /// actually has.
-fn fnv1a64(bytes: &[u8]) -> u64 {
+pub(crate) fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
         hash ^= b as u64;

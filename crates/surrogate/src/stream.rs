@@ -824,6 +824,41 @@ mod tests {
         }
     }
 
+    /// Golden pin of the on-disk bytes: FNV-1a-64 of a whole small uniform
+    /// store and of one fixed header. Unlike the equivalence tests above,
+    /// which compare two builds of the same code, these constants hold
+    /// across code changes; a change to either means the `PNCDSTR1` v1
+    /// format or the Sobol' point stream moved.
+    #[test]
+    fn uniform_store_bytes_are_pinned() {
+        const STORE_FNV: u64 = 0xe58f_cc2c_6a87_8abb;
+        const HEADER_FNV: u64 = 0xb01d_1cb9_2515_e786;
+        let header = small_config(22, 8).meta(&DesignSpace::paper()).encode();
+        assert_eq!(crate::store::fnv1a64(&header), HEADER_FNV, "header digest");
+        for threads in [1usize, 2] {
+            let path = tmp(&format!("golden_{threads}"));
+            let config = StreamConfig {
+                parallel: if threads == 1 {
+                    ParallelConfig::serial()
+                } else {
+                    ParallelConfig::with_threads(threads)
+                },
+                ..small_config(22, 8)
+            };
+            StreamBuilder::create(&path, &config)
+                .unwrap()
+                .run_to_completion()
+                .unwrap();
+            let bytes = std::fs::read(&path).unwrap();
+            std::fs::remove_file(&path).ok();
+            assert_eq!(
+                crate::store::fnv1a64(&bytes),
+                STORE_FNV,
+                "store digest at {threads} thread(s)"
+            );
+        }
+    }
+
     #[test]
     fn run_summaries_add_up() {
         // The counters are process-global and other tests build
