@@ -1,4 +1,4 @@
-//! The repository's five measured performance claims, each checked against
+//! The repository's four measured performance claims, each checked against
 //! its bar. Correctness bars (bit identity, exact TCP round trip, resume
 //! fidelity, sparse-vs-dense agreement) are `cargo test` tests; these are the
 //! claims only a timed or sized run can check.
@@ -6,7 +6,6 @@
 //! | claim | bar |
 //! |---|---|
 //! | streamed-build peak RSS, 8,000 vs 800 points | ratio ≤ 1.2 |
-//! | active vs uniform holdout RMSE, equal 600-point budget | active ≤ uniform |
 //! | dense vs sparse LU slowdown, 209-node crossbar | ≥ 5× at ≥ 60 nodes |
 //! | compiled f64 plan vs graph, single-sample p50 | ≥ 3× |
 //! | 8-client batched vs one-at-a-time serving throughput | ≥ 1.0 |
@@ -30,9 +29,8 @@ use pnc_serve::{ModelRegistry, ServeConfig, ServeError, Server};
 use pnc_spice::circuits::CrossbarNetwork;
 use pnc_spice::{Circuit, DcSolver, SolverBackend};
 use pnc_surrogate::{
-    build_dataset, build_dataset_opts, train_surrogate, train_surrogate_streaming, ActiveConfig,
-    BuildOptions, DatasetConfig, DatasetEntry, DatasetStore, EtaBounds, SamplingMode,
-    StreamBuilder, StreamConfig, SurrogateModel, TrainConfig as STrain,
+    build_dataset, train_surrogate, DatasetConfig, StreamBuilder, StreamConfig,
+    TrainConfig as STrain,
 };
 use std::error::Error;
 use std::hint::black_box;
@@ -66,7 +64,7 @@ fn scratch(name: &str) -> PathBuf {
     std::env::temp_dir().join(format!("pnc_claims_{}_{name}.pncds", std::process::id()))
 }
 
-/// Streams a uniform build of `config` to a scratch store, deletes it, and
+/// Streams a build of `config` to a scratch store, deletes it, and
 /// returns `VmHWM` read right after the build.
 fn streamed_build_peak_rss(config: &StreamConfig, name: &str) -> Res<u64> {
     let path = scratch(name);
@@ -100,102 +98,6 @@ fn stream_rss_claim() -> Res<Claim> {
         ),
         bar: "<= 1.2",
         pass: ratio <= 1.2,
-    })
-}
-
-/// Range-normalized RMSE of `model` on the holdout: per-component errors
-/// are divided by the holdout's own η range, then pooled over points and
-/// components.
-fn holdout_rmse(model: &SurrogateModel, holdout: &[DatasetEntry], bounds: &EtaBounds) -> f64 {
-    let mut sum_sq = 0.0;
-    let mut n = 0usize;
-    for entry in holdout {
-        for (c, p) in model.predict_eta(&entry.omega).iter().enumerate() {
-            let range = (bounds.hi[c] - bounds.lo[c]).max(f64::MIN_POSITIVE);
-            let err = (p - entry.eta[c]) / range;
-            sum_sq += err * err;
-            n += 1;
-        }
-    }
-    (sum_sq / n as f64).sqrt()
-}
-
-/// Holdout RMSE averaged over five training seeds, so the comparison ranks
-/// the sampled data rather than one weight initialization.
-fn seed_averaged_rmse(store: &DatasetStore, holdout: &[DatasetEntry]) -> Res<f64> {
-    const SEEDS: u64 = 5;
-    let bounds = EtaBounds::from_entries(holdout)?;
-    let mut total = 0.0;
-    for seed in 0..SEEDS {
-        let config = STrain {
-            layer_sizes: vec![10, 16, 12, 8, 4],
-            learning_rate: 5e-3,
-            max_epochs: 600,
-            patience: 120,
-            seed,
-        };
-        let (model, _) = train_surrogate_streaming(store, &config)?;
-        total += holdout_rmse(&model, holdout, &bounds);
-    }
-    Ok(total / SEEDS as f64)
-}
-
-/// Sample efficiency: at an equal 600-point budget, the committee-driven
-/// build trains a surrogate at least as accurate on a 256-point Sobol'
-/// holdout as the uniform build.
-fn active_sampling_claim() -> Res<Claim> {
-    const BUDGET: usize = 600;
-    const HOLDOUT: usize = 256;
-    // Small chunks: the committee refits at every chunk boundary, so the
-    // chunk size sets how often the sampler reacts to what it has learned.
-    let base = StreamConfig {
-        chunk_points: 64,
-        active: ActiveConfig {
-            committee: 4,
-            candidate_factor: 16,
-            epochs: 480,
-            learning_rate: 1e-2,
-            reservoir: 1536,
-            explore_fraction: 0.1,
-        },
-        ..StreamConfig::new(BUDGET, 21)
-    };
-    // Sobol' prefix consistency: the first BUDGET points of this batch
-    // build are the uniform competitor's training set, so the points past
-    // its entries form a disjoint holdout.
-    let with_holdout = build_dataset_opts(
-        &DatasetConfig {
-            samples: BUDGET + HOLDOUT,
-            sweep_points: base.sweep_points,
-        },
-        &BuildOptions {
-            parallel: base.parallel,
-            ..BuildOptions::default()
-        },
-    )?;
-    let (uniform_path, active_path) = (scratch("uniform"), scratch("active"));
-    let result = (|| -> Res<(f64, f64)> {
-        let config = |sampling| StreamConfig { sampling, ..base };
-        let mut uniform = StreamBuilder::create(&uniform_path, &config(SamplingMode::Uniform))?;
-        let holdout = &with_holdout.entries[uniform.run_to_completion()?.entries..];
-        let mut active = StreamBuilder::create(&active_path, &config(SamplingMode::Active))?;
-        active.run_to_completion()?;
-        Ok((
-            seed_averaged_rmse(uniform.store(), holdout)?,
-            seed_averaged_rmse(active.store(), holdout)?,
-        ))
-    })();
-    std::fs::remove_file(&uniform_path).ok();
-    std::fs::remove_file(&active_path).ok();
-    let (uniform, active) = result?;
-    Ok(Claim {
-        name: "active vs uniform holdout RMSE, 600-point budget",
-        measured: format!(
-            "{:.3} (active {active:.4}, uniform {uniform:.4})",
-            active / uniform
-        ),
-        bar: "active <= uniform",
-        pass: active <= uniform,
     })
 }
 
@@ -374,7 +276,6 @@ fn main() -> Res<ExitCode> {
     let mut claims = Vec::new();
     // First: the RSS claim reads the process-lifetime high-water mark.
     claims.push(stream_rss_claim()?);
-    claims.push(active_sampling_claim()?);
     claims.push(sparse_lu_claim()?);
     let (pnn, test) = iris_fixture()?;
     claims.push(infer_claim(&pnn, &test)?);

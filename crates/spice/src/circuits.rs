@@ -401,7 +401,7 @@ pub fn resistor_ladder(
 /// (the [`PtanhCircuit`] topology) per neuron, with layer outputs wired as
 /// the next layer's inputs.
 ///
-/// This is the crossbar-scale workload ROADMAP item 1 calls for: a
+/// This is the crossbar-scale workload the sparse solver is measured on: a
 /// `[16, 16, 16, 16]` network has hundreds of MNA unknowns — more than 10×
 /// the Fig. 1 subcircuit — at a few nonzeros per row, the regime where the
 /// sparse backend of [`DcSolver`] pulls away from dense LU. All component

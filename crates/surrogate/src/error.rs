@@ -28,10 +28,9 @@ pub enum SurrogateError {
         /// The constant (or offending non-finite) value.
         value: f64,
     },
-    /// A streaming-configuration knob was invalid (unknown
-    /// `PNC_SURROGATE_SAMPLING` value, zero chunk size, malformed
-    /// `PNC_SURROGATE_CHUNK`). Never silently defaulted — the same rule
-    /// `pnc-serve` applies to its `PNC_SERVE_*` variables.
+    /// A streaming build was misconfigured or misused (zero total or chunk
+    /// size, a report requested before the build completed). Never
+    /// silently defaulted.
     Config {
         /// Human-readable description naming the knob and its value.
         detail: String,

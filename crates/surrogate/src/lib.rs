@@ -43,7 +43,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod active;
 mod dataset;
 mod design_space;
 mod error;
@@ -52,7 +51,6 @@ mod model;
 mod store;
 mod stream;
 
-pub use active::{ActiveConfig, Committee, Reservoir};
 pub use dataset::{
     build_dataset, build_dataset_opts, build_dataset_with, BuildOptions, CircuitDataset,
     DatasetConfig, DatasetEntry, EtaBounds, EtaBoundsAccumulator, FailureRecord, FailureStage,
@@ -61,11 +59,9 @@ pub use dataset::{
 pub use design_space::{DesignSampler, DesignSpace, EXTENDED_DIM, OMEGA_DIM};
 pub use error::SurrogateError;
 pub use mlp::{Mlp, PAPER_LAYER_SIZES};
-pub use model::{
-    train_surrogate, train_surrogate_streaming, SurrogateModel, TrainConfig, TrainReport,
-};
+pub use model::{train_surrogate, SurrogateModel, TrainConfig, TrainReport};
 pub use store::{
-    DatasetStore, ResumeReport, SamplingMode, StoreError, StoreMeta, StoreRecord, CAUSE_CAP,
-    FORMAT_VERSION, RECORD_BYTES,
+    DatasetStore, ResumeReport, StoreError, StoreMeta, StoreRecord, CAUSE_CAP, FORMAT_VERSION,
+    RECORD_BYTES,
 };
 pub use stream::{load_circuit_dataset, ChunkSummary, StreamBuilder, StreamConfig, StreamReport};

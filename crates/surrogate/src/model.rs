@@ -1,24 +1,11 @@
-use crate::store::StoreRecord;
 use crate::{
-    CircuitDataset, DatasetStore, DesignSpace, EtaBounds, EtaBoundsAccumulator, Mlp,
-    SurrogateError, EXTENDED_DIM, OMEGA_DIM, PAPER_LAYER_SIZES,
+    CircuitDataset, DesignSpace, EtaBounds, Mlp, SurrogateError, EXTENDED_DIM, OMEGA_DIM,
+    PAPER_LAYER_SIZES,
 };
-use pnc_autodiff::{Adam, GradStore, Graph, Optimizer, Var};
+use pnc_autodiff::{Adam, Graph, Optimizer, Var};
 use pnc_linalg::{stats, Matrix};
-use pnc_obs::Counter;
 use serde::{Deserialize, Serialize};
 use std::path::Path;
-
-// Observability: streaming-training shard steps. Catalogued in
-// docs/METRICS.md alongside the surrogate.stream.* build metrics.
-static OBS_TRAIN_SHARDS: Counter = Counter::new("surrogate.stream.train_shards");
-
-fn obs_register() {
-    static ONCE: std::sync::Once = std::sync::Once::new();
-    ONCE.call_once(|| {
-        OBS_TRAIN_SHARDS.register();
-    });
-}
 
 /// Training configuration for the surrogate network.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -289,239 +276,6 @@ pub fn train_surrogate(
     Ok((model, report))
 }
 
-/// Which split a globally-indexed entry belongs to in streaming training.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Split {
-    Train,
-    Val,
-    Test,
-}
-
-/// Hash-based 70/20/10 split assignment. Unlike the batch shuffle split,
-/// membership is a pure function of `(seed, global index)` — it needs no
-/// in-memory index vector, is independent of chunking, and stays stable as
-/// a resumable build grows.
-fn split_of(seed: u64, index: u64) -> Split {
-    let h = crate::active::splitmix64(seed ^ index.wrapping_mul(0x9e37_79b9_7f4a_7c15));
-    // Top 53 bits → uniform in [0, 1).
-    let u = (h >> 11) as f64 / (1u64 << 53) as f64;
-    if u < 0.7 {
-        Split::Train
-    } else if u < 0.9 {
-        Split::Val
-    } else {
-        Split::Test
-    }
-}
-
-/// Streams one full pass over the store's entries of `split`, computing the
-/// mean squared error of `mlp` in normalized units.
-fn streamed_mse(
-    store: &DatasetStore,
-    space: &DesignSpace,
-    bounds: &EtaBounds,
-    mlp: &Mlp,
-    seed: u64,
-    split: Split,
-) -> Result<f64, SurrogateError> {
-    let mut se = 0.0;
-    let mut count = 0usize;
-    for chunk in 0..store.committed_chunks() {
-        for record in store.read_chunk(chunk)? {
-            let StoreRecord::Entry { index, entry } = record else {
-                continue;
-            };
-            if split_of(seed, index) != split {
-                continue;
-            }
-            let pred = mlp.predict(&space.normalize_omega(&entry.omega));
-            let target = bounds.normalize(&entry.eta);
-            for (p, t) in pred.iter().zip(target) {
-                se += (p - t).powi(2);
-            }
-            count += 1;
-        }
-    }
-    if count == 0 {
-        return Err(SurrogateError::BadDataset {
-            detail: format!("the {split:?} split is empty — dataset too small to stream-train"),
-        });
-    }
-    Ok(se / (count * 4) as f64)
-}
-
-/// Streaming counterpart of [`train_surrogate`]: trains from a (possibly
-/// huge) on-disk [`DatasetStore`] without ever materializing the dataset in
-/// memory.
-///
-/// * **Bounds** come from one streaming pass with
-///   [`EtaBoundsAccumulator`] — bit-identical to the batch
-///   [`EtaBounds::from_entries`], so normalization never needs a refit
-///   (DESIGN.md §17).
-/// * **Splits** are hash-assigned per global sample index ([70/20/10], a
-///   pure function of `(seed, index)`) instead of the batch shuffle — no
-///   index vector, stable under chunking and resumption.
-/// * **Training** is epoch-over-shards: each committed chunk becomes one
-///   Adam mini-batch step, with the graph and gradient buffers pooled
-///   across steps ([`Graph::reset`] / [`Graph::backward_into`]).
-/// * Early stopping uses a streamed validation MSE with the same patience
-///   contract as the batch trainer.
-///
-/// Peak memory is `O(chunk_points + network)`, independent of the store
-/// size.
-///
-/// # Errors
-///
-/// Store read failures, [`SurrogateError::BadDataset`] for stores too small
-/// to split, η-bounds validation errors, and autodiff failures.
-///
-/// # Examples
-///
-/// ```no_run
-/// use pnc_surrogate::{train_surrogate_streaming, DatasetStore, TrainConfig};
-/// use std::path::Path;
-///
-/// # fn main() -> Result<(), pnc_surrogate::SurrogateError> {
-/// let store = DatasetStore::open_readonly(Path::new("dataset.pncds"))?;
-/// let (model, report) = train_surrogate_streaming(&store, &TrainConfig::default())?;
-/// println!("val MSE {} over {} entries", report.val_mse, store.committed_records());
-/// # let _ = model;
-/// # Ok(())
-/// # }
-/// ```
-pub fn train_surrogate_streaming(
-    store: &DatasetStore,
-    config: &TrainConfig,
-) -> Result<(SurrogateModel, TrainReport), SurrogateError> {
-    obs_register();
-    let space = store.meta().space.clone();
-
-    // Pass 1: streaming η bounds and the entry count — the only full pass
-    // needed before training starts.
-    let mut acc = EtaBoundsAccumulator::new();
-    for chunk in 0..store.committed_chunks() {
-        for record in store.read_chunk(chunk)? {
-            if let StoreRecord::Entry { entry, .. } = record {
-                acc.observe(&entry.eta)?;
-            }
-        }
-    }
-    if acc.count() < 10 {
-        return Err(SurrogateError::BadDataset {
-            detail: format!("{} entries is too few to train on", acc.count()),
-        });
-    }
-    let bounds = acc.finish()?;
-
-    let mut mlp = Mlp::new(&config.layer_sizes, config.seed.wrapping_add(1));
-    let mut opt = Adam::new(config.learning_rate);
-    let mut g = Graph::new();
-    let mut grads = GradStore::new();
-
-    let mut best = mlp.clone();
-    let mut best_val = f64::INFINITY;
-    let mut stale = 0usize;
-    let mut epochs_run = 0usize;
-
-    for epoch in 0..config.max_epochs {
-        epochs_run = epoch + 1;
-        for chunk in 0..store.committed_chunks() {
-            let mut xs: Vec<[f64; EXTENDED_DIM]> = Vec::new();
-            let mut ys: Vec<[f64; 4]> = Vec::new();
-            for record in store.read_chunk(chunk)? {
-                let StoreRecord::Entry { index, entry } = record else {
-                    continue;
-                };
-                if split_of(config.seed, index) != Split::Train {
-                    continue;
-                }
-                xs.push(space.normalize_omega(&entry.omega));
-                ys.push(bounds.normalize(&entry.eta));
-            }
-            if xs.is_empty() {
-                continue;
-            }
-            let x = Matrix::from_fn(xs.len(), EXTENDED_DIM, |i, j| xs[i][j]);
-            let y = Matrix::from_fn(ys.len(), 4, |i, j| ys[i][j]);
-            g.reset();
-            let xv = g.constant(x);
-            let tv = g.constant(y);
-            let (pred, vars) = mlp.forward_train(&mut g, xv)?;
-            let diff = g.sub(pred, tv)?;
-            let sq = g.powi(diff, 2);
-            let loss = g.mean(sq);
-            g.backward_into(loss, &mut grads)?;
-            let mut params = mlp.parameters_mut();
-            opt.step(&mut params, &vars, &grads);
-            OBS_TRAIN_SHARDS.increment();
-        }
-
-        let val = streamed_mse(store, &space, &bounds, &mlp, config.seed, Split::Val)?;
-        if val < best_val {
-            best_val = val;
-            best = mlp.clone();
-            stale = 0;
-        } else {
-            stale += 1;
-            if stale >= config.patience {
-                break;
-            }
-        }
-    }
-
-    // Final metrics with the best-by-validation network. Test R² is pooled
-    // over the 4 components and computed online (ss_res / ss_tot from
-    // running sums) so the test split never has to fit in memory either.
-    let train_mse = streamed_mse(store, &space, &bounds, &best, config.seed, Split::Train)?;
-    let mut n = 0usize;
-    let mut sum_t = 0.0;
-    let mut sum_t2 = 0.0;
-    let mut ss_res = 0.0;
-    for chunk in 0..store.committed_chunks() {
-        for record in store.read_chunk(chunk)? {
-            let StoreRecord::Entry { index, entry } = record else {
-                continue;
-            };
-            if split_of(config.seed, index) != Split::Test {
-                continue;
-            }
-            let pred = best.predict(&space.normalize_omega(&entry.omega));
-            let target = bounds.normalize(&entry.eta);
-            for (p, t) in pred.iter().zip(target) {
-                n += 1;
-                sum_t += t;
-                sum_t2 += t * t;
-                ss_res += (p - t).powi(2);
-            }
-        }
-    }
-    if n == 0 {
-        return Err(SurrogateError::BadDataset {
-            detail: "the Test split is empty — dataset too small to stream-train".into(),
-        });
-    }
-    let ss_tot = sum_t2 - sum_t * sum_t / n as f64;
-    let test_r2 = if ss_tot > 0.0 {
-        1.0 - ss_res / ss_tot
-    } else {
-        0.0
-    };
-
-    let report = TrainReport {
-        train_mse,
-        val_mse: best_val,
-        test_mse: ss_res / n as f64,
-        test_r2,
-        epochs_run,
-    };
-    let model = SurrogateModel {
-        space,
-        eta_bounds: bounds,
-        mlp: best,
-    };
-    Ok((model, report))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -629,82 +383,6 @@ mod tests {
             assert!((a - b).abs() < 1e-9);
         }
         std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn streaming_trainer_learns_from_a_store() {
-        let path = std::env::temp_dir().join("pnc_stream_train.pncds");
-        let stream_config = crate::StreamConfig {
-            chunk_points: 32,
-            sweep_points: 31,
-            parallel: pnc_linalg::ParallelConfig::serial(),
-            ..crate::StreamConfig::new(150, 31)
-        };
-        let mut builder = crate::StreamBuilder::create(&path, &stream_config).unwrap();
-        builder.run_to_completion().unwrap();
-        drop(builder);
-
-        let store = DatasetStore::open_readonly(&path).unwrap();
-        // Shards give several Adam steps per epoch, so far fewer epochs are
-        // needed than in the one-step-per-epoch batch config.
-        let train_config = TrainConfig {
-            max_epochs: 250,
-            patience: 60,
-            ..quick_config()
-        };
-        let (model, report) = train_surrogate_streaming(&store, &train_config).unwrap();
-        assert!(
-            report.test_mse < 0.05,
-            "streamed test mse too high: {}",
-            report.test_mse
-        );
-        assert!(
-            report.test_r2 > 0.5,
-            "streamed test R² too low: {}",
-            report.test_r2
-        );
-
-        // The streamed model's η bounds must be bitwise the batch bounds of
-        // the same entries (refit-free normalization contract).
-        let data = crate::load_circuit_dataset(&store).unwrap();
-        for k in 0..4 {
-            assert_eq!(
-                model.eta_bounds.lo[k].to_bits(),
-                data.eta_bounds.lo[k].to_bits()
-            );
-            assert_eq!(
-                model.eta_bounds.hi[k].to_bits(),
-                data.eta_bounds.hi[k].to_bits()
-            );
-        }
-        let eta = model.predict_eta(&data.entries[0].omega);
-        assert!(eta.iter().all(|v| v.is_finite()));
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn hash_split_is_deterministic_and_roughly_70_20_10() {
-        let mut counts = [0usize; 3];
-        for i in 0..10_000u64 {
-            match split_of(0, i) {
-                Split::Train => counts[0] += 1,
-                Split::Val => counts[1] += 1,
-                Split::Test => counts[2] += 1,
-            }
-            assert_eq!(split_of(0, i), split_of(0, i));
-        }
-        assert!(
-            (counts[0] as f64 / 10_000.0 - 0.7).abs() < 0.03,
-            "{counts:?}"
-        );
-        assert!(
-            (counts[1] as f64 / 10_000.0 - 0.2).abs() < 0.03,
-            "{counts:?}"
-        );
-        assert!(
-            (counts[2] as f64 / 10_000.0 - 0.1).abs() < 0.03,
-            "{counts:?}"
-        );
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Append-only on-disk dataset store for streaming characterization.
 //!
-//! A production-scale build (ROADMAP item 2: one million points) cannot hold
+//! A production-scale build (one million points) cannot hold
 //! its dataset in memory and cannot afford to lose hours of SPICE time to a
 //! crash. This module gives the streaming builder a durable, resumable
 //! format with three properties:
@@ -22,7 +22,8 @@
 //! ```text
 //! header:  magic "PNCDSTR1" | version u32 | record_bytes u32 | cause_cap u32
 //!          | total_points u64 | chunk_points u64 | sweep_points u32
-//!          | sampling u8 | seed u64 | max_failure_fraction f64
+//!          | sampling u8 (always 0) | seed u64 (always 0)
+//!          | max_failure_fraction f64
 //!          | space.lo [7]f64 | space.hi [7]f64 | fnv1a64 of the above
 //! frame:   magic "CNK1" | chunk_index u64 | n_records u32
 //!          | n_records × record | fnv1a64 of the frame bytes so far
@@ -34,7 +35,10 @@
 //! are pinned in the `pnc-lint` oracle registry ([`StoreMeta::encode`],
 //! [`StoreRecord::encode`]): changing the format requires an explicit
 //! re-freeze with a justification, because old stores on disk outlive the
-//! code that wrote them.
+//! code that wrote them. The sampling byte and seed slot are relics of a
+//! retired active-sampling mode: the writer sets both to zero, and a reader
+//! rejects a header whose sampling byte is not zero rather than resume a
+//! store whose points were not the Sobol' stream.
 
 use crate::{DatasetEntry, DesignSpace, FailureRecord, FailureStage, OMEGA_DIM};
 use std::fmt;
@@ -225,73 +229,6 @@ impl<'a> Take<'a> {
     }
 }
 
-/// How the stream's design points are chosen, recorded in the header so a
-/// resumed build continues with the policy the store was started under.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SamplingMode {
-    /// Low-discrepancy Sobol' draws over the feasible box — the batch
-    /// builder's sequence, point for point.
-    Uniform,
-    /// Committee-disagreement active sampling: each chunk's points are the
-    /// highest-uncertainty candidates under the surrogate trained so far
-    /// (see [`crate::ActiveConfig`]).
-    Active,
-}
-
-impl SamplingMode {
-    /// Environment variable selecting the mode for builders configured with
-    /// the default.
-    pub const ENV_VAR: &'static str = "PNC_SURROGATE_SAMPLING";
-
-    fn to_byte(self) -> u8 {
-        match self {
-            SamplingMode::Uniform => 0,
-            SamplingMode::Active => 1,
-        }
-    }
-
-    fn from_byte(b: u8) -> Option<Self> {
-        match b {
-            0 => Some(SamplingMode::Uniform),
-            1 => Some(SamplingMode::Active),
-            _ => None,
-        }
-    }
-
-    /// Resolves the mode from `PNC_SURROGATE_SAMPLING` (`uniform` or
-    /// `active`), defaulting to [`SamplingMode::Uniform`] when unset.
-    ///
-    /// # Errors
-    ///
-    /// Any other value is a hard [`crate::SurrogateError::Config`] naming
-    /// the variable and the offending value — never a silent fallback (the
-    /// same rule `pnc-serve` applies to its `PNC_SERVE_*` variables).
-    pub fn from_env() -> Result<Self, crate::SurrogateError> {
-        match std::env::var(Self::ENV_VAR) {
-            Err(_) => Ok(SamplingMode::Uniform),
-            Ok(raw) => match raw.trim() {
-                "" | "uniform" => Ok(SamplingMode::Uniform),
-                "active" => Ok(SamplingMode::Active),
-                other => Err(crate::SurrogateError::Config {
-                    detail: format!(
-                        "{}={other:?} is not a sampling mode (expected `uniform` or `active`)",
-                        Self::ENV_VAR
-                    ),
-                }),
-            },
-        }
-    }
-}
-
-impl fmt::Display for SamplingMode {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            SamplingMode::Uniform => write!(f, "uniform"),
-            SamplingMode::Active => write!(f, "active"),
-        }
-    }
-}
-
 /// The build configuration recorded in a store's header. A resumed build
 /// must match it field for field: continuing a store under different
 /// parameters would splice two incompatible datasets.
@@ -303,10 +240,6 @@ pub struct StoreMeta {
     pub chunk_points: u64,
     /// `V_in` grid points per transfer-curve sweep.
     pub sweep_points: u32,
-    /// How design points are chosen.
-    pub sampling: SamplingMode,
-    /// Base seed of the deterministic per-chunk seed schedule.
-    pub seed: u64,
     /// Abort threshold on the failed-point fraction.
     pub max_failure_fraction: f64,
     /// The design space points are drawn from.
@@ -330,8 +263,8 @@ impl StoreMeta {
         put_u64(&mut buf, self.total_points);
         put_u64(&mut buf, self.chunk_points);
         put_u32(&mut buf, self.sweep_points);
-        buf.push(self.sampling.to_byte());
-        put_u64(&mut buf, self.seed);
+        buf.push(0); // sampling: Sobol'
+        put_u64(&mut buf, 0); // seed: unused
         put_f64(&mut buf, self.max_failure_fraction);
         for k in 0..OMEGA_DIM {
             put_f64(&mut buf, self.space.lo[k]);
@@ -387,10 +320,8 @@ impl StoreMeta {
         let total_points = t.u64().ok_or_else(|| corrupt("missing total_points"))?;
         let chunk_points = t.u64().ok_or_else(|| corrupt("missing chunk_points"))?;
         let sweep_points = t.u32().ok_or_else(|| corrupt("missing sweep_points"))?;
-        let sampling_byte = t.u8().ok_or_else(|| corrupt("missing sampling mode"))?;
-        let sampling = SamplingMode::from_byte(sampling_byte)
-            .ok_or_else(|| corrupt(&format!("unknown sampling mode byte {sampling_byte}")))?;
-        let seed = t.u64().ok_or_else(|| corrupt("missing seed"))?;
+        let sampling = t.u8().ok_or_else(|| corrupt("missing sampling mode"))?;
+        t.u64().ok_or_else(|| corrupt("missing seed"))?;
         let max_failure_fraction = t.f64().ok_or_else(|| corrupt("missing failure fraction"))?;
         let mut lo = [0.0; OMEGA_DIM];
         let mut hi = [0.0; OMEGA_DIM];
@@ -407,12 +338,16 @@ impl StoreMeta {
         if chunk_points == 0 {
             return Err(corrupt("chunk_points is zero"));
         }
+        if sampling != 0 {
+            return Err(corrupt(&format!(
+                "sampling mode byte {sampling}: active sampling is retired; \
+                 only Sobol' stores (byte 0) can be read or resumed"
+            )));
+        }
         Ok(StoreMeta {
             total_points,
             chunk_points,
             sweep_points,
-            sampling,
-            seed,
             max_failure_fraction,
             space: DesignSpace { lo, hi },
         })
@@ -523,6 +458,9 @@ impl StoreRecord {
             .ok_or_else(|| corrupt("cause length beyond record".into()))?;
         let stage = match kind {
             0 => {
+                if let Some(bad) = omega.iter().find(|v| !v.is_finite()) {
+                    return Err(corrupt(format!("entry {index} has non-finite omega {bad}")));
+                }
                 return Ok(StoreRecord::Entry {
                     index,
                     entry: DatasetEntry {
@@ -530,7 +468,7 @@ impl StoreRecord {
                         eta,
                         fit_rmse,
                     },
-                })
+                });
             }
             1 => FailureStage::Build,
             2 => FailureStage::Sweep,
@@ -897,18 +835,6 @@ impl DatasetStore {
                 m.sweep_points, expected.sweep_points
             ));
         }
-        if m.sampling != expected.sampling {
-            return mismatch(format!(
-                "sampling: store {} vs caller {}",
-                m.sampling, expected.sampling
-            ));
-        }
-        if m.seed != expected.seed {
-            return mismatch(format!(
-                "seed: store {} vs caller {}",
-                m.seed, expected.seed
-            ));
-        }
         if m.max_failure_fraction.to_bits() != expected.max_failure_fraction.to_bits() {
             return mismatch(format!(
                 "max_failure_fraction: store {} vs caller {}",
@@ -931,8 +857,6 @@ mod tests {
             total_points: 64,
             chunk_points: 16,
             sweep_points: 21,
-            sampling: SamplingMode::Uniform,
-            seed: 7,
             max_failure_fraction: 0.05,
             space: DesignSpace::paper(),
         }
@@ -1079,5 +1003,52 @@ mod tests {
             StoreMeta::decode(&versioned),
             Err(StoreError::Version { found: 99, .. })
         ));
+
+        // A store written in the retired active-sampling mode (sampling
+        // byte 1, valid checksum) must not resume as if it were Sobol'.
+        let path = std::env::temp_dir().join("pnc_store_active_header.pncds");
+        let mut active = m.encode();
+        active[40] = 1; // magic 8 + version/record/cause 12 + counts 20
+        let sum = fnv1a64(&active[..body_len]).to_le_bytes();
+        active[body_len..].copy_from_slice(&sum);
+        std::fs::write(&path, &active).unwrap();
+        let is_retired = |err: StoreError| matches!(&err, StoreError::HeaderCorrupt { detail } if detail.contains("active sampling is retired"));
+        assert!(is_retired(DatasetStore::open_readonly(&path).unwrap_err()));
+        assert!(is_retired(DatasetStore::open_resumable(&path).unwrap_err()));
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn non_finite_omega_is_a_typed_error() {
+        let path = std::env::temp_dir().join("pnc_store_nan_omega.pncds");
+        let mut store = DatasetStore::create(&path, &meta()).unwrap();
+        store.append_chunk(&[entry(0), entry(1)]).unwrap();
+        drop(store);
+        // Set entry 1's first ω to NaN and re-sign the frame, so only the
+        // value (not the checksum) is wrong.
+        let mut bytes = std::fs::read(&path).unwrap();
+        let frame = StoreMeta::encoded_len();
+        let omega0 = frame + FRAME_PREFIX + RECORD_BYTES + 8 + 1 + 2;
+        bytes[omega0..omega0 + 8].copy_from_slice(&f64::NAN.to_bits().to_le_bytes());
+        let body_end = frame + FRAME_PREFIX + 2 * RECORD_BYTES;
+        let sum = fnv1a64(&bytes[frame..body_end]).to_le_bytes();
+        bytes[body_end..body_end + FRAME_SUFFIX].copy_from_slice(&sum);
+        std::fs::write(&path, &bytes).unwrap();
+
+        let store = DatasetStore::open_readonly(&path).unwrap();
+        let err = store.read_chunk(0).unwrap_err();
+        assert!(
+            matches!(&err, StoreError::ChunkCorrupt { chunk: 0, detail } if detail.contains("omega")),
+            "{err:?}"
+        );
+        let err = crate::load_circuit_dataset(&store).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                crate::SurrogateError::Store(StoreError::ChunkCorrupt { chunk: 0, .. })
+            ),
+            "{err:?}"
+        );
+        std::fs::remove_file(&path).ok();
     }
 }

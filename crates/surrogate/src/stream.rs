@@ -1,8 +1,8 @@
 //! Streaming, resumable dataset builder — bounded memory at any build size.
 //!
 //! The batch builder ([`crate::build_dataset_opts`]) materializes every
-//! sample in RAM; at ROADMAP item 2's production scale (10⁶ points) that is
-//! neither necessary nor survivable. [`StreamBuilder`] does the same work in
+//! sample in RAM; at a production scale of 10⁶ points that is neither
+//! necessary nor survivable. [`StreamBuilder`] does the same work in
 //! fixed-size chunks:
 //!
 //! * each chunk's points are drawn, characterized in parallel
@@ -12,23 +12,19 @@
 //! * peak memory is `O(chunk_points)`, independent of the total build size
 //!   (the `claims` bin of `pnc-bench` holds peak RSS flat from 800 to
 //!   8,000 points);
-//! * in [`SamplingMode::Uniform`] the point sequence is the *same* Sobol'
-//!   rejection stream the batch oracle draws ([`DesignSampler`]), so a
-//!   streamed dataset is **bit-identical** to the batch build at every chunk
-//!   size and thread count;
+//! * the point sequence is the *same* Sobol' rejection stream the batch
+//!   oracle draws ([`DesignSampler`]), so a streamed dataset is
+//!   **bit-identical** to the batch build at every chunk size and thread
+//!   count;
 //! * a killed build resumes from the last committed chunk
 //!   ([`StreamBuilder::resume`]) and finishes byte-identical to an
-//!   uninterrupted run — sampler state is replayed, not persisted;
-//! * in [`SamplingMode::Active`] each chunk's points are chosen by
-//!   committee disagreement ([`crate::active`]) so the SPICE budget
-//!   concentrates where the surrogate is worst.
+//!   uninterrupted run — the sampler is fast-forwarded, not persisted.
 //!
 //! The full contract (determinism, store format, resume semantics) is
 //! DESIGN.md §17.
 
-use crate::active::{self, ActiveConfig, Committee, Reservoir};
 use crate::dataset::characterize_point;
-use crate::store::{DatasetStore, ResumeReport, SamplingMode, StoreMeta, StoreRecord};
+use crate::store::{DatasetStore, ResumeReport, StoreMeta, StoreRecord};
 use crate::{
     CircuitDataset, DesignSampler, DesignSpace, EtaBounds, EtaBoundsAccumulator, SurrogateError,
     OMEGA_DIM,
@@ -37,19 +33,15 @@ use pnc_linalg::ParallelConfig;
 use pnc_obs::{Counter, Histogram, Span};
 use pnc_spice::sweep::linspace;
 use pnc_spice::DcSolver;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use std::path::Path;
 
-// Observability: streaming-build progress and active-sampling diagnostics.
+// Observability: streaming-build progress.
 // Catalogued in docs/METRICS.md.
 static OBS_CHUNKS: Counter = Counter::new("surrogate.stream.chunks");
 static OBS_POINTS: Counter = Counter::new("surrogate.stream.points");
 static OBS_RESUMED_POINTS: Counter = Counter::new("surrogate.stream.resumed_points");
 static OBS_DISCARDED_BYTES: Counter = Counter::new("surrogate.stream.discarded_bytes");
-static OBS_ACTIVE_CANDIDATES: Counter = Counter::new("surrogate.stream.active_candidates");
 static OBS_CHUNK_SECONDS: Histogram = Histogram::new("surrogate.stream.chunk_seconds");
-static OBS_DISAGREEMENT: Histogram = Histogram::new("surrogate.stream.disagreement");
 
 fn obs_register() {
     static ONCE: std::sync::Once = std::sync::Once::new();
@@ -58,91 +50,41 @@ fn obs_register() {
         OBS_POINTS.register();
         OBS_RESUMED_POINTS.register();
         OBS_DISCARDED_BYTES.register();
-        OBS_ACTIVE_CANDIDATES.register();
         OBS_CHUNK_SECONDS.register();
-        OBS_DISAGREEMENT.register();
     });
 }
 
 /// Configuration of a streaming build. The fields that shape the dataset
-/// (`total_points`, `chunk_points`, `sweep_points`, `sampling`, `seed`,
-/// `max_failure_fraction`) are recorded in the store header and must match
-/// on resume; `parallel` and `active` only shape *how* the same points are
-/// computed.
+/// (`total_points`, `chunk_points`, `sweep_points`, `max_failure_fraction`)
+/// are recorded in the store header and must match on resume; `parallel`
+/// only shapes *how* the same points are computed.
 #[derive(Debug, Clone, Copy)]
 pub struct StreamConfig {
     /// Target number of design points (the paper's batch build uses 10 000;
-    /// ROADMAP item 2 aims at 10⁶).
+    /// production builds aim at 10⁶).
     pub total_points: usize,
     /// Points characterized and committed per chunk — the memory bound.
     pub chunk_points: usize,
     /// `V_in` grid points per transfer-curve sweep.
     pub sweep_points: usize,
-    /// How design points are chosen.
-    pub sampling: SamplingMode,
-    /// Base seed of the deterministic per-chunk seed schedule (active mode;
-    /// uniform mode's Sobol' stream is seed-free like the batch oracle).
-    pub seed: u64,
     /// Abort threshold on the failed-point fraction (same default 5 % as the
     /// batch builder).
     pub max_failure_fraction: f64,
     /// Per-chunk thread configuration.
     pub parallel: ParallelConfig,
-    /// Committee knobs for [`SamplingMode::Active`].
-    pub active: ActiveConfig,
 }
 
 impl StreamConfig {
-    /// Environment variable overriding [`StreamConfig::chunk_points`].
-    pub const CHUNK_ENV_VAR: &'static str = "PNC_SURROGATE_CHUNK";
-
-    /// A default configuration: 1024-point chunks, uniform sampling, the
-    /// batch builder's 5 % failure threshold, automatic thread count.
+    /// A default configuration: 1024-point chunks, the batch builder's 5 %
+    /// failure threshold, automatic thread count.
     pub fn new(total_points: usize, sweep_points: usize) -> Self {
         StreamConfig {
             total_points,
             chunk_points: 1024,
             sweep_points,
-            sampling: SamplingMode::Uniform,
-            seed: 0,
             max_failure_fraction: 0.05,
             parallel: ParallelConfig::automatic(),
-            active: ActiveConfig::default(),
         }
-    }
-
-    /// Parses a `PNC_SURROGATE_CHUNK` value.
-    ///
-    /// # Errors
-    ///
-    /// [`SurrogateError::Config`] unless the value is a positive integer.
-    pub fn parse_chunk(raw: &str) -> Result<usize, SurrogateError> {
-        match raw.trim().parse::<usize>() {
-            Ok(n) if n > 0 => Ok(n),
-            _ => Err(SurrogateError::Config {
-                detail: format!(
-                    "{}={raw:?} is not a positive chunk size",
-                    Self::CHUNK_ENV_VAR
-                ),
-            }),
-        }
-    }
-
-    /// Applies the environment overrides: `PNC_SURROGATE_CHUNK` for the
-    /// chunk size and `PNC_SURROGATE_SAMPLING` for the sampling mode.
-    ///
-    /// # Errors
-    ///
-    /// [`SurrogateError::Config`] on a malformed value — never a silent
-    /// fallback.
-    pub fn with_env_overrides(mut self) -> Result<Self, SurrogateError> {
-        if let Ok(raw) = std::env::var(Self::CHUNK_ENV_VAR) {
-            if !raw.trim().is_empty() {
-                self.chunk_points = Self::parse_chunk(&raw)?;
-            }
-        }
-        self.sampling = SamplingMode::from_env()?;
-        Ok(self)
     }
 
     fn meta(&self, space: &DesignSpace) -> StoreMeta {
@@ -150,8 +92,6 @@ impl StreamConfig {
             total_points: self.total_points as u64,
             chunk_points: self.chunk_points as u64,
             sweep_points: self.sweep_points as u32,
-            sampling: self.sampling,
-            seed: self.seed,
             max_failure_fraction: self.max_failure_fraction,
             space: space.clone(),
         }
@@ -209,11 +149,9 @@ pub struct StreamReport {
 /// The streaming dataset builder. See the module docs for the contract.
 pub struct StreamBuilder<'a> {
     config: StreamConfig,
-    space: DesignSpace,
     store: DatasetStore,
     sampler: DesignSampler,
     grid: Vec<f64>,
-    reservoir: Reservoir,
     acc: EtaBoundsAccumulator,
     failures: u64,
     resumed: ResumeReport,
@@ -229,11 +167,9 @@ impl<'a> StreamBuilder<'a> {
     pub fn create(path: &Path, config: &StreamConfig) -> Result<Self, SurrogateError> {
         config.validate()?;
         obs_register();
-        let space = DesignSpace::paper();
-        let store = DatasetStore::create(path, &config.meta(&space))?;
+        let store = DatasetStore::create(path, &config.meta(&DesignSpace::paper()))?;
         Self::assemble(
             *config,
-            space,
             store,
             ResumeReport {
                 committed_chunks: 0,
@@ -246,9 +182,8 @@ impl<'a> StreamBuilder<'a> {
     /// Resumes a killed build from `path`: validates the committed prefix
     /// (discarding a torn tail), checks that `config` matches the store
     /// header, replays the committed records to rebuild the in-memory state
-    /// (η accumulator, failure count, active-sampling reservoir, sampler
-    /// position), and is then ready to continue **bit-identically** to an
-    /// uninterrupted run.
+    /// (η accumulator, failure count, sampler position), and is then ready
+    /// to continue **bit-identically** to an uninterrupted run.
     ///
     /// # Errors
     ///
@@ -259,14 +194,13 @@ impl<'a> StreamBuilder<'a> {
     ) -> Result<(Self, ResumeReport), SurrogateError> {
         config.validate()?;
         obs_register();
-        let space = DesignSpace::paper();
         let (store, report) = DatasetStore::open_resumable(path)?;
         store
-            .check_meta(&config.meta(&space))
+            .check_meta(&config.meta(&DesignSpace::paper()))
             .map_err(SurrogateError::from)?;
         OBS_RESUMED_POINTS.add(report.committed_records);
         OBS_DISCARDED_BYTES.add(report.discarded_bytes);
-        let builder = Self::assemble(*config, space, store, report)?;
+        let builder = Self::assemble(*config, store, report)?;
         Ok((builder, report))
     }
 
@@ -306,13 +240,11 @@ impl<'a> StreamBuilder<'a> {
 
     fn assemble(
         config: StreamConfig,
-        space: DesignSpace,
         store: DatasetStore,
         resumed: ResumeReport,
     ) -> Result<Self, SurrogateError> {
-        let mut sampler = DesignSampler::new(&space)?;
+        let mut sampler = DesignSampler::new(&store.meta().space)?;
         let mut acc = EtaBoundsAccumulator::new();
-        let mut reservoir = Reservoir::new(config.active.reservoir);
         let mut failures = 0u64;
         // Replay the committed prefix chunk by chunk (bounded memory): the
         // streaming state is a pure fold over the records, so the rebuilt
@@ -320,26 +252,19 @@ impl<'a> StreamBuilder<'a> {
         for chunk in 0..store.committed_chunks() {
             for record in store.read_chunk(chunk)? {
                 match record {
-                    StoreRecord::Entry { index, entry } => {
-                        acc.observe(&entry.eta)?;
-                        reservoir.offer(index, &entry);
-                    }
+                    StoreRecord::Entry { entry, .. } => acc.observe(&entry.eta)?,
                     StoreRecord::Failure(_) => failures += 1,
                 }
             }
         }
-        if config.sampling == SamplingMode::Uniform && store.committed_records() > 0 {
-            // Fast-forward the Sobol' stream past the committed points.
-            sampler.skip(store.committed_records() as usize)?;
-        }
+        // Fast-forward the Sobol' stream past the committed points.
+        sampler.skip(store.committed_records() as usize)?;
         let grid = linspace(0.0, pnc_spice::circuits::VDD, config.sweep_points.max(5));
         Ok(StreamBuilder {
             config,
-            space,
             store,
             sampler,
             grid,
-            reservoir,
             acc,
             failures,
             resumed,
@@ -355,16 +280,6 @@ impl<'a> StreamBuilder<'a> {
     /// Whether the build has reached its configured total.
     pub fn is_complete(&self) -> bool {
         self.store.committed_records() >= self.config.total_points as u64
-    }
-
-    /// The deterministic per-chunk seed schedule (active-mode candidate
-    /// draws and committee seeds).
-    fn chunk_seed(&self, chunk_index: u64) -> u64 {
-        active::splitmix64(
-            self.config
-                .seed
-                .wrapping_add((chunk_index.wrapping_add(1)).wrapping_mul(0x2545_f491_4f6c_dd1d)),
-        )
     }
 
     /// Draws, characterizes, and commits the next chunk. Returns `None`
@@ -386,39 +301,7 @@ impl<'a> StreamBuilder<'a> {
         let n = ((total - done) as usize).min(self.config.chunk_points);
         let chunk_index = self.store.committed_chunks();
 
-        let omegas = match self.config.sampling {
-            SamplingMode::Uniform => self.sampler.next_batch(n)?,
-            SamplingMode::Active => {
-                let chunk_seed = self.chunk_seed(chunk_index);
-                let committee = Committee::train(
-                    &self.space,
-                    &self.reservoir,
-                    &self.config.active,
-                    active::splitmix64(chunk_seed),
-                )?;
-                match committee {
-                    Some(committee) => {
-                        let (points, mean_disagreement) = active::select_chunk(
-                            &committee,
-                            &self.space,
-                            n,
-                            &self.config.active,
-                            chunk_seed,
-                        )?;
-                        OBS_ACTIVE_CANDIDATES
-                            .add((n * self.config.active.candidate_factor.max(2)) as u64);
-                        OBS_DISAGREEMENT.observe(mean_disagreement);
-                        points
-                    }
-                    // Too little data for a committee yet: uniform draws
-                    // from the same deterministic per-chunk stream.
-                    None => {
-                        let mut rng = StdRng::seed_from_u64(chunk_seed);
-                        active::draw_uniform(&self.space, &mut rng, n)?
-                    }
-                }
-            }
-        };
+        let omegas = self.sampler.next_batch(n)?;
 
         let indexed: Vec<(usize, [f64; OMEGA_DIM])> = omegas
             .into_iter()
@@ -441,7 +324,6 @@ impl<'a> StreamBuilder<'a> {
             match result {
                 Ok(entry) => {
                     self.acc.observe(&entry.eta)?;
-                    self.reservoir.offer(*index as u64, &entry);
                     records.push(StoreRecord::Entry {
                         index: *index as u64,
                         entry,
@@ -523,15 +405,14 @@ impl<'a> StreamBuilder<'a> {
 }
 
 /// Materializes a completed store into the in-memory [`CircuitDataset`] the
-/// batch builder returns — the bridge used by the batch-equivalence tests
-/// and by consumers whose dataset still fits in RAM. (At production scale,
-/// train from the store directly with
-/// [`train_surrogate_streaming`](crate::train_surrogate_streaming).)
+/// batch builder returns — the bridge from a streamed build to
+/// [`train_surrogate`](crate::train_surrogate), used by the benchmark's
+/// pipeline and by the batch-equivalence tests.
 ///
 /// # Errors
 ///
-/// Store read/validation failures; η-bounds validation as in
-/// [`EtaBounds::from_entries`].
+/// Store read/validation failures (including a non-finite ω in an entry);
+/// η-bounds validation as in [`EtaBounds::from_entries`].
 pub fn load_circuit_dataset(store: &DatasetStore) -> Result<CircuitDataset, SurrogateError> {
     let (entries, failures) = store.load_all()?;
     let eta_bounds = EtaBounds::from_entries(&entries)?;
@@ -714,7 +595,10 @@ mod tests {
         let mut builder = StreamBuilder::create(&path, &config).unwrap();
         builder.next_chunk().unwrap();
         drop(builder);
-        let other = StreamConfig { seed: 99, ..config };
+        let other = StreamConfig {
+            max_failure_fraction: 0.2,
+            ..config
+        };
         let Err(err) = StreamBuilder::resume(&path, &other) else {
             panic!("resume with a mismatched config must fail");
         };
@@ -725,71 +609,6 @@ mod tests {
             ),
             "{err:?}"
         );
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn active_mode_is_deterministic_and_complete() {
-        let run = |path: &Path| {
-            let config = StreamConfig {
-                sampling: SamplingMode::Active,
-                seed: 11,
-                active: ActiveConfig {
-                    epochs: 30,
-                    reservoir: 256,
-                    ..ActiveConfig::default()
-                },
-                ..small_config(48, 12)
-            };
-            let mut builder = StreamBuilder::create(path, &config).unwrap();
-            builder.run_to_completion().unwrap()
-        };
-        let a_path = tmp("active_a");
-        let b_path = tmp("active_b");
-        let ra = run(&a_path);
-        let rb = run(&b_path);
-        assert_eq!(ra, rb);
-        assert_eq!(ra.entries + ra.failures, 48);
-        let a = std::fs::read(&a_path).unwrap();
-        let b = std::fs::read(&b_path).unwrap();
-        assert_eq!(
-            a, b,
-            "active builds must be deterministic under a fixed seed"
-        );
-        std::fs::remove_file(&a_path).ok();
-        std::fs::remove_file(&b_path).ok();
-    }
-
-    #[test]
-    fn active_mode_resume_is_byte_identical() {
-        let config = StreamConfig {
-            sampling: SamplingMode::Active,
-            seed: 5,
-            active: ActiveConfig {
-                epochs: 30,
-                reservoir: 256,
-                ..ActiveConfig::default()
-            },
-            ..small_config(48, 12)
-        };
-        let ref_path = tmp("active_ref");
-        let mut reference = StreamBuilder::create(&ref_path, &config).unwrap();
-        reference.run_to_completion().unwrap();
-        let want = std::fs::read(&ref_path).unwrap();
-
-        let path = tmp("active_resume");
-        let mut builder = StreamBuilder::create(&path, &config).unwrap();
-        builder.next_chunk().unwrap().unwrap();
-        builder.next_chunk().unwrap().unwrap();
-        drop(builder);
-        let (mut resumed, _) = StreamBuilder::resume(&path, &config).unwrap();
-        resumed.run_to_completion().unwrap();
-        let got = std::fs::read(&path).unwrap();
-        assert_eq!(
-            want, got,
-            "active resume must replay the same committee choices"
-        );
-        std::fs::remove_file(&ref_path).ok();
         std::fs::remove_file(&path).ok();
     }
 
@@ -809,19 +628,6 @@ mod tests {
         let store = DatasetStore::open_readonly(&path).unwrap();
         assert!(store.committed_records() >= 5);
         std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn chunk_env_parsing_is_strict() {
-        assert_eq!(StreamConfig::parse_chunk("512").unwrap(), 512);
-        assert_eq!(StreamConfig::parse_chunk(" 64 ").unwrap(), 64);
-        for bad in ["0", "-3", "many", "1.5", ""] {
-            let err = StreamConfig::parse_chunk(bad).unwrap_err();
-            assert!(
-                matches!(err, SurrogateError::Config { .. }),
-                "{bad:?} → {err:?}"
-            );
-        }
     }
 
     /// Golden pin of the on-disk bytes: FNV-1a-64 of a whole small uniform
