@@ -1,18 +1,20 @@
 //! The Tab. II experiment grid: 13 datasets × {fixed, learnable} ×
 //! {nominal, variation-aware} × test variation ∈ {5 %, 10 %}.
 
+use crate::runner::{Markdown, Report};
 use pnc_core::{
-    mc_evaluate, train_best_of_seeds, LabeledData, McStats, PnnConfig, PnnError, TrainConfig,
+    mc_evaluate, train_best_of_seeds, LabeledData, McStats, Pnn, PnnConfig, PnnError, TrainConfig,
     VariationModel,
 };
 use pnc_datasets::Dataset;
 use pnc_surrogate::SurrogateModel;
 use serde::{Deserialize, Serialize};
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-/// The experiment budget. [`Budget::scaled`] is sized for a single-core
-/// machine; [`Budget::paper`] reproduces Sec. IV-A exactly.
+/// The experiment budget shared by every training experiment.
+/// [`Budget::scaled`] is the default; [`Budget::paper`] reproduces
+/// Sec. IV-A exactly.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Budget {
     /// Random seeds; the best-by-validation network is selected (Sec. IV-C).
@@ -62,33 +64,6 @@ impl Budget {
             split_seed: 42,
         }
     }
-
-    /// Parses the command line: `--full` switches to the paper budget;
-    /// `--seeds N`, `--epochs N`, `--ntest N` override individual knobs.
-    pub fn from_args(args: &[String]) -> Self {
-        let mut budget = if args.iter().any(|a| a == "--full") {
-            Budget::paper()
-        } else {
-            Budget::scaled()
-        };
-        let value_of = |flag: &str| -> Option<usize> {
-            args.iter()
-                .position(|a| a == flag)
-                .and_then(|i| args.get(i + 1))
-                .and_then(|v| v.parse().ok())
-        };
-        if let Some(n) = value_of("--seeds") {
-            budget.seeds = (1..=n as u64).collect();
-        }
-        if let Some(n) = value_of("--epochs") {
-            budget.max_epochs = n;
-            budget.patience = budget.patience.min(n);
-        }
-        if let Some(n) = value_of("--ntest") {
-            budget.n_test = n;
-        }
-        budget
-    }
 }
 
 /// One training setup of the ablation grid.
@@ -120,6 +95,38 @@ impl Arm {
             variation_aware: true,
         },
     ];
+
+    /// The network of this arm on `dataset`: the paper's topology, with
+    /// the nonlinear circuits fixed unless the arm learns them.
+    pub fn pnn_config(&self, dataset: &Dataset) -> PnnConfig {
+        let config = PnnConfig::for_dataset(dataset.num_features(), dataset.num_classes);
+        if self.learnable {
+            config
+        } else {
+            config.with_fixed_nonlinearity()
+        }
+    }
+
+    /// The training setup of this arm under `budget`. Variation-aware arms
+    /// train at `train_epsilon`; nominal arms ignore it.
+    pub fn train_config(&self, train_epsilon: f64, budget: &Budget) -> TrainConfig {
+        TrainConfig {
+            lr_omega: if self.learnable { 0.005 } else { 0.0 },
+            variation: if self.variation_aware {
+                VariationModel::Uniform {
+                    epsilon: train_epsilon,
+                }
+            } else {
+                VariationModel::None
+            },
+            vary_nonlinear: self.learnable,
+            n_train_mc: budget.n_train_mc,
+            n_val_mc: budget.n_val_mc,
+            max_epochs: budget.max_epochs,
+            patience: budget.patience,
+            ..TrainConfig::default()
+        }
+    }
 
     /// Human-readable label.
     pub fn label(&self) -> String {
@@ -174,6 +181,8 @@ impl DatasetRow {
 #[derive(Debug)]
 #[non_exhaustive]
 pub enum Table2Error {
+    /// No grid has been saved at this path yet.
+    Missing(PathBuf),
     /// The file could not be read.
     Io(std::io::Error),
     /// The file is not a serialized [`Table2`].
@@ -192,6 +201,11 @@ pub enum Table2Error {
 impl std::fmt::Display for Table2Error {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
+            Table2Error::Missing(path) => write!(
+                f,
+                "no Tab. II grid at {}: run `experiments table2` first",
+                path.display()
+            ),
             Table2Error::Io(e) => write!(f, "reading the Tab. II grid failed: {e}"),
             Table2Error::Json(e) => write!(f, "parsing the Tab. II grid failed: {e}"),
             Table2Error::MissingCell {
@@ -212,7 +226,7 @@ impl std::error::Error for Table2Error {
         match self {
             Table2Error::Io(e) => Some(e),
             Table2Error::Json(e) => Some(e),
-            Table2Error::MissingCell { .. } => None,
+            Table2Error::Missing(_) | Table2Error::MissingCell { .. } => None,
         }
     }
 }
@@ -227,29 +241,20 @@ pub struct Table2 {
 }
 
 impl Table2 {
-    /// Saves as JSON (consumed by the `table3` binary).
-    ///
-    /// # Errors
-    ///
-    /// Returns I/O or serialization failures.
-    pub fn save(&self, path: &Path) -> Result<(), Box<dyn std::error::Error>> {
-        if let Some(parent) = path.parent() {
-            std::fs::create_dir_all(parent)?;
-        }
-        std::fs::write(path, serde_json::to_string(self)?)?;
-        Ok(())
-    }
-
-    /// Loads a result saved by [`Table2::save`], checking that every row
+    /// Loads the grid the `table2` experiment saved, checking that every row
     /// carries all 8 (arm × test ε) cells that [`summarize`](crate::summarize)
     /// reads.
     ///
     /// # Errors
     ///
-    /// Returns [`Table2Error::Io`] or [`Table2Error::Json`] for an unreadable
-    /// file, and [`Table2Error::MissingCell`] for a row that lacks a cell.
+    /// Returns [`Table2Error::Missing`] if no file exists at `path`,
+    /// [`Table2Error::Io`] or [`Table2Error::Json`] for an unreadable file,
+    /// and [`Table2Error::MissingCell`] for a row that lacks a cell.
     pub fn load(path: &Path) -> Result<Self, Table2Error> {
-        let text = std::fs::read_to_string(path).map_err(Table2Error::Io)?;
+        let text = std::fs::read_to_string(path).map_err(|e| match e.kind() {
+            std::io::ErrorKind::NotFound => Table2Error::Missing(path.to_path_buf()),
+            _ => Table2Error::Io(e),
+        })?;
         let table: Table2 = serde_json::from_str(&text).map_err(Table2Error::Json)?;
         for row in &table.rows {
             for arm in Arm::ALL {
@@ -268,47 +273,164 @@ impl Table2 {
     }
 }
 
-/// Loads (or trains and caches) the production surrogate shared by the
-/// experiment binaries.
-///
-/// # Errors
-///
-/// Propagates pipeline failures.
-pub fn default_surrogate() -> Result<Arc<SurrogateModel>, pnc_surrogate::SurrogateError> {
-    let dir = std::env::var_os("PNC_ARTIFACT_DIR")
-        .map(std::path::PathBuf::from)
-        .unwrap_or_else(|| {
-            Path::new(env!("CARGO_MANIFEST_DIR"))
-                .join("../../artifacts")
-                .to_path_buf()
+/// `mean ± std` with three decimals, the way every report prints accuracy.
+pub(crate) fn fmt_stats(stats: &McStats) -> String {
+    format!("{:.3} ± {:.3}", stats.mean, stats.std)
+}
+
+impl Report for Table2 {
+    fn table(&self) -> Markdown {
+        let mut header = vec!["dataset".to_string()];
+        for arm in Arm::ALL {
+            for eps in TEST_EPSILONS {
+                header.push(format!(
+                    "{} / {} @{:.0}%",
+                    if arm.learnable { "learnable" } else { "fixed" },
+                    if arm.variation_aware { "VA" } else { "nominal" },
+                    eps * 100.0
+                ));
+            }
+        }
+        let rows = self.rows.iter().map(|row| {
+            let cells = row.cells.iter().map(|c| fmt_stats(&c.stats));
+            std::iter::once(row.dataset.clone()).chain(cells).collect()
         });
-    let (model, report) = SurrogateModel::load_or_train(
-        &dir.join("surrogate-default.json"),
-        &pnc_surrogate::DatasetConfig {
-            samples: 2000,
-            sweep_points: 61,
-        },
-        &pnc_surrogate::TrainConfig {
-            max_epochs: 4000,
-            patience: 400,
-            ..pnc_surrogate::TrainConfig::default()
-        },
-    )?;
-    if let Some(r) = report {
-        eprintln!(
-            "trained surrogate: val mse {:.5}, test R2 {:.3}",
-            r.val_mse, r.test_r2
-        );
+        Markdown {
+            title: format!(
+                "Tab. II: accuracy ± std on {} datasets (VA = variation-aware training; {} seeds, \
+                 {} max epochs, N_train = {}, N_test = {}; averages: `table3`)",
+                self.rows.len(),
+                self.budget.seeds.len(),
+                self.budget.max_epochs,
+                self.budget.n_train_mc,
+                self.budget.n_test
+            ),
+            header,
+            rows: rows.collect(),
+        }
     }
-    Ok(Arc::new(model))
+}
+
+/// One dataset prepared for training experiments: its 60/20/20
+/// train/validation/test split under the budget's split seed, plus the
+/// surrogate and the budget that every training and evaluation uses.
+#[derive(Debug, Clone)]
+pub(crate) struct Setup<'a> {
+    dataset: &'a Dataset,
+    train: Dataset,
+    val: Dataset,
+    test: Dataset,
+    surrogate: Arc<SurrogateModel>,
+    budget: &'a Budget,
+}
+
+fn labeled(d: &Dataset) -> LabeledData<'_> {
+    LabeledData {
+        features: &d.features,
+        labels: &d.labels,
+    }
+}
+
+impl<'a> Setup<'a> {
+    /// Splits `dataset` with the budget's split seed.
+    pub(crate) fn new(
+        dataset: &'a Dataset,
+        surrogate: Arc<SurrogateModel>,
+        budget: &'a Budget,
+    ) -> Self {
+        let (train, val, test) = dataset.split(budget.split_seed);
+        Setup {
+            dataset,
+            train,
+            val,
+            test,
+            surrogate,
+            budget,
+        }
+    }
+
+    /// The test split as labeled data.
+    pub(crate) fn test_data(&self) -> LabeledData<'_> {
+        labeled(&self.test)
+    }
+
+    /// Trains one network per budget seed and keeps the best by validation
+    /// loss (Sec. IV-C).
+    ///
+    /// # Errors
+    ///
+    /// Propagates training failures.
+    pub(crate) fn train(
+        &self,
+        config: &PnnConfig,
+        train_config: &TrainConfig,
+    ) -> Result<Pnn, PnnError> {
+        let (pnn, _) = train_best_of_seeds(
+            config,
+            self.surrogate.clone(),
+            train_config,
+            labeled(&self.train),
+            labeled(&self.val),
+            &self.budget.seeds,
+        )?;
+        Ok(pnn)
+    }
+
+    /// [`Setup::train`] with the arm's own network and training setup.
+    ///
+    /// # Errors
+    ///
+    /// Propagates training failures.
+    pub(crate) fn train_arm(&self, arm: Arm, train_epsilon: f64) -> Result<Pnn, PnnError> {
+        let train_config = arm.train_config(train_epsilon, self.budget);
+        self.train(&arm.pnn_config(self.dataset), &train_config)
+    }
+
+    /// Monte-Carlo accuracy on the test split: the budget's `N_test` draws
+    /// from its test seed.
+    ///
+    /// # Errors
+    ///
+    /// Propagates evaluation failures.
+    pub(crate) fn evaluate(
+        &self,
+        pnn: &Pnn,
+        variation: &VariationModel,
+    ) -> Result<McStats, PnnError> {
+        let (n_test, seed) = (self.budget.n_test, self.budget.mc_seed);
+        mc_evaluate(pnn, self.test_data(), variation, n_test, seed)
+    }
+
+    /// The Tab. II cell of an `arm` network trained at `train_epsilon` and
+    /// tested at `test_epsilon`.
+    fn cell(
+        &self,
+        pnn: &Pnn,
+        arm: Arm,
+        train_epsilon: f64,
+        test_epsilon: f64,
+    ) -> Result<CellResult, PnnError> {
+        let variation = VariationModel::Uniform {
+            epsilon: test_epsilon,
+        };
+        Ok(CellResult {
+            arm,
+            train_epsilon: if arm.variation_aware {
+                train_epsilon
+            } else {
+                0.0
+            },
+            test_epsilon,
+            stats: self.evaluate(pnn, &variation)?,
+        })
+    }
 }
 
 /// Trains one arm on one dataset (best of the budget's seeds) and evaluates
 /// it at the given test variation.
 ///
-/// Nominal arms train once and are evaluated at whatever `test_epsilon` is
-/// requested; variation-aware arms train at `train_epsilon == test_epsilon`,
-/// as the paper prescribes (Sec. IV-C).
+/// Nominal arms ignore `train_epsilon`; variation-aware arms train at it.
+/// The paper trains them at `train_epsilon == test_epsilon` (Sec. IV-C).
 ///
 /// # Errors
 ///
@@ -321,62 +443,15 @@ pub fn run_cell(
     surrogate: Arc<SurrogateModel>,
     budget: &Budget,
 ) -> Result<CellResult, PnnError> {
-    let (train, val, test) = dataset.split(budget.split_seed);
-    let train_d = LabeledData::new(&train.features, &train.labels)?;
-    let val_d = LabeledData::new(&val.features, &val.labels)?;
-    let test_d = LabeledData::new(&test.features, &test.labels)?;
-
-    let mut config = PnnConfig::for_dataset(dataset.num_features(), dataset.num_classes);
-    if !arm.learnable {
-        config = config.with_fixed_nonlinearity();
-    }
-    let train_config = TrainConfig {
-        lr_omega: if arm.learnable { 0.005 } else { 0.0 },
-        variation: if arm.variation_aware {
-            VariationModel::Uniform {
-                epsilon: train_epsilon,
-            }
-        } else {
-            VariationModel::None
-        },
-        vary_nonlinear: arm.learnable,
-        n_train_mc: budget.n_train_mc,
-        n_val_mc: budget.n_val_mc,
-        max_epochs: budget.max_epochs,
-        patience: budget.patience,
-        ..TrainConfig::default()
-    };
-
-    let (pnn, _) = train_best_of_seeds(
-        &config,
-        surrogate,
-        &train_config,
-        train_d,
-        val_d,
-        &budget.seeds,
-    )?;
-    let stats = mc_evaluate(
-        &pnn,
-        test_d,
-        &VariationModel::Uniform {
-            epsilon: test_epsilon,
-        },
-        budget.n_test,
-        budget.mc_seed,
-    )?;
-    Ok(CellResult {
-        arm,
-        train_epsilon: if arm.variation_aware {
-            train_epsilon
-        } else {
-            0.0
-        },
-        test_epsilon,
-        stats,
-    })
+    let setup = Setup::new(dataset, surrogate, budget);
+    let pnn = setup.train_arm(arm, train_epsilon)?;
+    setup.cell(&pnn, arm, train_epsilon, test_epsilon)
 }
 
-/// Runs one dataset row of Tab. II: 6 trainings, 8 evaluations.
+/// Runs one dataset row of Tab. II: 6 trainings, 8 evaluations. Each
+/// nominal arm trains once and is tested at both levels; each
+/// variation-aware arm trains at the level it is tested at. The cells equal
+/// the per-cell [`run_cell`] results, in the paper's column order.
 ///
 /// # Errors
 ///
@@ -386,35 +461,20 @@ pub fn run_dataset_row(
     surrogate: Arc<SurrogateModel>,
     budget: &Budget,
 ) -> Result<DatasetRow, PnnError> {
+    let setup = Setup::new(dataset, surrogate, budget);
     let mut cells = Vec::with_capacity(8);
-    for learnable in [false, true] {
-        // Nominal arm: one training, tested at both 5 % and 10 %.
-        let arm = Arm {
-            learnable,
-            variation_aware: false,
-        };
-        for test_eps in TEST_EPSILONS {
-            cells.push(run_cell(
-                dataset,
-                arm,
-                0.0,
-                test_eps,
-                surrogate.clone(),
-                budget,
-            )?);
-        }
-        // Variation-aware arm: trained at the matching ε.
-        let arm = Arm {
-            learnable,
-            variation_aware: true,
-        };
-        for eps in TEST_EPSILONS {
-            cells.push(run_cell(dataset, arm, eps, eps, surrogate.clone(), budget)?);
+    for arm in Arm::ALL {
+        if arm.variation_aware {
+            for eps in TEST_EPSILONS {
+                cells.push(setup.cell(&setup.train_arm(arm, eps)?, arm, eps, eps)?);
+            }
+        } else {
+            let pnn = setup.train_arm(arm, 0.0)?;
+            for eps in TEST_EPSILONS {
+                cells.push(setup.cell(&pnn, arm, 0.0, eps)?);
+            }
         }
     }
-    // Reorder into the paper's column layout: fixed-nominal@5/@10,
-    // fixed-VA@5/@10, learnable-nominal@5/@10, learnable-VA@5/@10 — which is
-    // exactly the insertion order above.
     Ok(DatasetRow {
         dataset: dataset.name.clone(),
         cells,
@@ -437,15 +497,14 @@ pub fn run_table2(
     let mut rows = Vec::with_capacity(datasets.len());
     for (i, dataset) in datasets.iter().enumerate() {
         let start = std::time::Instant::now();
-        let row = run_dataset_row(dataset, surrogate.clone(), budget)?;
+        rows.push(run_dataset_row(dataset, surrogate.clone(), budget)?);
         eprintln!(
-            "[{}/{}] {} done in {:.1}s",
+            "[{}/{}] {}: 6 trainings, 8 evaluations in {:.1}s",
             i + 1,
             datasets.len(),
             dataset.name,
             start.elapsed().as_secs_f64()
         );
-        rows.push(row);
     }
     Ok(Table2 {
         budget: budget.clone(),
@@ -453,64 +512,9 @@ pub fn run_table2(
     })
 }
 
-/// Like [`run_table2`], but fans the datasets out over a rayon thread pool.
-///
-/// Every dataset row is computed by the same deterministic procedure as the
-/// sequential runner, so the result is identical — only wall-clock time (on
-/// multi-core machines) and progress-line ordering differ.
-///
-/// # Errors
-///
-/// Propagates the first training or evaluation failure.
-pub fn run_table2_parallel(
-    datasets: &[Dataset],
-    surrogate: Arc<SurrogateModel>,
-    budget: &Budget,
-) -> Result<Table2, PnnError> {
-    use rayon::prelude::*;
-    let rows: Result<Vec<DatasetRow>, PnnError> = datasets
-        .par_iter()
-        .map(|dataset| {
-            let start = std::time::Instant::now();
-            let row = run_dataset_row(dataset, surrogate.clone(), budget)?;
-            eprintln!(
-                "{} done in {:.1}s",
-                dataset.name,
-                start.elapsed().as_secs_f64()
-            );
-            Ok(row)
-        })
-        .collect();
-    Ok(Table2 {
-        budget: budget.clone(),
-        rows: rows?,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn budget_from_args() {
-        let scaled = Budget::from_args(&[]);
-        assert_eq!(scaled, Budget::scaled());
-        let full = Budget::from_args(&["--full".into()]);
-        assert_eq!(full.seeds.len(), 10);
-        assert_eq!(full.patience, 5000);
-        let custom = Budget::from_args(&[
-            "--seeds".into(),
-            "2".into(),
-            "--epochs".into(),
-            "50".into(),
-            "--ntest".into(),
-            "7".into(),
-        ]);
-        assert_eq!(custom.seeds, vec![1, 2]);
-        assert_eq!(custom.max_epochs, 50);
-        assert_eq!(custom.patience, 50);
-        assert_eq!(custom.n_test, 7);
-    }
 
     #[test]
     fn arms_enumerate_the_ablation() {
@@ -545,7 +549,7 @@ mod tests {
             }],
         };
         let path = std::env::temp_dir().join("pnc_bench_table2_test.json");
-        t.save(&path).unwrap();
+        crate::write_report(&path, &t).unwrap();
         let back = Table2::load(&path).unwrap();
         assert_eq!(back, t);
         std::fs::remove_file(&path).ok();

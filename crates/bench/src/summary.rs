@@ -2,6 +2,7 @@
 //! improvement numbers.
 
 use crate::experiment::{Arm, Table2, TEST_EPSILONS};
+use crate::runner::{Markdown, Report};
 use pnc_linalg::stats;
 use serde::{Deserialize, Serialize};
 
@@ -35,26 +36,10 @@ pub struct Table3 {
 /// Panics if a row lacks one of the 8 cells. Tables from
 /// [`run_table2`](crate::run_table2) and [`Table2::load`] always have them.
 pub fn summarize(table2: &Table2) -> Table3 {
-    let arm_rows = [
-        Arm {
-            learnable: true,
-            variation_aware: true,
-        },
-        Arm {
-            learnable: true,
-            variation_aware: false,
-        },
-        Arm {
-            learnable: false,
-            variation_aware: true,
-        },
-        Arm {
-            learnable: false,
-            variation_aware: false,
-        },
-    ];
-    let rows = arm_rows
+    // Arm::ALL runs baseline first; Tab. III runs full method first.
+    let rows = Arm::ALL
         .into_iter()
+        .rev()
         .map(|arm| {
             let collect = |eps: f64| -> (f64, f64) {
                 let mut means = Vec::new();
@@ -139,6 +124,72 @@ pub fn headline_improvements(table3: &Table3) -> Headline {
     }
 }
 
+/// The `table3` report: Tab. III and the headline improvements derived
+/// from one Tab. II grid.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct Summary {
+    /// Per-arm averages over the grid's datasets.
+    pub table3: Table3,
+    /// The full method's improvements over the baseline.
+    pub headline: Headline,
+}
+
+impl Summary {
+    /// Summarizes `table2`; see [`summarize`] for the panic contract.
+    pub fn of(table2: &Table2) -> Self {
+        let table3 = summarize(table2);
+        let headline = headline_improvements(&table3);
+        Summary { table3, headline }
+    }
+}
+
+impl Report for Summary {
+    fn table(&self) -> Markdown {
+        let yes_no = |b: bool| if b { "yes" } else { "no" }.to_string();
+        let pct = |x: f64| format!("{:.1} %", x * 100.0);
+        let mut rows: Vec<Vec<String>> = self
+            .table3
+            .rows
+            .iter()
+            .map(|r| {
+                vec![
+                    yes_no(r.arm.learnable),
+                    yes_no(r.arm.variation_aware),
+                    format!("{:.3} ± {:.3}", r.mean_5, r.std_5),
+                    format!("{:.3} ± {:.3}", r.mean_10, r.std_10),
+                ]
+            })
+            .collect();
+        let h = &self.headline;
+        rows.push(vec![
+            "accuracy gain".into(),
+            "(paper: 19 % / 26 %)".into(),
+            pct(h.accuracy_gain_5),
+            pct(h.accuracy_gain_10),
+        ]);
+        rows.push(vec![
+            "std reduction".into(),
+            "(paper: ≈73 % / ≈75 %)".into(),
+            pct(h.std_reduction_5),
+            pct(h.std_reduction_10),
+        ]);
+        Markdown {
+            title: "Tab. III: ablation summary over the Tab. II datasets, then the full method's \
+                    improvement over the baseline (Sec. IV-D)"
+                .into(),
+            header: [
+                "learnable circuit",
+                "variation-aware",
+                "ε_test = 5 %",
+                "ε_test = 10 %",
+            ]
+            .map(String::from)
+            .to_vec(),
+            rows,
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -159,87 +210,34 @@ mod tests {
     }
 
     fn synthetic_table() -> Table2 {
-        // Mimics the paper's Tab. III values as a single-"dataset" average.
-        let rows = vec![DatasetRow {
-            dataset: "avg".into(),
-            cells: vec![
-                cell(
-                    Arm {
-                        learnable: false,
-                        variation_aware: false,
-                    },
-                    0.05,
-                    0.678,
-                    0.085,
-                ),
-                cell(
-                    Arm {
-                        learnable: false,
-                        variation_aware: false,
-                    },
-                    0.10,
-                    0.626,
-                    0.118,
-                ),
-                cell(
-                    Arm {
-                        learnable: false,
-                        variation_aware: true,
-                    },
-                    0.05,
-                    0.731,
-                    0.053,
-                ),
-                cell(
-                    Arm {
-                        learnable: false,
-                        variation_aware: true,
-                    },
-                    0.10,
-                    0.691,
-                    0.080,
-                ),
-                cell(
-                    Arm {
-                        learnable: true,
-                        variation_aware: false,
-                    },
-                    0.05,
-                    0.752,
-                    0.095,
-                ),
-                cell(
-                    Arm {
-                        learnable: true,
-                        variation_aware: false,
-                    },
-                    0.10,
-                    0.697,
-                    0.130,
-                ),
-                cell(
-                    Arm {
-                        learnable: true,
-                        variation_aware: true,
-                    },
-                    0.05,
-                    0.809,
-                    0.023,
-                ),
-                cell(
-                    Arm {
-                        learnable: true,
-                        variation_aware: true,
-                    },
-                    0.10,
-                    0.786,
-                    0.029,
-                ),
-            ],
-        }];
+        // Mimics the paper's Tab. III values as a single-"dataset" average,
+        // as (learnable, variation-aware, test ε, mean, std).
+        let paper = [
+            (false, false, 0.05, 0.678, 0.085),
+            (false, false, 0.10, 0.626, 0.118),
+            (false, true, 0.05, 0.731, 0.053),
+            (false, true, 0.10, 0.691, 0.080),
+            (true, false, 0.05, 0.752, 0.095),
+            (true, false, 0.10, 0.697, 0.130),
+            (true, true, 0.05, 0.809, 0.023),
+            (true, true, 0.10, 0.786, 0.029),
+        ];
+        let cells = paper
+            .into_iter()
+            .map(|(learnable, variation_aware, eps, mean, std)| {
+                let arm = Arm {
+                    learnable,
+                    variation_aware,
+                };
+                cell(arm, eps, mean, std)
+            })
+            .collect();
         Table2 {
             budget: Budget::scaled(),
-            rows,
+            rows: vec![DatasetRow {
+                dataset: "avg".into(),
+                cells,
+            }],
         }
     }
 

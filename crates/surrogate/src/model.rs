@@ -5,7 +5,7 @@ use crate::{
 use pnc_autodiff::{Adam, Graph, Optimizer, Var};
 use pnc_linalg::{stats, Matrix};
 use serde::{Deserialize, Serialize};
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 /// Training configuration for the surrogate network.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -168,6 +168,70 @@ impl SurrogateModel {
         model.save(path)?;
         Ok((model, Some(report)))
     }
+}
+
+/// Directory where cached artifacts live: `$PNC_ARTIFACT_DIR`, default
+/// `artifacts/` at the workspace root.
+pub fn artifact_dir() -> PathBuf {
+    std::env::var_os("PNC_ARTIFACT_DIR")
+        .map(PathBuf::from)
+        .unwrap_or_else(|| Path::new(env!("CARGO_MANIFEST_DIR")).join("../../artifacts"))
+}
+
+/// The default surrogate model: 2000 QMC design points with 61-point
+/// sweeps and the paper's 13-layer network. Trains once (about a minute in
+/// release mode) and is cached at `surrogate-default.json` in
+/// [`artifact_dir`] afterwards.
+///
+/// # Errors
+///
+/// Propagates pipeline and I/O failures.
+pub fn default_surrogate() -> Result<SurrogateModel, SurrogateError> {
+    let path = artifact_dir().join("surrogate-default.json");
+    let (model, report) = SurrogateModel::load_or_train(
+        &path,
+        &crate::DatasetConfig {
+            samples: 2000,
+            sweep_points: 61,
+        },
+        &TrainConfig {
+            max_epochs: 4000,
+            patience: 400,
+            ..TrainConfig::default()
+        },
+    )?;
+    if let Some(r) = report {
+        eprintln!(
+            "trained surrogate (cached at {}): val mse {:.5}, test R2 {:.3}",
+            path.display(),
+            r.val_mse,
+            r.test_r2
+        );
+    }
+    Ok(model)
+}
+
+/// A small, fast surrogate for tests and smoke runs: 300 design points and
+/// a shallow network, cached at `surrogate-quick.json` in [`artifact_dir`].
+///
+/// # Errors
+///
+/// Propagates pipeline and I/O failures.
+pub fn quick_surrogate() -> Result<SurrogateModel, SurrogateError> {
+    let (model, _) = SurrogateModel::load_or_train(
+        &artifact_dir().join("surrogate-quick.json"),
+        &crate::DatasetConfig {
+            samples: 300,
+            sweep_points: 41,
+        },
+        &TrainConfig {
+            layer_sizes: vec![10, 9, 7, 5, 4],
+            max_epochs: 1500,
+            patience: 300,
+            ..TrainConfig::default()
+        },
+    )?;
+    Ok(model)
 }
 
 /// Assembles the normalized input/target matrices for a set of entry

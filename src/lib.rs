@@ -83,70 +83,5 @@ pub mod artifacts {
     //! Shared trained artifacts, cached on disk so examples and experiments
     //! pay the surrogate-training cost once.
 
-    use pnc_surrogate::{DatasetConfig, SurrogateError, SurrogateModel, TrainConfig};
-    use std::path::PathBuf;
-
-    /// Directory where cached artifacts live (`$PNC_ARTIFACT_DIR`, default
-    /// `artifacts/` under the workspace root).
-    pub fn artifact_dir() -> PathBuf {
-        std::env::var_os("PNC_ARTIFACT_DIR")
-            .map(PathBuf::from)
-            .unwrap_or_else(|| PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("artifacts"))
-    }
-
-    /// The default surrogate model: 2000 QMC design points, the paper's
-    /// 13-layer network. Trains once (about a minute in release mode) and is
-    /// cached as JSON afterwards.
-    ///
-    /// # Errors
-    ///
-    /// Propagates pipeline and I/O failures.
-    pub fn default_surrogate() -> Result<SurrogateModel, SurrogateError> {
-        let path = artifact_dir().join("surrogate-default.json");
-        let (model, report) = SurrogateModel::load_or_train(
-            &path,
-            &DatasetConfig {
-                samples: 2000,
-                sweep_points: 61,
-            },
-            &TrainConfig {
-                max_epochs: 4000,
-                patience: 400,
-                ..TrainConfig::default()
-            },
-        )?;
-        if let Some(r) = report {
-            eprintln!(
-                "trained surrogate (cached at {}): val mse {:.5}, test R2 {:.3}",
-                path.display(),
-                r.val_mse,
-                r.test_r2
-            );
-        }
-        Ok(model)
-    }
-
-    /// A small, fast surrogate for tests and smoke runs: 300 design points
-    /// and a shallow network. Cached separately from the default.
-    ///
-    /// # Errors
-    ///
-    /// Propagates pipeline and I/O failures.
-    pub fn quick_surrogate() -> Result<SurrogateModel, SurrogateError> {
-        let path = artifact_dir().join("surrogate-quick.json");
-        let (model, _) = SurrogateModel::load_or_train(
-            &path,
-            &DatasetConfig {
-                samples: 300,
-                sweep_points: 41,
-            },
-            &TrainConfig {
-                layer_sizes: vec![10, 9, 7, 5, 4],
-                max_epochs: 1500,
-                patience: 300,
-                ..TrainConfig::default()
-            },
-        )?;
-        Ok(model)
-    }
+    pub use pnc_surrogate::{artifact_dir, default_surrogate, quick_surrogate};
 }
