@@ -20,7 +20,7 @@
 //! * Fused classification losses ([`Graph::cross_entropy_logits`],
 //!   [`Graph::margin_loss`]) with hand-derived, numerically stable
 //!   gradients.
-//! * [`optim`] — `Adam` and `Sgd` optimizers over [`Parameter`]s that live
+//! * [`optim`] — the `Adam` optimizer over [`Parameter`]s that live
 //!   outside the graph (the tape is rebuilt every step).
 //! * [`gradcheck`] — a finite-difference gradient checker used extensively in
 //!   the tests of this and downstream crates.
@@ -56,4 +56,4 @@ pub mod optim;
 
 pub use error::AutodiffError;
 pub use graph::{GradStore, Graph, Var};
-pub use optim::{Adam, Optimizer, Parameter, Sgd};
+pub use optim::{Adam, Parameter};

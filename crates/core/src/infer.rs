@@ -13,7 +13,7 @@
 //! single samples and micro-batches alike.
 //!
 //! The plan is f64 only: it reproduces the printed circuit's nominal
-//! forward pass bit for bit at every batch size and thread count. See
+//! forward pass bit for bit at every batch size and chunking. See
 //! DESIGN.md §12 for the full contract and for the measurement that retired
 //! the f32 and Q1.14 plans.
 //!
@@ -39,7 +39,7 @@ use crate::network::Pnn;
 use crate::PnnError;
 use pnc_autodiff::Graph;
 use pnc_linalg::simd::gemm_f64;
-use pnc_linalg::{Matrix, ParallelConfig};
+use pnc_linalg::Matrix;
 use pnc_obs::Counter;
 
 // Observability: compiled-inference traffic. Catalogued in docs/METRICS.md.
@@ -319,11 +319,10 @@ fn check_output(out: &Matrix, rows: usize, out_dim: usize) -> Result<(), PnnErro
 /// A trained pNN compiled to a flat, allocation-free f64 forward pass.
 ///
 /// Outputs are **bit-identical** to [`Pnn::infer`] with nominal printing
-/// (`noise = None`) at every batch size, chunking, and — via
-/// [`Self::infer_parallel`] — thread count; the property tests in
+/// (`noise = None`) at every batch size and chunking; the property tests in
 /// `tests/infer_plan.rs` assert exact equality across the 13-dataset suite.
-/// After [`compile`](Self::compile), the serial entry points perform no
-/// heap allocation beyond the caller-provided output.
+/// After [`compile`](Self::compile), the entry points perform no heap
+/// allocation beyond the caller-provided output.
 #[derive(Debug, Clone)]
 pub struct InferencePlan {
     layers: Vec<ExtractedLayer>,
@@ -473,36 +472,6 @@ impl InferencePlan {
         Ok((0..scores.rows())
             .map(|i| crate::argmax_row(scores.row(i)))
             .collect())
-    }
-
-    /// Parallel batched inference: rows are split into `capacity`-sized
-    /// bands mapped over [`ParallelConfig`]'s deterministic ordered pool.
-    /// Each band runs on its own scratch (one allocation per band — the
-    /// price of `&self` sharing); results are bit-identical to
-    /// [`Self::infer`] at every thread count because the forward has no
-    /// cross-row coupling.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PnnError::Data`] if `x` does not match the input width.
-    pub fn infer_parallel(&self, x: &Matrix, par: &ParallelConfig) -> Result<Matrix, PnnError> {
-        check_input(x, self.in_dim)?;
-        let (rows, in_dim, out_dim) = (x.rows(), self.in_dim, self.out_dim);
-        let bands = pnc_linalg::kernels::row_bands(rows, self.capacity);
-        let results = par.ordered_par_map(&bands, |&(s, e)| {
-            let b = e - s;
-            let mut scratch = Scratch::new(&self.layers, b);
-            scratch.h[..b * in_dim].copy_from_slice(&x.as_slice()[s * in_dim..e * in_dim]);
-            run_layers_f64(&self.layers, &mut scratch, b);
-            scratch.h[..b * out_dim].to_vec()
-        });
-        let mut out = Matrix::zeros(rows, out_dim);
-        for (&(s, e), band) in bands.iter().zip(&results) {
-            out.as_mut_slice()[s * out_dim..e * out_dim].copy_from_slice(band);
-        }
-        OBS_SAMPLES.add(rows as u64);
-        OBS_BATCHES.increment();
-        Ok(out)
     }
 }
 

@@ -3,7 +3,7 @@
 use crate::network::{LossKind, Pnn};
 use crate::variation::{NoiseSample, VariationModel};
 use crate::PnnError;
-use pnc_autodiff::{Adam, GradStore, Graph, Optimizer};
+use pnc_autodiff::{Adam, GradStore, Graph};
 use pnc_linalg::{Matrix, ParallelConfig};
 use pnc_obs::{Counter, FieldValue, Histogram};
 use rand::rngs::StdRng;

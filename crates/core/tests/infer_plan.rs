@@ -1,8 +1,8 @@
 //! Parity contract of the compiled inference plan (DESIGN.md §12),
 //! exercised on the paper's network topology across the full 13-dataset
 //! benchmark suite: the f64 [`InferencePlan`] is **bit-identical** to the
-//! autodiff-graph forward — exact `assert_eq!`, at every batch chunking and
-//! at 1/2/8 threads, on trained and freshly initialized networks alike.
+//! autodiff-graph forward — exact `assert_eq!`, at every batch chunking, on
+//! trained and freshly initialized networks alike.
 
 use pnc_core::{
     InferencePlan, LabeledData, NonlinearityGranularity, Pnn, PnnConfig, TrainConfig, Trainer,
@@ -98,11 +98,11 @@ fn f64_plan_is_bit_identical_on_all_13_datasets() {
 }
 
 #[test]
-fn f64_plan_is_bit_identical_at_1_2_8_threads_and_any_chunking() {
+fn f64_plan_is_bit_identical_at_any_chunking() {
     let suite = benchmark_suite();
     // Three datasets spanning small/medium feature counts keep this fast;
-    // thread count and chunking cannot interact with the data anyway (the
-    // forward has no cross-row coupling).
+    // chunking cannot interact with the data anyway (the forward has no
+    // cross-row coupling).
     for ds in suite.iter().take(3) {
         let (train, val, test) = ds.split(11);
         let pnn = network_for(ds, &train, &val, 5, training_epochs(ds));
@@ -115,16 +115,6 @@ fn f64_plan_is_bit_identical_at_1_2_8_threads_and_any_chunking() {
                 "{}: capacity {capacity} chunking changed bits",
                 ds.name
             );
-            for threads in [1, 2, 8] {
-                let par = plan
-                    .infer_parallel(&test.features, &ParallelConfig::with_threads(threads))
-                    .expect("parallel forward");
-                assert_eq!(
-                    graph_out, par,
-                    "{}: {threads} threads / capacity {capacity} changed bits",
-                    ds.name
-                );
-            }
         }
     }
 }
@@ -179,17 +169,6 @@ fn empty_and_capacity_boundary_batches_chunk_correctly_in_f64() {
             plan64.predict(&empty).expect("f64 empty predict"),
             Vec::<usize>::new()
         );
-        // The parallel path must also tolerate 0 rows.
-        for threads in [1, 2] {
-            let par = ParallelConfig::with_threads(threads);
-            assert_eq!(
-                plan64
-                    .infer_parallel(&empty, &par)
-                    .expect("f64 par empty")
-                    .shape(),
-                (0, ds.num_classes)
-            );
-        }
 
         // capacity-1, capacity, and capacity+1 rows: the exact boundary at
         // which the chunk loop rolls over. Bits must match the graph's

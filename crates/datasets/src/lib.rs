@@ -38,7 +38,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod csv;
 mod dataset;
 pub mod generators;
 mod synth;

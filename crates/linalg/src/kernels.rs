@@ -8,10 +8,9 @@
 //! 1. **Bit-identical accumulation order.** For every output element
 //!    `out[i][j]` the contraction index `k` is visited in ascending order, no
 //!    matter how the loops are blocked or which variant (`matmul`,
-//!    `matmul_nt`, `matmul_tn`, row-partitioned parallel) produced it. This is
-//!    what lets the property tests compare every variant against the naive
-//!    reference with exact equality, and what keeps the bit-identical-at-any-
-//!    thread-count invariant intact.
+//!    `matmul_nt`, `matmul_tn`) produced it. This is what lets the property
+//!    tests compare every variant against the naive reference with exact
+//!    equality.
 //! 2. **No data-dependent branches.** The old kernel skipped `a == 0.0`
 //!    multiplicands, which made timing vary with weight sparsity and would
 //!    defeat blocking. All kernels here are branch-free in the inner loop.
@@ -29,36 +28,36 @@ use crate::Matrix;
 /// 64 KiB–1 MiB private cache with room for the output rows.
 pub const BLOCK: usize = 64;
 
-/// Blocked `out[rs..re] = a[rs..re] · b` over the half-open row band
-/// `rs..re`. `out_band` must hold `(re - rs) * b.cols()` elements; it is
-/// zeroed first. Shapes are the caller's responsibility.
+/// Blocked `out = a · b` into `out_data`, which must hold
+/// `a.rows() * b.cols()` elements; it is zeroed first. Shapes are the
+/// caller's responsibility.
 ///
 /// The per-tile work is the register-tiled microkernel
 /// [`gemm_f64_acc_strided`](crate::simd::gemm_f64_acc_strided). Tiles are
 /// visited `i`-block then `k`-block, and the microkernel keeps `k`
 /// ascending per output element, so the accumulation order — and therefore
 /// every output bit — is identical to the naive `i`/`k`/`j` kernel for any
-/// block size. Bands that fit a single cache block (`rows ≤ BLOCK` and
+/// block size. Products that fit a single cache block (`rows ≤ BLOCK` and
 /// `inner ≤ BLOCK`) dispatch straight to one microkernel call with no blocking
 /// loop — see the crossover note in DESIGN.md §11.
-pub(crate) fn matmul_band_into(a: &Matrix, b: &Matrix, rs: usize, re: usize, out_band: &mut [f64]) {
+pub(crate) fn matmul_blocked_into(a: &Matrix, b: &Matrix, out_data: &mut [f64]) {
     let inner = a.cols();
     let n = b.cols();
-    out_band.fill(0.0);
-    let rows = re - rs;
+    out_data.fill(0.0);
+    let rows = a.rows();
     if rows == 0 || inner == 0 || n == 0 {
         return;
     }
-    let a_band = &a.as_slice()[rs * inner..re * inner];
+    let a_data = a.as_slice();
     if rows <= BLOCK && inner <= BLOCK {
-        // Unblocked fast path: the whole band is one tile, so the blocking
+        // Unblocked fast path: the whole product is one tile, so the blocking
         // loop would only add overhead (the size-64 regression of PR 5).
         crate::simd::gemm_f64_acc_strided(
-            a_band,
+            a_data,
             inner,
             b.as_slice(),
             n,
-            out_band,
+            out_data,
             n,
             (rows, inner, n),
         );
@@ -71,11 +70,11 @@ pub(crate) fn matmul_band_into(a: &Matrix, b: &Matrix, rs: usize, re: usize, out
         while kb < inner {
             let k_end = (kb + BLOCK).min(inner);
             crate::simd::gemm_f64_acc_strided(
-                &a_band[ib * inner + kb..],
+                &a_data[ib * inner + kb..],
                 inner,
                 &b.as_slice()[kb * n..],
                 n,
-                &mut out_band[ib * n..],
+                &mut out_data[ib * n..],
                 n,
                 (i_end - ib, k_end - kb, n),
             );
@@ -87,7 +86,7 @@ pub(crate) fn matmul_band_into(a: &Matrix, b: &Matrix, rs: usize, re: usize, out
 
 /// Naive `i`/`k`/`j` reference matmul into `out_data` (zeroed first). Kept
 /// branch-free and block-free as the bit-exactness oracle for the blocked
-/// and parallel kernels.
+/// kernels.
 pub(crate) fn matmul_reference_into(a: &Matrix, b: &Matrix, out_data: &mut [f64]) {
     let n = b.cols();
     out_data.fill(0.0);
@@ -138,41 +137,6 @@ pub(crate) fn matmul_tn_into_raw(a: &Matrix, b: &Matrix, out_data: &mut [f64]) {
             for (o, &bv) in out_row.iter_mut().zip(b_row) {
                 *o += aki * bv;
             }
-        }
-    }
-}
-
-/// Row band boundaries for row-partitioned parallel work: contiguous bands
-/// of at most `band` rows, in row order. Banding never changes results when
-/// each output row depends only on its own inputs (matmul, the compiled
-/// inference plans), so the band size is a pure tuning knob.
-pub fn row_bands(rows: usize, band: usize) -> Vec<(usize, usize)> {
-    let band = band.max(1);
-    let mut bands = Vec::with_capacity(rows.div_ceil(band));
-    let mut start = 0;
-    while start < rows {
-        let end = (start + band).min(rows);
-        bands.push((start, end));
-        start = end;
-    }
-    bands
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn row_bands_cover_exactly() {
-        for rows in [0usize, 1, 7, 32, 33, 100] {
-            let bands = row_bands(rows, 32);
-            let mut expect = 0;
-            for &(s, e) in &bands {
-                assert_eq!(s, expect);
-                assert!(e > s);
-                expect = e;
-            }
-            assert_eq!(expect, rows);
         }
     }
 }

@@ -28,8 +28,6 @@ pub struct Lu {
     factors: Matrix,
     /// Row permutation: `perm[i]` is the original row now at position `i`.
     perm: Vec<usize>,
-    /// Sign of the permutation, used for the determinant.
-    perm_sign: f64,
 }
 
 impl Lu {
@@ -54,7 +52,6 @@ impl Lu {
         }
         let mut f = a.clone();
         let mut perm: Vec<usize> = (0..n).collect();
-        let mut perm_sign = 1.0;
 
         for k in 0..n {
             // Partial pivoting: find the largest |entry| in column k at/below k.
@@ -77,7 +74,6 @@ impl Lu {
                     f[(pivot_row, j)] = tmp;
                 }
                 perm.swap(k, pivot_row);
-                perm_sign = -perm_sign;
             }
             let pivot = f[(k, k)];
             for i in (k + 1)..n {
@@ -90,11 +86,7 @@ impl Lu {
             }
         }
 
-        Ok(Lu {
-            factors: f,
-            perm,
-            perm_sign,
-        })
+        Ok(Lu { factors: f, perm })
     }
 
     /// Dimension of the factored matrix.
@@ -151,76 +143,6 @@ impl Lu {
             x[i] = acc / self.factors[(i, i)];
         }
         Ok(())
-    }
-
-    /// Solves `A·X = B` column-by-column.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::DimensionMismatch`] if `b.rows() != self.dim()`.
-    pub fn solve_matrix(&self, b: &Matrix) -> Result<Matrix, LinalgError> {
-        let mut out = Matrix::zeros(self.dim(), b.cols());
-        self.solve_matrix_into(b, &mut out)?;
-        Ok(out)
-    }
-
-    /// Solves `A·X = B` column-by-column into a preallocated `out`, reusing
-    /// one internal column buffer instead of allocating two per right-hand
-    /// side as the old `solve_matrix` did.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::DimensionMismatch`] if `b.rows() != self.dim()`
-    /// or `out` is not shaped like `b`.
-    pub fn solve_matrix_into(&self, b: &Matrix, out: &mut Matrix) -> Result<(), LinalgError> {
-        let n = self.dim();
-        if b.rows() != n {
-            return Err(LinalgError::DimensionMismatch {
-                op: "lu_solve_matrix",
-                lhs: (n, n),
-                rhs: b.shape(),
-            });
-        }
-        if out.shape() != b.shape() {
-            return Err(LinalgError::DimensionMismatch {
-                op: "lu_solve_matrix_into",
-                lhs: b.shape(),
-                rhs: out.shape(),
-            });
-        }
-        let mut col = vec![0.0; n];
-        let mut x = vec![0.0; n];
-        for j in 0..b.cols() {
-            for (i, c) in col.iter_mut().enumerate() {
-                *c = b[(i, j)];
-            }
-            self.solve_into(&col, &mut x)?;
-            for (i, &v) in x.iter().enumerate() {
-                out[(i, j)] = v;
-            }
-        }
-        Ok(())
-    }
-
-    /// Determinant of the factored matrix.
-    pub fn det(&self) -> f64 {
-        let mut d = self.perm_sign;
-        for i in 0..self.dim() {
-            d *= self.factors[(i, i)];
-        }
-        d
-    }
-
-    /// Computes the inverse of the factored matrix.
-    ///
-    /// Prefer [`Lu::solve`] where possible; the explicit inverse is provided
-    /// for diagnostics and small covariance computations.
-    ///
-    /// # Errors
-    ///
-    /// Propagates solver errors (should not occur for a valid factorization).
-    pub fn inverse(&self) -> Result<Matrix, LinalgError> {
-        self.solve_matrix(&Matrix::identity(self.dim()))
     }
 }
 
@@ -293,26 +215,6 @@ mod tests {
     }
 
     #[test]
-    fn determinant_of_diagonal() {
-        let a = Matrix::from_rows(&[&[2.0, 0.0], &[0.0, 5.0]]).unwrap();
-        assert!((Lu::factor(&a).unwrap().det() - 10.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn determinant_sign_tracks_permutation() {
-        let a = Matrix::from_rows(&[&[0.0, 1.0], &[1.0, 0.0]]).unwrap();
-        assert!((Lu::factor(&a).unwrap().det() + 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn inverse_times_matrix_is_identity() {
-        let a = Matrix::from_rows(&[&[4.0, 7.0], &[2.0, 6.0]]).unwrap();
-        let inv = Lu::factor(&a).unwrap().inverse().unwrap();
-        let prod = a.matmul(&inv).unwrap();
-        assert!(prod.approx_eq(&Matrix::identity(2), 1e-10));
-    }
-
-    #[test]
     fn solve_into_matches_solve_bitwise() {
         let a = Matrix::from_rows(&[&[1.0, 2.0, 0.0], &[3.0, 4.0, 4.0], &[5.0, 6.0, 3.0]]).unwrap();
         let b = [3.0, 7.0, 8.0];
@@ -325,27 +227,6 @@ mod tests {
         // Wrong output length is rejected.
         let mut short = vec![0.0; 2];
         assert!(lu.solve_into(&b, &mut short).is_err());
-    }
-
-    #[test]
-    fn solve_matrix_into_matches_solve_matrix_bitwise() {
-        let a = Matrix::from_rows(&[&[3.0, 1.0], &[1.0, 2.0]]).unwrap();
-        let b = Matrix::from_rows(&[&[9.0, 4.0], &[8.0, 3.0]]).unwrap();
-        let lu = Lu::factor(&a).unwrap();
-        let fresh = lu.solve_matrix(&b).unwrap();
-        let mut reused = Matrix::filled(2, 2, f64::NAN);
-        lu.solve_matrix_into(&b, &mut reused).unwrap();
-        assert_eq!(fresh, reused);
-        let mut wrong = Matrix::zeros(2, 3);
-        assert!(lu.solve_matrix_into(&b, &mut wrong).is_err());
-    }
-
-    #[test]
-    fn solve_matrix_multiple_rhs() {
-        let a = Matrix::from_rows(&[&[3.0, 1.0], &[1.0, 2.0]]).unwrap();
-        let b = Matrix::from_rows(&[&[9.0, 4.0], &[8.0, 3.0]]).unwrap();
-        let x = Lu::factor(&a).unwrap().solve_matrix(&b).unwrap();
-        assert!(a.matmul(&x).unwrap().approx_eq(&b, 1e-10));
     }
 }
 
@@ -379,16 +260,6 @@ mod proptests {
                 let r: f64 = (0..n).map(|j| a[(i, j)] * x[j]).sum::<f64>() - b[i];
                 prop_assert!(r.abs() < 1e-8, "residual {} at row {}", r, i);
             }
-        }
-
-        #[test]
-        fn det_of_product_scales(
-            a in arb_dd_matrix(4), s in 0.5..2.0f64
-        ) {
-            let det_a = Lu::factor(&a).unwrap().det();
-            let det_sa = Lu::factor(&a.scale(s)).unwrap().det();
-            // det(s*A) = s^n det(A) with n = 4
-            prop_assert!((det_sa - s.powi(4) * det_a).abs() < 1e-6 * det_a.abs().max(1.0));
         }
     }
 }

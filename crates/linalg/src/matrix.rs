@@ -1,4 +1,4 @@
-use crate::{kernels, LinalgError, ParallelConfig};
+use crate::{kernels, LinalgError};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Index, IndexMut};
@@ -32,11 +32,6 @@ pub struct Matrix {
     cols: usize,
     data: Vec<f64>,
 }
-
-/// Rows per band in [`Matrix::matmul_parallel`]. Banding never changes
-/// results (each output row depends only on its own inputs), so this is a
-/// pure tuning knob; 32 rows keeps per-band work well above scheduling cost.
-const PARALLEL_ROW_BAND: usize = 32;
 
 impl Matrix {
     /// Creates a `rows`×`cols` matrix filled with zeros.
@@ -284,13 +279,13 @@ impl Matrix {
                 rhs: out.shape(),
             });
         }
-        kernels::matmul_band_into(self, rhs, 0, self.rows, &mut out.data);
+        kernels::matmul_blocked_into(self, rhs, &mut out.data);
         Ok(())
     }
 
     /// Naive triple-loop matrix product: the bit-exactness oracle for the
-    /// blocked, parallel, and transpose kernels. Prefer [`Matrix::matmul`]
-    /// everywhere else.
+    /// blocked and transpose kernels. Prefer [`Matrix::matmul`] everywhere
+    /// else.
     ///
     /// # Errors
     ///
@@ -307,50 +302,6 @@ impl Matrix {
         let mut out = Matrix::zeros(self.rows, rhs.cols);
         kernels::matmul_reference_into(self, rhs, &mut out.data);
         Ok(out)
-    }
-
-    /// Deterministic row-partitioned parallel matrix product.
-    ///
-    /// The output rows are split into contiguous bands; each worker computes
-    /// a disjoint band with the same blocked kernel as [`Matrix::matmul`] and
-    /// the bands are concatenated in row order (an ordered chunk reduction —
-    /// no atomics, no data-dependent scheduling). Every output row depends
-    /// only on its own inputs, so the result is bit-identical to the serial
-    /// product at any thread count.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::DimensionMismatch`] if
-    /// `self.cols() != rhs.rows()`.
-    pub fn matmul_parallel(
-        &self,
-        rhs: &Matrix,
-        parallel: &ParallelConfig,
-    ) -> Result<Matrix, LinalgError> {
-        if self.cols != rhs.rows {
-            return Err(LinalgError::DimensionMismatch {
-                op: "matmul",
-                lhs: self.shape(),
-                rhs: rhs.shape(),
-            });
-        }
-        // Small products are not worth a pool: fall back to the serial path
-        // (identical bits either way).
-        if parallel.effective_threads() <= 1 || self.rows < 2 * PARALLEL_ROW_BAND {
-            return self.matmul(rhs);
-        }
-        let bands = kernels::row_bands(self.rows, PARALLEL_ROW_BAND);
-        let n = rhs.cols;
-        let blocks: Vec<Vec<f64>> = parallel.ordered_par_map(&bands, |&(rs, re)| {
-            let mut band = vec![0.0; (re - rs) * n];
-            kernels::matmul_band_into(self, rhs, rs, re, &mut band);
-            band
-        });
-        let mut data = Vec::with_capacity(self.rows * n);
-        for block in blocks {
-            data.extend_from_slice(&block);
-        }
-        Matrix::from_vec(self.rows, n, data)
     }
 
     /// Product with a transposed right operand: `self · rhsᵀ`.
@@ -994,8 +945,8 @@ mod proptests {
     }
 
     /// Random rectangular (lhs, rhs) pairs large enough to span two row
-    /// blocks and several parallel row bands (the inner dimension stays
-    /// inside one block; see `matmul_spanning_several_blocks_matches_reference`).
+    /// blocks (the inner dimension stays inside one block; see
+    /// `matmul_spanning_several_blocks_matches_reference`).
     fn arb_matmul_pair() -> impl Strategy<Value = (Matrix, Matrix)> {
         (1usize..80, 1usize..12, 1usize..12).prop_flat_map(|(m, k, n)| {
             let a = proptest::collection::vec(-10.0..10.0f64, m * k)
@@ -1015,17 +966,6 @@ mod proptests {
             let blocked = a.matmul(&b).unwrap();
             let reference = a.matmul_reference(&b).unwrap();
             prop_assert_eq!(blocked, reference);
-        }
-
-        #[test]
-        fn parallel_matmul_is_bit_identical_at_1_2_8_threads((a, b) in arb_matmul_pair()) {
-            let reference = a.matmul_reference(&b).unwrap();
-            for threads in [1usize, 2, 8] {
-                let par = a
-                    .matmul_parallel(&b, &ParallelConfig::with_threads(threads))
-                    .unwrap();
-                prop_assert_eq!(&par, &reference);
-            }
         }
 
         #[test]

@@ -24,23 +24,13 @@ pub fn mean(xs: &[f64]) -> f64 {
 ///
 /// The paper reports the spread of a complete set of Monte-Carlo evaluations,
 /// so the population convention (rather than the `n - 1` sample convention)
-/// is used. See [`sample_std`] for the unbiased variant.
+/// is used.
 pub fn std(xs: &[f64]) -> f64 {
     if xs.len() < 2 {
         return 0.0;
     }
     let m = mean(xs);
     (xs.iter().map(|x| (x - m).powi(2)).sum::<f64>() / xs.len() as f64).sqrt()
-}
-
-/// Sample standard deviation (divides by `n - 1`), or `0.0` for a slice with
-/// fewer than two elements.
-pub fn sample_std(xs: &[f64]) -> f64 {
-    if xs.len() < 2 {
-        return 0.0;
-    }
-    let m = mean(xs);
-    (xs.iter().map(|x| (x - m).powi(2)).sum::<f64>() / (xs.len() - 1) as f64).sqrt()
 }
 
 /// Minimum of a slice, or `None` for an empty slice.
@@ -148,8 +138,6 @@ mod tests {
     fn std_known_value() {
         // Population std of [1, 3] is 1.
         assert!((std(&[1.0, 3.0]) - 1.0).abs() < 1e-12);
-        // Sample std of [1, 3] is sqrt(2).
-        assert!((sample_std(&[1.0, 3.0]) - 2.0f64.sqrt()).abs() < 1e-12);
     }
 
     #[test]

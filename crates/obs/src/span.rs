@@ -3,11 +3,9 @@
 use std::time::Instant;
 
 use crate::metrics::Histogram;
-use crate::sink::{emit, enabled, FieldValue};
 
 /// An RAII timer: records the elapsed wall-clock time (in seconds) into a
-/// [`Histogram`] when dropped, and optionally emits a sink event carrying
-/// the duration.
+/// [`Histogram`] when dropped.
 ///
 /// Wall time is inherently nondeterministic, so duration histograms are
 /// **excluded** from the bit-identical determinism contract — only their
@@ -29,7 +27,6 @@ use crate::sink::{emit, enabled, FieldValue};
 #[must_use = "a Span records its duration on drop; binding it to `_` drops it immediately"]
 pub struct Span {
     histogram: &'static Histogram,
-    event: Option<&'static str>,
     start: Instant,
 }
 
@@ -38,17 +35,6 @@ impl Span {
     pub fn new(histogram: &'static Histogram) -> Self {
         Span {
             histogram,
-            event: None,
-            start: Instant::now(),
-        }
-    }
-
-    /// Starts a span that additionally emits a sink event named `event`
-    /// (with a `seconds` field) on drop, when the sink is enabled.
-    pub fn with_event(histogram: &'static Histogram, event: &'static str) -> Self {
-        Span {
-            histogram,
-            event: Some(event),
             start: Instant::now(),
         }
     }
@@ -61,12 +47,6 @@ impl Span {
 
 impl Drop for Span {
     fn drop(&mut self) {
-        let seconds = self.elapsed_seconds();
-        self.histogram.observe(seconds);
-        if let Some(event) = self.event {
-            if enabled() {
-                emit(event, &[("seconds", FieldValue::F64(seconds))]);
-            }
-        }
+        self.histogram.observe(self.elapsed_seconds());
     }
 }

@@ -2,15 +2,13 @@
 //!
 //! The paper (Sec. III-A) draws 10 000 representative points from the feasible
 //! design space of the printed nonlinear circuit using quasi Monte-Carlo
-//! sampling \[Sobol, 1990\]. This crate provides the two classic
-//! low-discrepancy sequences:
+//! sampling \[Sobol, 1990\]. This crate provides that sampler:
 //!
 //! * [`Sobol`] — a Gray-code Sobol' sequence with embedded direction numbers
-//!   for up to [`Sobol::MAX_DIM`] dimensions, the sampler actually used by the
+//!   for up to [`Sobol::MAX_DIM`] dimensions, the sampler used by the
 //!   surrogate-modelling pipeline.
-//! * [`Halton`] — the Halton sequence, kept as a cross-check and for tests.
 //!
-//! Both produce points in the half-open unit hypercube `[0, 1)^d`; use
+//! It produces points in the half-open unit hypercube `[0, 1)^d`; use
 //! [`scale_to_box`] to map them onto an arbitrary axis-aligned box such as the
 //! component ranges of Tab. I.
 //!
@@ -34,10 +32,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod halton;
 mod sobol;
 
-pub use halton::Halton;
 pub use sobol::Sobol;
 
 use std::fmt;

@@ -262,28 +262,6 @@ impl PtanhCircuit {
         sweep::dc_sweep(&mut self.circuit, self.vin, v_in, &self.solver)
     }
 
-    /// Like [`transfer_curve`](Self::transfer_curve), but sweeps fixed-size
-    /// chunks of the grid on `parallel` worker threads (see
-    /// [`sweep::dc_sweep_parallel`]) and leaves `self` unchanged. The curve
-    /// is identical at every thread count.
-    ///
-    /// # Errors
-    ///
-    /// Propagates solver failures at any sweep point (lowest grid index
-    /// wins).
-    pub fn transfer_curve_parallel(
-        &self,
-        v_in: &[f64],
-        parallel: &pnc_linalg::ParallelConfig,
-    ) -> Result<Vec<(f64, f64)>, SpiceError> {
-        let sols = sweep::dc_sweep_parallel(&self.circuit, self.vin, v_in, &self.solver, parallel)?;
-        Ok(v_in
-            .iter()
-            .zip(sols)
-            .map(|(&v, sol)| (v, sol.voltage(self.out)))
-            .collect())
-    }
-
     /// Replaces the DC solver used for all subsequent analyses.
     ///
     /// The dataset builder uses this to install solvers with custom
@@ -535,31 +513,6 @@ impl CrossbarNetwork {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pnc_linalg::ParallelConfig;
-
-    #[test]
-    fn parallel_transfer_curve_is_thread_invariant_and_close_to_serial() {
-        let params = NonlinearCircuitParams::nominal();
-        let ckt = PtanhCircuit::build(&params).unwrap();
-        let grid = sweep::linspace(0.0, VDD, 61);
-        let serial = ckt
-            .transfer_curve_parallel(&grid, &ParallelConfig::serial())
-            .unwrap();
-        let four = ckt
-            .transfer_curve_parallel(&grid, &ParallelConfig::with_threads(4))
-            .unwrap();
-        assert_eq!(serial, four, "curve must not depend on thread count");
-        // Chunked warm starts may differ from full continuation only at
-        // solver-tolerance level.
-        let full = PtanhCircuit::build(&params)
-            .unwrap()
-            .transfer_curve(&grid)
-            .unwrap();
-        for ((v_full, out_full), (v_chunk, out_chunk)) in full.iter().zip(&serial) {
-            assert_eq!(v_full, v_chunk);
-            assert!((out_full - out_chunk).abs() < 1e-6);
-        }
-    }
 
     #[test]
     fn resistor_ladder_attenuates_and_backends_agree() {

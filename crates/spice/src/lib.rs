@@ -74,7 +74,6 @@ mod egt;
 mod error;
 mod mna;
 mod netlist;
-mod netlist_io;
 pub mod sweep;
 mod transient;
 
@@ -85,5 +84,4 @@ pub use mna::{
     DcSolver, FaultInjection, NewtonCache, RecoveryPolicy, RecoveryRung, Solution, SolveDiagnostics,
 };
 pub use netlist::{Circuit, Device, DeviceId, Node, GROUND};
-pub use netlist_io::parse_value;
 pub use transient::{TransientSolver, Waveform};

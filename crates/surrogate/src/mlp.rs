@@ -179,7 +179,7 @@ impl Mlp {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pnc_autodiff::{Adam, Optimizer};
+    use pnc_autodiff::Adam;
 
     #[test]
     fn paper_sizes_are_thirteen_layers() {

@@ -2,7 +2,7 @@ use crate::{
     CircuitDataset, DesignSpace, EtaBounds, Mlp, SurrogateError, EXTENDED_DIM, OMEGA_DIM,
     PAPER_LAYER_SIZES,
 };
-use pnc_autodiff::{Adam, Graph, Optimizer, Var};
+use pnc_autodiff::{Adam, Graph, Var};
 use pnc_linalg::{stats, Matrix};
 use serde::{Deserialize, Serialize};
 use std::path::{Path, PathBuf};

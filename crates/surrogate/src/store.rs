@@ -344,6 +344,18 @@ impl StoreMeta {
                  only Sobol' stores (byte 0) can be read or resumed"
             )));
         }
+        if !is_valid_failure_fraction(max_failure_fraction) {
+            return Err(corrupt(&format!(
+                "max_failure_fraction {max_failure_fraction} is not a finite, non-negative fraction"
+            )));
+        }
+        for (k, (&l, &h)) in lo.iter().zip(&hi).enumerate() {
+            if !l.is_finite() || !h.is_finite() || l >= h {
+                return Err(corrupt(&format!(
+                    "space bound {k}: [{l}, {h}] is not a finite interval with lo < hi"
+                )));
+            }
+        }
         Ok(StoreMeta {
             total_points,
             chunk_points,
@@ -352,6 +364,13 @@ impl StoreMeta {
             space: DesignSpace { lo, hi },
         })
     }
+}
+
+/// Whether `fraction` can be a store's `max_failure_fraction`: finite and
+/// non-negative. The header reader and `StreamConfig::validate` share it,
+/// so a build never writes a header the reader refuses.
+pub(crate) fn is_valid_failure_fraction(fraction: f64) -> bool {
+    fraction.is_finite() && fraction >= 0.0
 }
 
 /// One fixed-width record: a characterized entry or a recorded failure.
@@ -1016,6 +1035,48 @@ mod tests {
         assert!(is_retired(DatasetStore::open_readonly(&path).unwrap_err()));
         assert!(is_retired(DatasetStore::open_resumable(&path).unwrap_err()));
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn impossible_header_values_are_rejected() {
+        // Each header carries a valid checksum, so only the value is wrong.
+        // Layout offsets: magic 8 + version/record/cause 12 + counts 20 +
+        // sampling 1 + seed 8 = 49 for the failure fraction, then the seven
+        // lower bounds, then the seven upper bounds, 8 bytes each.
+        const FRACTION: usize = 49;
+        const LO: usize = FRACTION + 8;
+        const HI: usize = LO + 8 * OMEGA_DIM;
+        let body_len = StoreMeta::encoded_len() - 8;
+        let patched = |offset: usize, value: f64| {
+            let mut bytes = meta().encode();
+            bytes[offset..offset + 8].copy_from_slice(&value.to_le_bytes());
+            let sum = fnv1a64(&bytes[..body_len]).to_le_bytes();
+            bytes[body_len..].copy_from_slice(&sum);
+            bytes
+        };
+        let paper = DesignSpace::paper();
+        let cases = [
+            ("nan_lo", patched(LO, f64::NAN)),
+            ("inf_hi", patched(HI + 8 * 6, f64::INFINITY)),
+            ("inverted_lo2", patched(LO + 8 * 2, paper.hi[2] * 2.0)),
+            ("equal_lo_hi", patched(LO + 8 * 4, paper.hi[4])),
+            ("nan_fraction", patched(FRACTION, f64::NAN)),
+            ("inf_fraction", patched(FRACTION, f64::INFINITY)),
+            ("negative_fraction", patched(FRACTION, -0.5)),
+        ];
+        for (name, bytes) in cases {
+            let path = std::env::temp_dir().join(format!("pnc_store_bad_header_{name}.pncds"));
+            std::fs::write(&path, &bytes).unwrap();
+            let readonly = DatasetStore::open_readonly(&path).map(|_| ());
+            let resumable = DatasetStore::open_resumable(&path).map(|_| ());
+            std::fs::remove_file(&path).ok();
+            for result in [readonly, resumable] {
+                assert!(
+                    matches!(result, Err(StoreError::HeaderCorrupt { .. })),
+                    "{name}: {result:?}"
+                );
+            }
+        }
     }
 
     #[test]

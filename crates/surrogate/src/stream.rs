@@ -24,7 +24,7 @@
 //! DESIGN.md §17.
 
 use crate::dataset::characterize_point;
-use crate::store::{DatasetStore, ResumeReport, StoreMeta, StoreRecord};
+use crate::store::{is_valid_failure_fraction, DatasetStore, ResumeReport, StoreMeta, StoreRecord};
 use crate::{
     CircuitDataset, DesignSampler, DesignSpace, EtaBounds, EtaBoundsAccumulator, SurrogateError,
     OMEGA_DIM,
@@ -106,6 +106,14 @@ impl StreamConfig {
         if self.chunk_points == 0 {
             return Err(SurrogateError::Config {
                 detail: "chunk_points must be positive".into(),
+            });
+        }
+        if !is_valid_failure_fraction(self.max_failure_fraction) {
+            return Err(SurrogateError::Config {
+                detail: format!(
+                    "max_failure_fraction {} must be finite and non-negative",
+                    self.max_failure_fraction
+                ),
             });
         }
         Ok(())
@@ -202,31 +210,6 @@ impl<'a> StreamBuilder<'a> {
         OBS_DISCARDED_BYTES.add(report.discarded_bytes);
         let builder = Self::assemble(*config, store, report)?;
         Ok((builder, report))
-    }
-
-    /// [`StreamBuilder::resume`] when the store exists, otherwise
-    /// [`StreamBuilder::create`].
-    ///
-    /// # Errors
-    ///
-    /// Same contracts as the two constructors.
-    pub fn open_or_create(
-        path: &Path,
-        config: &StreamConfig,
-    ) -> Result<(Self, ResumeReport), SurrogateError> {
-        if path.exists() {
-            Self::resume(path, config)
-        } else {
-            let builder = Self::create(path, config)?;
-            Ok((
-                builder,
-                ResumeReport {
-                    committed_chunks: 0,
-                    committed_records: 0,
-                    discarded_bytes: 0,
-                },
-            ))
-        }
     }
 
     /// Installs a per-sample DC solver override (fault injection in tests,
@@ -610,6 +593,23 @@ mod tests {
             "{err:?}"
         );
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn unreadable_failure_fractions_are_rejected_before_writing() {
+        for fraction in [f64::NAN, f64::INFINITY, -0.1] {
+            let path = tmp("bad_fraction");
+            std::fs::remove_file(&path).ok();
+            let config = StreamConfig {
+                max_failure_fraction: fraction,
+                ..small_config(9, 9)
+            };
+            let Err(err) = StreamBuilder::create(&path, &config) else {
+                panic!("fraction {fraction} must be rejected");
+            };
+            assert!(matches!(err, SurrogateError::Config { .. }), "{err:?}");
+            assert!(!path.exists(), "fraction {fraction} wrote a store");
+        }
     }
 
     #[test]

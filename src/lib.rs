@@ -6,13 +6,13 @@
 //! examples and cross-crate integration tests. The layers, bottom-up:
 //!
 //! * [`linalg`] — dense matrices, LU solves, statistics.
-//! * [`qmc`] — Sobol'/Halton quasi Monte-Carlo samplers.
+//! * [`qmc`] — the Sobol' quasi Monte-Carlo sampler.
 //! * [`spice`] — a DC circuit simulator (modified nodal analysis +
 //!   Newton–Raphson) with a printed electrolyte-gated transistor model and
 //!   the paper's two-stage nonlinear circuit netlists.
 //! * [`fit`] — Levenberg–Marquardt fitting of the `ptanh` curve (Eq. 2).
 //! * [`autodiff`] — reverse-mode tape autodiff with straight-through
-//!   estimators and Adam/SGD.
+//!   estimators and the Adam optimizer.
 //! * [`surrogate`] — the Sec. III-A pipeline: design-space sampling →
 //!   simulation → curve fitting → the 13-layer surrogate network η̂(ω̃).
 //! * [`datasets`] — the 13 benchmark classification tasks of Tab. II.
