@@ -1,12 +1,11 @@
-//! The repository's four measured performance claims, each checked against
+//! The repository's three measured performance claims, each checked against
 //! its bar. Correctness bars (bit identity, exact TCP round trip, resume
-//! fidelity, sparse-vs-dense agreement) are `cargo test` tests; these are the
-//! claims only a timed or sized run can check.
+//! fidelity) are `cargo test` tests; these are the claims only a timed or
+//! sized run can check.
 //!
 //! | claim | bar |
 //! |---|---|
 //! | streamed-build peak RSS, 8,000 vs 800 points | ratio ≤ 1.2 |
-//! | dense vs sparse LU slowdown, 209-node crossbar | ≥ 5× at ≥ 60 nodes |
 //! | compiled f64 plan vs graph, single-sample p50 | ≥ 3× |
 //! | 8-client batched vs one-at-a-time serving throughput | ≥ 1.0 |
 //!
@@ -26,8 +25,6 @@ use pnc_core::{
 use pnc_datasets::generators::iris;
 use pnc_linalg::{Matrix, ParallelConfig};
 use pnc_serve::{ModelRegistry, ServeConfig, ServeError, Server};
-use pnc_spice::circuits::CrossbarNetwork;
-use pnc_spice::{Circuit, DcSolver, SolverBackend};
 use pnc_surrogate::{
     build_dataset, train_surrogate, DatasetConfig, StreamBuilder, StreamConfig,
     TrainConfig as STrain,
@@ -98,43 +95,6 @@ fn stream_rss_claim() -> Res<Claim> {
         ),
         bar: "<= 1.2",
         pass: ratio <= 1.2,
-    })
-}
-
-/// Cold solves per second of `circuit` under `backend`, best of three
-/// batches each sized to take about 50 ms from one warmup solve.
-fn solves_per_s(circuit: &Circuit, backend: SolverBackend) -> Res<f64> {
-    let solver = DcSolver::with_backend(backend);
-    let warmup = Instant::now();
-    solver.solve(circuit)?;
-    let one = warmup.elapsed().as_secs_f64().max(1e-7);
-    let batch = ((0.05 / one).ceil() as usize).clamp(1, 20_000);
-    let mut best = 0.0_f64;
-    for _ in 0..3 {
-        let t = Instant::now();
-        for _ in 0..batch {
-            solver.solve(circuit)?;
-        }
-        best = best.max(batch as f64 / t.elapsed().as_secs_f64());
-    }
-    Ok(best)
-}
-
-/// Sparse LU pays at crossbar scale: on the `[16, 16, 16, 16]` network
-/// (seed 42), dense LU is at least 5× slower than sparse LU.
-fn sparse_lu_claim() -> Res<Claim> {
-    let net = CrossbarNetwork::build(&[16, 16, 16, 16], 42)?;
-    let nodes = net.circuit().num_nodes();
-    let dense = solves_per_s(net.circuit(), SolverBackend::DenseLu)?;
-    let sparse = solves_per_s(net.circuit(), SolverBackend::SparseLu)?;
-    let slowdown = sparse / dense;
-    Ok(Claim {
-        name: "dense vs sparse LU slowdown, crossbar [16,16,16,16]",
-        measured: format!(
-            "{slowdown:.1}x at {nodes} nodes (dense {dense:.0}, sparse {sparse:.0} solves/s)"
-        ),
-        bar: ">= 5x at >= 60 nodes",
-        pass: slowdown >= 5.0 && nodes >= 60,
     })
 }
 
@@ -276,7 +236,6 @@ fn main() -> Res<ExitCode> {
     let mut claims = Vec::new();
     // First: the RSS claim reads the process-lifetime high-water mark.
     claims.push(stream_rss_claim()?);
-    claims.push(sparse_lu_claim()?);
     let (pnn, test) = iris_fixture()?;
     claims.push(infer_claim(&pnn, &test)?);
     claims.push(serving_claim(&pnn, &test)?);

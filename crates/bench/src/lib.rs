@@ -26,9 +26,9 @@
 //! [`Budget::paper`] with `--full` (10 seeds, patience 5000,
 //! `N_train` = 20, `N_test` = 100 — hours of CPU time).
 //!
-//! The `claims` binary checks the four measured performance claims
-//! (streamed-build memory, sparse LU, compiled inference, serving
-//! batching) and prints one `PASS`/`FAIL` line per claim. The
+//! The `claims` binary checks the three measured performance claims
+//! (streamed-build memory, compiled inference, serving batching) and
+//! prints one `PASS`/`FAIL` line per claim. The
 //! paper's pipeline itself is measured end to end by the outside-in
 //! benchmark in `benchmark/`.
 

@@ -402,11 +402,14 @@ impl Pnn {
         })
     }
 
-    /// Loads a network saved by [`Pnn::save`].
+    /// Loads a network saved by [`Pnn::save`]; its embedded surrogate is
+    /// checked with [`SurrogateModel::validate`].
     ///
     /// # Errors
     ///
-    /// Returns [`PnnError::Data`] on I/O or deserialization failures.
+    /// Returns [`PnnError::Data`] on I/O or deserialization failures and
+    /// [`PnnError::Surrogate`] for an embedded surrogate that does not
+    /// validate.
     pub fn load(path: &std::path::Path) -> Result<Self, PnnError> {
         let json = std::fs::read_to_string(path).map_err(|e| PnnError::Data {
             detail: format!("read failed: {e}"),
@@ -414,6 +417,7 @@ impl Pnn {
         let state: PnnState = serde_json::from_str(&json).map_err(|e| PnnError::Data {
             detail: format!("deserialize failed: {e}"),
         })?;
+        state.surrogate.validate()?;
         Ok(Pnn {
             config: state.config,
             layers: state.layers,
@@ -714,6 +718,41 @@ mod tests {
         assert!(a.approx_eq(&b, 1e-9));
         assert_eq!(back.config(), pnn.config());
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn load_rejects_an_embedded_surrogate_of_the_wrong_shape() {
+        let surrogate = quick_surrogate();
+        let pnn = Pnn::new(PnnConfig::for_dataset(4, 3), Arc::clone(&surrogate)).unwrap();
+        let path = std::env::temp_dir().join(format!(
+            "pnc_core_bad_surrogate_{}.json",
+            std::process::id()
+        ));
+        pnn.save(&path).unwrap();
+        // `surrogate` is the last field of the saved state: splice in one
+        // whose network maps 7 inputs to 3 outputs instead of 10 to 4.
+        let json = std::fs::read_to_string(&path).unwrap();
+        let at = json.find("\"surrogate\":").unwrap();
+        let bad = format!(
+            "{}\"surrogate\":{{\"space\":{},\"eta_bounds\":{},\"mlp\":{}}}}}",
+            &json[..at],
+            serde_json::to_string(&surrogate.space).unwrap(),
+            serde_json::to_string(&surrogate.eta_bounds).unwrap(),
+            serde_json::to_string(&pnc_surrogate::Mlp::new(&[7, 3], 0)).unwrap(),
+        );
+        std::fs::write(&path, bad).unwrap();
+        let loaded = Pnn::load(&path);
+        std::fs::remove_file(&path).ok();
+        assert!(
+            matches!(
+                loaded,
+                Err(PnnError::Surrogate(
+                    pnc_surrogate::SurrogateError::BadModel { .. }
+                ))
+            ),
+            "{:?}",
+            loaded.err()
+        );
     }
 
     #[test]

@@ -25,10 +25,6 @@
 //!   microkernels shared by the blocked matmul and the compiled inference
 //!   plan in `pnc-core`, all safe code, all honoring the same ascending-`k`
 //!   accumulation order.
-//! * [`sparse`] — compressed-sparse-column storage and Markowitz-ordered
-//!   sparse LU with a cached symbolic analysis, the factorization behind
-//!   the `sparse-lu` circuit-solver backend (docs/SOLVERS.md at the
-//!   workspace root).
 //!
 //! # Examples
 //!
@@ -56,7 +52,6 @@ mod lu;
 mod matrix;
 pub mod parallel;
 pub mod simd;
-pub mod sparse;
 pub mod stats;
 mod workspace;
 

@@ -18,8 +18,8 @@ use crate::scope::is_keyword;
 use crate::source::{FileKind, SourceFile};
 use std::collections::BTreeMap;
 
-/// The functions the oracle registry must always pin: the cross-backend
-/// agreement oracles designated in docs/SOLVERS.md and DESIGN.md, plus the
+/// The functions the oracle registry must always pin: the reference
+/// implementations designated in docs/SOLVERS.md and DESIGN.md, plus the
 /// streaming-equivalence anchors of DESIGN.md §17 — the batch dataset
 /// builder the streamed build must reproduce bit-identically, the shared
 /// per-point characterization kernel, and the two store codecs whose byte

@@ -312,265 +312,9 @@ pub fn characteristic_curve(
     ckt.transfer_curve(&sweep::linspace(0.0, VDD, n))
 }
 
-/// Deterministic 64-bit LCG (Knuth's MMIX constants) returning uniform
-/// samples in `[0, 1)`; the crossbar builder uses it so benchmark netlists
-/// are reproducible from a seed without a random-number dependency.
-fn lcg_uniform(state: &mut u64) -> f64 {
-    *state = state
-        .wrapping_mul(6364136223846793005)
-        .wrapping_add(1442695040888963407);
-    ((*state >> 11) as f64) / ((1u64 << 53) as f64)
-}
-
-/// Builds a driven resistor ladder: a 1 V source feeding `sections` series
-/// resistors of `r_series` ohms, each junction shunted to ground through
-/// `r_shunt` ohms. Returns the circuit and its far-end node.
-///
-/// The MNA matrix is tridiagonal-plus-border, the canonical topology where
-/// sparse LU scales linearly while dense LU pays the full O(n³) — the
-/// cross-backend tests use it (see `docs/SOLVERS.md`).
-///
-/// # Errors
-///
-/// Returns [`SpiceError::InvalidValue`] for non-positive or non-finite
-/// resistances, or a zero section count.
-///
-/// # Examples
-///
-/// ```
-/// use pnc_spice::{circuits::resistor_ladder, DcSolver};
-///
-/// # fn main() -> Result<(), pnc_spice::SpiceError> {
-/// let (ladder, far_end) = resistor_ladder(64, 1_000.0, 10_000.0)?;
-/// let sol = DcSolver::new().solve(&ladder)?;
-/// // The ladder attenuates monotonically toward the far end.
-/// let v = sol.voltage(far_end);
-/// assert!(v > 0.0 && v < 1.0);
-/// # Ok(())
-/// # }
-/// ```
-pub fn resistor_ladder(
-    sections: usize,
-    r_series: f64,
-    r_shunt: f64,
-) -> Result<(Circuit, Node), SpiceError> {
-    if sections == 0 {
-        return Err(SpiceError::InvalidValue {
-            device: "ladder sections",
-            value: 0.0,
-        });
-    }
-    let mut c = Circuit::new();
-    let drive = c.new_node();
-    c.vsource(drive, GROUND, VDD)?;
-    let mut prev = drive;
-    for _ in 0..sections {
-        let node = c.new_node();
-        c.resistor(prev, node, r_series)?;
-        c.resistor(node, GROUND, r_shunt)?;
-        prev = node;
-    }
-    Ok((c, prev))
-}
-
-/// A multilayer printed-neural-network circuit at full SPICE level: each
-/// layer is a resistor crossbar computing conductance-weighted sums
-/// (Eq. 1 of the paper) feeding one two-stage EGT activation
-/// (the [`PtanhCircuit`] topology) per neuron, with layer outputs wired as
-/// the next layer's inputs.
-///
-/// This is the crossbar-scale workload the sparse solver is measured on: a
-/// `[16, 16, 16, 16]` network has hundreds of MNA unknowns — more than 10×
-/// the Fig. 1 subcircuit — at a few nonzeros per row, the regime where the
-/// sparse backend of [`DcSolver`] pulls away from dense LU. All component
-/// values derive deterministically from `seed`, so benchmark netlists are
-/// reproducible.
-///
-/// # Examples
-///
-/// ```
-/// use pnc_spice::circuits::CrossbarNetwork;
-///
-/// # fn main() -> Result<(), pnc_spice::SpiceError> {
-/// let net = CrossbarNetwork::build(&[4, 3, 2], 7)?;
-/// let outputs = net.solve()?;
-/// assert_eq!(outputs.len(), 2);
-/// // Activation outputs stay within the supply rails.
-/// assert!(outputs.iter().all(|v| (-1e-6..=1.0 + 1e-6).contains(v)));
-/// # Ok(())
-/// # }
-/// ```
-#[derive(Debug, Clone)]
-pub struct CrossbarNetwork {
-    circuit: Circuit,
-    outputs: Vec<Node>,
-    solver: DcSolver,
-}
-
-impl CrossbarNetwork {
-    /// Builds the network. `layers[0]` is the number of circuit inputs
-    /// (each driven by a seeded voltage source in `[0, VDD]`); every later
-    /// entry is a crossbar-plus-activation layer of that many neurons.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SpiceError::InvalidValue`] unless `layers` has at least an
-    /// input and one neuron layer, all with non-zero width.
-    pub fn build(layers: &[usize], seed: u64) -> Result<Self, SpiceError> {
-        if layers.len() < 2 || layers.contains(&0) {
-            return Err(SpiceError::InvalidValue {
-                device: "crossbar layer sizes",
-                value: layers.len() as f64,
-            });
-        }
-        let mut rng = seed ^ 0x9e37_79b9_7f4a_7c15;
-        // Crossbar weight resistors span a printed-plausible decade.
-        let weight_r = |rng: &mut u64| 10_000.0 + 90_000.0 * lcg_uniform(rng);
-        let act = NonlinearCircuitParams::nominal();
-        let egt = EgtModel::printed(act.w, act.l);
-
-        let mut c = Circuit::new();
-        let vdd = c.new_node();
-        c.vsource(vdd, GROUND, VDD)?;
-
-        let mut inputs: Vec<Node> = Vec::with_capacity(layers[0]);
-        for _ in 0..layers[0] {
-            let n = c.new_node();
-            c.vsource(n, GROUND, VDD * lcg_uniform(&mut rng))?;
-            inputs.push(n);
-        }
-
-        let mut prev = inputs;
-        for &width in &layers[1..] {
-            let mut outs = Vec::with_capacity(width);
-            for _ in 0..width {
-                // Weighted-sum node z (Eq. 1): one crossbar resistor per
-                // upstream output, a bias column from VDD, and the
-                // denominator pulldown.
-                let z = c.new_node();
-                for &src in &prev {
-                    c.resistor(src, z, weight_r(&mut rng))?;
-                }
-                c.resistor(vdd, z, weight_r(&mut rng))?;
-                c.resistor(z, GROUND, weight_r(&mut rng))?;
-
-                // Two-stage EGT activation, as in [`PtanhCircuit`] with z
-                // taking the place of the divided input.
-                let d1 = c.new_node();
-                let g2 = c.new_node();
-                let out = c.new_node();
-                c.resistor(vdd, d1, act.r5)?;
-                c.egt(d1, z, GROUND, egt)?;
-                c.resistor(d1, g2, act.r3)?;
-                c.resistor(g2, GROUND, act.r4)?;
-                c.resistor(vdd, out, SECOND_STAGE_LOAD_OHMS)?;
-                c.egt(out, g2, GROUND, egt)?;
-                outs.push(out);
-            }
-            prev = outs;
-        }
-
-        Ok(CrossbarNetwork {
-            circuit: c,
-            outputs: prev,
-            solver: DcSolver::new(),
-        })
-    }
-
-    /// Solves the DC operating point and returns the final layer's output
-    /// voltages.
-    ///
-    /// # Errors
-    ///
-    /// Propagates solver failures.
-    pub fn solve(&self) -> Result<Vec<f64>, SpiceError> {
-        let sol = self.solver.solve(&self.circuit)?;
-        Ok(self.outputs.iter().map(|&n| sol.voltage(n)).collect())
-    }
-
-    /// Replaces the DC solver used by [`Self::solve`], for example to pin
-    /// a [`SolverBackend`](crate::SolverBackend).
-    pub fn set_solver(&mut self, solver: DcSolver) {
-        self.solver = solver;
-    }
-
-    /// The DC solver currently in use.
-    pub fn solver(&self) -> &DcSolver {
-        &self.solver
-    }
-
-    /// Output nodes of the final layer, in neuron order.
-    pub fn outputs(&self) -> &[Node] {
-        &self.outputs
-    }
-
-    /// Access to the underlying netlist (for inspection and tests).
-    pub fn circuit(&self) -> &Circuit {
-        &self.circuit
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn resistor_ladder_attenuates_and_backends_agree() {
-        let (ladder, far_end) = resistor_ladder(40, 1_000.0, 10_000.0).unwrap();
-        let dense = crate::DcSolver::new().solve(&ladder).unwrap();
-        let sparse = crate::DcSolver::with_backend(crate::SolverBackend::SparseLu)
-            .solve(&ladder)
-            .unwrap();
-        let v = dense.voltage(far_end);
-        assert!(
-            v > 0.0 && v < 0.5,
-            "a 40-section ladder attenuates, got {v}"
-        );
-        for (a, b) in dense.voltages().iter().zip(sparse.voltages()) {
-            assert!((a - b).abs() < 1e-9, "dense {a} vs sparse {b}");
-        }
-    }
-
-    #[test]
-    fn crossbar_network_is_crossbar_scale_and_backends_agree() {
-        let net = CrossbarNetwork::build(&[8, 8, 8], 42).unwrap();
-        // ≥ 10× the 6-node Fig. 1 subcircuit.
-        assert!(
-            net.circuit().num_nodes() >= 60,
-            "nodes {}",
-            net.circuit().num_nodes()
-        );
-        let dense = net.solve().unwrap();
-        // Sparse LU solves the same Newton system, so it agrees to linear
-        // solver precision (SOLVERS.md).
-        let mut alt = net.clone();
-        alt.set_solver(crate::DcSolver::with_backend(
-            crate::SolverBackend::SparseLu,
-        ));
-        let got = alt.solve().unwrap();
-        for (a, b) in dense.iter().zip(&got) {
-            assert!((a - b).abs() < 1e-8, "dense {a} vs sparse {b}");
-        }
-    }
-
-    #[test]
-    fn crossbar_network_is_seed_deterministic() {
-        let a = CrossbarNetwork::build(&[4, 3], 9).unwrap().solve().unwrap();
-        let b = CrossbarNetwork::build(&[4, 3], 9).unwrap().solve().unwrap();
-        let c = CrossbarNetwork::build(&[4, 3], 10)
-            .unwrap()
-            .solve()
-            .unwrap();
-        assert_eq!(a, b, "same seed must rebuild the same netlist");
-        assert_ne!(a, c, "different seeds must differ");
-    }
-
-    #[test]
-    fn builders_reject_degenerate_shapes() {
-        assert!(resistor_ladder(0, 1_000.0, 1_000.0).is_err());
-        assert!(CrossbarNetwork::build(&[4], 1).is_err());
-        assert!(CrossbarNetwork::build(&[4, 0, 2], 1).is_err());
-    }
 
     #[test]
     fn nominal_params_are_valid() {

@@ -10,17 +10,15 @@
 //! * a behavioral **printed electrolyte-gated transistor** (EGT) model with
 //!   geometry (W/L) scaling, smooth triode/saturation interpolation and
 //!   channel-length modulation ([`EgtModel`]),
-//! * damped **Newton–Raphson** iteration with analytic device Jacobians and a
-//!   `gmin` safety conductance ([`DcSolver`]),
-//! * two interchangeable **solver backends** — dense LU (the oracle) and
-//!   sparse LU with cached symbolic analysis — selected in code via
-//!   [`DcSolver::with_backend`] ([`SolverBackend`]; catalogue and selection
-//!   guidance in `docs/SOLVERS.md` at the workspace root),
+//! * damped **Newton–Raphson** iteration over dense LU with analytic device
+//!   Jacobians, a `gmin` safety conductance, optional Jacobian reuse across
+//!   warm-started solves ([`NewtonCache`]) and a deterministic recovery
+//!   ladder ([`DcSolver`]; the three paths are described in
+//!   `docs/SOLVERS.md` at the workspace root),
 //! * **DC sweeps** with warm-started continuation ([`sweep::dc_sweep`]), and
 //! * ready-made netlists of the paper's nonlinear subcircuits: the two-stage
-//!   tanh-like `ptanh` circuit, the single-stage negative-weight inverter,
-//!   and scalable resistor-ladder / crossbar-network benchmark topologies
-//!   ([`circuits`]).
+//!   tanh-like `ptanh` circuit, which also serves as the negative-weight
+//!   circuit ([`circuits`]).
 //!
 //! # MNA formulation
 //!
@@ -31,9 +29,9 @@
 //! capacitors in transient analysis, linearized companion models for EGTs —
 //! and each voltage source contributes a branch row `v₊ − v₋ = V` plus
 //! `±1` couplings that inject its branch current into the terminal node
-//! rows. One stamp pass writes this system into either backend's matrix,
-//! and both honor the same dual convergence contract: the voltage update
-//! *and* the KCL residual must settle below their tolerances.
+//! rows. One stamp pass writes this system into a dense matrix, and a
+//! solve is accepted only when the voltage update *and* the KCL residual
+//! settle below their tolerances.
 //!
 //! The substitution preserves what the downstream pipeline needs: a smooth
 //! family of tanh-like transfer curves, nonlinearly parameterized by the seven
@@ -68,7 +66,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod backend;
 pub mod circuits;
 mod egt;
 mod error;
@@ -77,7 +74,6 @@ mod netlist;
 pub mod sweep;
 mod transient;
 
-pub use backend::SolverBackend;
 pub use egt::{EgtModel, EgtOperatingPoint};
 pub use error::SpiceError;
 pub use mna::{

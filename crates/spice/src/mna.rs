@@ -1,7 +1,5 @@
-use crate::backend::SolverBackend;
 use crate::{Circuit, Device, SpiceError};
-use pnc_linalg::sparse::{CscMatrix, SparseBuilder, SparseLu};
-use pnc_linalg::{LinalgError, Lu, Matrix};
+use pnc_linalg::{Lu, Matrix};
 use pnc_obs::{Counter, FieldValue, Histogram};
 use serde::{Deserialize, Serialize};
 
@@ -21,12 +19,6 @@ static OBS_RUNG_SOURCE: Counter = Counter::new("spice.recovery.source_stepping")
 static OBS_GMIN_STEPS: Counter = Counter::new("spice.recovery.gmin_steps");
 static OBS_SOURCE_STEPS: Counter = Counter::new("spice.recovery.source_steps");
 static OBS_RESIDUAL: Histogram = Histogram::new("spice.newton.residual");
-// Backend-dispatch tallies: one per-solve count on the backend that ran it,
-// plus the work counters of the sparse backend.
-static OBS_BACKEND_DENSE: Counter = Counter::new("spice.backend.dense_lu");
-static OBS_BACKEND_SPARSE: Counter = Counter::new("spice.backend.sparse_lu");
-static OBS_SPARSE_SYMBOLIC: Counter = Counter::new("spice.backend.sparse_symbolic");
-static OBS_SPARSE_REFACTOR: Counter = Counter::new("spice.backend.sparse_refactor");
 
 /// Registers the crate's whole metric set so summaries always carry every
 /// documented key, including zero-valued failure/recovery counters.
@@ -45,10 +37,6 @@ fn obs_register() {
         OBS_GMIN_STEPS.register();
         OBS_SOURCE_STEPS.register();
         OBS_RESIDUAL.register();
-        OBS_BACKEND_DENSE.register();
-        OBS_BACKEND_SPARSE.register();
-        OBS_SPARSE_SYMBOLIC.register();
-        OBS_SPARSE_REFACTOR.register();
     });
 }
 
@@ -78,11 +66,6 @@ const CACHE_GUESS_TOL: f64 = 0.05;
 #[derive(Debug, Default)]
 pub struct NewtonCache {
     lu: Option<Lu>,
-    /// Sparse counterpart of `lu`, used by the `sparse-lu` backend: carrying
-    /// it across warm-started solves reuses both the numeric factorization
-    /// (while the residual contracts) and its symbolic pivot order (on every
-    /// refactorization).
-    sparse: Option<SparseLu>,
     x_at_factor: Vec<f64>,
 }
 
@@ -94,29 +77,19 @@ impl NewtonCache {
 
     /// `true` when the cache holds a factorization ready for reuse.
     pub fn is_warm(&self) -> bool {
-        self.lu.is_some() || self.sparse.is_some()
+        self.lu.is_some()
     }
 
     /// Drops any held factorization.
     pub fn clear(&mut self) {
         self.lu = None;
-        self.sparse = None;
         self.x_at_factor.clear();
     }
 
-    /// `true` if the held dense factorization can be trusted for a solve of
+    /// `true` if the held factorization can be trusted for a solve of
     /// dimension `dim` starting from `x`.
     fn matches(&self, dim: usize, x: &[f64]) -> bool {
-        self.lu.is_some() && self.guess_close(dim, x)
-    }
-
-    /// Sparse-backend counterpart of [`Self::matches`].
-    fn matches_sparse(&self, dim: usize, x: &[f64]) -> bool {
-        self.sparse.as_ref().is_some_and(|lu| lu.dim() == dim) && self.guess_close(dim, x)
-    }
-
-    fn guess_close(&self, dim: usize, x: &[f64]) -> bool {
-        if self.x_at_factor.len() != dim {
+        if self.lu.is_none() || self.x_at_factor.len() != dim {
             return false;
         }
         let mut dist = 0.0_f64;
@@ -412,9 +385,6 @@ pub struct DcSolver {
     pub recovery: RecoveryPolicy,
     /// Deterministic test-only fault injection; `None` in production.
     pub fault_injection: Option<FaultInjection>,
-    /// Which linear solver runs inside the Newton loop (see
-    /// [`SolverBackend`] and `docs/SOLVERS.md`); dense LU by default.
-    pub backend: SolverBackend,
 }
 
 impl Default for DcSolver {
@@ -427,7 +397,6 @@ impl Default for DcSolver {
             gmin: 1e-12,
             recovery: RecoveryPolicy::default(),
             fault_injection: None,
-            backend: SolverBackend::DenseLu,
         }
     }
 }
@@ -437,30 +406,6 @@ impl DcSolver {
     /// circuits in this workspace.
     pub fn new() -> Self {
         DcSolver::default()
-    }
-
-    /// Creates a default solver that runs on `backend`.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use pnc_spice::{Circuit, DcSolver, SolverBackend, GROUND};
-    ///
-    /// # fn main() -> Result<(), pnc_spice::SpiceError> {
-    /// let mut ckt = Circuit::new();
-    /// let n = ckt.new_node();
-    /// ckt.vsource(n, GROUND, 1.0)?;
-    /// ckt.resistor(n, GROUND, 1_000.0)?;
-    /// let sol = DcSolver::with_backend(SolverBackend::SparseLu).solve(&ckt)?;
-    /// assert!((sol.voltage(n) - 1.0).abs() < 1e-9);
-    /// # Ok(())
-    /// # }
-    /// ```
-    pub fn with_backend(backend: SolverBackend) -> Self {
-        DcSolver {
-            backend,
-            ..DcSolver::default()
-        }
     }
 
     /// Solves the DC operating point starting from an all-zero voltage guess.
@@ -541,10 +486,6 @@ impl DcSolver {
         cache: Option<&mut NewtonCache>,
     ) -> Result<Solution, SpiceError> {
         obs_register();
-        match self.backend {
-            SolverBackend::DenseLu => OBS_BACKEND_DENSE.increment(),
-            SolverBackend::SparseLu => OBS_BACKEND_SPARSE.increment(),
-        }
         let result = self.solve_recovered_inner(circuit, guess, cap_state, cache);
         OBS_SOLVES.increment();
         match &result {
@@ -882,18 +823,13 @@ impl DcSolver {
             }
         }
 
-        // Backend dispatch happens after the shared prelude so guess
-        // validation, trivial circuits, and fault injection behave the same
-        // regardless of backend.
-        match self.backend {
-            SolverBackend::DenseLu => self.newton_dense(circuit, x, cap_state, rung, cache),
-            SolverBackend::SparseLu => self.newton_sparse(circuit, x, cap_state, rung, cache),
-        }
+        self.newton_dense(circuit, x, cap_state, rung, cache)
     }
 
-    /// The dense Newton loop behind [`SolverBackend::DenseLu`]: full dense
-    /// assembly, dense LU per iteration (or modified Newton with `cache`).
-    /// This is the oracle path the sparse backend is validated against.
+    /// The Newton loop: full dense assembly and dense LU per iteration (or
+    /// modified Newton with `cache`). A frozen oracle: its fingerprint is
+    /// pinned in `lint_baseline.json`, and `crates/spice/tests/fig3_bits.rs`
+    /// pins its output on the Fig. 3 sweep bit for bit.
     fn newton_dense(
         &self,
         circuit: &Circuit,
@@ -1017,146 +953,6 @@ impl DcSolver {
         })
     }
 
-    /// The sparse Newton loop behind [`SolverBackend::SparseLu`]: the same
-    /// damped iteration and acceptance criteria as [`Self::newton_dense`],
-    /// but over compressed-sparse-column assembly with Markowitz-ordered
-    /// sparse LU. Classic Newton refactors numerically every iteration while
-    /// reusing the cached symbolic pivot order; with a [`NewtonCache`], the
-    /// numeric factorization is additionally kept while the residual
-    /// contracts geometrically (modified Newton), across iterations and
-    /// warm-started sweep points.
-    fn newton_sparse(
-        &self,
-        circuit: &Circuit,
-        mut x: Vec<f64>,
-        cap_state: Option<(&[f64], f64)>,
-        rung: RecoveryRung,
-        mut cache: Option<&mut NewtonCache>,
-    ) -> Result<Solution, SpiceError> {
-        let n = circuit.num_nodes();
-        let dim = x.len();
-
-        let reuse = cache.is_some();
-        if let Some(c) = cache.as_deref_mut() {
-            if !c.matches_sparse(dim, &x) {
-                c.clear();
-            }
-        }
-        // Factorization slot for cache-less solves; dropped on return, but
-        // its symbolic pivot order still serves every refactorization within
-        // this solve.
-        let mut local: Option<SparseLu> = None;
-
-        let mut last_update = f64::INFINITY;
-        let mut last_residual = f64::INFINITY;
-        let mut prev_residual = f64::INFINITY;
-        let mut factorizations = 0usize;
-        let mut f = vec![0.0; dim];
-        let mut delta = vec![0.0; dim];
-        for iter in 0..=self.max_iterations {
-            let (a, rhs) = self.assemble_sparse(circuit, &x, cap_state)?;
-
-            // KCL residual of the nonlinear system at x — the companion
-            // linearization is exact at its expansion point, so
-            // F(x) = A(x)·x − rhs(x), as in the dense path.
-            a.mul_vec(&x, &mut f)?;
-            let mut residual = 0.0_f64;
-            for (fi, r) in f.iter_mut().zip(&rhs) {
-                *fi -= *r;
-                residual = residual.max(fi.abs());
-            }
-            last_residual = residual;
-
-            if last_update < self.tolerance && residual < self.residual_tolerance {
-                let mut voltages = vec![0.0; n + 1];
-                voltages[1..].copy_from_slice(&x[..n]);
-                return Ok(Solution {
-                    voltages,
-                    source_currents: x[n..].to_vec(),
-                    diagnostics: SolveDiagnostics {
-                        iterations: iter,
-                        residual,
-                        rung,
-                        attempts: 1,
-                        factorizations,
-                    },
-                });
-            }
-            if iter == self.max_iterations {
-                break;
-            }
-
-            // Numeric refactorization is skipped only in modified-Newton
-            // mode while the residual keeps contracting geometrically.
-            let stalled = residual > STALL_CONTRACTION * prev_residual;
-            let slot = match cache.as_deref_mut() {
-                Some(c) => &mut c.sparse,
-                None => &mut local,
-            };
-            let refresh = match slot.as_ref() {
-                None => true,
-                Some(lu) => lu.dim() != dim || !reuse || stalled,
-            };
-            if refresh {
-                match slot.as_mut().filter(|lu| lu.dim() == dim) {
-                    Some(lu) => match lu.refactor(&a) {
-                        Ok(()) => OBS_SPARSE_REFACTOR.increment(),
-                        // A pivot order taken at a different operating point
-                        // can go numerically bad; redo the symbolic analysis
-                        // before giving up on the solve.
-                        Err(LinalgError::Singular { .. }) => {
-                            *slot = Some(SparseLu::factor(&a)?);
-                            OBS_SPARSE_SYMBOLIC.increment();
-                        }
-                        Err(e) => return Err(e.into()),
-                    },
-                    None => {
-                        *slot = Some(SparseLu::factor(&a)?);
-                        OBS_SPARSE_SYMBOLIC.increment();
-                    }
-                }
-                factorizations += 1;
-                if let Some(c) = cache.as_deref_mut() {
-                    c.x_at_factor.clear();
-                    c.x_at_factor.extend_from_slice(&x);
-                }
-            }
-
-            // Delta-form step with the (possibly stale) factorization:
-            // J·Δ = −F(x), then the same damping as the dense path.
-            for fi in f.iter_mut() {
-                *fi = -*fi;
-            }
-            let lu = match cache.as_deref() {
-                Some(c) => c.sparse.as_ref(),
-                None => local.as_ref(),
-            };
-            if let Some(lu) = lu {
-                lu.solve_into(&f, &mut delta)?;
-            }
-            let mut max_delta = 0.0_f64;
-            for (i, d) in delta.iter().enumerate() {
-                let mut d = *d;
-                // Only damp node voltages; source branch currents may move
-                // freely.
-                if i < n {
-                    d = d.clamp(-self.max_step, self.max_step);
-                }
-                x[i] += d;
-                if i < n {
-                    max_delta = max_delta.max(d.abs());
-                }
-            }
-            last_update = max_delta;
-            prev_residual = residual;
-        }
-
-        Err(SpiceError::NoConvergence {
-            iterations: self.max_iterations,
-            residual: last_residual,
-        })
-    }
-
     /// Assembles the linearized MNA system `G·x = rhs` at the estimate `x`
     /// into a dense matrix (see [`Self::stamp`]).
     fn assemble(
@@ -1171,41 +967,18 @@ impl DcSolver {
         (g, rhs)
     }
 
-    /// Sparse counterpart of [`Self::assemble`]: the same stamps pushed into
-    /// a [`SparseBuilder`]. The builder keeps explicit zeros and the stamp
-    /// positions depend only on the netlist topology (never on `x`), so the
-    /// pattern — and with it the cached symbolic pivot order — is stable
-    /// across Newton iterations and same-circuit sweep points.
-    fn assemble_sparse(
-        &self,
-        circuit: &Circuit,
-        x: &[f64],
-        cap_state: Option<(&[f64], f64)>,
-    ) -> Result<(CscMatrix, Vec<f64>), SpiceError> {
-        let dim = circuit.num_nodes() + circuit.num_vsources();
-        let mut b = SparseBuilder::new(dim, dim);
-        let rhs = self.stamp(circuit, x, cap_state, &mut b);
-        Ok((b.build()?, rhs))
-    }
-
-    /// The one MNA stamp pass behind both backends: writes the linearized
-    /// system at the estimate `x` into `sink` and returns its right-hand
-    /// side.
+    /// The MNA stamp pass: adds the linearized system at the estimate `x`
+    /// into `g` and returns its right-hand side.
     ///
     /// With `cap_state = Some((prev_voltages, h))`, capacitors contribute
     /// their backward-Euler companion (conductance `C/h` plus a history
     /// current); otherwise they are open circuits (DC analysis).
-    ///
-    /// Every matrix entry is stamped as an addition — a subtraction as the
-    /// addition of the negated value, which IEEE 754 makes bit-identical to
-    /// `-=` — so the dense matrix is unchanged by sharing this pass, and the
-    /// sparse triplets arrive in the same order as the dense updates.
-    fn stamp<S: StampSink>(
+    fn stamp(
         &self,
         circuit: &Circuit,
         x: &[f64],
         cap_state: Option<(&[f64], f64)>,
-        sink: &mut S,
+        g: &mut Matrix,
     ) -> Vec<f64> {
         let n = circuit.num_nodes();
         let m = circuit.num_vsources();
@@ -1213,7 +986,7 @@ impl DcSolver {
 
         // gmin from every node to ground keeps floating nodes solvable.
         for i in 0..n {
-            sink.add(i, i, self.gmin);
+            g[(i, i)] += self.gmin;
         }
 
         // Voltage of a node under the current estimate (ground = 0).
@@ -1239,14 +1012,14 @@ impl DcSolver {
                 Device::Resistor { a, b, resistance } => {
                     let cond = 1.0 / resistance;
                     if let Some(i) = idx(*a) {
-                        sink.add(i, i, cond);
+                        g[(i, i)] += cond;
                     }
                     if let Some(j) = idx(*b) {
-                        sink.add(j, j, cond);
+                        g[(j, j)] += cond;
                     }
                     if let (Some(i), Some(j)) = (idx(*a), idx(*b)) {
-                        sink.add(i, j, -cond);
-                        sink.add(j, i, -cond);
+                        g[(i, j)] -= cond;
+                        g[(j, i)] -= cond;
                     }
                 }
                 Device::VSource {
@@ -1257,12 +1030,12 @@ impl DcSolver {
                     let k = n + vsrc_counter;
                     vsrc_counter += 1;
                     if let Some(i) = idx(*plus) {
-                        sink.add(i, k, 1.0);
-                        sink.add(k, i, 1.0);
+                        g[(i, k)] += 1.0;
+                        g[(k, i)] += 1.0;
                     }
                     if let Some(j) = idx(*minus) {
-                        sink.add(j, k, -1.0);
-                        sink.add(k, j, -1.0);
+                        g[(j, k)] -= 1.0;
+                        g[(k, j)] -= 1.0;
                     }
                     rhs[k] = *voltage;
                 }
@@ -1273,16 +1046,16 @@ impl DcSolver {
                     let g_c = capacitance / h;
                     let v_prev = prev[a.index()] - prev[b.index()];
                     if let Some(i) = idx(*a) {
-                        sink.add(i, i, g_c);
+                        g[(i, i)] += g_c;
                         rhs[i] += g_c * v_prev;
                     }
                     if let Some(j) = idx(*b) {
-                        sink.add(j, j, g_c);
+                        g[(j, j)] += g_c;
                         rhs[j] -= g_c * v_prev;
                     }
                     if let (Some(i), Some(j)) = (idx(*a), idx(*b)) {
-                        sink.add(i, j, -g_c);
-                        sink.add(j, i, -g_c);
+                        g[(i, j)] -= g_c;
+                        g[(j, i)] -= g_c;
                     }
                 }
                 Device::ISource { from, to, current } => {
@@ -1313,23 +1086,23 @@ impl DcSolver {
                     if let Some(di) = d {
                         rhs[di] -= i_eq;
                         if let Some(gi) = gt {
-                            sink.add(di, gi, op.gm);
+                            g[(di, gi)] += op.gm;
                         }
-                        sink.add(di, di, op.gds);
+                        g[(di, di)] += op.gds;
                         if let Some(si) = s {
-                            sink.add(di, si, -(op.gm + op.gds));
+                            g[(di, si)] -= op.gm + op.gds;
                         }
                     }
                     // KCL at source: −i_d (channel current enters the node).
                     if let Some(si) = s {
                         rhs[si] += i_eq;
                         if let Some(gi) = gt {
-                            sink.add(si, gi, -op.gm);
+                            g[(si, gi)] -= op.gm;
                         }
                         if let Some(di) = d {
-                            sink.add(si, di, -op.gds);
+                            g[(si, di)] -= op.gds;
                         }
-                        sink.add(si, si, op.gm + op.gds);
+                        g[(si, si)] += op.gm + op.gds;
                     }
                     // Gate draws no DC current.
                 }
@@ -1337,26 +1110,6 @@ impl DcSolver {
         }
 
         rhs
-    }
-}
-
-/// Where [`DcSolver::stamp`] writes matrix entries: the dense backend
-/// accumulates into a [`Matrix`], the sparse backend records triplets in a
-/// [`SparseBuilder`] (which sums duplicates when it builds).
-trait StampSink {
-    /// Adds `value` to entry `(row, col)`.
-    fn add(&mut self, row: usize, col: usize, value: f64);
-}
-
-impl StampSink for Matrix {
-    fn add(&mut self, row: usize, col: usize, value: f64) {
-        self[(row, col)] += value;
-    }
-}
-
-impl StampSink for SparseBuilder {
-    fn add(&mut self, row: usize, col: usize, value: f64) {
-        self.push(row, col, value);
     }
 }
 
@@ -1754,69 +1507,12 @@ mod tests {
     }
 
     #[test]
-    fn sparse_backend_matches_dense_on_nonlinear_circuit() {
-        for vin in [0.0, 0.3, 0.5, 0.8, 1.0] {
-            let (c, out) = egt_inverter_circuit(vin);
-            let dense = DcSolver::new().solve(&c).unwrap();
-            let sparse = DcSolver::with_backend(SolverBackend::SparseLu)
-                .solve(&c)
-                .unwrap();
-            assert!(
-                (dense.voltage(out) - sparse.voltage(out)).abs() < 1e-9,
-                "vin {vin}: dense {} vs sparse {}",
-                dense.voltage(out),
-                sparse.voltage(out)
-            );
-            assert!((dense.source_current(0) - sparse.source_current(0)).abs() < 1e-9);
-        }
-    }
-
-    #[test]
-    fn sparse_backend_reuses_symbolic_analysis_across_sweep() {
-        // A warm-started sweep through one cache must refactor numerically
-        // without redoing the Markowitz analysis (counted via diagnostics:
-        // factorizations happen, yet solves still converge identically).
-        let model = EgtModel::printed(400e-6, 40e-6);
-        let mut c = Circuit::new();
-        let supply = c.new_node();
-        let input = c.new_node();
-        let out = c.new_node();
-        c.vsource(supply, GROUND, 1.0).unwrap();
-        let vin_id = c.vsource(input, GROUND, 0.0).unwrap();
-        c.resistor(supply, out, 100_000.0).unwrap();
-        c.egt(out, input, GROUND, model).unwrap();
-
-        let dense = DcSolver::new();
-        let sparse = DcSolver::with_backend(SolverBackend::SparseLu);
-        let mut cache = NewtonCache::new();
-        let mut guess: Option<Vec<f64>> = None;
-        for i in 0..=10 {
-            let vin = i as f64 / 10.0;
-            c.set_vsource(vin_id, vin).unwrap();
-            let s = sparse
-                .solve_with_cache(&c, guess.as_deref(), &mut cache)
-                .unwrap();
-            let d = dense.solve(&c).unwrap();
-            assert!(
-                (s.voltage(out) - d.voltage(out)).abs() < 1e-8,
-                "vin {vin}: sparse {} vs dense {}",
-                s.voltage(out),
-                d.voltage(out)
-            );
-            guess = Some(s.voltages()[1..].to_vec());
-        }
-        assert!(cache.is_warm());
-    }
-
-    #[test]
-    fn backend_solves_are_deterministic() {
-        for backend in [SolverBackend::DenseLu, SolverBackend::SparseLu] {
-            let (c, _) = egt_inverter_circuit(0.45);
-            let solver = DcSolver::with_backend(backend);
-            let a = solver.solve(&c).unwrap();
-            let b = solver.solve(&c).unwrap();
-            assert_eq!(a, b, "{backend:?} must be run-to-run deterministic");
-        }
+    fn nonlinear_solves_are_deterministic() {
+        let (c, _) = egt_inverter_circuit(0.45);
+        let solver = DcSolver::new();
+        let a = solver.solve(&c).unwrap();
+        let b = solver.solve(&c).unwrap();
+        assert_eq!(a, b, "solves must be run-to-run deterministic");
     }
 
     #[test]

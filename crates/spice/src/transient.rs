@@ -220,6 +220,47 @@ mod tests {
     }
 
     #[test]
+    fn floating_capacitor_matches_backward_euler_recurrence() {
+        // A high-pass RC whose capacitor has no grounded plate: a step
+        // source drives one plate and R ties the other to ground. After the
+        // step, backward Euler gives v_out,k = (τ / (τ + h))^k, and the
+        // source delivers the resistor current v_out,k / R.
+        let (r, c, h) = (10_000.0, 1e-7, 2e-5);
+        let tau = r * c;
+        let mut ckt = Circuit::new();
+        let vin = ckt.new_node();
+        let out = ckt.new_node();
+        let src = ckt.vsource(vin, GROUND, 0.0).unwrap();
+        ckt.capacitor(vin, out, c).unwrap();
+        ckt.resistor(out, GROUND, r).unwrap();
+
+        let wave = TransientSolver::new(h)
+            .simulate(&mut ckt, 20.0 * h, |t, c| {
+                c.set_vsource(src, if t > 0.0 { 1.0 } else { 0.0 })
+            })
+            .unwrap();
+        assert!(wave.solutions.len() >= 21);
+        for (k, sol) in wave.solutions.iter().enumerate() {
+            let expected = if k == 0 {
+                0.0
+            } else {
+                (tau / (tau + h)).powi(k as i32)
+            };
+            let v = sol.voltage(out);
+            assert!(
+                (v - expected).abs() < 1e-8,
+                "step {k}: {v} vs backward Euler {expected}"
+            );
+            let i = sol.source_current(0);
+            assert!(
+                (i + expected / r).abs() < 1e-10,
+                "step {k}: source current {i} vs {}",
+                -expected / r
+            );
+        }
+    }
+
+    #[test]
     fn loaded_inverter_with_gate_capacitance_settles_to_dc() {
         // An EGT inverter whose input is driven through an RC (the printed
         // gate capacitance): the transient must converge to the DC solution.

@@ -1,3 +1,4 @@
+use crate::store::is_valid_failure_fraction;
 use crate::{DesignSpace, SurrogateError, OMEGA_DIM};
 use pnc_fit::fit_ptanh;
 use pnc_linalg::ParallelConfig;
@@ -343,7 +344,7 @@ pub struct BuildOptions<'a> {
     /// Thread-count configuration (see [`build_dataset_with`]).
     pub parallel: ParallelConfig,
     /// Abort the build when more than this fraction of points fails
-    /// (`None` = the default 5 %).
+    /// (`None` = the default 5 %). Must be finite and non-negative.
     pub max_failure_fraction: Option<f64>,
     /// Optional per-sample DC solver override, keyed by the QMC sample
     /// index. Used to install custom
@@ -392,7 +393,9 @@ pub(crate) fn characterize_point(
 /// # Errors
 ///
 /// Same contract as [`build_dataset`]; the failure threshold is
-/// [`BuildOptions::max_failure_fraction`].
+/// [`BuildOptions::max_failure_fraction`]. A threshold that is negative or
+/// not finite is rejected with [`SurrogateError::Config`] before any point
+/// is characterized.
 ///
 /// # Examples
 ///
@@ -418,6 +421,12 @@ pub fn build_dataset_opts(
     config: &DatasetConfig,
     options: &BuildOptions<'_>,
 ) -> Result<CircuitDataset, SurrogateError> {
+    let max_fraction = options.max_failure_fraction.unwrap_or(0.05);
+    if !is_valid_failure_fraction(max_fraction) {
+        return Err(SurrogateError::Config {
+            detail: format!("max_failure_fraction {max_fraction} must be finite and non-negative"),
+        });
+    }
     obs_register();
     let build_span = Span::new(&OBS_BUILD_SECONDS);
     let space = DesignSpace::paper();
@@ -473,7 +482,6 @@ pub fn build_dataset_opts(
         );
     }
 
-    let max_fraction = options.max_failure_fraction.unwrap_or(0.05);
     if failures.len() as f64 > max_fraction * config.samples as f64 {
         return Err(SurrogateError::BadDataset {
             detail: format!(
@@ -787,6 +795,31 @@ mod tests {
         )
         .unwrap();
         assert_eq!(data.failure_tally().sweep, BAD.len());
+    }
+
+    #[test]
+    fn invalid_failure_fractions_are_rejected() {
+        // A negative fraction used to index an empty failure list, and NaN
+        // never aborted; both are configuration errors, as in the
+        // streaming builder.
+        let config = DatasetConfig {
+            samples: 8,
+            sweep_points: 21,
+        };
+        for fraction in [-0.1, f64::NAN, f64::INFINITY] {
+            let result = build_dataset_opts(
+                &config,
+                &BuildOptions {
+                    parallel: ParallelConfig::serial(),
+                    max_failure_fraction: Some(fraction),
+                    ..BuildOptions::default()
+                },
+            );
+            assert!(
+                matches!(result, Err(SurrogateError::Config { .. })),
+                "fraction {fraction}: {result:?}"
+            );
+        }
     }
 
     #[test]

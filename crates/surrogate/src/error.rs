@@ -35,6 +35,13 @@ pub enum SurrogateError {
         /// Human-readable description naming the knob and its value.
         detail: String,
     },
+    /// A loaded surrogate model does not describe a usable network: its
+    /// layers do not chain from the normalized features to η, or a
+    /// parameter or η bound is not finite.
+    BadModel {
+        /// Human-readable description of the first violation.
+        detail: String,
+    },
     /// The on-disk dataset store rejected an operation (corruption, version
     /// mismatch, resume against a different configuration).
     Store(crate::StoreError),
@@ -58,6 +65,7 @@ impl fmt::Display for SurrogateError {
                  (min-max normalization would divide by zero)"
             ),
             SurrogateError::Config { detail } => write!(f, "bad configuration: {detail}"),
+            SurrogateError::BadModel { detail } => write!(f, "bad surrogate model: {detail}"),
             SurrogateError::Store(e) => write!(f, "dataset store: {e}"),
             SurrogateError::Serde(e) => write!(f, "model serialization failed: {e}"),
             SurrogateError::Io(e) => write!(f, "model file i/o failed: {e}"),
@@ -77,7 +85,8 @@ impl std::error::Error for SurrogateError {
             SurrogateError::Store(e) => Some(e),
             SurrogateError::BadDataset { .. }
             | SurrogateError::DegenerateEta { .. }
-            | SurrogateError::Config { .. } => None,
+            | SurrogateError::Config { .. }
+            | SurrogateError::BadModel { .. } => None,
         }
     }
 }

@@ -82,6 +82,63 @@ impl Mlp {
         self.sizes.last().copied().unwrap_or(0)
     }
 
+    /// Checks that the network maps `input` features to `output` values:
+    /// the layer sizes chain from one to the other through non-empty
+    /// layers, every weight is `fan_in × fan_out`, every bias `1 × fan_out`,
+    /// and every parameter is finite. Deserialization accepts any shapes,
+    /// so a loaded network is checked here before a forward pass can panic.
+    ///
+    /// # Errors
+    ///
+    /// Returns a description of the first mismatch.
+    pub(crate) fn check(&self, input: usize, output: usize) -> Result<(), String> {
+        let sizes = &self.sizes;
+        if sizes.len() < 2
+            || sizes[0] != input
+            || sizes[sizes.len() - 1] != output
+            || sizes.contains(&0)
+        {
+            return Err(format!(
+                "layer sizes {sizes:?} do not run from {input} to {output} through non-empty layers"
+            ));
+        }
+        let layers = sizes.len() - 1;
+        if self.weights.len() != layers || self.biases.len() != layers {
+            return Err(format!(
+                "{} weights and {} biases for {layers} layers",
+                self.weights.len(),
+                self.biases.len()
+            ));
+        }
+        for (k, (w, b)) in self.weights.iter().zip(&self.biases).enumerate() {
+            let (fan_in, fan_out) = (sizes[k], sizes[k + 1]);
+            let (w, b) = (w.value(), b.value());
+            if w.shape() != (fan_in, fan_out)
+                || w.as_slice().len() != fan_in * fan_out
+                || b.shape() != (1, fan_out)
+                || b.as_slice().len() != fan_out
+            {
+                return Err(format!(
+                    "layer {k}: weight {:?} and bias {:?} with {} and {} values, \
+                     expected ({fan_in}, {fan_out}) and (1, {fan_out})",
+                    w.shape(),
+                    b.shape(),
+                    w.as_slice().len(),
+                    b.as_slice().len()
+                ));
+            }
+            if !w
+                .as_slice()
+                .iter()
+                .chain(b.as_slice())
+                .all(|v| v.is_finite())
+            {
+                return Err(format!("layer {k} has a non-finite parameter"));
+            }
+        }
+        Ok(())
+    }
+
     /// Number of scalar parameters (weights + biases).
     pub fn num_parameters(&self) -> usize {
         self.weights.iter().map(|w| w.value().len()).sum::<usize>()

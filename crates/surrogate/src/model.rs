@@ -128,14 +128,40 @@ impl SurrogateModel {
         Ok(())
     }
 
-    /// Loads a model saved by [`SurrogateModel::save`].
+    /// Loads a model saved by [`SurrogateModel::save`] and checks it with
+    /// [`SurrogateModel::validate`].
     ///
     /// # Errors
     ///
-    /// Returns [`SurrogateError::Io`] / [`SurrogateError::Serde`] on failure.
+    /// Returns [`SurrogateError::Io`] / [`SurrogateError::Serde`] on failure,
+    /// and [`SurrogateError::BadModel`] for a model that does not validate.
     pub fn load(path: &Path) -> Result<Self, SurrogateError> {
         let json = std::fs::read_to_string(path)?;
-        Ok(serde_json::from_str(&json)?)
+        let model: SurrogateModel = serde_json::from_str(&json)?;
+        model.validate()?;
+        Ok(model)
+    }
+
+    /// Checks what deserialization cannot: the network runs from the
+    /// `EXTENDED_DIM` normalized features to the 4 curve parameters η with
+    /// consistent weight and bias shapes, and its parameters and η bounds
+    /// are finite. Every loader calls this, so a tampered or mismatched
+    /// model file is a typed error rather than a panic on first use.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SurrogateError::BadModel`] naming the first violation.
+    pub fn validate(&self) -> Result<(), SurrogateError> {
+        self.mlp
+            .check(EXTENDED_DIM, 4)
+            .map_err(|detail| SurrogateError::BadModel { detail })?;
+        let mut bounds = self.eta_bounds.lo.iter().chain(&self.eta_bounds.hi);
+        if !bounds.all(|v| v.is_finite()) {
+            return Err(SurrogateError::BadModel {
+                detail: format!("non-finite eta bounds {:?}", self.eta_bounds),
+            });
+        }
+        Ok(())
     }
 
     /// Loads the model cached at `path`, or runs the full pipeline
@@ -447,6 +473,80 @@ mod tests {
             assert!((a - b).abs() < 1e-9);
         }
         std::fs::remove_file(&path).ok();
+    }
+
+    /// An untrained model over the paper's design space.
+    fn untrained(sizes: &[usize]) -> SurrogateModel {
+        SurrogateModel {
+            space: DesignSpace::paper(),
+            eta_bounds: EtaBounds {
+                lo: [0.0; 4],
+                hi: [1.0; 4],
+            },
+            mlp: Mlp::new(sizes, 0),
+        }
+    }
+
+    /// Writes `json` to a scratch file in the temp directory, loads it
+    /// back and deletes the file.
+    fn load_json(json: &str, name: &str) -> Result<SurrogateModel, SurrogateError> {
+        let path =
+            std::env::temp_dir().join(format!("pnc_surrogate_{}_{name}.json", std::process::id()));
+        std::fs::write(&path, json).unwrap();
+        let loaded = SurrogateModel::load(&path);
+        std::fs::remove_file(&path).ok();
+        loaded
+    }
+
+    #[test]
+    fn load_rejects_networks_that_do_not_map_features_to_eta() {
+        let good = serde_json::to_string(&untrained(&[EXTENDED_DIM, 8, 4])).unwrap();
+        load_json(&good, "good").unwrap();
+
+        // The first 1×8 zero matrix in the file is the first bias's value;
+        // `null` is how the JSON codec writes, and reads back, a NaN.
+        let bias = format!(r#"{{"rows":1,"cols":8,"data":[{}]}}"#, ["0"; 8].join(","));
+        assert!(good.contains(&bias));
+        let tampered = |from: &str, to: &str| good.replacen(from, to, 1);
+        let wide = format!(r#"{{"rows":1,"cols":5,"data":[{}]}}"#, ["0"; 5].join(","));
+        let short = format!(r#"{{"rows":1,"cols":8,"data":[{}]}}"#, ["0"; 7].join(","));
+        let nan = format!(
+            r#"{{"rows":1,"cols":8,"data":[null,{}]}}"#,
+            ["0"; 7].join(",")
+        );
+        for (name, json) in [
+            (
+                "wrong_chain",
+                serde_json::to_string(&untrained(&[7, 3])).unwrap(),
+            ),
+            ("wide_bias", tampered(&bias, &wide)),
+            ("short_bias", tampered(&bias, &short)),
+            ("nan_bias", tampered(&bias, &nan)),
+            (
+                "nan_eta_bound",
+                tampered(r#""lo":[0,0,0,0]"#, r#""lo":[0,null,0,0]"#),
+            ),
+            (
+                "missing_layer",
+                tampered(r#""sizes":[10,8,4]"#, r#""sizes":[10,8,6,4]"#),
+            ),
+        ] {
+            assert_ne!(json, good, "{name} must tamper with the file");
+            let loaded = load_json(&json, name);
+            assert!(
+                matches!(loaded, Err(SurrogateError::BadModel { .. })),
+                "{name}: {:?}",
+                loaded.err()
+            );
+        }
+    }
+
+    #[test]
+    fn committed_surrogates_validate() {
+        let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../artifacts");
+        for name in ["surrogate-default.json", "surrogate-quick.json"] {
+            SurrogateModel::load(&dir.join(name)).unwrap();
+        }
     }
 
     #[test]
