@@ -30,20 +30,15 @@ enum Op {
     Mul(Var, Var),
     Div(Var, Var),
     MatMul(Var, Var),
-    Neg(Var),
     Abs(Var),
     Tanh(Var),
     Sigmoid(Var),
-    Exp(Var),
-    Ln(Var),
-    Relu(Var),
     Scale(Var, f64),
     AddScalar(Var),
     Powi(Var, i32),
     Sum(Var),
     Mean(Var),
     SumRows(Var),
-    SumCols(Var),
     SliceCols {
         parent: Var,
         start: usize,
@@ -448,13 +443,6 @@ impl Graph {
         self.push_copy(value.borrow(), Op::Constant)
     }
 
-    /// Registers a `1×1` scalar constant.
-    pub fn scalar(&mut self, value: f64) -> Var {
-        let mut out = self.pool.take(1, 1);
-        out[(0, 0)] = value;
-        self.push(out, Op::Constant)
-    }
-
     fn binary(
         &mut self,
         op_name: &'static str,
@@ -560,11 +548,6 @@ impl Graph {
         self.push(value, op)
     }
 
-    /// Elementwise negation.
-    pub fn neg(&mut self, a: Var) -> Var {
-        self.unary(a, |x| -x, Op::Neg(a))
-    }
-
     /// Elementwise absolute value (subgradient `sign(x)`, `0` at `0`).
     pub fn abs(&mut self, a: Var) -> Var {
         self.unary(a, f64::abs, Op::Abs(a))
@@ -578,21 +561,6 @@ impl Graph {
     /// Elementwise logistic sigmoid.
     pub fn sigmoid(&mut self, a: Var) -> Var {
         self.unary(a, |x| 1.0 / (1.0 + (-x).exp()), Op::Sigmoid(a))
-    }
-
-    /// Elementwise exponential.
-    pub fn exp(&mut self, a: Var) -> Var {
-        self.unary(a, f64::exp, Op::Exp(a))
-    }
-
-    /// Elementwise natural logarithm.
-    pub fn ln(&mut self, a: Var) -> Var {
-        self.unary(a, f64::ln, Op::Ln(a))
-    }
-
-    /// Elementwise rectified linear unit.
-    pub fn relu(&mut self, a: Var) -> Var {
-        self.unary(a, |x| x.max(0.0), Op::Relu(a))
     }
 
     /// Multiplies every element by the literal `s`.
@@ -636,17 +604,6 @@ impl Graph {
             out[(0, j)] = (0..rows).map(|i| v[(i, j)]).sum();
         }
         self.push(out, Op::SumRows(a))
-    }
-
-    /// Sums over columns: `m×n → m×1`.
-    pub fn sum_cols(&mut self, a: Var) -> Var {
-        let (rows, cols) = self.shape(a);
-        let mut out = self.pool.take(rows, 1);
-        let v = &self.nodes[a.0].value;
-        for i in 0..rows {
-            out[(i, 0)] = (0..cols).map(|j| v[(i, j)]).sum();
-        }
-        self.push(out, Op::SumCols(a))
     }
 
     /// Selects the column range `start..start + len` of `a`.
@@ -858,76 +815,6 @@ impl Graph {
         Ok(self.push(out, Op::FusedLoss { scores, grad }))
     }
 
-    /// Renders the tape as a Graphviz `dot` digraph for debugging: one box
-    /// per node labeled with its index, op kind and shape, one edge per
-    /// data dependency.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use pnc_autodiff::Graph;
-    /// use pnc_linalg::Matrix;
-    ///
-    /// let mut g = Graph::new();
-    /// let x = g.leaf(Matrix::filled(1, 2, 1.0));
-    /// let y = g.tanh(x);
-    /// let _ = g.sum(y);
-    /// let dot = g.to_dot();
-    /// assert!(dot.contains("digraph tape"));
-    /// assert!(dot.contains("Tanh"));
-    /// ```
-    pub fn to_dot(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out =
-            String::from("digraph tape {\n  rankdir=BT;\n  node [shape=box, fontsize=10];\n");
-        for (id, node) in self.nodes.iter().enumerate() {
-            let (r, c) = node.value.shape();
-            let kind = match &node.op {
-                Op::Leaf => "Leaf".to_string(),
-                Op::Constant => "Const".to_string(),
-                other => {
-                    let dbg = format!("{other:?}");
-                    dbg.split(['(', ' ', '{'])
-                        .next()
-                        .unwrap_or("Op")
-                        .to_string()
-                }
-            };
-            let _ = writeln!(out, "  n{id} [label=\"#{id} {kind}\\n{r}x{c}\"];");
-            let parents: Vec<usize> = match &node.op {
-                Op::Leaf | Op::Constant => vec![],
-                Op::Add(a, b)
-                | Op::Sub(a, b)
-                | Op::Mul(a, b)
-                | Op::Div(a, b)
-                | Op::MatMul(a, b) => vec![a.0, b.0],
-                Op::Neg(a)
-                | Op::Abs(a)
-                | Op::Tanh(a)
-                | Op::Sigmoid(a)
-                | Op::Exp(a)
-                | Op::Ln(a)
-                | Op::Relu(a)
-                | Op::Scale(a, _)
-                | Op::AddScalar(a)
-                | Op::Powi(a, _)
-                | Op::Sum(a)
-                | Op::Mean(a)
-                | Op::SumRows(a)
-                | Op::SumCols(a)
-                | Op::Ste(a) => vec![a.0],
-                Op::SliceCols { parent, .. } => vec![parent.0],
-                Op::ConcatCols(parts) => parts.iter().map(|p| p.0).collect(),
-                Op::FusedLoss { scores, .. } => vec![scores.0],
-            };
-            for p in parents {
-                let _ = writeln!(out, "  n{p} -> n{id};");
-            }
-        }
-        out.push_str("}\n");
-        out
-    }
-
     /// Runs reverse-mode accumulation from the scalar node `loss`.
     ///
     /// Allocates a fresh [`GradStore`]; hot loops should hold a store across
@@ -1008,7 +895,6 @@ impl Graph {
                     store.accumulate_alloc(*a, ga)?;
                     store.accumulate_alloc(*b, gb)?;
                 }
-                Op::Neg(a) => store.accumulate_alloc(*a, grad.scale(-1.0))?,
                 Op::Abs(a) => {
                     let x = self.value(*a);
                     let g = grad
@@ -1025,28 +911,6 @@ impl Graph {
                 Op::Sigmoid(a) => {
                     let g = grad
                         .zip_with(&node.value, "sigmoid_bw", |g, s| g * s * (1.0 - s))
-                        .map_err(bw_err("elementwise_bw"))?;
-                    store.accumulate_alloc(*a, g)?;
-                }
-                Op::Exp(a) => {
-                    let g = grad
-                        .zip_with(&node.value, "exp_bw", |g, e| g * e)
-                        .map_err(bw_err("elementwise_bw"))?;
-                    store.accumulate_alloc(*a, g)?;
-                }
-                Op::Ln(a) => {
-                    let g = grad
-                        .zip_with(self.value(*a), "ln_bw", |g, x| g / x)
-                        .map_err(bw_err("elementwise_bw"))?;
-                    store.accumulate_alloc(*a, g)?;
-                }
-                Op::Relu(a) => {
-                    let g = grad
-                        .zip_with(
-                            self.value(*a),
-                            "relu_bw",
-                            |g, x| if x > 0.0 { g } else { 0.0 },
-                        )
                         .map_err(bw_err("elementwise_bw"))?;
                     store.accumulate_alloc(*a, g)?;
                 }
@@ -1074,10 +938,6 @@ impl Graph {
                 Op::SumRows(a) => {
                     let (r, c) = self.shape(*a);
                     store.accumulate_alloc(*a, Matrix::from_fn(r, c, |_, j| grad[(0, j)]))?;
-                }
-                Op::SumCols(a) => {
-                    let (r, c) = self.shape(*a);
-                    store.accumulate_alloc(*a, Matrix::from_fn(r, c, |i, _| grad[(i, 0)]))?;
                 }
                 Op::SliceCols { parent, start } => {
                     let (r, c) = self.shape(*parent);
@@ -1191,7 +1051,6 @@ impl Graph {
                         .map_err(bw_err("matmul_bw"))?;
                     store.accumulate_owned(*b, gb)?;
                 }
-                Op::Neg(a) => self.flow_scaled(store, *a, &grad, -1.0)?,
                 Op::Abs(a) => {
                     self.elementwise_bw(store, *a, &grad, self.value(*a), |g, x| g * sign(x))?;
                 }
@@ -1200,21 +1059,6 @@ impl Graph {
                 }
                 Op::Sigmoid(a) => {
                     self.elementwise_bw(store, *a, &grad, &node.value, |g, s| g * s * (1.0 - s))?;
-                }
-                Op::Exp(a) => {
-                    self.elementwise_bw(store, *a, &grad, &node.value, |g, e| g * e)?;
-                }
-                Op::Ln(a) => {
-                    self.elementwise_bw(store, *a, &grad, self.value(*a), |g, x| g / x)?;
-                }
-                Op::Relu(a) => {
-                    self.elementwise_bw(store, *a, &grad, self.value(*a), |g, x| {
-                        if x > 0.0 {
-                            g
-                        } else {
-                            0.0
-                        }
-                    })?;
                 }
                 Op::Scale(a, s) => self.flow_scaled(store, *a, &grad, *s)?,
                 Op::AddScalar(a) => store.accumulate_ref(*a, &grad)?,
@@ -1240,14 +1084,6 @@ impl Graph {
                     let mut g = store.pool.take(r, c);
                     for g_row in g.as_mut_slice().chunks_exact_mut(c) {
                         g_row.copy_from_slice(grad.as_slice());
-                    }
-                    store.accumulate_owned(*a, g)?;
-                }
-                Op::SumCols(a) => {
-                    let (r, c) = self.shape(*a);
-                    let mut g = store.pool.take(r, c);
-                    for (g_row, &gv) in g.as_mut_slice().chunks_exact_mut(c).zip(grad.as_slice()) {
-                        g_row.fill(gv);
                     }
                     store.accumulate_owned(*a, g)?;
                 }
@@ -1519,15 +1355,15 @@ mod tests {
         let x = g.leaf(m(&[&[0.3]]));
         let t = g.tanh(x);
         let s = g.sigmoid(t);
-        let e = g.exp(s);
-        let loss = g.sum(e);
+        let p = g.powi(s, 3);
+        let loss = g.sum(p);
         let grads = g.backward(loss).unwrap();
 
         // Analytic chain.
         let xv = 0.3f64;
         let tv = xv.tanh();
         let sv = 1.0 / (1.0 + (-tv).exp());
-        let expected = sv.exp() * sv * (1.0 - sv) * (1.0 - tv * tv);
+        let expected = 3.0 * sv * sv * sv * (1.0 - sv) * (1.0 - tv * tv);
         assert!((grads.get(x).unwrap()[(0, 0)] - expected).abs() < 1e-12);
     }
 
@@ -1539,27 +1375,6 @@ mod tests {
         let loss = g.sum(a);
         let grads = g.backward(loss).unwrap();
         assert_eq!(grads.get(x).unwrap().as_slice(), &[-1.0, 0.0, 1.0]);
-    }
-
-    #[test]
-    fn relu_gates_gradient() {
-        let mut g = Graph::new();
-        let x = g.leaf(m(&[&[-1.0, 2.0]]));
-        let r = g.relu(x);
-        let loss = g.sum(r);
-        let grads = g.backward(loss).unwrap();
-        assert_eq!(grads.get(x).unwrap().as_slice(), &[0.0, 1.0]);
-    }
-
-    #[test]
-    fn ln_and_powi() {
-        let mut g = Graph::new();
-        let x = g.leaf(m(&[&[2.0]]));
-        let p = g.powi(x, 3);
-        let l = g.ln(p);
-        let grads = g.backward(l).unwrap();
-        // d ln(x³)/dx = 3/x.
-        assert!((grads.get(x).unwrap()[(0, 0)] - 1.5).abs() < 1e-12);
     }
 
     #[test]
@@ -1577,7 +1392,9 @@ mod tests {
         let x = g.leaf(m(&[&[1.0, 2.0], &[3.0, 4.0]]));
         let r = g.sum_rows(x);
         assert_eq!(g.value(r).as_slice(), &[4.0, 6.0]);
-        let c = g.sum_cols(x);
+        // Column sums are a product with a ones column.
+        let ones = g.constant(Matrix::filled(2, 1, 1.0));
+        let c = g.matmul(x, ones).unwrap();
         assert_eq!(g.value(c).as_slice(), &[3.0, 7.0]);
         let s1 = g.sum(r);
         let grads = g.backward(s1).unwrap();
@@ -1715,7 +1532,7 @@ mod tests {
     fn constants_do_not_stop_flow_but_get_grads_too() {
         let mut g = Graph::new();
         let x = g.leaf(m(&[&[2.0]]));
-        let c = g.scalar(10.0);
+        let c = g.constant(Matrix::filled(1, 1, 10.0));
         let y = g.mul(x, c).unwrap();
         let grads = g.backward(y).unwrap();
         assert_eq!(grads.get(x).unwrap()[(0, 0)], 10.0);
@@ -1724,9 +1541,9 @@ mod tests {
         assert_eq!(grads.get(c).unwrap()[(0, 0)], 2.0);
     }
 
-    /// Builds a tape exercising every op family (matmul, broadcasts,
-    /// elementwise, reductions, slicing, STE, fused loss) and returns the
-    /// loss node plus the two leaves.
+    /// Builds a tape exercising every op (matmul, broadcasts, elementwise,
+    /// reductions, slicing, STE, both fused losses) and returns the loss
+    /// node plus the two leaves.
     fn build_mixed_tape(g: &mut Graph, seed: f64) -> (Var, Var, Var) {
         let w = g.leaf(m(&[&[0.3 + seed, -0.7], &[1.1, 0.4 - seed]]));
         let x = g.leaf(m(&[&[1.0, 2.0], &[-0.5, 0.25 + seed], &[3.0, -1.5]]));
@@ -1744,21 +1561,18 @@ mod tests {
         let proj = g.clamp_ste(glued, -0.8, 0.8);
         let powed = g.powi(proj, 2);
         let ab = g.abs(mix);
-        let expd = g.exp(col);
-        let lnterm = g.ln(denom);
-        let relud = g.relu(z);
+        let gap = g.sub(col, rest).unwrap();
+        let centered = g.sub(z, bias).unwrap();
         let sum1 = g.add(powed, ab).unwrap();
         let rows = g.sum_rows(sum1);
-        let cols = g.sum_cols(expd);
+        let gaps = g.sum_rows(gap);
         let rsum = g.sum(rows);
-        let csum = g.sum(cols);
-        let lmean = g.mean(lnterm);
-        let rmean = g.mean(relud);
+        let gsum = g.sum(gaps);
+        let cmean = g.mean(centered);
         let ce = g.cross_entropy_logits(z, &[0, 1, 0]).unwrap();
         let ml = g.margin_loss(z, &[1, 0, 1], 0.25).unwrap();
-        let mut loss = g.add(rsum, csum).unwrap();
-        loss = g.add(loss, lmean).unwrap();
-        loss = g.add(loss, rmean).unwrap();
+        let mut loss = g.add(rsum, gsum).unwrap();
+        loss = g.add(loss, cmean).unwrap();
         loss = g.add(loss, ce).unwrap();
         loss = g.add(loss, ml).unwrap();
         let loss = g.scale(loss, 0.5);
@@ -1810,13 +1624,13 @@ mod tests {
     fn shape_stable_steps_keep_both_pools_constant() {
         // Every buffer `reset` and `backward_into` retire came out of their
         // pool, so after one warm-up step neither pool gains a buffer or
-        // capacity: leaves, constants, scalars and STE projections included.
+        // capacity: leaves, constants and STE projections included.
         fn step(g: &mut Graph, store: &mut GradStore, seed: f64) {
             g.reset();
             let (loss, w, _) = build_mixed_tape(g, seed);
             let projected = g.value(w).map(|v| v.clamp(-1.0, 1.0));
             let wp = g.ste(w, projected).unwrap();
-            let half = g.scalar(0.5);
+            let half = g.constant(Matrix::filled(1, 1, 0.5));
             let scaled = g.mul(wp, half).unwrap();
             let extra = g.sum(scaled);
             let loss = g.add(loss, extra).unwrap();

@@ -5,7 +5,7 @@
 //! receive: per-crossbar conductances (with negative-weight flags) and the
 //! bespoke physical parameterization of every nonlinear circuit.
 
-use crate::infer::{extract_layers, ExtractedLayer};
+use crate::infer::extract_layers;
 use crate::network::Pnn;
 use crate::PnnError;
 use pnc_linalg::Matrix;
@@ -79,12 +79,9 @@ impl PrintedDesign {
             .circuits()
             .iter()
             .map(|(act, inv)| {
-                let make = |c: &crate::NonlinearCircuit| {
-                    let omega = c.printable_omega();
-                    CircuitDesign {
-                        omega,
-                        eta: pnn.surrogate().predict_eta(&omega),
-                    }
+                let make = |c: &crate::NonlinearCircuit| CircuitDesign {
+                    omega: c.printable_omega(),
+                    eta: c.eta(pnn.surrogate(), None),
                 };
                 (make(act), make(inv))
             })
@@ -195,9 +192,9 @@ pub struct ArtifactLayer {
 /// network, autodiff graph, or surrogate model required — plus the
 /// [`PrintedDesign`] the same training run would send to a printer.
 ///
-/// The layer payload carries the exact f64 numbers
-/// [`crate::InferencePlan::compile`] extracts (graph-path η, normalized
-/// sign-split weights), so a plan compiled from the artifact reproduces the
+/// The layer payload is exactly what [`crate::InferencePlan`] executes
+/// (η from [`crate::NonlinearCircuit::eta`], normalized sign-split
+/// weights), so a plan compiled from the artifact reproduces the
 /// originating network's outputs bit for bit.
 ///
 /// Loading always validates: [`Self::from_json`] / [`Self::load`] reject
@@ -226,27 +223,16 @@ pub struct PnnArtifact {
 
 impl PnnArtifact {
     /// Extracts a deployment artifact from a (typically trained) network.
+    /// Every η appears twice — in the design's circuits and in the layers —
+    /// and both copies come from [`crate::NonlinearCircuit::eta`], so they
+    /// agree bit for bit.
     ///
     /// # Errors
     ///
-    /// Propagates surrogate/graph failures from η extraction.
+    /// None today: extraction reads plain numbers and cannot fail. The
+    /// `Result` keeps the signature stable for callers.
     pub fn from_pnn(pnn: &Pnn, name: &str) -> Result<PnnArtifact, PnnError> {
-        let layers: Vec<ArtifactLayer> = extract_layers(pnn)?
-            .into_iter()
-            .map(|l| {
-                let (eta_act, eta_inv) = l.etas.iter().copied().unzip();
-                ArtifactLayer {
-                    in_dim: l.in_dim,
-                    out_dim: l.out_dim,
-                    w_pos: l.w_pos,
-                    w_neg: l.w_neg,
-                    eta_act,
-                    eta_inv,
-                    inv_ones: l.inv_ones,
-                    apply_act: l.apply_act,
-                }
-            })
-            .collect();
+        let layers = extract_layers(pnn);
         Ok(PnnArtifact {
             format_version: ARTIFACT_FORMAT_VERSION,
             name: name.to_string(),
@@ -255,27 +241,6 @@ impl PnnArtifact {
             layers,
             design: PrintedDesign::from_pnn(pnn),
         })
-    }
-
-    /// Rebuilds the executable layer sequence. Callers validate first.
-    pub(crate) fn extracted_layers(&self) -> Vec<ExtractedLayer> {
-        self.layers
-            .iter()
-            .map(|l| ExtractedLayer {
-                in_dim: l.in_dim,
-                out_dim: l.out_dim,
-                w_pos: l.w_pos.clone(),
-                w_neg: l.w_neg.clone(),
-                etas: l
-                    .eta_act
-                    .iter()
-                    .copied()
-                    .zip(l.eta_inv.iter().copied())
-                    .collect(),
-                inv_ones: l.inv_ones.clone(),
-                apply_act: l.apply_act,
-            })
-            .collect()
     }
 
     /// Full artifact validation: version, non-empty consistent layer chain,
@@ -558,6 +523,47 @@ mod tests {
             from_artifact.infer(&x).expect("artifact plan"),
             "artifact-compiled plan must be bit-identical"
         );
+    }
+
+    /// Every η appears twice in an artifact — in `design.circuits` and in
+    /// the layers' `eta_act`/`eta_inv` — and both copies come from
+    /// `NonlinearCircuit::eta`, so they agree bit for bit at every circuit
+    /// granularity.
+    #[test]
+    fn artifact_design_and_layers_carry_the_same_eta() {
+        use crate::NonlinearityGranularity::{PerLayer, PerNeuron, Shared};
+        use rand::{Rng, SeedableRng};
+        let path =
+            Path::new(env!("CARGO_MANIFEST_DIR")).join("../../artifacts/surrogate-default.json");
+        let surrogate = Arc::new(pnc_surrogate::SurrogateModel::load(&path).expect("loads"));
+        let mut rng = rand::rngs::StdRng::seed_from_u64(11);
+        let bits = |eta: &[f64; 4]| eta.map(f64::to_bits);
+        for granularity in [Shared, PerLayer, PerNeuron] {
+            let mut config = PnnConfig::for_dataset(4, 3);
+            config.granularity = granularity;
+            let mut pnn = Pnn::new(config, Arc::clone(&surrogate)).expect("valid config");
+            // Move every circuit off the shared nominal design.
+            for (act, inv) in pnn.circuits_mut() {
+                for circuit in [act, inv] {
+                    let w = circuit.parameter_mut().expect("learnable");
+                    for v in w.value_mut().as_mut_slice() {
+                        *v += rng.gen_range(-2.0..2.0);
+                    }
+                }
+            }
+            let artifact = PnnArtifact::from_pnn(&pnn, "unit").expect("exports");
+            let mut seen = vec![false; pnn.circuits().len()];
+            for (i, layer) in artifact.layers.iter().enumerate() {
+                for (j, k) in pnn.pair_range(i).enumerate() {
+                    let (act, inv) = &artifact.design.circuits[k];
+                    let at = format!("{granularity:?}, layer {i}, pair {k}");
+                    assert_eq!(bits(&act.eta), bits(&layer.eta_act[j]), "act η, {at}");
+                    assert_eq!(bits(&inv.eta), bits(&layer.eta_inv[j]), "inv η, {at}");
+                    seen[k] = true;
+                }
+            }
+            assert!(seen.iter().all(|&s| s), "{granularity:?}: a pair is unused");
+        }
     }
 
     #[test]

@@ -5,9 +5,10 @@
 //! every node of the forward tape — all of which is input-independent for a
 //! trained network. [`InferencePlan::compile`] hoists that work to
 //! construction time: the printable weights `W⁺`/`W⁻` of Eq. 1 and the η
-//! curve parameters of Eqs. 2–3 are extracted **once** (through the same
-//! graph machinery the training forward uses, so the plan is bit-identical
-//! to [`Pnn::infer`]), and the per-call work collapses to a fixed sequence
+//! curve parameters of Eqs. 2–3 are extracted **once**, with no graph — η
+//! comes from [`crate::NonlinearCircuit::eta`], whose plain surrogate
+//! forward is the tape's operation sequence, so the plan is bit-identical
+//! to [`Pnn::infer`] — and the per-call work collapses to a fixed sequence
 //! of microkernel GEMMs and tanh curve evaluations over preallocated
 //! buffers — zero allocations and zero graph-walking per forward, for
 //! single samples and micro-batches alike.
@@ -34,10 +35,10 @@
 //! # }
 //! ```
 
+use crate::export::ArtifactLayer;
 use crate::layer::project_printable;
 use crate::network::Pnn;
 use crate::PnnError;
-use pnc_autodiff::Graph;
 use pnc_linalg::simd::gemm_f64;
 use pnc_linalg::Matrix;
 use pnc_obs::Counter;
@@ -60,29 +61,8 @@ fn obs_register() {
 /// sized for this many rows; larger batches stream through in chunks.
 pub const DEFAULT_CAPACITY: usize = 64;
 
-/// One crossbar layer, flattened for execution: printable weights split by
-/// sign, η curve parameters per circuit pair, and the precomputed inverter
-/// response to the 1 V bias leg. `etas.len()` is 1 for the single-GEMM path
-/// (shared or per-layer circuit granularity) and `out_dim` for the
-/// per-neuron bespoke path — exactly the dispatch [`crate::PLayer::forward`]
-/// uses.
-#[derive(Debug, Clone)]
-pub(crate) struct ExtractedLayer {
-    pub(crate) in_dim: usize,
-    pub(crate) out_dim: usize,
-    /// `(in_dim + 2) × out_dim` row-major: normalized weights of θ ≥ 0
-    /// entries, zero elsewhere.
-    pub(crate) w_pos: Vec<f64>,
-    /// Same shape: normalized weights of θ < 0 entries.
-    pub(crate) w_neg: Vec<f64>,
-    /// `(activation, negative-weight)` η quadruples per circuit pair.
-    pub(crate) etas: Vec<([f64; 4], [f64; 4])>,
-    /// `inv(1 V)` per pair — the negative-weight path of the bias leg.
-    pub(crate) inv_ones: Vec<f64>,
-    pub(crate) apply_act: bool,
-}
-
-impl ExtractedLayer {
+impl ArtifactLayer {
+    /// Width of the extended input `[x, 1, 0]` of Eq. 1.
     fn ext_dim(&self) -> usize {
         self.in_dim + 2
     }
@@ -102,28 +82,25 @@ fn ptanh_curve(e: &[f64; 4], x: f64) -> f64 {
     ((x - e[2]) * e[3]).tanh() * e[1] + e[0]
 }
 
-/// Extracts the flattened layers of a trained network.
+/// Extracts the flattened layers of a trained network: the layer payload
+/// of a [`crate::PnnArtifact`] and what an [`InferencePlan`] executes.
 ///
-/// η values are read back from a scratch autodiff graph running the same
-/// [`crate::NonlinearCircuit::eta_graph`] chain the training forward builds
-/// (the plain `eta()` path differs from the graph in the last ulps), and
-/// the weight arithmetic mirrors [`crate::PLayer::forward`] operation for
-/// operation — both are required for the f64 plan's bit-identity contract.
-pub(crate) fn extract_layers(pnn: &Pnn) -> Result<Vec<ExtractedLayer>, PnnError> {
-    // η per circuit pair, through the graph machinery.
-    let mut g = Graph::new();
-    let mut pair_etas = Vec::with_capacity(pnn.circuits().len());
-    for (act, inv) in pnn.circuits() {
-        let act_w = act.register(&mut g);
-        let inv_w = inv.register(&mut g);
-        let eta_act = act.eta_graph(&mut g, act_w, pnn.surrogate(), None)?;
-        let eta_inv = inv.eta_graph(&mut g, inv_w, pnn.surrogate(), None)?;
-        let read = |g: &Graph, v| {
-            let m = g.value(v);
-            [m[(0, 0)], m[(0, 1)], m[(0, 2)], m[(0, 3)]]
-        };
-        pair_etas.push((read(&g, eta_act), read(&g, eta_inv)));
-    }
+/// η comes from the plain [`crate::NonlinearCircuit::eta`], which is
+/// bit-identical to the [`crate::NonlinearCircuit::eta_graph`] chain the
+/// training forward builds (the surrogate's plain forward runs the tape's
+/// `matmul` → `add` → `tanh` sequence), and the weight arithmetic mirrors
+/// [`crate::PLayer::forward`] operation for operation — both are required
+/// for the f64 plan's bit-identity contract. `eta_act.len()` is 1 for the
+/// single-GEMM path (shared or per-layer circuit granularity) and `out_dim`
+/// for the per-neuron bespoke path — exactly the dispatch
+/// [`crate::PLayer::forward`] uses.
+pub(crate) fn extract_layers(pnn: &Pnn) -> Vec<ArtifactLayer> {
+    let surrogate = pnn.surrogate();
+    let pair_etas: Vec<([f64; 4], [f64; 4])> = pnn
+        .circuits()
+        .iter()
+        .map(|(act, inv)| (act.eta(surrogate, None), inv.eta(surrogate, None)))
+        .collect();
 
     let config = pnn.config();
     let last = pnn.num_layers() - 1;
@@ -160,19 +137,21 @@ pub(crate) fn extract_layers(pnn: &Pnn) -> Result<Vec<ExtractedLayer>, PnnError>
             }
         }
 
-        let etas: Vec<([f64; 4], [f64; 4])> = pair_etas[pnn.pair_range(i)].to_vec();
-        let inv_ones: Vec<f64> = etas.iter().map(|(_, inv)| inv_curve(inv, 1.0)).collect();
-        layers.push(ExtractedLayer {
+        let (eta_act, eta_inv): (Vec<[f64; 4]>, Vec<[f64; 4]>) =
+            pair_etas[pnn.pair_range(i)].iter().copied().unzip();
+        let inv_ones = eta_inv.iter().map(|inv| inv_curve(inv, 1.0)).collect();
+        layers.push(ArtifactLayer {
             in_dim,
             out_dim,
             w_pos,
             w_neg,
-            etas,
+            eta_act,
+            eta_inv,
             inv_ones,
             apply_act: i < last || config.activation_on_output,
         });
     }
-    Ok(layers)
+    layers
 }
 
 /// Preallocated forward buffers of an f64 plan, sized at compile time for
@@ -189,12 +168,8 @@ struct Scratch {
 }
 
 impl Scratch {
-    fn new(layers: &[ExtractedLayer], capacity: usize) -> Scratch {
-        let max_ext = layers
-            .iter()
-            .map(ExtractedLayer::ext_dim)
-            .max()
-            .unwrap_or(2);
+    fn new(layers: &[ArtifactLayer], capacity: usize) -> Scratch {
+        let max_ext = layers.iter().map(ArtifactLayer::ext_dim).max().unwrap_or(2);
         let max_out = layers.iter().map(|l| l.out_dim).max().unwrap_or(1);
         let max_width = layers
             .iter()
@@ -213,7 +188,7 @@ impl Scratch {
 
 /// Runs all layers over the `b` rows currently in `s.h` (row-major,
 /// `layers[0].in_dim` wide); leaves the `b × out` output in `s.h`.
-fn run_layers_f64(layers: &[ExtractedLayer], s: &mut Scratch, b: usize) {
+fn run_layers_f64(layers: &[ArtifactLayer], s: &mut Scratch, b: usize) {
     for layer in layers {
         let (input, ext, out) = (layer.in_dim, layer.ext_dim(), layer.out_dim);
         // Extended inputs [x, 1, 0] (and the copy frees `h` for the output).
@@ -224,9 +199,9 @@ fn run_layers_f64(layers: &[ExtractedLayer], s: &mut Scratch, b: usize) {
             s.x_ext[row + input + 1] = 0.0;
         }
 
-        if layer.etas.len() == 1 {
+        if layer.eta_act.len() == 1 {
             // Single circuit pair: the dual-GEMM path of Eq. 1 + Eq. 3.
-            let (eta_act, eta_inv) = &layer.etas[0];
+            let (eta_act, eta_inv) = (&layer.eta_act[0], &layer.eta_inv[0]);
             for i in 0..b {
                 let src = &s.x_ext[i * ext..i * ext + input];
                 let dst = &mut s.x_inv[i * ext..(i + 1) * ext];
@@ -263,7 +238,7 @@ fn run_layers_f64(layers: &[ExtractedLayer], s: &mut Scratch, b: usize) {
         } else {
             // Per-neuron bespoke circuits: column j routes through its own
             // inverter and activation design (dot products, k ascending).
-            for (j, (eta_act, eta_inv)) in layer.etas.iter().enumerate() {
+            for (j, (eta_act, eta_inv)) in layer.eta_act.iter().zip(&layer.eta_inv).enumerate() {
                 for i in 0..b {
                     let row = i * ext;
                     for k in 0..input {
@@ -325,7 +300,7 @@ fn check_output(out: &Matrix, rows: usize, out_dim: usize) -> Result<(), PnnErro
 /// allocation beyond the caller-provided output.
 #[derive(Debug, Clone)]
 pub struct InferencePlan {
-    layers: Vec<ExtractedLayer>,
+    layers: Vec<ArtifactLayer>,
     in_dim: usize,
     out_dim: usize,
     capacity: usize,
@@ -338,7 +313,8 @@ impl InferencePlan {
     ///
     /// # Errors
     ///
-    /// Propagates surrogate/graph failures from η extraction.
+    /// None today: extraction reads plain numbers and cannot fail. The
+    /// `Result` keeps the signature stable for callers.
     pub fn compile(pnn: &Pnn) -> Result<InferencePlan, PnnError> {
         Self::compile_with_capacity(pnn, DEFAULT_CAPACITY)
     }
@@ -349,26 +325,36 @@ impl InferencePlan {
     ///
     /// # Errors
     ///
-    /// Propagates surrogate/graph failures from η extraction.
+    /// As for [`Self::compile`].
     pub fn compile_with_capacity(pnn: &Pnn, capacity: usize) -> Result<InferencePlan, PnnError> {
+        Ok(Self::from_layers(
+            pnn.config().layer_sizes[0],
+            extract_layers(pnn),
+            capacity,
+        ))
+    }
+
+    /// The one constructor behind both compile paths: sizes the scratch
+    /// buffers for `capacity` (clamped to ≥ 1) rows of `layers`.
+    fn from_layers(in_dim: usize, layers: Vec<ArtifactLayer>, capacity: usize) -> InferencePlan {
         obs_register();
-        let layers = extract_layers(pnn)?;
         let capacity = capacity.max(1);
         let scratch = Scratch::new(&layers, capacity);
         OBS_PLANS_COMPILED.increment();
-        Ok(InferencePlan {
-            in_dim: pnn.config().layer_sizes[0],
+        InferencePlan {
+            in_dim,
             out_dim: layers.last().map(|l| l.out_dim).unwrap_or(0),
             layers,
             capacity,
             scratch,
-        })
+        }
     }
 
     /// Compiles a plan from an exported [`crate::PnnArtifact`] — no live
-    /// network or surrogate needed. The artifact carries the exact f64
-    /// numbers [`Self::compile`] would extract, so the resulting plan is
-    /// **bit-identical** to one compiled from the originating network.
+    /// network or surrogate needed. The plan executes the artifact's layers
+    /// as they are: they are the exact f64 numbers [`Self::compile`] would
+    /// extract, so the resulting plan is **bit-identical** to one compiled
+    /// from the originating network.
     ///
     /// # Errors
     ///
@@ -388,19 +374,12 @@ impl InferencePlan {
         artifact: &crate::PnnArtifact,
         capacity: usize,
     ) -> Result<InferencePlan, PnnError> {
-        obs_register();
         artifact.validate()?;
-        let layers = artifact.extracted_layers();
-        let capacity = capacity.max(1);
-        let scratch = Scratch::new(&layers, capacity);
-        OBS_PLANS_COMPILED.increment();
-        Ok(InferencePlan {
-            in_dim: artifact.in_dim,
-            out_dim: artifact.out_dim,
-            layers,
+        Ok(Self::from_layers(
+            artifact.in_dim,
+            artifact.layers.clone(),
             capacity,
-            scratch,
-        })
+        ))
     }
 
     /// Input width the plan was compiled for.
@@ -499,7 +478,7 @@ impl CompiledPnn {
     ///
     /// # Errors
     ///
-    /// Propagates surrogate/graph failures from η extraction.
+    /// As for [`InferencePlan::compile`].
     pub fn compile(pnn: &Pnn, precision: PlanPrecision) -> Result<CompiledPnn, PnnError> {
         let PlanPrecision::F64 = precision;
         Ok(CompiledPnn::F64(InferencePlan::compile(pnn)?))

@@ -7,7 +7,6 @@ use pnc_autodiff::{Graph, Parameter, Var};
 use pnc_linalg::Matrix;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Projects a surrogate-conductance value onto the printable set
 /// `[−G_max, −G_min] ∪ {0} ∪ [G_min, G_max]` (Sec. II-C):
@@ -48,7 +47,7 @@ pub fn project_printable(theta: f64, g_min: f64, g_max: f64) -> f64 {
 /// The learnable parameter θ has shape `(in + 2) × out`: one row per input
 /// voltage, one row for the 1 V bias leg, and one row for the grounded
 /// `g_d` leg of Eq. 1.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PLayer {
     /// Surrogate conductances θ.
     pub theta: Parameter,

@@ -160,15 +160,6 @@ pub struct Pnn {
     surrogate: Arc<SurrogateModel>,
 }
 
-/// Serializable snapshot of a network (used by [`Pnn::save`]/[`Pnn::load`]).
-#[derive(Debug, Clone, Serialize, Deserialize)]
-struct PnnState {
-    config: PnnConfig,
-    layers: Vec<PLayer>,
-    circuits: Vec<(NonlinearCircuit, NonlinearCircuit)>,
-    surrogate: SurrogateModel,
-}
-
 impl Pnn {
     /// Builds a network from a configuration and a trained surrogate model.
     ///
@@ -373,57 +364,6 @@ impl Pnn {
                 Ok(g.cross_entropy_logits(scaled, targets)?)
             }
         }
-    }
-
-    /// Saves the trained network (configuration, crossbars, circuits, and
-    /// the embedded surrogate model) as JSON — a self-contained artifact a
-    /// fabrication flow can archive next to the printed device.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PnnError::Data`] on serialization or I/O failures.
-    pub fn save(&self, path: &std::path::Path) -> Result<(), PnnError> {
-        let state = PnnState {
-            config: self.config.clone(),
-            layers: self.layers.clone(),
-            circuits: self.circuits.clone(),
-            surrogate: (*self.surrogate).clone(),
-        };
-        let json = serde_json::to_string(&state).map_err(|e| PnnError::Data {
-            detail: format!("serialize failed: {e}"),
-        })?;
-        if let Some(parent) = path.parent() {
-            std::fs::create_dir_all(parent).map_err(|e| PnnError::Data {
-                detail: format!("create dir failed: {e}"),
-            })?;
-        }
-        std::fs::write(path, json).map_err(|e| PnnError::Data {
-            detail: format!("write failed: {e}"),
-        })
-    }
-
-    /// Loads a network saved by [`Pnn::save`]; its embedded surrogate is
-    /// checked with [`SurrogateModel::validate`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PnnError::Data`] on I/O or deserialization failures and
-    /// [`PnnError::Surrogate`] for an embedded surrogate that does not
-    /// validate.
-    pub fn load(path: &std::path::Path) -> Result<Self, PnnError> {
-        let json = std::fs::read_to_string(path).map_err(|e| PnnError::Data {
-            detail: format!("read failed: {e}"),
-        })?;
-        let state: PnnState = serde_json::from_str(&json).map_err(|e| PnnError::Data {
-            detail: format!("deserialize failed: {e}"),
-        })?;
-        state.surrogate.validate()?;
-        Ok(Pnn {
-            config: state.config,
-            layers: state.layers,
-            circuits: state.circuits,
-            surrogate: Arc::new(state.surrogate),
-        })
     }
 
     /// Convenience inference: output voltages for a batch, nominal or under
@@ -702,63 +642,6 @@ mod tests {
             .unwrap();
         assert!(g.value(m)[(0, 0)] >= 0.0);
         assert!(g.value(ce)[(0, 0)] >= 0.0);
-    }
-
-    #[test]
-    fn save_load_round_trip_preserves_inference() {
-        let s = quick_surrogate();
-        let pnn = Pnn::new(PnnConfig::for_dataset(4, 3), s).unwrap();
-        let path = std::env::temp_dir().join("pnc_core_save_test.json");
-        pnn.save(&path).unwrap();
-        let back = Pnn::load(&path).unwrap();
-        let x = toy_input(4, 4);
-        let a = pnn.infer(&x, None).unwrap();
-        let b = back.infer(&x, None).unwrap();
-        // JSON floats round-trip to within 1 ULP in this environment.
-        assert!(a.approx_eq(&b, 1e-9));
-        assert_eq!(back.config(), pnn.config());
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn load_rejects_an_embedded_surrogate_of_the_wrong_shape() {
-        let surrogate = quick_surrogate();
-        let pnn = Pnn::new(PnnConfig::for_dataset(4, 3), Arc::clone(&surrogate)).unwrap();
-        let path = std::env::temp_dir().join(format!(
-            "pnc_core_bad_surrogate_{}.json",
-            std::process::id()
-        ));
-        pnn.save(&path).unwrap();
-        // `surrogate` is the last field of the saved state: splice in one
-        // whose network maps 7 inputs to 3 outputs instead of 10 to 4.
-        let json = std::fs::read_to_string(&path).unwrap();
-        let at = json.find("\"surrogate\":").unwrap();
-        let bad = format!(
-            "{}\"surrogate\":{{\"space\":{},\"eta_bounds\":{},\"mlp\":{}}}}}",
-            &json[..at],
-            serde_json::to_string(&surrogate.space).unwrap(),
-            serde_json::to_string(&surrogate.eta_bounds).unwrap(),
-            serde_json::to_string(&pnc_surrogate::Mlp::new(&[7, 3], 0)).unwrap(),
-        );
-        std::fs::write(&path, bad).unwrap();
-        let loaded = Pnn::load(&path);
-        std::fs::remove_file(&path).ok();
-        assert!(
-            matches!(
-                loaded,
-                Err(PnnError::Surrogate(
-                    pnc_surrogate::SurrogateError::BadModel { .. }
-                ))
-            ),
-            "{:?}",
-            loaded.err()
-        );
-    }
-
-    #[test]
-    fn load_rejects_missing_file() {
-        let err = Pnn::load(std::path::Path::new("/nonexistent/pnc.json"));
-        assert!(matches!(err, Err(PnnError::Data { .. })));
     }
 
     #[test]

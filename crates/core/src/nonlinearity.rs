@@ -5,7 +5,6 @@ use pnc_autodiff::{Graph, Parameter, Var};
 use pnc_linalg::Matrix;
 use pnc_spice::circuits::NonlinearCircuitParams;
 use pnc_surrogate::{DesignSpace, SurrogateModel};
-use serde::{Deserialize, Serialize};
 
 /// One nonlinear subcircuit (activation or negative-weight) of a pNN.
 ///
@@ -31,7 +30,7 @@ use serde::{Deserialize, Serialize};
 ///     assert!((x - y).abs() < 0.05 * x.abs());
 /// }
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum NonlinearCircuit {
     /// Pre-designed, non-learnable circuit.
     Fixed {
@@ -71,11 +70,6 @@ impl NonlinearCircuit {
         NonlinearCircuit::Learnable {
             w: Parameter::new(w),
         }
-    }
-
-    /// Returns `true` if the circuit's parameters are trainable.
-    pub fn is_learnable(&self) -> bool {
-        matches!(self, NonlinearCircuit::Learnable { .. })
     }
 
     /// Registers the learnable parameter on the graph, if any.
@@ -205,7 +199,8 @@ impl NonlinearCircuit {
     }
 
     /// Plain-number version of [`NonlinearCircuit::eta_graph`] for
-    /// evaluation paths that need no gradients.
+    /// evaluation paths that need no gradients. It returns the same bits:
+    /// both paths run the same operations in the same order.
     pub fn eta(&self, surrogate: &SurrogateModel, variation: Option<&[f64; 7]>) -> [f64; 4] {
         let mut omega = self.printable_omega();
         if let Some(f) = variation {
@@ -362,16 +357,48 @@ mod tests {
         assert_ne!(nominal_eta, varied_eta);
     }
 
+    /// `eta` and `eta_graph` agree bit for bit: the printable-ω chain, the
+    /// variation multiply and the surrogate forward run the same IEEE
+    /// operations in the same order on both paths — in particular the plain
+    /// MLP sums `h·w` from `0.0` with the input index ascending, as the
+    /// matmul kernel does, and adds the bias afterwards.
     #[test]
     fn eta_graph_matches_plain_eta() {
-        let surrogate = quick_surrogate();
-        let c = NonlinearCircuit::learnable_from(NonlinearCircuitParams::nominal());
-        let plain = c.eta(&surrogate, None);
+        use rand::{Rng, SeedableRng};
+        let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../artifacts");
+        let factors = [1.1, 0.9, 1.05, 0.95, 1.1, 0.9, 1.1];
+        let nominal = NonlinearCircuitParams::nominal();
+        let mut circuits = vec![NonlinearCircuit::fixed(nominal)];
+        let mut rng = rand::rngs::StdRng::seed_from_u64(7);
+        for _ in 0..64 {
+            let mut c = NonlinearCircuit::learnable_from(nominal);
+            if let Some(w) = c.parameter_mut() {
+                for v in w.value_mut().as_mut_slice() {
+                    *v += rng.gen_range(-2.0..2.0);
+                }
+            }
+            circuits.push(c);
+        }
         let mut g = Graph::new();
-        let w = c.register(&mut g);
-        let eta = c.eta_graph(&mut g, w, &surrogate, None).unwrap();
-        for (k, &p) in plain.iter().enumerate() {
-            assert!((g.value(eta)[(0, k)] - p).abs() < 1e-9);
+        for name in ["surrogate-default.json", "surrogate-quick.json"] {
+            let surrogate = SurrogateModel::load(&dir.join(name)).unwrap();
+            for (k, c) in circuits.iter().enumerate() {
+                for variation in [None, Some(&factors)] {
+                    let plain = c.eta(&surrogate, variation);
+                    g.reset();
+                    let w = c.register(&mut g);
+                    let eta = c.eta_graph(&mut g, w, &surrogate, variation).unwrap();
+                    assert_eq!(
+                        plain.map(f64::to_bits).as_slice(),
+                        g.value(eta)
+                            .as_slice()
+                            .iter()
+                            .map(|v| v.to_bits())
+                            .collect::<Vec<_>>(),
+                        "{name}, circuit {k}, variation {variation:?}"
+                    );
+                }
+            }
         }
     }
 

@@ -208,16 +208,6 @@ impl Matrix {
         &self.data[i * self.cols..(i + 1) * self.cols]
     }
 
-    /// Returns row `i` as a mutable slice.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i >= self.rows()`.
-    pub fn row_mut(&mut self, i: usize) -> &mut [f64] {
-        assert!(i < self.rows, "row index {i} out of bounds ({})", self.rows);
-        &mut self.data[i * self.cols..(i + 1) * self.cols]
-    }
-
     /// Returns column `j` as an owned vector.
     ///
     /// # Panics

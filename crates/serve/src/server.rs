@@ -127,11 +127,6 @@ impl Server {
         result
     }
 
-    /// Model names this server answers for, in sorted order.
-    pub fn model_names(&self) -> impl Iterator<Item = &str> {
-        self.models.keys().map(String::as_str)
-    }
-
     /// Graceful drain: closes every queue (new requests get
     /// [`ServeError::ShuttingDown`]), lets workers finish every accepted
     /// request, and joins the worker threads. Idempotent.

@@ -15,8 +15,9 @@ pub const PAPER_LAYER_SIZES: [usize; 14] = [10, 9, 9, 8, 8, 7, 7, 6, 6, 6, 5, 5,
 /// mapping ω̃ ↦ η̃ from normalized circuit parameters to normalized curve
 /// parameters. It can run in three modes:
 ///
-/// * [`Mlp::predict`] — plain `f64` forward pass (no tape), for evaluation
-///   and test-time Monte-Carlo robustness sweeps;
+/// * [`Mlp::predict`] — plain `f64` forward pass (no tape), for evaluation,
+///   compiled inference and test-time Monte-Carlo robustness sweeps; it is
+///   bit-identical to `forward_const` (same operations, same order);
 /// * [`Mlp::forward_train`] — weights as trainable leaves, for surrogate
 ///   training;
 /// * [`Mlp::forward_const`] — weights as constants inside a larger graph, so
@@ -147,6 +148,12 @@ impl Mlp {
 
     /// Plain forward pass on a single input row.
     ///
+    /// Bit-identical to [`Mlp::forward_const`] on a `1×n` row: each unit
+    /// sums `h·w` from `0.0` with the input index ascending (the order the
+    /// `matmul` kernel uses), then adds the bias, then applies `tanh` —
+    /// the graph's `matmul` → `add` → `tanh` sequence, operation for
+    /// operation.
+    ///
     /// # Panics
     ///
     /// Panics if `x.len() != self.input_dim()`.
@@ -160,10 +167,11 @@ impl Mlp {
             let (fan_in, fan_out) = wm.shape();
             let mut out = vec![0.0; fan_out];
             for j in 0..fan_out {
-                let mut acc = bm[(0, j)];
+                let mut acc = 0.0;
                 for i in 0..fan_in {
                     acc += h[i] * wm[(i, j)];
                 }
+                let acc = acc + bm[(0, j)];
                 out[j] = if layer < last { acc.tanh() } else { acc };
             }
             h = out;
@@ -250,23 +258,20 @@ mod tests {
 
     #[test]
     fn predict_matches_graph_forward() {
+        // Bitwise: `predict` runs the graph's matmul → add → tanh sequence.
         let mlp = Mlp::new(&[4, 5, 3], 42);
         let x = [0.1, -0.3, 0.7, 0.2];
-        let plain = mlp.predict(&x);
+        let plain = Matrix::row_vector(&mlp.predict(&x));
 
         let mut g = Graph::new();
         let node = g.constant(Matrix::row_vector(&x));
         let out = mlp.forward_const(&mut g, node).unwrap();
-        for (k, &p) in plain.iter().enumerate() {
-            assert!((g.value(out)[(0, k)] - p).abs() < 1e-12);
-        }
+        assert_eq!(g.value(out), &plain);
 
         let mut g = Graph::new();
         let node = g.constant(Matrix::row_vector(&x));
         let (out, _) = mlp.forward_train(&mut g, node).unwrap();
-        for (k, &p) in plain.iter().enumerate() {
-            assert!((g.value(out)[(0, k)] - p).abs() < 1e-12);
-        }
+        assert_eq!(g.value(out), &plain);
     }
 
     #[test]

@@ -90,7 +90,8 @@ impl SurrogateModel {
 
     /// Graph version of [`SurrogateModel::predict_eta`]: takes a `1×7` node
     /// of physical ω values and returns a `1×4` node of denormalized η, with
-    /// gradients flowing back to ω.
+    /// gradients flowing back to ω. Its value is bit-identical to
+    /// `predict_eta`, which runs the same operations in the same order.
     ///
     /// # Errors
     ///
@@ -424,17 +425,30 @@ mod tests {
         assert!(mean_err < 0.2, "mean normalized error {mean_err}");
     }
 
+    /// `predict_eta` and `predict_eta_graph` agree bit for bit, not merely
+    /// closely: both run the same IEEE operations in the same order —
+    /// normalize ω, then per layer sum `h·w` from `0.0` with the input
+    /// index ascending (the order the matmul kernel sums in), add the bias,
+    /// apply `tanh`, and finally denormalize.
     #[test]
     fn graph_prediction_matches_plain() {
-        let (data, model, _) = trained();
-        let omega = data.entries[0].omega;
-        let plain = model.predict_eta(&omega);
-
+        let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../artifacts");
+        let omegas = DesignSpace::paper().sample(512).unwrap();
         let mut g = Graph::new();
-        let node = g.leaf(Matrix::row_vector(&omega));
-        let eta = model.predict_eta_graph(&mut g, node).unwrap();
-        for (k, &p) in plain.iter().enumerate() {
-            assert!((g.value(eta)[(0, k)] - p).abs() < 1e-9, "component {k}");
+        for name in ["surrogate-default.json", "surrogate-quick.json"] {
+            let model = SurrogateModel::load(&dir.join(name)).unwrap();
+            for omega in &omegas {
+                let plain = model.predict_eta(omega);
+                g.reset();
+                let node = g.leaf(Matrix::row_vector(omega));
+                let eta = model.predict_eta_graph(&mut g, node).unwrap();
+                let graph = g.value(eta).as_slice();
+                assert_eq!(
+                    plain.map(f64::to_bits).as_slice(),
+                    graph.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                    "{name} at ω = {omega:?}"
+                );
+            }
         }
     }
 
