@@ -9,7 +9,7 @@ use pnc_obs::{Counter, FieldValue, Histogram};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
-use std::sync::{Mutex, PoisonError};
+use std::cell::RefCell;
 
 // Observability: training-loop effort and progress. Catalogued in
 // docs/METRICS.md.
@@ -30,6 +30,15 @@ fn obs_register() {
         OBS_GRAD_NORM.register();
         OBS_SEEDS.register();
     });
+}
+
+thread_local! {
+    /// The tape and gradient store this thread records its Monte-Carlo
+    /// draws on, reset before each draw and released when a training run
+    /// completes. A fresh tape per draw would free all of a draw's memory
+    /// at once, and the allocator would hand it back to the operating
+    /// system only to fault it in again on the next draw (DESIGN.md §11).
+    static TAPE: RefCell<(Graph, GradStore)> = RefCell::default();
 }
 
 /// Infinity norm over a gradient group (the scalar the per-epoch
@@ -186,58 +195,21 @@ pub struct TrainReport {
     pub val_losses: Vec<f64>,
 }
 
-/// A reusable per-draw recording context: one autodiff tape plus one
-/// gradient store, both of which retain their buffer pools across
-/// [`Graph::reset`] / [`Graph::backward_into`] cycles.
-#[derive(Debug, Default)]
-struct DrawContext {
-    graph: Graph,
-    store: GradStore,
-}
-
 /// Runs (variation-aware) gradient training of a [`Pnn`] with per-group
 /// Adam optimizers and early stopping, restoring the best-by-validation
 /// parameters afterwards — the circuit that "would be the one to be printed"
 /// (Sec. IV-C).
-#[derive(Debug)]
+///
+/// A trainer holds only its configuration.
+#[derive(Debug, Clone)]
 pub struct Trainer {
     config: TrainConfig,
-    /// Checkout pool of recording contexts reused across Monte-Carlo draws
-    /// and epochs, so epoch-steady-state training does not rebuild tapes
-    /// from scratch. At most one context per concurrently-running draw is
-    /// ever created (single-threaded training keeps exactly one).
-    scratch: Mutex<Vec<DrawContext>>,
-}
-
-impl Clone for Trainer {
-    fn clone(&self) -> Self {
-        // Scratch buffers are a per-instance cache, not state: a clone
-        // starts with an empty pool and refills it on first use.
-        Trainer::new(self.config)
-    }
 }
 
 impl Trainer {
     /// Creates a trainer.
     pub fn new(config: TrainConfig) -> Self {
-        Trainer {
-            config,
-            scratch: Mutex::new(Vec::new()),
-        }
-    }
-
-    /// Checks a recording context out of the scratch pool (or makes a fresh
-    /// one the first time a worker needs it).
-    fn checkout(&self) -> DrawContext {
-        let mut pool = self.scratch.lock().unwrap_or_else(PoisonError::into_inner);
-        pool.pop().unwrap_or_default()
-    }
-
-    /// Returns a recording context — and the buffer pools it carries — for
-    /// reuse by later draws and epochs.
-    fn checkin(&self, ctx: DrawContext) {
-        let mut pool = self.scratch.lock().unwrap_or_else(PoisonError::into_inner);
-        pool.push(ctx);
+        Trainer { config }
     }
 
     /// The configuration.
@@ -275,11 +247,9 @@ impl Trainer {
     /// `backward` is false.
     ///
     /// Each draw records its forward pass (and, when requested, backward
-    /// pass) on a private [`Graph`] checked out of the trainer's scratch
-    /// pool, so draws run independently on worker threads under
-    /// [`TrainConfig::parallel`] while reusing tape and gradient buffers
-    /// across draws and epochs ([`Graph::reset`] retains capacity). Per-draw
-    /// losses and gradients come back in draw order and are reduced
+    /// pass) on its worker thread's [`Graph`], reset first, so draws run
+    /// independently on worker threads under [`TrainConfig::parallel`].
+    /// Per-draw losses and gradients come back in draw order and are reduced
     /// left-to-right before the final `1/n` scaling — a fixed
     /// floating-point sequence, so the result is bit-identical at every
     /// thread count.
@@ -306,53 +276,49 @@ impl Trainer {
             grads: Option<GradPair>,
         }
         let theta_shapes = pnn.theta_shapes();
-        let outcomes: Vec<DrawOutcome> = self.config.parallel.try_ordered_par_map(
-            noise,
-            |sample| -> Result<DrawOutcome, PnnError> {
-                let mut ctx = self.checkout();
-                ctx.graph.reset();
-                let g = &mut ctx.graph;
-                let (scores, vars) = pnn.forward(g, data.features, sample.as_ref())?;
-                let loss = pnn.loss(g, scores, data.labels, self.config.loss)?;
-                let loss_value = g.value(loss)[(0, 0)];
-                if !backward {
-                    self.checkin(ctx);
-                    return Ok(DrawOutcome {
+        let outcomes: Vec<DrawOutcome> =
+            self.config.parallel.try_ordered_par_map(noise, |sample| {
+                TAPE.with_borrow_mut(|(g, store)| -> Result<DrawOutcome, PnnError> {
+                    g.reset();
+                    let (scores, vars) = pnn.forward(g, data.features, sample.as_ref())?;
+                    let loss = pnn.loss(g, scores, data.labels, self.config.loss)?;
+                    let loss_value = g.value(loss)[(0, 0)];
+                    if !backward {
+                        return Ok(DrawOutcome {
+                            loss: loss_value,
+                            grads: None,
+                        });
+                    }
+                    g.backward_into(loss, store)?;
+                    // Missing leaf gradients (e.g. unused parameters) count
+                    // as zero so every draw contributes same-shaped terms.
+                    let theta_grads: Vec<Matrix> = vars
+                        .thetas
+                        .iter()
+                        .zip(&theta_shapes)
+                        .map(|(v, &(r, c))| {
+                            store
+                                .get(*v)
+                                .cloned()
+                                .unwrap_or_else(|| Matrix::zeros(r, c))
+                        })
+                        .collect();
+                    let w_grads: Vec<Matrix> = vars
+                        .circuit_ws
+                        .iter()
+                        .map(|v| {
+                            store
+                                .get(*v)
+                                .cloned()
+                                .unwrap_or_else(|| Matrix::zeros(1, 7))
+                        })
+                        .collect();
+                    Ok(DrawOutcome {
                         loss: loss_value,
-                        grads: None,
-                    });
-                }
-                ctx.graph.backward_into(loss, &mut ctx.store)?;
-                // Missing leaf gradients (e.g. unused parameters) count
-                // as zero so every draw contributes same-shaped terms.
-                let theta_grads: Vec<Matrix> = vars
-                    .thetas
-                    .iter()
-                    .zip(&theta_shapes)
-                    .map(|(v, &(r, c))| {
-                        ctx.store
-                            .get(*v)
-                            .cloned()
-                            .unwrap_or_else(|| Matrix::zeros(r, c))
+                        grads: Some((theta_grads, w_grads)),
                     })
-                    .collect();
-                let w_grads: Vec<Matrix> = vars
-                    .circuit_ws
-                    .iter()
-                    .map(|v| {
-                        ctx.store
-                            .get(*v)
-                            .cloned()
-                            .unwrap_or_else(|| Matrix::zeros(1, 7))
-                    })
-                    .collect();
-                self.checkin(ctx);
-                Ok(DrawOutcome {
-                    loss: loss_value,
-                    grads: Some((theta_grads, w_grads)),
                 })
-            },
-        )?;
+            })?;
 
         // Deterministic ordered reduction: sum draws left-to-right in draw
         // order, then scale once by 1/n.
@@ -490,6 +456,7 @@ impl Trainer {
             }
         }
 
+        TAPE.take();
         // Restore the best circuit: the one that would be printed.
         let epochs_run = train_losses.len();
         let (layers, circuits) = best_snapshot;

@@ -8,15 +8,14 @@
 //! 1. **Bit-identical accumulation order.** For every output element
 //!    `out[i][j]` the contraction index `k` is visited in ascending order, no
 //!    matter how the loops are blocked or which variant (`matmul`,
-//!    `matmul_nt`, `matmul_tn`) produced it. This is what lets the property
-//!    tests compare every variant against the naive reference with exact
-//!    equality.
+//!    `matmul_nt_into`, `matmul_tn_into`) produced it. This is what lets the
+//!    property tests compare every variant against the naive reference with
+//!    exact equality.
 //! 2. **No data-dependent branches.** The old kernel skipped `a == 0.0`
 //!    multiplicands, which made timing vary with weight sparsity and would
 //!    defeat blocking. All kernels here are branch-free in the inner loop.
-//! 3. **No allocation in `_into` variants.** Callers that hold a
-//!    [`Workspace`](crate::Workspace) can run matmuls in steady state without
-//!    touching the allocator.
+//! 3. **No allocation in `_into` variants.** A caller that owns the output
+//!    buffer decides when to allocate it.
 //!
 //! The block edge is the fixed [`BLOCK`]; any blocking yields the same
 //! bits, so it is purely a performance constant.

@@ -15,8 +15,6 @@
 //! * [`ParallelConfig`] — the workspace-wide thread-count knob and its
 //!   deterministic ordered parallel map, honoring the `PNC_NUM_THREADS`
 //!   environment variable.
-//! * [`Workspace`] — a reusable buffer pool so shape-stable hot loops
-//!   (training epochs, Newton iterations) allocate nothing in steady state.
 //! * [`kernels`] — the cache-blocked matmul kernels behind [`Matrix`]'s hot
 //!   methods, with a fixed 64-element cache block; every variant is
 //!   bit-identical to the naive reference at any block size and thread
@@ -53,10 +51,8 @@ mod matrix;
 pub mod parallel;
 pub mod simd;
 pub mod stats;
-mod workspace;
 
 pub use error::LinalgError;
 pub use lu::{solve, Lu};
 pub use matrix::Matrix;
 pub use parallel::ParallelConfig;
-pub use workspace::Workspace;

@@ -149,15 +149,6 @@ impl Matrix {
         }
     }
 
-    /// Creates an `n`×1 column vector from a slice.
-    pub fn col_vector(values: &[f64]) -> Self {
-        Matrix {
-            rows: values.len(),
-            cols: 1,
-            data: values.to_vec(),
-        }
-    }
-
     /// Returns the shape as `(rows, cols)`.
     pub fn shape(&self) -> (usize, usize) {
         (self.rows, self.cols)
@@ -193,11 +184,6 @@ impl Matrix {
         &mut self.data
     }
 
-    /// Consumes the matrix and returns the row-major data.
-    pub fn into_vec(self) -> Vec<f64> {
-        self.data
-    }
-
     /// Returns row `i` as a slice.
     ///
     /// # Panics
@@ -206,20 +192,6 @@ impl Matrix {
     pub fn row(&self, i: usize) -> &[f64] {
         assert!(i < self.rows, "row index {i} out of bounds ({})", self.rows);
         &self.data[i * self.cols..(i + 1) * self.cols]
-    }
-
-    /// Returns column `j` as an owned vector.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `j >= self.cols()`.
-    pub fn col(&self, j: usize) -> Vec<f64> {
-        assert!(
-            j < self.cols,
-            "column index {j} out of bounds ({})",
-            self.cols
-        );
-        (0..self.rows).map(|i| self[(i, j)]).collect()
     }
 
     /// Returns the transpose.
@@ -245,9 +217,8 @@ impl Matrix {
 
     /// Cache-blocked matrix product written into a preallocated `out`.
     ///
-    /// `out` is fully overwritten (no accumulation with prior contents), so a
-    /// recycled [`Workspace`](crate::Workspace) buffer behaves exactly like a
-    /// fresh matrix.
+    /// `out` is fully overwritten (no accumulation with prior contents), so
+    /// a reused buffer behaves exactly like a fresh matrix.
     ///
     /// # Errors
     ///
@@ -294,24 +265,13 @@ impl Matrix {
         Ok(out)
     }
 
-    /// Product with a transposed right operand: `self · rhsᵀ`.
+    /// Product with a transposed right operand, `self · rhsᵀ`, written into
+    /// a preallocated `out` (fully overwritten).
     ///
     /// Both operands are walked row-major (each output element is a dot
-    /// product of two contiguous rows), so backward passes no longer need to
+    /// product of two contiguous rows), so backward passes need not
     /// materialize an explicit transpose. Bit-identical to
     /// `self.matmul(&rhs.transpose())`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::DimensionMismatch`] if
-    /// `self.cols() != rhs.cols()`.
-    pub fn matmul_nt(&self, rhs: &Matrix) -> Result<Matrix, LinalgError> {
-        let mut out = Matrix::zeros(self.rows, rhs.rows);
-        self.matmul_nt_into(rhs, &mut out)?;
-        Ok(out)
-    }
-
-    /// [`Matrix::matmul_nt`] into a preallocated `out` (fully overwritten).
     ///
     /// # Errors
     ///
@@ -337,23 +297,12 @@ impl Matrix {
         Ok(())
     }
 
-    /// Product with a transposed left operand: `selfᵀ · rhs`.
+    /// Product with a transposed left operand, `selfᵀ · rhs`, written into
+    /// a preallocated `out` (fully overwritten).
     ///
     /// The contraction index (shared row index) is the outermost loop, so
     /// both operands stream row-major without materializing a transpose.
     /// Bit-identical to `self.transpose().matmul(rhs)`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::DimensionMismatch`] if
-    /// `self.rows() != rhs.rows()`.
-    pub fn matmul_tn(&self, rhs: &Matrix) -> Result<Matrix, LinalgError> {
-        let mut out = Matrix::zeros(self.cols, rhs.cols);
-        self.matmul_tn_into(rhs, &mut out)?;
-        Ok(out)
-    }
-
-    /// [`Matrix::matmul_tn`] into a preallocated `out` (fully overwritten).
     ///
     /// # Errors
     ///
@@ -397,15 +346,6 @@ impl Matrix {
         self.zip_with(rhs, "sub", |a, b| a - b)
     }
 
-    /// Elementwise (Hadamard) product.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::DimensionMismatch`] if the shapes differ.
-    pub fn hadamard(&self, rhs: &Matrix) -> Result<Matrix, LinalgError> {
-        self.zip_with(rhs, "hadamard", |a, b| a * b)
-    }
-
     /// Combines two equal-shaped matrices elementwise with `f`.
     ///
     /// # Errors
@@ -444,26 +384,6 @@ impl Matrix {
             cols: self.cols,
             data: self.data.iter().map(|&x| f(x)).collect(),
         }
-    }
-
-    /// Writes `f` applied to every element of `self` into a preallocated
-    /// equal-shaped `out` (fully overwritten).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::DimensionMismatch`] if the shapes differ.
-    pub fn map_into(&self, f: impl Fn(f64) -> f64, out: &mut Matrix) -> Result<(), LinalgError> {
-        if self.shape() != out.shape() {
-            return Err(LinalgError::DimensionMismatch {
-                op: "map_into",
-                lhs: self.shape(),
-                rhs: out.shape(),
-            });
-        }
-        for (o, &x) in out.data.iter_mut().zip(&self.data) {
-            *o = f(x);
-        }
-        Ok(())
     }
 
     /// Combines `self` and `rhs` elementwise with `f` into a preallocated
@@ -520,25 +440,6 @@ impl Matrix {
         }
         for (a, &b) in self.data.iter_mut().zip(&rhs.data) {
             *a += b;
-        }
-        Ok(())
-    }
-
-    /// In-place `self += alpha * x` (the BLAS `axpy` kernel).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::DimensionMismatch`] if the shapes differ.
-    pub fn axpy(&mut self, alpha: f64, x: &Matrix) -> Result<(), LinalgError> {
-        if self.shape() != x.shape() {
-            return Err(LinalgError::DimensionMismatch {
-                op: "axpy",
-                lhs: self.shape(),
-                rhs: x.shape(),
-            });
-        }
-        for (a, &b) in self.data.iter_mut().zip(&x.data) {
-            *a += alpha * b;
         }
         Ok(())
     }
@@ -695,7 +596,6 @@ mod tests {
     fn row_and_col_accessors() {
         let m = sample();
         assert_eq!(m.row(1), &[4.0, 5.0, 6.0]);
-        assert_eq!(m.col(2), vec![3.0, 6.0]);
     }
 
     #[test]
@@ -736,8 +636,6 @@ mod tests {
         assert_eq!(sum[(1, 2)], 12.0);
         let diff = a.sub(&a).unwrap();
         assert_eq!(diff.norm(), 0.0);
-        let prod = a.hadamard(&a).unwrap();
-        assert_eq!(prod[(1, 0)], 16.0);
     }
 
     #[test]
@@ -749,7 +647,7 @@ mod tests {
 
     #[test]
     fn norms_and_sum() {
-        let v = Matrix::col_vector(&[3.0, -4.0]);
+        let v = Matrix::from_vec(2, 1, vec![3.0, -4.0]).unwrap();
         assert!((v.norm() - 5.0).abs() < 1e-12);
         assert_eq!(v.norm_inf(), 4.0);
         assert_eq!(v.sum(), -1.0);
@@ -825,20 +723,22 @@ mod tests {
     fn matmul_nt_matches_explicit_transpose() {
         let a = Matrix::from_fn(3, 4, |i, j| (i * 4 + j) as f64 * 0.5 - 2.0);
         let b = Matrix::from_fn(5, 4, |i, j| (i as f64) - 0.3 * (j as f64));
-        let fast = a.matmul_nt(&b).unwrap();
+        let mut fast = Matrix::zeros(3, 5);
+        a.matmul_nt_into(&b, &mut fast).unwrap();
         let slow = a.matmul(&b.transpose()).unwrap();
         assert_eq!(fast, slow);
-        assert!(a.matmul_nt(&Matrix::zeros(5, 3)).is_err());
+        assert!(a.matmul_nt_into(&Matrix::zeros(5, 3), &mut fast).is_err());
     }
 
     #[test]
     fn matmul_tn_matches_explicit_transpose() {
         let a = Matrix::from_fn(4, 3, |i, j| (i * 3 + j) as f64 * 0.5 - 2.0);
         let b = Matrix::from_fn(4, 5, |i, j| (i as f64) - 0.3 * (j as f64));
-        let fast = a.matmul_tn(&b).unwrap();
+        let mut fast = Matrix::zeros(3, 5);
+        a.matmul_tn_into(&b, &mut fast).unwrap();
         let slow = a.transpose().matmul(&b).unwrap();
         assert_eq!(fast, slow);
-        assert!(a.matmul_tn(&Matrix::zeros(3, 5)).is_err());
+        assert!(a.matmul_tn_into(&Matrix::zeros(3, 5), &mut fast).is_err());
     }
 
     #[test]
@@ -850,20 +750,13 @@ mod tests {
         acc.add_assign(&b).unwrap();
         assert_eq!(acc, a.add(&b).unwrap());
 
-        let mut axpy = a.clone();
-        axpy.axpy(-2.5, &b).unwrap();
-        assert_eq!(axpy, a.add(&b.scale(-2.5)).unwrap());
-
         let mut scaled = a.clone();
         scaled.scale_in_place(3.0);
         assert_eq!(scaled, a.scale(3.0));
 
         let mut out = Matrix::zeros(2, 3);
-        a.map_into(|x| x * x, &mut out).unwrap();
-        assert_eq!(out, a.map(|x| x * x));
-
         a.zip_with_into(&b, "test", |x, y| x * y, &mut out).unwrap();
-        assert_eq!(out, a.hadamard(&b).unwrap());
+        assert_eq!(out, a.zip_with(&b, "test", |x, y| x * y).unwrap());
 
         let mut copy = Matrix::zeros(2, 3);
         copy.copy_from(&a).unwrap();
@@ -875,10 +768,8 @@ mod tests {
         let a = sample();
         let wrong = Matrix::zeros(3, 2);
         assert!(a.clone().add_assign(&wrong).is_err());
-        assert!(a.clone().axpy(1.0, &wrong).is_err());
         assert!(a.clone().copy_from(&wrong).is_err());
         let mut out = Matrix::zeros(3, 2);
-        assert!(a.map_into(|x| x, &mut out).is_err());
         assert!(a.zip_with_into(&a, "test", |x, _| x, &mut out).is_err());
     }
 }
@@ -961,10 +852,12 @@ mod proptests {
         #[test]
         fn transpose_matmul_variants_are_bit_identical((a, b) in arb_matmul_pair()) {
             // self · rhsᵀ against the materialized transpose.
-            let nt = a.matmul_nt(&b.transpose()).unwrap();
+            let mut nt = Matrix::zeros(a.rows(), b.cols());
+            a.matmul_nt_into(&b.transpose(), &mut nt).unwrap();
             prop_assert_eq!(nt, a.matmul_reference(&b).unwrap());
             // selfᵀ · rhs against the materialized transpose.
-            let tn = a.transpose().matmul_tn(&b).unwrap();
+            let mut tn = Matrix::zeros(a.rows(), b.cols());
+            a.transpose().matmul_tn_into(&b, &mut tn).unwrap();
             prop_assert_eq!(tn, a.matmul_reference(&b).unwrap());
         }
 

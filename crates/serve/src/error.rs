@@ -28,7 +28,8 @@ pub enum ServeError {
     ShuttingDown,
     /// Loading or compiling an exported artifact failed.
     Artifact(PnnError),
-    /// The serving configuration was invalid (bad `PNC_SERVE_*` value).
+    /// The serving configuration was invalid: two loaded models share a
+    /// name.
     Config {
         /// Human-readable description.
         detail: String,

@@ -34,7 +34,7 @@
 //! use pnc_serve::{ModelRegistry, ServeConfig, Server};
 //!
 //! # fn main() -> Result<(), pnc_serve::ServeError> {
-//! let config = ServeConfig::from_env()?;
+//! let config = ServeConfig::default();
 //! let mut registry = ModelRegistry::new(PlanPrecision::F64, config.max_batch);
 //! registry.load_dir(std::path::Path::new("artifacts/models"))?;
 //! let server = Server::start(&registry, config);
@@ -89,26 +89,19 @@ pub(crate) fn obs_register() {
     });
 }
 
-/// Environment variable: micro-batch size cap (rows per plan call).
-pub const MAX_BATCH_ENV_VAR: &str = "PNC_SERVE_MAX_BATCH";
-/// Environment variable: bounded per-model queue capacity.
-pub const QUEUE_ENV_VAR: &str = "PNC_SERVE_QUEUE";
-/// Environment variable: worker threads per model.
-pub const THREADS_ENV_VAR: &str = "PNC_SERVE_THREADS";
-
 /// Serving policy: batching and backpressure.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
-    /// Most queued rows a worker coalesces into one plan call (≥ 1;
-    /// default 32). A worker never waits for a batch to fill: it runs
-    /// whatever is queued when it becomes free.
+    /// Most queued rows a worker coalesces into one plan call (0 counts
+    /// as 1; default 32). A worker never waits for a batch to fill: it
+    /// runs whatever is queued when it becomes free.
     pub max_batch: usize,
     /// Bounded per-model queue capacity; a full queue rejects with
-    /// [`ServeError::Overloaded`] (≥ 1; default 1024).
+    /// [`ServeError::Overloaded`] (0 counts as 1; default 1024).
     pub queue_capacity: usize,
-    /// Batch workers per model, each owning its own plan clone (≥ 1;
-    /// default 1). Results are worker-count-independent by the determinism
-    /// contract.
+    /// Batch workers per model, each owning its own plan clone (0 counts
+    /// as 1; default 1). Results are worker-count-independent by the
+    /// determinism contract.
     pub worker_threads: usize,
 }
 
@@ -119,42 +112,5 @@ impl Default for ServeConfig {
             queue_capacity: 1024,
             worker_threads: 1,
         }
-    }
-}
-
-fn env_usize(var: &str, default: usize, min: usize) -> Result<usize, ServeError> {
-    match std::env::var(var) {
-        Ok(raw) => {
-            let value: usize = raw.trim().parse().map_err(|_| ServeError::Config {
-                detail: format!("invalid {var}={raw:?} (expected a non-negative integer)"),
-            })?;
-            if value < min {
-                return Err(ServeError::Config {
-                    detail: format!("invalid {var}={raw:?} (minimum {min})"),
-                });
-            }
-            Ok(value)
-        }
-        Err(_) => Ok(default),
-    }
-}
-
-impl ServeConfig {
-    /// Reads the config from the environment, starting from
-    /// [`Self::default`]: `PNC_SERVE_MAX_BATCH`, `PNC_SERVE_QUEUE` and
-    /// `PNC_SERVE_THREADS`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ServeError::Config`] on any unparsable or out-of-range
-    /// value — a typo'd deployment variable fails startup loudly instead
-    /// of silently serving defaults.
-    pub fn from_env() -> Result<ServeConfig, ServeError> {
-        let defaults = ServeConfig::default();
-        Ok(ServeConfig {
-            max_batch: env_usize(MAX_BATCH_ENV_VAR, defaults.max_batch, 1)?,
-            queue_capacity: env_usize(QUEUE_ENV_VAR, defaults.queue_capacity, 1)?,
-            worker_threads: env_usize(THREADS_ENV_VAR, defaults.worker_threads, 1)?,
-        })
     }
 }
