@@ -101,10 +101,7 @@ fn stream_rss_claim() -> Res<Claim> {
 /// The Iris network behind the inference and serving claims: a quick
 /// fixture surrogate and two training epochs.
 fn iris_fixture() -> Res<(Pnn, Matrix)> {
-    let data = build_dataset(&DatasetConfig {
-        samples: 60,
-        sweep_points: 21,
-    })?;
+    let data = build_dataset(&DatasetConfig::new(60, 21), None)?;
     let surrogate_config = STrain {
         layer_sizes: vec![10, 8, 4],
         max_epochs: 60,

@@ -189,10 +189,7 @@ pub fn fig4() -> Result<Fig4, Box<dyn Error>> {
         .collect();
 
     let samples = 1200;
-    let data = build_dataset(&DatasetConfig {
-        samples,
-        sweep_points: 61,
-    })?;
+    let data = build_dataset(&DatasetConfig::new(samples, 61), None)?;
     let (model, report) = train_surrogate(&data, &TrainConfig::default())?;
     let (train, val, test) = data.split(0);
     let splits = [("train", train), ("val", val), ("test", test)]

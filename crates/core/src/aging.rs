@@ -211,11 +211,7 @@ mod tests {
     }
 
     fn quick_pnn() -> (Pnn, Matrix, Vec<usize>) {
-        let data = build_dataset(&DatasetConfig {
-            samples: 120,
-            sweep_points: 31,
-        })
-        .unwrap();
+        let data = build_dataset(&DatasetConfig::new(120, 31), None).unwrap();
         let surrogate = Arc::new(
             train_surrogate(
                 &data,
@@ -293,11 +289,7 @@ mod tests {
     fn aging_aware_training_runs() {
         let (_, x, y) = quick_pnn();
         let d = LabeledData::new(&x, &y).unwrap();
-        let data = build_dataset(&DatasetConfig {
-            samples: 100,
-            sweep_points: 31,
-        })
-        .unwrap();
+        let data = build_dataset(&DatasetConfig::new(100, 31), None).unwrap();
         let surrogate = Arc::new(
             train_surrogate(
                 &data,

@@ -439,11 +439,7 @@ mod tests {
     use std::sync::Arc;
 
     fn quick_pnn() -> Pnn {
-        let data = build_dataset(&DatasetConfig {
-            samples: 120,
-            sweep_points: 31,
-        })
-        .unwrap();
+        let data = build_dataset(&DatasetConfig::new(120, 31), None).unwrap();
         let surrogate = Arc::new(
             train_surrogate(
                 &data,

@@ -345,11 +345,7 @@ mod tests {
     use std::sync::Arc;
 
     fn quick_pnn() -> Pnn {
-        let data = build_dataset(&DatasetConfig {
-            samples: 200,
-            sweep_points: 41,
-        })
-        .unwrap();
+        let data = build_dataset(&DatasetConfig::new(200, 41), None).unwrap();
         let surrogate = Arc::new(
             train_surrogate(
                 &data,

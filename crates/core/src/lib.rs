@@ -45,7 +45,7 @@
 //! use std::sync::Arc;
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
-//! let data = build_dataset(&DatasetConfig { samples: 500, sweep_points: 41 })?;
+//! let data = build_dataset(&DatasetConfig::new(500, 41), None)?;
 //! let (surrogate, _) = train_surrogate(&data, &SurrogateTrain::default())?;
 //!
 //! // Any [0, 1]-normalized tabular task works; pnc-datasets provides the

@@ -422,11 +422,7 @@ mod tests {
     }
 
     fn quick_surrogate() -> Arc<SurrogateModel> {
-        let data = build_dataset(&DatasetConfig {
-            samples: 120,
-            sweep_points: 31,
-        })
-        .unwrap();
+        let data = build_dataset(&DatasetConfig::new(120, 31), None).unwrap();
         Arc::new(
             train_surrogate(
                 &data,

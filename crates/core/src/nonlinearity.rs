@@ -264,11 +264,7 @@ mod tests {
     use pnc_surrogate::{build_dataset, train_surrogate, DatasetConfig, TrainConfig};
 
     fn quick_surrogate() -> SurrogateModel {
-        let data = build_dataset(&DatasetConfig {
-            samples: 120,
-            sweep_points: 31,
-        })
-        .unwrap();
+        let data = build_dataset(&DatasetConfig::new(120, 31), None).unwrap();
         train_surrogate(
             &data,
             &TrainConfig {

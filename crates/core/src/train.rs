@@ -517,13 +517,13 @@ impl Trainer {
 /// ```
 /// use pnc_core::{train_best_of_seeds, LabeledData, PnnConfig, TrainConfig, VariationModel};
 /// use pnc_linalg::Matrix;
-/// use pnc_surrogate::{build_dataset_opts, train_surrogate, BuildOptions, DatasetConfig};
+/// use pnc_surrogate::{build_dataset, train_surrogate, DatasetConfig};
 /// use std::sync::Arc;
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// let data = build_dataset_opts(
-///     &DatasetConfig { samples: 12, sweep_points: 21 },
-///     &BuildOptions { max_failure_fraction: Some(0.5), ..BuildOptions::default() },
+/// let data = build_dataset(
+///     &DatasetConfig { max_failure_fraction: 0.5, ..DatasetConfig::new(12, 21) },
+///     None,
 /// )?;
 /// let (surrogate, _) = train_surrogate(
 ///     &data,
@@ -619,11 +619,7 @@ mod tests {
     use std::sync::Arc;
 
     fn quick_surrogate() -> Arc<pnc_surrogate::SurrogateModel> {
-        let data = build_dataset(&DatasetConfig {
-            samples: 120,
-            sweep_points: 31,
-        })
-        .unwrap();
+        let data = build_dataset(&DatasetConfig::new(120, 31), None).unwrap();
         Arc::new(
             train_surrogate(
                 &data,

@@ -11,11 +11,7 @@ use pnc_surrogate::{build_dataset, train_surrogate, DatasetConfig};
 use std::sync::Arc;
 
 fn surrogate() -> Arc<pnc_surrogate::SurrogateModel> {
-    let data = build_dataset(&DatasetConfig {
-        samples: 250,
-        sweep_points: 41,
-    })
-    .expect("dataset builds");
+    let data = build_dataset(&DatasetConfig::new(250, 41), None).expect("dataset builds");
     Arc::new(
         train_surrogate(
             &data,

@@ -18,11 +18,7 @@ use std::sync::{Arc, OnceLock};
 fn surrogate() -> Arc<SurrogateModel> {
     static CELL: OnceLock<Arc<SurrogateModel>> = OnceLock::new();
     CELL.get_or_init(|| {
-        let data = build_dataset(&DatasetConfig {
-            samples: 150,
-            sweep_points: 31,
-        })
-        .expect("builds");
+        let data = build_dataset(&DatasetConfig::new(150, 31), None).expect("builds");
         Arc::new(
             train_surrogate(
                 &data,

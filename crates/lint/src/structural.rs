@@ -20,17 +20,15 @@ use std::collections::BTreeMap;
 
 /// The functions the oracle registry must always pin: the reference
 /// implementations designated in docs/SOLVERS.md and DESIGN.md, plus the
-/// streaming-equivalence anchors of DESIGN.md §17 — the batch dataset
-/// builder the streamed build must reproduce bit-identically, the shared
-/// per-point characterization kernel, and the two store codecs whose byte
-/// layout the on-disk format version pins. The registry may pin more; it
-/// may not pin fewer.
+/// two store codecs whose byte layout the on-disk format version pins
+/// (DESIGN.md §17). The dataset builder and its per-point characterization
+/// are pinned by their output instead
+/// (`crates/surrogate/tests/dataset_digest.rs`). The registry may pin more;
+/// it may not pin fewer.
 pub const REQUIRED_ORACLES: &[&str] = &[
     "Matrix::matmul_reference",
     "Graph::backward_reference",
     "DcSolver::newton_dense",
-    "build_dataset_opts",
-    "characterize_point",
     "StoreMeta::encode",
     "StoreRecord::encode",
 ];

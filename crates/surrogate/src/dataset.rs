@@ -1,5 +1,5 @@
 use crate::store::is_valid_failure_fraction;
-use crate::{DesignSpace, SurrogateError, OMEGA_DIM};
+use crate::{DesignSampler, DesignSpace, StoreRecord, SurrogateError, OMEGA_DIM};
 use pnc_fit::fit_ptanh;
 use pnc_linalg::ParallelConfig;
 use pnc_obs::{Counter, FieldValue, Histogram, Span};
@@ -8,15 +8,15 @@ use pnc_spice::sweep::linspace;
 use pnc_spice::DcSolver;
 use serde::{Deserialize, Serialize};
 
-// Observability: dataset-build throughput and per-stage failure tallies.
-// Catalogued in docs/METRICS.md.
+// Observability: one family for every dataset build, in memory or
+// streamed, fed by `Characterizer::chunk`. Catalogued in docs/METRICS.md.
 static OBS_POINTS: Counter = Counter::new("surrogate.dataset.points");
 static OBS_ENTRIES: Counter = Counter::new("surrogate.dataset.entries");
 static OBS_FAIL_BUILD: Counter = Counter::new("surrogate.dataset.failures.build");
 static OBS_FAIL_SWEEP: Counter = Counter::new("surrogate.dataset.failures.sweep");
 static OBS_FAIL_FIT: Counter = Counter::new("surrogate.dataset.failures.fit");
 static OBS_FIT_RMSE: Histogram = Histogram::new("surrogate.dataset.fit_rmse");
-static OBS_BUILD_SECONDS: Histogram = Histogram::new("surrogate.dataset.build_seconds");
+static OBS_CHUNK_SECONDS: Histogram = Histogram::new("surrogate.dataset.chunk_seconds");
 
 fn obs_register() {
     static ONCE: std::sync::Once = std::sync::Once::new();
@@ -27,7 +27,7 @@ fn obs_register() {
         OBS_FAIL_SWEEP.register();
         OBS_FAIL_FIT.register();
         OBS_FIT_RMSE.register();
-        OBS_BUILD_SECONDS.register();
+        OBS_CHUNK_SECONDS.register();
     });
 }
 
@@ -226,21 +226,78 @@ impl EtaBoundsAccumulator {
     }
 }
 
-/// Configuration of the dataset builder.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+/// The shape of a dataset build, in memory ([`build_dataset`]) or streamed
+/// ([`StreamBuilder`](crate::StreamBuilder), which records every field but
+/// `parallel` in its store header). `parallel` and `chunk_points` only
+/// shape *how* the points are computed: the dataset is bit-identical at
+/// every thread count and chunk size.
+///
+/// # Examples
+///
+/// ```
+/// use pnc_linalg::ParallelConfig;
+/// use pnc_surrogate::{build_dataset, DatasetConfig};
+///
+/// # fn main() -> Result<(), pnc_surrogate::SurrogateError> {
+/// let config = DatasetConfig {
+///     parallel: ParallelConfig::serial(),
+///     // Tolerate up to half the corner circuits failing in this tiny run.
+///     max_failure_fraction: 0.5,
+///     ..DatasetConfig::new(12, 21)
+/// };
+/// let data = build_dataset(&config, None)?;
+/// assert_eq!(data.entries.len() + data.failures.len(), 12);
+/// # Ok(())
+/// # }
+/// ```
+#[derive(Debug, Clone, Copy)]
 pub struct DatasetConfig {
-    /// Number of design points to characterize (the paper uses 10 000).
-    pub samples: usize,
-    /// Number of `V_in` grid points per transfer-curve sweep.
+    /// Number of design points to characterize (the paper uses 10 000;
+    /// streamed production builds aim at 10⁶).
+    pub total_points: usize,
+    /// Points characterized per chunk — a streamed build's memory bound.
+    pub chunk_points: usize,
+    /// `V_in` grid points per transfer-curve sweep (at least 5).
     pub sweep_points: usize,
+    /// Abort when more than this fraction of `total_points` fails. Must be
+    /// finite and non-negative.
+    pub max_failure_fraction: f64,
+    /// Per-chunk thread configuration.
+    pub parallel: ParallelConfig,
 }
 
-impl Default for DatasetConfig {
-    fn default() -> Self {
+impl DatasetConfig {
+    /// `total_points` points on `sweep_points`-point sweeps, in 1024-point
+    /// chunks, with a 5 % failure threshold and an automatic thread count.
+    pub fn new(total_points: usize, sweep_points: usize) -> Self {
         DatasetConfig {
-            samples: 10_000,
-            sweep_points: 61,
+            total_points,
+            chunk_points: 1024,
+            sweep_points,
+            max_failure_fraction: 0.05,
+            parallel: ParallelConfig::automatic(),
         }
+    }
+
+    fn validate(&self) -> Result<(), SurrogateError> {
+        let detail = if self.total_points == 0 {
+            "total_points must be positive".to_string()
+        } else if self.chunk_points == 0 {
+            "chunk_points must be positive".to_string()
+        } else if self.sweep_points < 5 {
+            format!(
+                "sweep_points {} is below the 5 a ptanh fit needs",
+                self.sweep_points
+            )
+        } else if !is_valid_failure_fraction(self.max_failure_fraction) {
+            format!(
+                "max_failure_fraction {} must be finite and non-negative",
+                self.max_failure_fraction
+            )
+        } else {
+            return Ok(());
+        };
+        Err(SurrogateError::Config { detail })
     }
 }
 
@@ -292,74 +349,61 @@ impl CircuitDataset {
 
 /// Samples the feasible design space with quasi Monte-Carlo, simulates each
 /// circuit's DC transfer curve, and fits Eq. 2 — producing the `(ω, η)`
-/// training data for the surrogate network.
+/// training data for the surrogate network, held in memory.
 ///
-/// Runs the per-circuit work in parallel (deterministic result order).
+/// `solver_factory` optionally overrides the DC solver per sample, keyed by
+/// the (scheduling-invariant) QMC sample index: custom
+/// [`RecoveryPolicy`](pnc_spice::RecoveryPolicy)s, or fault injection on
+/// chosen samples in tests.
 ///
 /// # Errors
 ///
-/// Propagates sampling, simulation and fitting failures; a handful of
-/// non-convergent corner circuits are tolerated and skipped, but if more than
-/// 5 % of points fail the whole build errors out.
+/// [`SurrogateError::Config`] for an invalid `config`, before any point is
+/// characterized; [`SurrogateError::BadDataset`] once more than
+/// [`DatasetConfig::max_failure_fraction`] of the points fail (failed
+/// points below that are kept in [`CircuitDataset::failures`]); η-bounds
+/// validation as in [`EtaBounds::from_entries`].
 ///
 /// # Examples
 ///
 /// ```no_run
 /// use pnc_surrogate::{build_dataset, DatasetConfig};
 ///
-/// let data = build_dataset(&DatasetConfig { samples: 1000, sweep_points: 41 })?;
+/// let data = build_dataset(&DatasetConfig::new(1000, 41), None)?;
 /// assert!(data.entries.len() >= 950);
 /// # Ok::<(), pnc_surrogate::SurrogateError>(())
 /// ```
-pub fn build_dataset(config: &DatasetConfig) -> Result<CircuitDataset, SurrogateError> {
-    build_dataset_with(config, &ParallelConfig::automatic())
-}
-
-/// [`build_dataset`] with an explicit thread-count configuration.
-///
-/// The QMC design points are sampled serially (their sequence never depends
-/// on scheduling); only the independent per-circuit simulate-and-fit work
-/// fans out, and results come back in sample order — the dataset is
-/// identical at every thread count.
-///
-/// # Errors
-///
-/// Same contract as [`build_dataset`].
-pub fn build_dataset_with(
+pub fn build_dataset(
     config: &DatasetConfig,
-    parallel: &ParallelConfig,
+    solver_factory: Option<&(dyn Fn(usize) -> DcSolver + Sync)>,
 ) -> Result<CircuitDataset, SurrogateError> {
-    build_dataset_opts(
-        config,
-        &BuildOptions {
-            parallel: *parallel,
-            ..BuildOptions::default()
-        },
-    )
-}
-
-/// Extended knobs of the dataset builder, for diagnostics and tests.
-#[derive(Clone, Copy, Default)]
-pub struct BuildOptions<'a> {
-    /// Thread-count configuration (see [`build_dataset_with`]).
-    pub parallel: ParallelConfig,
-    /// Abort the build when more than this fraction of points fails
-    /// (`None` = the default 5 %). Must be finite and non-negative.
-    pub max_failure_fraction: Option<f64>,
-    /// Optional per-sample DC solver override, keyed by the QMC sample
-    /// index. Used to install custom
-    /// [`RecoveryPolicy`](pnc_spice::RecoveryPolicy)s, or — in tests — fault
-    /// injection on chosen samples. Keying on the (thread-invariant) sample
-    /// index keeps the build deterministic.
-    pub solver_factory: Option<&'a (dyn Fn(usize) -> DcSolver + Sync)>,
+    let space = DesignSpace::paper();
+    let mut characterizer = Characterizer::new(config, &space, solver_factory)?;
+    let mut entries = Vec::new();
+    let mut failures = Vec::new();
+    while characterizer
+        .chunk(|_, records| {
+            for record in records {
+                match record {
+                    Ok(entry) => entries.push(*entry),
+                    Err(failure) => failures.push(failure.clone()),
+                }
+            }
+            Ok(())
+        })?
+        .is_some()
+    {}
+    Ok(CircuitDataset {
+        eta_bounds: characterizer.acc.finish()?,
+        space,
+        entries,
+        failures,
+    })
 }
 
 /// Characterizes one design point: build the netlist, sweep the DC transfer
-/// curve, fit Eq. 2. This is the per-point physics shared — call for call —
-/// by the batch builder below and the streaming builder
-/// ([`crate::StreamBuilder`]), which is what makes a streamed dataset
-/// bit-identical to the batch oracle at any chunking.
-pub(crate) fn characterize_point(
+/// curve, fit Eq. 2.
+fn characterize_point(
     index: usize,
     omega: &[f64; OMEGA_DIM],
     grid: &[f64],
@@ -388,120 +432,138 @@ pub(crate) fn characterize_point(
     })
 }
 
-/// [`build_dataset_with`] with full [`BuildOptions`].
-///
-/// # Errors
-///
-/// Same contract as [`build_dataset`]; the failure threshold is
-/// [`BuildOptions::max_failure_fraction`]. A threshold that is negative or
-/// not finite is rejected with [`SurrogateError::Config`] before any point
-/// is characterized.
-///
-/// # Examples
-///
-/// ```
-/// use pnc_linalg::ParallelConfig;
-/// use pnc_surrogate::{build_dataset_opts, BuildOptions, DatasetConfig};
-///
-/// # fn main() -> Result<(), pnc_surrogate::SurrogateError> {
-/// let data = build_dataset_opts(
-///     &DatasetConfig { samples: 12, sweep_points: 21 },
-///     &BuildOptions {
-///         parallel: ParallelConfig::serial(),
-///         // Tolerate up to half the corner circuits failing in this tiny run.
-///         max_failure_fraction: Some(0.5),
-///         ..BuildOptions::default()
-///     },
-/// )?;
-/// assert_eq!(data.entries.len() + data.failures.len(), 12);
-/// # Ok(())
-/// # }
-/// ```
-pub fn build_dataset_opts(
-    config: &DatasetConfig,
-    options: &BuildOptions<'_>,
-) -> Result<CircuitDataset, SurrogateError> {
-    let max_fraction = options.max_failure_fraction.unwrap_or(0.05);
-    if !is_valid_failure_fraction(max_fraction) {
-        return Err(SurrogateError::Config {
-            detail: format!("max_failure_fraction {max_fraction} must be finite and non-negative"),
-        });
+/// The one characterization loop behind [`build_dataset`] and
+/// [`StreamBuilder`](crate::StreamBuilder). Each [`chunk`](Self::chunk)
+/// turns the next run of consecutive Sobol' sample indices into records,
+/// in sample order at every thread count, so a dataset does not depend on
+/// how it was chunked or scheduled.
+pub(crate) struct Characterizer<'a> {
+    pub(crate) config: DatasetConfig,
+    sampler: DesignSampler,
+    grid: Vec<f64>,
+    pub(crate) solver_factory: Option<&'a (dyn Fn(usize) -> DcSolver + Sync)>,
+    /// η bounds over every entry so far.
+    pub(crate) acc: EtaBoundsAccumulator,
+    /// Failed points so far.
+    pub(crate) failures: usize,
+}
+
+impl<'a> Characterizer<'a> {
+    /// Validates `config` and starts at sample index 0 of `space`.
+    pub(crate) fn new(
+        config: &DatasetConfig,
+        space: &DesignSpace,
+        solver_factory: Option<&'a (dyn Fn(usize) -> DcSolver + Sync)>,
+    ) -> Result<Self, SurrogateError> {
+        config.validate()?;
+        obs_register();
+        Ok(Characterizer {
+            config: *config,
+            sampler: DesignSampler::new(space)?,
+            grid: linspace(0.0, pnc_spice::circuits::VDD, config.sweep_points),
+            solver_factory,
+            acc: EtaBoundsAccumulator::new(),
+            failures: 0,
+        })
     }
-    obs_register();
-    let build_span = Span::new(&OBS_BUILD_SECONDS);
-    let space = DesignSpace::paper();
-    let omegas = space.sample(config.samples)?;
-    let grid = linspace(0.0, pnc_spice::circuits::VDD, config.sweep_points.max(5));
 
-    // Indices ride along with the samples so the worker closure (which only
-    // sees one item) can key the solver factory and the failure records on
-    // the scheduling-independent sample index.
-    let indexed: Vec<(usize, [f64; OMEGA_DIM])> = omegas.into_iter().enumerate().collect();
-    let results: Vec<Result<DatasetEntry, FailureRecord>> = options
-        .parallel
-        .ordered_par_map(&indexed, |(index, omega)| {
-            characterize_point(*index, omega, &grid, options.solver_factory)
-        });
-
-    let mut entries = Vec::with_capacity(results.len());
-    let mut failures = Vec::new();
-    for r in results {
-        match r {
-            Ok(e) => entries.push(e),
-            Err(record) => failures.push(record),
+    /// Folds already committed records back into the running state and
+    /// skips their samples, leaving exactly the state the build had when
+    /// it committed them.
+    pub(crate) fn replay(&mut self, records: &[StoreRecord]) -> Result<(), SurrogateError> {
+        for record in records {
+            match record {
+                StoreRecord::Entry { entry, .. } => self.acc.observe(&entry.eta)?,
+                StoreRecord::Failure(_) => self.failures += 1,
+            }
         }
+        self.sampler.skip(records.len())
     }
 
-    OBS_POINTS.add(config.samples as u64);
-    OBS_ENTRIES.add(entries.len() as u64);
-    for e in &entries {
-        OBS_FIT_RMSE.observe(e.fit_rmse);
-    }
-    for f in &failures {
-        match f.stage {
-            FailureStage::Build => OBS_FAIL_BUILD.increment(),
-            FailureStage::Sweep => OBS_FAIL_SWEEP.increment(),
-            FailureStage::Fit => OBS_FAIL_FIT.increment(),
+    /// Characterizes the next chunk of up to
+    /// [`DatasetConfig::chunk_points`] points and hands `commit` the index
+    /// of its first sample and its records. Returns the chunk's point and
+    /// failure counts, or `None` once all points are done.
+    ///
+    /// The failure threshold is checked after `commit`, so a streamed build
+    /// keeps the chunk that crossed it for post-mortem.
+    pub(crate) fn chunk(
+        &mut self,
+        commit: impl FnOnce(usize, &[Result<DatasetEntry, FailureRecord>]) -> Result<(), SurrogateError>,
+    ) -> Result<Option<(usize, usize)>, SurrogateError> {
+        let first = self.sampler.drawn();
+        let total = self.config.total_points;
+        if first >= total {
+            return Ok(None);
         }
-    }
-    let build_seconds = build_span.elapsed_seconds();
-    drop(build_span);
-    if pnc_obs::sink::enabled() {
-        pnc_obs::sink::emit(
-            "surrogate.dataset.built",
-            &[
-                ("points", FieldValue::U64(config.samples as u64)),
-                ("entries", FieldValue::U64(entries.len() as u64)),
-                ("failures", FieldValue::U64(failures.len() as u64)),
-                ("seconds", FieldValue::F64(build_seconds)),
-                (
-                    "points_per_second",
-                    FieldValue::F64(config.samples as f64 / build_seconds.max(1e-9)),
+        let span = Span::new(&OBS_CHUNK_SECONDS);
+        let points = (total - first).min(self.config.chunk_points);
+        // Indices ride along with the samples so the worker closure (which
+        // only sees one item) can key the solver factory and the failure
+        // records on the scheduling-independent sample index.
+        let indexed: Vec<(usize, [f64; OMEGA_DIM])> =
+            (first..).zip(self.sampler.next_batch(points)?).collect();
+        let (grid, solver_factory) = (&self.grid, self.solver_factory);
+        let records = self
+            .config
+            .parallel
+            .ordered_par_map(&indexed, |(index, omega)| {
+                characterize_point(*index, omega, grid, solver_factory)
+            });
+
+        let mut failures = 0;
+        for record in &records {
+            match record {
+                Ok(entry) => {
+                    self.acc.observe(&entry.eta)?;
+                    OBS_FIT_RMSE.observe(entry.fit_rmse);
+                }
+                Err(failure) => {
+                    failures += 1;
+                    match failure.stage {
+                        FailureStage::Build => OBS_FAIL_BUILD.increment(),
+                        FailureStage::Sweep => OBS_FAIL_SWEEP.increment(),
+                        FailureStage::Fit => OBS_FAIL_FIT.increment(),
+                    }
+                }
+            }
+        }
+        self.failures += failures;
+        OBS_POINTS.add(points as u64);
+        OBS_ENTRIES.add((points - failures) as u64);
+        commit(first, &records)?;
+        let seconds = span.elapsed_seconds();
+        drop(span);
+        if pnc_obs::sink::enabled() {
+            pnc_obs::sink::emit(
+                "surrogate.dataset.chunk",
+                &[
+                    ("first_index", FieldValue::U64(first as u64)),
+                    ("points", FieldValue::U64(points as u64)),
+                    ("failures", FieldValue::U64(failures as u64)),
+                    ("seconds", FieldValue::F64(seconds)),
+                ],
+            );
+        }
+
+        let max_fraction = self.config.max_failure_fraction;
+        if self.failures as f64 > max_fraction * total as f64 {
+            let example = records.iter().find_map(|r| r.as_ref().err());
+            return Err(SurrogateError::BadDataset {
+                detail: format!(
+                    "{} of {} attempted circuit characterizations failed, over the \
+                     threshold {max_fraction} of {total} points{}",
+                    self.failures,
+                    first + points,
+                    example.map_or(String::new(), |f| format!(
+                        "; first in the last chunk: index {}, {:?} stage: {}",
+                        f.index, f.stage, f.cause
+                    )),
                 ),
-            ],
-        );
+            });
+        }
+        Ok(Some((points, failures)))
     }
-
-    if failures.len() as f64 > max_fraction * config.samples as f64 {
-        return Err(SurrogateError::BadDataset {
-            detail: format!(
-                "{} of {} circuit characterizations failed (first: index {}, {:?} stage: {})",
-                failures.len(),
-                config.samples,
-                failures[0].index,
-                failures[0].stage,
-                failures[0].cause,
-            ),
-        });
-    }
-
-    let eta_bounds = EtaBounds::from_entries(&entries)?;
-    Ok(CircuitDataset {
-        space,
-        entries,
-        eta_bounds,
-        failures,
-    })
 }
 
 #[cfg(test)]
@@ -509,11 +571,7 @@ mod tests {
     use super::*;
 
     fn tiny_dataset() -> CircuitDataset {
-        build_dataset(&DatasetConfig {
-            samples: 60,
-            sweep_points: 31,
-        })
-        .expect("tiny dataset builds")
+        build_dataset(&DatasetConfig::new(60, 31), None).expect("tiny dataset builds")
     }
 
     #[test]
@@ -531,14 +589,19 @@ mod tests {
 
     #[test]
     fn dataset_is_identical_across_thread_counts() {
-        let config = DatasetConfig {
-            samples: 40,
-            sweep_points: 21,
+        let build = |parallel| {
+            build_dataset(
+                &DatasetConfig {
+                    parallel,
+                    ..DatasetConfig::new(40, 21)
+                },
+                None,
+            )
+            .unwrap()
         };
-        let serial = build_dataset_with(&config, &ParallelConfig::serial()).unwrap();
+        let serial = build(ParallelConfig::serial());
         for threads in [2, 4] {
-            let parallel =
-                build_dataset_with(&config, &ParallelConfig::with_threads(threads)).unwrap();
+            let parallel = build(ParallelConfig::with_threads(threads));
             assert_eq!(serial, parallel, "threads = {threads}");
         }
     }
@@ -668,19 +731,8 @@ mod tests {
     #[test]
     fn injected_faults_are_recorded_with_stage_and_cause() {
         const BAD: &[usize] = &[3, 17];
-        let config = DatasetConfig {
-            samples: 40,
-            sweep_points: 21,
-        };
         let factory = faulting_factory(BAD);
-        let data = build_dataset_opts(
-            &config,
-            &BuildOptions {
-                solver_factory: Some(&factory),
-                ..BuildOptions::default()
-            },
-        )
-        .unwrap();
+        let data = build_dataset(&DatasetConfig::new(40, 21), Some(&factory)).unwrap();
 
         assert_eq!(data.entries.len(), 40 - BAD.len());
         assert_eq!(data.failures.len(), BAD.len());
@@ -702,21 +754,14 @@ mod tests {
     #[test]
     fn failure_records_are_identical_across_thread_counts() {
         const BAD: &[usize] = &[1, 9, 22];
-        let config = DatasetConfig {
-            samples: 40,
-            sweep_points: 21,
-        };
         let factory = faulting_factory(BAD);
         let build = |parallel: ParallelConfig| {
-            build_dataset_opts(
-                &config,
-                &BuildOptions {
-                    parallel,
-                    max_failure_fraction: Some(0.2),
-                    solver_factory: Some(&factory),
-                },
-            )
-            .unwrap()
+            let config = DatasetConfig {
+                parallel,
+                max_failure_fraction: 0.2,
+                ..DatasetConfig::new(40, 21)
+            };
+            build_dataset(&config, Some(&factory)).unwrap()
         };
         let serial = build(ParallelConfig::serial());
         assert_eq!(serial.failures.len(), BAD.len());
@@ -733,23 +778,15 @@ mod tests {
         // unfaulted build, because recovery converges to the same operating
         // points.
         let config = DatasetConfig {
-            samples: 20,
-            sweep_points: 21,
+            parallel: ParallelConfig::serial(),
+            ..DatasetConfig::new(20, 21)
         };
-        let clean = build_dataset_with(&config, &ParallelConfig::serial()).unwrap();
+        let clean = build_dataset(&config, None).unwrap();
         let factory = |_index: usize| pnc_spice::DcSolver {
             fault_injection: Some(pnc_spice::FaultInjection::recoverable_at(vec![0.5])),
             ..pnc_spice::DcSolver::new()
         };
-        let rescued = build_dataset_opts(
-            &config,
-            &BuildOptions {
-                parallel: ParallelConfig::serial(),
-                solver_factory: Some(&factory),
-                ..BuildOptions::default()
-            },
-        )
-        .unwrap();
+        let rescued = build_dataset(&config, Some(&factory)).unwrap();
         assert!(rescued.failures.is_empty(), "ladder should rescue all");
         assert_eq!(clean.entries.len(), rescued.entries.len());
         for (a, b) in clean.entries.iter().zip(&rescued.entries) {
@@ -768,32 +805,18 @@ mod tests {
     #[test]
     fn too_many_failures_abort_with_stage_detail() {
         const BAD: &[usize] = &[0, 1, 2, 3, 4];
-        let config = DatasetConfig {
-            samples: 20,
-            sweep_points: 21,
-        };
+        let config = DatasetConfig::new(20, 21);
         let factory = faulting_factory(BAD);
-        let err = build_dataset_opts(
-            &config,
-            &BuildOptions {
-                solver_factory: Some(&factory),
-                ..BuildOptions::default()
-            },
-        )
-        .unwrap_err();
+        let err = build_dataset(&config, Some(&factory)).unwrap_err();
         let msg = err.to_string();
         assert!(msg.contains("5 of 20"), "{msg}");
         assert!(msg.contains("Sweep"), "{msg}");
         // Raising the threshold lets the same build succeed and keep records.
-        let data = build_dataset_opts(
-            &config,
-            &BuildOptions {
-                max_failure_fraction: Some(0.5),
-                solver_factory: Some(&factory),
-                ..BuildOptions::default()
-            },
-        )
-        .unwrap();
+        let config = DatasetConfig {
+            max_failure_fraction: 0.5,
+            ..config
+        };
+        let data = build_dataset(&config, Some(&factory)).unwrap();
         assert_eq!(data.failure_tally().sweep, BAD.len());
     }
 
@@ -802,19 +825,13 @@ mod tests {
         // A negative fraction used to index an empty failure list, and NaN
         // never aborted; both are configuration errors, as in the
         // streaming builder.
-        let config = DatasetConfig {
-            samples: 8,
-            sweep_points: 21,
-        };
         for fraction in [-0.1, f64::NAN, f64::INFINITY] {
-            let result = build_dataset_opts(
-                &config,
-                &BuildOptions {
-                    parallel: ParallelConfig::serial(),
-                    max_failure_fraction: Some(fraction),
-                    ..BuildOptions::default()
-                },
-            );
+            let config = DatasetConfig {
+                parallel: ParallelConfig::serial(),
+                max_failure_fraction: fraction,
+                ..DatasetConfig::new(8, 21)
+            };
+            let result = build_dataset(&config, None);
             assert!(
                 matches!(result, Err(SurrogateError::Config { .. })),
                 "fraction {fraction}: {result:?}"
@@ -822,22 +839,25 @@ mod tests {
         }
     }
 
+    /// A sweep shorter than 5 points used to be widened to 5 silently while
+    /// a streamed store recorded the requested count; it is a configuration
+    /// error now.
+    #[test]
+    fn short_sweeps_are_rejected() {
+        for sweep_points in [0, 4] {
+            let result = build_dataset(&DatasetConfig::new(8, sweep_points), None);
+            assert!(
+                matches!(result, Err(SurrogateError::Config { .. })),
+                "sweep_points {sweep_points}: {result:?}"
+            );
+        }
+    }
+
     #[test]
     fn failure_records_serialize_round_trip() {
         const BAD: &[usize] = &[2];
-        let config = DatasetConfig {
-            samples: 20,
-            sweep_points: 21,
-        };
         let factory = faulting_factory(BAD);
-        let data = build_dataset_opts(
-            &config,
-            &BuildOptions {
-                solver_factory: Some(&factory),
-                ..BuildOptions::default()
-            },
-        )
-        .unwrap();
+        let data = build_dataset(&DatasetConfig::new(20, 21), Some(&factory)).unwrap();
         let json = serde_json::to_string(&data).unwrap();
         let back: CircuitDataset = serde_json::from_str(&json).unwrap();
         assert_eq!(back.failures.len(), 1);

@@ -7,7 +7,9 @@
 //!    ([`DesignSpace::sample`]).
 //! 2. [`build_dataset`] — simulate every sampled circuit with `pnc-spice`,
 //!    fit the ptanh curve of Eq. 2 with `pnc-fit`, and collect `(ω, η)`
-//!    pairs (the green boxes of Fig. 3).
+//!    pairs (the green boxes of Fig. 3). [`StreamBuilder`] runs the same
+//!    chunk loop into a resumable on-disk [`DatasetStore`] for builds too
+//!    large to hold in memory.
 //! 3. [`Mlp`] / [`train_surrogate`] — train the paper's 13-layer regression
 //!    network (10-9-9-8-8-7-7-6-6-6-5-5-5-4) on normalized, ratio-augmented
 //!    inputs to predict normalized η (the blue box of Fig. 3).
@@ -25,7 +27,7 @@
 //! use pnc_surrogate::{build_dataset, train_surrogate, DatasetConfig, TrainConfig};
 //!
 //! # fn main() -> Result<(), pnc_surrogate::SurrogateError> {
-//! let data = build_dataset(&DatasetConfig { samples: 200, sweep_points: 41 })?;
+//! let data = build_dataset(&DatasetConfig::new(200, 41), None)?;
 //! let (model, report) = train_surrogate(&data, &TrainConfig::default())?;
 //! println!("validation MSE: {}", report.val_mse);
 //! let eta = model.predict_eta(&data.entries[0].omega);
@@ -36,9 +38,10 @@
 //!
 //! # Observability
 //!
-//! Dataset builds feed the `surrogate.dataset.*` counters and histograms
-//! of `pnc-obs` (points, entries, per-stage failures, fit RMSE, build
-//! duration) — see `docs/METRICS.md` at the workspace root.
+//! Every dataset build, in memory or streamed, feeds one family of
+//! `pnc-obs` metrics, `surrogate.dataset.*` (points, entries, per-stage
+//! failures, fit RMSE, chunk duration, resume bookkeeping) — see
+//! `docs/METRICS.md` at the workspace root.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -52,9 +55,8 @@ mod store;
 mod stream;
 
 pub use dataset::{
-    build_dataset, build_dataset_opts, build_dataset_with, BuildOptions, CircuitDataset,
-    DatasetConfig, DatasetEntry, EtaBounds, EtaBoundsAccumulator, FailureRecord, FailureStage,
-    FailureTally,
+    build_dataset, CircuitDataset, DatasetConfig, DatasetEntry, EtaBounds, EtaBoundsAccumulator,
+    FailureRecord, FailureStage, FailureTally,
 };
 pub use design_space::{DesignSampler, DesignSpace, EXTENDED_DIM, OMEGA_DIM};
 pub use error::SurrogateError;

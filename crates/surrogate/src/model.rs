@@ -62,7 +62,7 @@ pub struct TrainReport {
 /// ```no_run
 /// use pnc_surrogate::{build_dataset, train_surrogate, DatasetConfig, TrainConfig};
 ///
-/// let data = build_dataset(&DatasetConfig { samples: 500, sweep_points: 41 })?;
+/// let data = build_dataset(&DatasetConfig::new(500, 41), None)?;
 /// let (model, _report) = train_surrogate(&data, &TrainConfig::default())?;
 /// let eta = model.predict_eta(&data.entries[0].omega);
 /// // η parameterizes the tanh-like activation curve of this circuit.
@@ -187,7 +187,7 @@ impl SurrogateModel {
                 return Ok((model, None));
             }
         }
-        let data = crate::build_dataset(dataset_config)?;
+        let data = crate::build_dataset(dataset_config, None)?;
         let (model, report) = train_surrogate(&data, train_config)?;
         if let Some(parent) = path.parent() {
             std::fs::create_dir_all(parent)?;
@@ -217,10 +217,7 @@ pub fn default_surrogate() -> Result<SurrogateModel, SurrogateError> {
     let path = artifact_dir().join("surrogate-default.json");
     let (model, report) = SurrogateModel::load_or_train(
         &path,
-        &crate::DatasetConfig {
-            samples: 2000,
-            sweep_points: 61,
-        },
+        &crate::DatasetConfig::new(2000, 61),
         &TrainConfig {
             max_epochs: 4000,
             patience: 400,
@@ -247,10 +244,7 @@ pub fn default_surrogate() -> Result<SurrogateModel, SurrogateError> {
 pub fn quick_surrogate() -> Result<SurrogateModel, SurrogateError> {
     let (model, _) = SurrogateModel::load_or_train(
         &artifact_dir().join("surrogate-quick.json"),
-        &crate::DatasetConfig {
-            samples: 300,
-            sweep_points: 41,
-        },
+        &crate::DatasetConfig::new(300, 41),
         &TrainConfig {
             layer_sizes: vec![10, 9, 7, 5, 4],
             max_epochs: 1500,
@@ -385,11 +379,7 @@ mod tests {
     }
 
     fn trained() -> (CircuitDataset, SurrogateModel, TrainReport) {
-        let data = build_dataset(&DatasetConfig {
-            samples: 150,
-            sweep_points: 31,
-        })
-        .unwrap();
+        let data = build_dataset(&DatasetConfig::new(150, 31), None).unwrap();
         let (model, report) = train_surrogate(&data, &quick_config()).unwrap();
         (data, model, report)
     }

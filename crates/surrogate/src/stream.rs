@@ -1,21 +1,21 @@
 //! Streaming, resumable dataset builder — bounded memory at any build size.
 //!
-//! The batch builder ([`crate::build_dataset_opts`]) materializes every
-//! sample in RAM; at a production scale of 10⁶ points that is neither
-//! necessary nor survivable. [`StreamBuilder`] does the same work in
-//! fixed-size chunks:
+//! [`crate::build_dataset`] keeps every record in RAM; at a production
+//! scale of 10⁶ points that is neither necessary nor survivable.
+//! [`StreamBuilder`] runs the same chunk loop and commits each chunk to the
+//! append-only [`DatasetStore`] before drawing the next:
 //!
-//! * each chunk's points are drawn, characterized in parallel
-//!   ([`ParallelConfig::ordered_par_map`], same per-point physics via the
-//!   shared `characterize_point`), and committed to the append-only
-//!   [`DatasetStore`] before the next chunk starts;
+//! * both builders call one crate-private chunk routine: it draws the next
+//!   run of Sobol' sample indices, characterizes them in parallel
+//!   ([`pnc_linalg::ParallelConfig::ordered_par_map`]), folds η into the
+//!   running bounds, checks the one failure threshold and feeds the
+//!   `surrogate.dataset.*` metrics;
 //! * peak memory is `O(chunk_points)`, independent of the total build size
 //!   (the `claims` bin of `pnc-bench` holds peak RSS flat from 800 to
 //!   8,000 points);
-//! * the point sequence is the *same* Sobol' rejection stream the batch
-//!   oracle draws ([`DesignSampler`]), so a streamed dataset is
-//!   **bit-identical** to the batch build at every chunk size and thread
-//!   count;
+//! * records do not depend on chunking or scheduling, so a streamed
+//!   dataset is **bit-identical** to the in-memory build at every chunk
+//!   size and thread count;
 //! * a killed build resumes from the last committed chunk
 //!   ([`StreamBuilder::resume`]) and finishes byte-identical to an
 //!   uninterrupted run — the sampler is fast-forwarded, not persisted.
@@ -23,70 +23,32 @@
 //! The full contract (determinism, store format, resume semantics) is
 //! DESIGN.md §17.
 
-use crate::dataset::characterize_point;
-use crate::store::{is_valid_failure_fraction, DatasetStore, ResumeReport, StoreMeta, StoreRecord};
-use crate::{
-    CircuitDataset, DesignSampler, DesignSpace, EtaBounds, EtaBoundsAccumulator, SurrogateError,
-    OMEGA_DIM,
-};
-use pnc_linalg::ParallelConfig;
-use pnc_obs::{Counter, Histogram, Span};
-use pnc_spice::sweep::linspace;
+use crate::dataset::Characterizer;
+use crate::store::{DatasetStore, ResumeReport, StoreMeta, StoreRecord};
+use crate::{CircuitDataset, DatasetConfig, DesignSpace, EtaBounds, SurrogateError};
+use pnc_obs::Counter;
 use pnc_spice::DcSolver;
 use std::path::Path;
 
-// Observability: streaming-build progress.
-// Catalogued in docs/METRICS.md.
-static OBS_CHUNKS: Counter = Counter::new("surrogate.stream.chunks");
-static OBS_POINTS: Counter = Counter::new("surrogate.stream.points");
-static OBS_RESUMED_POINTS: Counter = Counter::new("surrogate.stream.resumed_points");
-static OBS_DISCARDED_BYTES: Counter = Counter::new("surrogate.stream.discarded_bytes");
-static OBS_CHUNK_SECONDS: Histogram = Histogram::new("surrogate.stream.chunk_seconds");
+// Observability: resume bookkeeping. The per-chunk metrics are the
+// `surrogate.dataset.*` family every build feeds. Catalogued in
+// docs/METRICS.md.
+static OBS_RESUMED_POINTS: Counter = Counter::new("surrogate.dataset.resumed_points");
+static OBS_DISCARDED_BYTES: Counter = Counter::new("surrogate.dataset.discarded_bytes");
 
 fn obs_register() {
     static ONCE: std::sync::Once = std::sync::Once::new();
     ONCE.call_once(|| {
-        OBS_CHUNKS.register();
-        OBS_POINTS.register();
         OBS_RESUMED_POINTS.register();
         OBS_DISCARDED_BYTES.register();
-        OBS_CHUNK_SECONDS.register();
     });
 }
 
-/// Configuration of a streaming build. The fields that shape the dataset
-/// (`total_points`, `chunk_points`, `sweep_points`, `max_failure_fraction`)
-/// are recorded in the store header and must match on resume; `parallel`
-/// only shapes *how* the same points are computed.
-#[derive(Debug, Clone, Copy)]
-pub struct StreamConfig {
-    /// Target number of design points (the paper's batch build uses 10 000;
-    /// production builds aim at 10⁶).
-    pub total_points: usize,
-    /// Points characterized and committed per chunk — the memory bound.
-    pub chunk_points: usize,
-    /// `V_in` grid points per transfer-curve sweep.
-    pub sweep_points: usize,
-    /// Abort threshold on the failed-point fraction (same default 5 % as the
-    /// batch builder).
-    pub max_failure_fraction: f64,
-    /// Per-chunk thread configuration.
-    pub parallel: ParallelConfig,
-}
+/// The streaming builder's name for [`DatasetConfig`]. Every field but
+/// `parallel` is recorded in the store header and must match on resume.
+pub type StreamConfig = DatasetConfig;
 
-impl StreamConfig {
-    /// A default configuration: 1024-point chunks, the batch builder's 5 %
-    /// failure threshold, automatic thread count.
-    pub fn new(total_points: usize, sweep_points: usize) -> Self {
-        StreamConfig {
-            total_points,
-            chunk_points: 1024,
-            sweep_points,
-            max_failure_fraction: 0.05,
-            parallel: ParallelConfig::automatic(),
-        }
-    }
-
+impl DatasetConfig {
     fn meta(&self, space: &DesignSpace) -> StoreMeta {
         StoreMeta {
             total_points: self.total_points as u64,
@@ -95,28 +57,6 @@ impl StreamConfig {
             max_failure_fraction: self.max_failure_fraction,
             space: space.clone(),
         }
-    }
-
-    fn validate(&self) -> Result<(), SurrogateError> {
-        if self.total_points == 0 {
-            return Err(SurrogateError::Config {
-                detail: "total_points must be positive".into(),
-            });
-        }
-        if self.chunk_points == 0 {
-            return Err(SurrogateError::Config {
-                detail: "chunk_points must be positive".into(),
-            });
-        }
-        if !is_valid_failure_fraction(self.max_failure_fraction) {
-            return Err(SurrogateError::Config {
-                detail: format!(
-                    "max_failure_fraction {} must be finite and non-negative",
-                    self.max_failure_fraction
-                ),
-            });
-        }
-        Ok(())
     }
 }
 
@@ -156,14 +96,9 @@ pub struct StreamReport {
 
 /// The streaming dataset builder. See the module docs for the contract.
 pub struct StreamBuilder<'a> {
-    config: StreamConfig,
     store: DatasetStore,
-    sampler: DesignSampler,
-    grid: Vec<f64>,
-    acc: EtaBoundsAccumulator,
-    failures: u64,
+    characterizer: Characterizer<'a>,
     resumed: ResumeReport,
-    solver_factory: Option<&'a (dyn Fn(usize) -> DcSolver + Sync)>,
 }
 
 impl<'a> StreamBuilder<'a> {
@@ -171,20 +106,21 @@ impl<'a> StreamBuilder<'a> {
     ///
     /// # Errors
     ///
-    /// Config validation and store-creation failures.
+    /// Config validation (before any file is written) and store-creation
+    /// failures.
     pub fn create(path: &Path, config: &StreamConfig) -> Result<Self, SurrogateError> {
-        config.validate()?;
+        let space = DesignSpace::paper();
+        let characterizer = Characterizer::new(config, &space, None)?;
         obs_register();
-        let store = DatasetStore::create(path, &config.meta(&DesignSpace::paper()))?;
-        Self::assemble(
-            *config,
-            store,
-            ResumeReport {
+        Ok(StreamBuilder {
+            store: DatasetStore::create(path, &config.meta(&space))?,
+            characterizer,
+            resumed: ResumeReport {
                 committed_chunks: 0,
                 committed_records: 0,
                 discarded_bytes: 0,
             },
-        )
+        })
     }
 
     /// Resumes a killed build from `path`: validates the committed prefix
@@ -200,59 +136,35 @@ impl<'a> StreamBuilder<'a> {
         path: &Path,
         config: &StreamConfig,
     ) -> Result<(Self, ResumeReport), SurrogateError> {
-        config.validate()?;
+        let space = DesignSpace::paper();
+        let mut characterizer = Characterizer::new(config, &space, None)?;
         obs_register();
         let (store, report) = DatasetStore::open_resumable(path)?;
         store
-            .check_meta(&config.meta(&DesignSpace::paper()))
+            .check_meta(&config.meta(&space))
             .map_err(SurrogateError::from)?;
         OBS_RESUMED_POINTS.add(report.committed_records);
         OBS_DISCARDED_BYTES.add(report.discarded_bytes);
-        let builder = Self::assemble(*config, store, report)?;
+        // Replay chunk by chunk (bounded memory): the streaming state is a
+        // pure fold over the records, and the Sobol' stream is
+        // fast-forwarded rather than persisted.
+        for chunk in 0..store.committed_chunks() {
+            characterizer.replay(&store.read_chunk(chunk)?)?;
+        }
+        let builder = StreamBuilder {
+            store,
+            characterizer,
+            resumed: report,
+        };
         Ok((builder, report))
     }
 
     /// Installs a per-sample DC solver override (fault injection in tests,
     /// custom recovery policies), keyed on the scheduling-invariant global
-    /// sample index — same mechanism as
-    /// [`BuildOptions::solver_factory`](crate::BuildOptions::solver_factory).
+    /// sample index — the `solver_factory` of [`crate::build_dataset`].
     pub fn with_solver_factory(mut self, factory: &'a (dyn Fn(usize) -> DcSolver + Sync)) -> Self {
-        self.solver_factory = Some(factory);
+        self.characterizer.solver_factory = Some(factory);
         self
-    }
-
-    fn assemble(
-        config: StreamConfig,
-        store: DatasetStore,
-        resumed: ResumeReport,
-    ) -> Result<Self, SurrogateError> {
-        let mut sampler = DesignSampler::new(&store.meta().space)?;
-        let mut acc = EtaBoundsAccumulator::new();
-        let mut failures = 0u64;
-        // Replay the committed prefix chunk by chunk (bounded memory): the
-        // streaming state is a pure fold over the records, so the rebuilt
-        // state is exactly what the uninterrupted build had here.
-        for chunk in 0..store.committed_chunks() {
-            for record in store.read_chunk(chunk)? {
-                match record {
-                    StoreRecord::Entry { entry, .. } => acc.observe(&entry.eta)?,
-                    StoreRecord::Failure(_) => failures += 1,
-                }
-            }
-        }
-        // Fast-forward the Sobol' stream past the committed points.
-        sampler.skip(store.committed_records() as usize)?;
-        let grid = linspace(0.0, pnc_spice::circuits::VDD, config.sweep_points.max(5));
-        Ok(StreamBuilder {
-            config,
-            store,
-            sampler,
-            grid,
-            acc,
-            failures,
-            resumed,
-            solver_factory: None,
-        })
     }
 
     /// The underlying store (committed chunks/records, path, header).
@@ -262,7 +174,7 @@ impl<'a> StreamBuilder<'a> {
 
     /// Whether the build has reached its configured total.
     pub fn is_complete(&self) -> bool {
-        self.store.committed_records() >= self.config.total_points as u64
+        self.store.committed_records() >= self.characterizer.config.total_points as u64
     }
 
     /// Draws, characterizes, and commits the next chunk. Returns `None`
@@ -270,78 +182,31 @@ impl<'a> StreamBuilder<'a> {
     ///
     /// # Errors
     ///
-    /// Sampling/store failures, a non-finite fitted η, or the failure
-    /// fraction crossing [`StreamConfig::max_failure_fraction`] (the
-    /// streamed equivalent of the batch builder's final threshold — checked
-    /// incrementally so a doomed 10⁶-point run aborts early).
+    /// Sampling/store failures, a non-finite fitted η, or the failure count
+    /// crossing [`DatasetConfig::max_failure_fraction`] of the configured
+    /// total — checked after every chunk, so a doomed 10⁶-point run aborts
+    /// early and keeps its committed prefix for post-mortem.
     pub fn next_chunk(&mut self) -> Result<Option<ChunkSummary>, SurrogateError> {
-        let done = self.store.committed_records();
-        let total = self.config.total_points as u64;
-        if done >= total {
-            return Ok(None);
-        }
-        let span = Span::new(&OBS_CHUNK_SECONDS);
-        let n = ((total - done) as usize).min(self.config.chunk_points);
         let chunk_index = self.store.committed_chunks();
-
-        let omegas = self.sampler.next_batch(n)?;
-
-        let indexed: Vec<(usize, [f64; OMEGA_DIM])> = omegas
-            .into_iter()
-            .enumerate()
-            .map(|(i, omega)| (done as usize + i, omega))
-            .collect();
-        let solver_factory = self.solver_factory;
-        let grid = &self.grid;
-        let results = self
-            .config
-            .parallel
-            .ordered_par_map(&indexed, |(index, omega)| {
-                characterize_point(*index, omega, grid, solver_factory)
-            });
-
-        let mut records = Vec::with_capacity(n);
-        let mut entries = 0usize;
-        let mut chunk_failures = 0usize;
-        for ((index, _), result) in indexed.iter().zip(results) {
-            match result {
-                Ok(entry) => {
-                    self.acc.observe(&entry.eta)?;
-                    records.push(StoreRecord::Entry {
-                        index: *index as u64,
-                        entry,
-                    });
-                    entries += 1;
-                }
-                Err(failure) => {
-                    self.failures += 1;
-                    chunk_failures += 1;
-                    records.push(StoreRecord::Failure(failure));
-                }
-            }
-        }
-        self.store.append_chunk(&records)?;
-        OBS_CHUNKS.increment();
-        OBS_POINTS.add(n as u64);
-        drop(span);
-
-        if self.failures as f64 > self.config.max_failure_fraction * total as f64 {
-            return Err(SurrogateError::BadDataset {
-                detail: format!(
-                    "{} of {} attempted circuit characterizations failed \
-                     (threshold {} over {total} points); committed prefix kept at {}",
-                    self.failures,
-                    self.store.committed_records(),
-                    self.config.max_failure_fraction,
-                    self.store.path().display(),
-                ),
-            });
-        }
-        Ok(Some(ChunkSummary {
+        let store = &mut self.store;
+        let counts = self.characterizer.chunk(|first, records| {
+            let records: Vec<StoreRecord> = (first as u64..)
+                .zip(records)
+                .map(|(index, record)| match record {
+                    Ok(entry) => StoreRecord::Entry {
+                        index,
+                        entry: *entry,
+                    },
+                    Err(failure) => StoreRecord::Failure(failure.clone()),
+                })
+                .collect();
+            Ok(store.append_chunk(&records)?)
+        })?;
+        Ok(counts.map(|(points, failures)| ChunkSummary {
             chunk_index,
-            points: n,
-            entries,
-            failures: chunk_failures,
+            points,
+            entries: points - failures,
+            failures,
         }))
     }
 
@@ -352,7 +217,7 @@ impl<'a> StreamBuilder<'a> {
     ///
     /// Chunk failures, plus [`SurrogateError::DegenerateEta`] /
     /// [`SurrogateError::BadDataset`] if the finished dataset cannot be
-    /// normalized — the same end-state contract as the batch builder.
+    /// normalized — the same end-state contract as [`crate::build_dataset`].
     pub fn run_to_completion(&mut self) -> Result<StreamReport, SurrogateError> {
         while self.next_chunk()?.is_some() {}
         self.report()
@@ -365,24 +230,23 @@ impl<'a> StreamBuilder<'a> {
     /// [`SurrogateError::Config`] if called before completion; η-bounds
     /// validation errors as in [`EtaBounds::from_entries`].
     pub fn report(&self) -> Result<StreamReport, SurrogateError> {
+        let total_points = self.characterizer.config.total_points;
         if !self.is_complete() {
             return Err(SurrogateError::Config {
                 detail: format!(
-                    "build is not complete: {} of {} points committed",
+                    "build is not complete: {} of {total_points} points committed",
                     self.store.committed_records(),
-                    self.config.total_points
                 ),
             });
         }
-        let eta_bounds = self.acc.finish()?;
         Ok(StreamReport {
-            total_points: self.config.total_points,
-            entries: self.acc.count(),
-            failures: self.failures as usize,
+            total_points,
+            entries: self.characterizer.acc.count(),
+            failures: self.characterizer.failures,
             chunks: self.store.committed_chunks(),
             resumed_points: self.resumed.committed_records,
             discarded_bytes: self.resumed.discarded_bytes,
-            eta_bounds,
+            eta_bounds: self.characterizer.acc.finish()?,
         })
     }
 }
@@ -410,7 +274,8 @@ pub fn load_circuit_dataset(store: &DatasetStore) -> Result<CircuitDataset, Surr
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{build_dataset_opts, BuildOptions, DatasetConfig};
+    use crate::build_dataset;
+    use pnc_linalg::ParallelConfig;
 
     fn tmp(name: &str) -> std::path::PathBuf {
         std::env::temp_dir().join(format!("pnc_stream_{name}.pncds"))
@@ -425,17 +290,7 @@ mod tests {
     }
 
     fn batch_oracle(samples: usize) -> CircuitDataset {
-        build_dataset_opts(
-            &DatasetConfig {
-                samples,
-                sweep_points: 21,
-            },
-            &BuildOptions {
-                parallel: ParallelConfig::serial(),
-                ..BuildOptions::default()
-            },
-        )
-        .unwrap()
+        build_dataset(&small_config(samples, samples), None).unwrap()
     }
 
     #[test]
@@ -486,16 +341,12 @@ mod tests {
     fn streamed_failures_match_batch_oracle_across_chunkings() {
         const BAD: &[usize] = &[3, 17, 22];
         let factory = faulting_factory(BAD);
-        let batch = build_dataset_opts(
-            &DatasetConfig {
-                samples: 40,
-                sweep_points: 21,
+        let batch = build_dataset(
+            &StreamConfig {
+                max_failure_fraction: 0.2,
+                ..small_config(40, 40)
             },
-            &BuildOptions {
-                parallel: ParallelConfig::serial(),
-                max_failure_fraction: Some(0.2),
-                solver_factory: Some(&factory),
-            },
+            Some(&factory),
         )
         .unwrap();
         for chunk in [9usize, 40] {
@@ -613,6 +464,23 @@ mod tests {
     }
 
     #[test]
+    fn short_sweeps_are_rejected_before_writing() {
+        for sweep_points in [0, 4] {
+            let path = tmp("short_sweep");
+            std::fs::remove_file(&path).ok();
+            let config = StreamConfig {
+                sweep_points,
+                ..small_config(9, 9)
+            };
+            let Err(err) = StreamBuilder::create(&path, &config) else {
+                panic!("sweep_points {sweep_points} must be rejected");
+            };
+            assert!(matches!(err, SurrogateError::Config { .. }), "{err:?}");
+            assert!(!path.exists(), "sweep_points {sweep_points} wrote a store");
+        }
+    }
+
+    #[test]
     fn failure_threshold_aborts_but_keeps_committed_prefix() {
         const BAD: &[usize] = &[0, 1, 2, 3, 4];
         let factory = faulting_factory(BAD);
@@ -623,7 +491,7 @@ mod tests {
             .with_solver_factory(&factory);
         let err = builder.run_to_completion().unwrap_err();
         assert!(matches!(err, SurrogateError::BadDataset { .. }), "{err:?}");
-        assert!(err.to_string().contains("committed prefix"), "{err}");
+        assert!(err.to_string().contains("5 of 5 attempted"), "{err}");
         // The committed chunk survives for post-mortem.
         let store = DatasetStore::open_readonly(&path).unwrap();
         assert!(store.committed_records() >= 5);
@@ -671,10 +539,10 @@ mod tests {
         // concurrently, so the check is on the growth across this build.
         let counters = || {
             let snap = pnc_obs::snapshot();
-            let read = |name| snap.counter(name).unwrap_or(0);
             (
-                read("surrogate.stream.chunks"),
-                read("surrogate.stream.points"),
+                snap.histogram("surrogate.dataset.chunk_seconds")
+                    .map_or(0, |h| h.count),
+                snap.counter("surrogate.dataset.points").unwrap_or(0),
             )
         };
         let (chunks_before, points_before) = counters();
@@ -694,10 +562,13 @@ mod tests {
         assert_eq!(report.entries + report.failures, 22);
         assert_eq!(report.chunks, 3);
         let (chunks_after, points_after) = counters();
-        assert!(chunks_after - chunks_before >= 3, "surrogate.stream.chunks");
+        assert!(
+            chunks_after - chunks_before >= 3,
+            "surrogate.dataset.chunk_seconds"
+        );
         assert!(
             points_after - points_before >= 22,
-            "surrogate.stream.points"
+            "surrogate.dataset.points"
         );
         std::fs::remove_file(&path).ok();
     }

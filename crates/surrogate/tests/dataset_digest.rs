@@ -11,7 +11,7 @@
 
 use pnc_linalg::ParallelConfig;
 use pnc_spice::{DcSolver, FaultInjection};
-use pnc_surrogate::{build_dataset_opts, BuildOptions, CircuitDataset, DatasetConfig};
+use pnc_surrogate::{build_dataset, CircuitDataset, DatasetConfig};
 
 /// Sample indices whose sweeps fail unrecoverably at `V_in = 0.5`.
 const BAD: &[usize] = &[3, 17, 22];
@@ -28,18 +28,12 @@ fn faulting_solver(index: usize) -> DcSolver {
 
 /// 40 points on a 21-point sweep grid, tolerating up to 20 % failures.
 fn build(parallel: ParallelConfig) -> CircuitDataset {
-    build_dataset_opts(
-        &DatasetConfig {
-            samples: 40,
-            sweep_points: 21,
-        },
-        &BuildOptions {
-            parallel,
-            max_failure_fraction: Some(0.2),
-            solver_factory: Some(&faulting_solver),
-        },
-    )
-    .expect("the pinned build succeeds")
+    let config = DatasetConfig {
+        parallel,
+        max_failure_fraction: 0.2,
+        ..DatasetConfig::new(40, 21)
+    };
+    build_dataset(&config, Some(&faulting_solver)).expect("the pinned build succeeds")
 }
 
 fn fnv1a64(hash: u64, bytes: &[u8]) -> u64 {

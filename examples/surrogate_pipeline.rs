@@ -20,10 +20,7 @@ fn main() -> Result<(), Box<dyn Error>> {
         .unwrap_or(1500);
 
     println!("1. sampling {samples} design points (Sobol' QMC over Tab. I) and simulating ...");
-    let data = build_dataset(&DatasetConfig {
-        samples,
-        sweep_points: 61,
-    })?;
+    let data = build_dataset(&DatasetConfig::new(samples, 61), None)?;
     let rmses: Vec<f64> = data.entries.iter().map(|e| e.fit_rmse).collect();
     println!(
         "   {} circuits characterized; ptanh fit rmse: mean {:.4} V, max {:.4} V",

@@ -36,8 +36,6 @@ fi
 for oracle in "Matrix::matmul_reference" \
               "Graph::backward_reference" \
               "DcSolver::newton_dense" \
-              "build_dataset_opts" \
-              "characterize_point" \
               "StoreMeta::encode" \
               "StoreRecord::encode"; do
     if ! grep -q "$oracle" lint_baseline.json; then

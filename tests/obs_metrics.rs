@@ -11,7 +11,8 @@ use printed_neuromorphic::fit::fit_ptanh;
 use printed_neuromorphic::linalg::ParallelConfig;
 use printed_neuromorphic::obs;
 use printed_neuromorphic::spice::circuits::{characteristic_curve, NonlinearCircuitParams};
-use printed_neuromorphic::surrogate::{build_dataset_opts, BuildOptions, DatasetConfig};
+use printed_neuromorphic::spice::{DcSolver, FaultInjection};
+use printed_neuromorphic::surrogate::{build_dataset, DatasetConfig, StreamBuilder, StreamConfig};
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
 fn test_lock() -> MutexGuard<'static, ()> {
@@ -42,7 +43,7 @@ const DOCUMENTED_HISTOGRAMS: &[&str] = &[
     "fit.lm.final_cost",
     "fit.ptanh.rmse",
     "surrogate.dataset.fit_rmse",
-    "surrogate.dataset.build_seconds",
+    "surrogate.dataset.chunk_seconds",
 ];
 
 /// A miniature fig4 trajectory: one characteristic curve + fit, then a tiny
@@ -51,18 +52,12 @@ fn run_pipeline(threads: usize) -> obs::MetricsSnapshot {
     obs::reset();
     let curve = characteristic_curve(&NonlinearCircuitParams::nominal(), 31).expect("simulates");
     fit_ptanh(&curve).expect("fits");
-    build_dataset_opts(
-        &DatasetConfig {
-            samples: 16,
-            sweep_points: 21,
-        },
-        &BuildOptions {
-            parallel: ParallelConfig::with_threads(threads),
-            max_failure_fraction: Some(0.5),
-            ..BuildOptions::default()
-        },
-    )
-    .expect("builds");
+    let config = DatasetConfig {
+        parallel: ParallelConfig::with_threads(threads),
+        max_failure_fraction: 0.5,
+        ..DatasetConfig::new(16, 21)
+    };
+    build_dataset(&config, None).expect("builds");
     obs::snapshot()
 }
 
@@ -118,6 +113,47 @@ fn pipeline_counters_are_bit_identical_across_thread_counts() {
             }
         }
     }
+    obs::reset();
+}
+
+/// A streamed build feeds the same metric family as an in-memory one: the
+/// per-stage failure counters and the fit-RMSE histogram included.
+#[test]
+fn streamed_build_counts_failures_by_stage_and_fit_rmse() {
+    const BAD: &[usize] = &[2, 9, 13];
+    let _guard = test_lock();
+    let factory = |index: usize| {
+        let mut solver = DcSolver::new();
+        if BAD.contains(&index) {
+            solver.fault_injection = Some(FaultInjection::unrecoverable_at(vec![0.5]));
+        }
+        solver
+    };
+    let config = StreamConfig {
+        chunk_points: 7,
+        max_failure_fraction: 0.2,
+        parallel: ParallelConfig::with_threads(2),
+        ..StreamConfig::new(20, 21)
+    };
+    let path = std::env::temp_dir().join(format!("pnc_obs_stream_{}.pncds", std::process::id()));
+    obs::reset();
+    let report = StreamBuilder::create(&path, &config)
+        .expect("creates")
+        .with_solver_factory(&factory)
+        .run_to_completion()
+        .expect("builds");
+    let snap = obs::snapshot();
+    std::fs::remove_file(&path).ok();
+    assert_eq!(report.failures, BAD.len());
+    assert_eq!(
+        snap.counter("surrogate.dataset.failures.sweep"),
+        Some(BAD.len() as u64)
+    );
+    assert_eq!(
+        snap.histogram("surrogate.dataset.fit_rmse")
+            .map(|h| h.count),
+        Some(report.entries as u64)
+    );
     obs::reset();
 }
 
