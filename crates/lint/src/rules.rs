@@ -46,6 +46,12 @@ pub const RULES: &[RuleInfo] = &[
         baselinable: false,
     },
     RuleInfo {
+        id: "rayon-confinement",
+        summary:
+            "rayon is named only in crates/linalg/src/parallel.rs (ParallelConfig::ordered_par_map)",
+        baselinable: false,
+    },
+    RuleInfo {
         id: "no-panic-in-lib",
         summary: "unwrap/expect/panic!/unreachable!/todo!/unimplemented! banned in shipping code",
         baselinable: true,
@@ -134,6 +140,7 @@ pub fn check_file(file: &SourceFile) -> Vec<Finding> {
     no_wallclock(file, &mut findings);
     no_hash_iteration(file, &mut findings);
     ordered_reduction(file, &mut findings);
+    rayon_confinement(file, &mut findings);
     no_panic_in_lib(file, &mut findings);
     forbid_unsafe_kept(file, &mut findings);
     findings
@@ -259,6 +266,30 @@ fn ordered_reduction(file: &SourceFile, out: &mut Vec<Finding>) {
             i = j;
         }
         i += 1;
+    }
+}
+
+fn rayon_confinement(file: &SourceFile, out: &mut Vec<Finding>) {
+    if !file.kind.is_shipping() || file.path == ORDERED_HELPER_FILE {
+        return;
+    }
+    for tok in file.tokens.iter().filter(|t| t.is_code()) {
+        let named = tok.kind == TokenKind::Ident
+            && (tok.text == "rayon" || PAR_ITER_IDENTS.contains(&tok.text.as_str()));
+        if named && !file.is_test_line(tok.line) {
+            out.push(Finding::new(
+                "rayon-confinement",
+                &file.path,
+                tok.line,
+                tok.col,
+                format!(
+                    "`{}` outside {ORDERED_HELPER_FILE}: parallelize through \
+                     ParallelConfig::ordered_par_map, which returns results in input order at \
+                     every thread count, and reduce them serially",
+                    tok.text
+                ),
+            ));
+        }
     }
 }
 

@@ -136,6 +136,59 @@ fn ordered_reduction_exempts_the_helper_implementation() {
 }
 
 #[test]
+fn rayon_confinement_flags_every_rayon_use_outside_the_helper() {
+    let text = include_str!("fixtures/rayon_confinement.rs");
+    let findings = run(
+        "crates/core/src/par.rs",
+        "pnc-core",
+        FileKind::Lib,
+        text,
+        &Docs::default(),
+    );
+    // `use rayon`, four chains and `rayon::join`; the helper call, the
+    // comment, the string and the cfg(test) module stay quiet.
+    assert_eq!(
+        rule_lines(&findings, "rayon-confinement"),
+        [6, 10, 15, 22, 31, 36],
+        "{findings:?}"
+    );
+    let exempt = run(
+        "crates/linalg/src/parallel.rs",
+        "pnc-linalg",
+        FileKind::Lib,
+        text,
+        &Docs::default(),
+    );
+    assert!(
+        rule_lines(&exempt, "rayon-confinement").is_empty(),
+        "{exempt:?}"
+    );
+}
+
+#[test]
+fn rayon_confinement_covers_the_retired_reduction_fixtures() {
+    // Every seeded violation of the two rules it replaces (ordered-reduction
+    // line 9; unordered-float-reduction lines 8 and 15), plus the rayon uses
+    // those rules let through.
+    for (fixture, lines) in [
+        (
+            include_str!("fixtures/ordered_reduction.rs"),
+            vec![4, 9, 15],
+        ),
+        (include_str!("fixtures/unordered_float.rs"), vec![8, 15, 23]),
+    ] {
+        let findings = run(
+            "crates/core/src/par.rs",
+            "pnc-core",
+            FileKind::Lib,
+            fixture,
+            &Docs::default(),
+        );
+        assert_eq!(rule_lines(&findings, "rayon-confinement"), lines);
+    }
+}
+
+#[test]
 fn no_panic_in_lib_catches_seeded_panics_and_honors_suppression() {
     let text = include_str!("fixtures/panics.rs");
     let findings = run(
