@@ -8,8 +8,8 @@
 //! * **Determinism** — results are bit-identical at any `PNC_NUM_THREADS`.
 //!   Statically that means: no wall-clock reads in numeric paths
 //!   (`no-wallclock`), no hash-ordered iteration in numeric crates
-//!   (`no-hash-iteration`), and no scheduling-dependent float reductions in
-//!   rayon chains (`ordered-reduction`).
+//!   (`no-hash-iteration`), and no rayon outside the one ordered helper,
+//!   `ParallelConfig::ordered_par_map` (`rayon-confinement`).
 //! * **Panic-freedom** — shipping code returns `Result` instead of
 //!   aborting (`no-panic-in-lib`, ratcheted down via a checked-in
 //!   baseline), and every crate keeps `#![forbid(unsafe_code)]`
@@ -19,7 +19,7 @@
 //!   the README table (`env-var-registry`).
 //!
 //! On top of the flat token rules, a structural layer ([`scope`],
-//! [`fingerprint`], [`callgraph`], [`structural`]) adds four rules that
+//! [`fingerprint`], [`callgraph`], [`structural`]) adds three rules that
 //! reason about extents instead of lines:
 //!
 //! * **`oracle-freeze`** — the registry in `lint_baseline.json` pins
@@ -31,9 +31,6 @@
 //!   the input-facing crates) and reports the shortest call path.
 //! * **`lock-across-blocking`** — a `MutexGuard` live across TCP/file I/O
 //!   or `Condvar::wait` in `pnc-serve`.
-//! * **`unordered-float-reduction`** — deferred parallel chains and
-//!   captured `+=` accumulators that bypass the ordered helpers, where the
-//!   line-local `ordered-reduction` rule cannot see the flow.
 //!
 //! The analyzer lexes (never fully parses) Rust: a small lexer
 //! distinguishes code from comments, strings, raw strings, char literals,

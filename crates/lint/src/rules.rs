@@ -41,11 +41,6 @@ pub const RULES: &[RuleInfo] = &[
         baselinable: false,
     },
     RuleInfo {
-        id: "ordered-reduction",
-        summary: "float sum/fold/reduce inside rayon parallel chains must use the ordered helpers",
-        baselinable: false,
-    },
-    RuleInfo {
         id: "rayon-confinement",
         summary:
             "rayon is named only in crates/linalg/src/parallel.rs (ParallelConfig::ordered_par_map)",
@@ -87,11 +82,6 @@ pub const RULES: &[RuleInfo] = &[
         summary: "MutexGuard live across Condvar::wait or TCP/file I/O in pnc-serve",
         baselinable: false,
     },
-    RuleInfo {
-        id: "unordered-float-reduction",
-        summary: "deferred par chains / captured += accumulators must use the ordered helpers",
-        baselinable: false,
-    },
 ];
 
 /// True when `id` names a rule (including the engine's hygiene pseudo-rule,
@@ -116,12 +106,12 @@ const NUMERIC_CRATES: &[&str] = &[
 /// `pnc-obs` and `pnc-bench`.
 const WALLCLOCK_CRATES: &[&str] = &["pnc-obs", "pnc-bench"];
 
-/// The one file allowed to spell out raw rayon reductions: it *implements*
-/// the ordered helpers everything else must call.
-pub(crate) const ORDERED_HELPER_FILE: &str = "crates/linalg/src/parallel.rs";
+/// The one file allowed to name rayon: it implements
+/// `ParallelConfig::ordered_par_map`, the helper everything else calls.
+const RAYON_FILE: &str = "crates/linalg/src/parallel.rs";
 
 /// Rayon combinators that start a parallel chain.
-pub(crate) const PAR_ITER_IDENTS: &[&str] = &[
+const PAR_ITER_IDENTS: &[&str] = &[
     "par_iter",
     "par_iter_mut",
     "into_par_iter",
@@ -131,15 +121,11 @@ pub(crate) const PAR_ITER_IDENTS: &[&str] = &[
     "par_bridge",
 ];
 
-/// Unordered reduction combinators that must not follow a parallel chain.
-pub(crate) const REDUCTION_IDENTS: &[&str] = &["sum", "product", "fold", "reduce", "reduce_with"];
-
 /// Runs every per-file rule on `file`.
 pub fn check_file(file: &SourceFile) -> Vec<Finding> {
     let mut findings = Vec::new();
     no_wallclock(file, &mut findings);
     no_hash_iteration(file, &mut findings);
-    ordered_reduction(file, &mut findings);
     rayon_confinement(file, &mut findings);
     no_panic_in_lib(file, &mut findings);
     forbid_unsafe_kept(file, &mut findings);
@@ -214,63 +200,8 @@ fn no_hash_iteration(file: &SourceFile, out: &mut Vec<Finding>) {
     }
 }
 
-fn ordered_reduction(file: &SourceFile, out: &mut Vec<Finding>) {
-    if !file.kind.is_shipping() || file.path == ORDERED_HELPER_FILE {
-        return;
-    }
-    let toks = code(file);
-    let mut i = 0usize;
-    while i < toks.len() {
-        let tok = toks[i];
-        if tok.kind == TokenKind::Ident
-            && PAR_ITER_IDENTS.contains(&tok.text.as_str())
-            && !file.is_test_line(tok.line)
-        {
-            // Scan the rest of the statement for unordered reductions.
-            let mut depth = 0i32;
-            let mut j = i + 1;
-            while j < toks.len() {
-                let t = toks[j];
-                if t.is_punct('(') || t.is_punct('[') || t.is_punct('{') {
-                    depth += 1;
-                } else if t.is_punct(')') || t.is_punct(']') || t.is_punct('}') {
-                    depth -= 1;
-                    if depth < 0 {
-                        break;
-                    }
-                } else if depth == 0 && t.is_punct(';') {
-                    break;
-                } else if depth == 0
-                    && t.kind == TokenKind::Ident
-                    && REDUCTION_IDENTS.contains(&t.text.as_str())
-                    && toks[j - 1].is_punct('.')
-                {
-                    // depth == 0 keeps this to combinators chained directly
-                    // on the parallel iterator; a serial fold inside a
-                    // per-item closure is deterministic and not flagged.
-                    out.push(Finding::new(
-                        "ordered-reduction",
-                        &file.path,
-                        t.line,
-                        t.col,
-                        format!(
-                            "`.{}()` after `{}`: parallel reduction order is \
-                             scheduling-dependent; collect with \
-                             ParallelConfig::ordered_par_map and reduce serially",
-                            t.text, tok.text
-                        ),
-                    ));
-                }
-                j += 1;
-            }
-            i = j;
-        }
-        i += 1;
-    }
-}
-
 fn rayon_confinement(file: &SourceFile, out: &mut Vec<Finding>) {
-    if !file.kind.is_shipping() || file.path == ORDERED_HELPER_FILE {
+    if !file.kind.is_shipping() || file.path == RAYON_FILE {
         return;
     }
     for tok in file.tokens.iter().filter(|t| t.is_code()) {
@@ -283,7 +214,7 @@ fn rayon_confinement(file: &SourceFile, out: &mut Vec<Finding>) {
                 tok.line,
                 tok.col,
                 format!(
-                    "`{}` outside {ORDERED_HELPER_FILE}: parallelize through \
+                    "`{}` outside {RAYON_FILE}: parallelize through \
                      ParallelConfig::ordered_par_map, which returns results in input order at \
                      every thread count, and reduce them serially",
                     tok.text

@@ -2,7 +2,7 @@
 //! *not* a full AST.
 //!
 //! The structural rules (`oracle-freeze`, `panic-reachability`,
-//! `lock-across-blocking`, `unordered-float-reduction`) need to know where
+//! `lock-across-blocking`) need to know where
 //! functions begin and end, what they are called, whether they are `pub`,
 //! and which `impl`/`mod` they live in. Nothing more: expressions stay
 //! opaque token runs, and rules match patterns inside a function's token

@@ -1,4 +1,4 @@
-//! The four structural rules, built on the scope parser
+//! The three structural rules, built on the scope parser
 //! ([`crate::scope`]), content fingerprints ([`crate::fingerprint`]), and
 //! workspace call graph ([`crate::callgraph`]).
 //!
@@ -73,25 +73,6 @@ const BLOCKING_IDENTS: &[&str] = &[
     "send_timeout",
 ];
 
-/// Chain terminators that consume a parallel iterator without an implicit
-/// unordered reduction (so a `let` binding containing one is *not* a live
-/// parallel chain afterwards).
-const PAR_TERMINAL_IDENTS: &[&str] = &[
-    "collect",
-    "for_each",
-    "try_for_each",
-    "count",
-    "ordered_par_map",
-    "try_ordered_par_map",
-    "max",
-    "min",
-    "any",
-    "all",
-    "position",
-    "find_first",
-    "find_any",
-];
-
 /// Runs every structural rule. `oracles` is the registry section of the
 /// baseline file (rule input, unlike the ratchet counts which post-process
 /// findings).
@@ -104,7 +85,6 @@ pub fn check_structural(
     panic_reachability(files, &mut findings);
     for file in files {
         lock_across_blocking(file, &mut findings);
-        unordered_float_reduction(file, &mut findings);
     }
     findings
 }
@@ -479,241 +459,6 @@ fn call_args(code: &[(usize, &Token)], body: &[usize], open_b: usize) -> Vec<Str
     args
 }
 
-// --------------------------------------------------- unordered-float-reduction
-
-fn unordered_float_reduction(file: &SourceFile, out: &mut Vec<Finding>) {
-    if !file.kind.is_shipping() || file.path == crate::rules::ORDERED_HELPER_FILE {
-        return;
-    }
-    let code: Vec<(usize, &Token)> = file.code_tokens().collect();
-    for item in &file.fns {
-        let body: Vec<usize> = (0..code.len())
-            .filter(|&c| code[c].0 > item.body_open && code[c].0 < item.body_close)
-            .collect();
-        deferred_par_reductions(file, &code, &body, out);
-        captured_accumulators(file, &code, &body, out);
-    }
-}
-
-/// Part (a): a `let chain = xs.par_iter().map(…);` binding (no terminal
-/// consumer in the statement) later reduced with `chain.sum()` — the
-/// line-local `ordered-reduction` rule cannot see the two lines together.
-fn deferred_par_reductions(
-    file: &SourceFile,
-    code: &[(usize, &Token)],
-    body: &[usize],
-    out: &mut Vec<Finding>,
-) {
-    // name -> declaration depth of still-live deferred parallel chains.
-    let mut live: Vec<(String, i32)> = Vec::new();
-    let mut depth = 0i32;
-    let mut b = 0usize;
-    while b < body.len() {
-        let tok = code[body[b]].1;
-        if tok.is_punct('{') {
-            depth += 1;
-        } else if tok.is_punct('}') {
-            depth -= 1;
-            live.retain(|&(_, d)| d <= depth);
-        } else if tok.is_ident("let") {
-            let mut n = b + 1;
-            if n < body.len() && code[body[n]].1.is_ident("mut") {
-                n += 1;
-            }
-            if n < body.len() && code[body[n]].1.kind == TokenKind::Ident {
-                let name = code[body[n]].1.text.clone();
-                let (has_par, has_terminal, stmt_end) = scan_stmt(code, body, n + 1);
-                live.retain(|(l, _)| l != &name);
-                if has_par && !has_terminal && !file.is_test_line(tok.line) {
-                    live.push((name, depth));
-                }
-                b = stmt_end;
-                continue;
-            }
-        } else if tok.kind == TokenKind::Ident && !file.is_test_line(tok.line) {
-            let reduced = live.iter().any(|(l, _)| l == &tok.text)
-                && body.get(b + 1).is_some_and(|&n| code[n].1.is_punct('.'))
-                && body.get(b + 2).is_some_and(|&n| {
-                    let t = code[n].1;
-                    t.kind == TokenKind::Ident
-                        && crate::rules::REDUCTION_IDENTS.contains(&t.text.as_str())
-                });
-            if reduced {
-                let red = code[body[b + 2]].1;
-                out.push(Finding::new(
-                    RULE_ID,
-                    &file.path,
-                    red.line,
-                    red.col,
-                    format!(
-                        "`{}` holds an unconsumed parallel chain and `.{}()` reduces it in \
-                         scheduling order; collect with ordered_par_map and reduce serially",
-                        tok.text, red.text
-                    ),
-                ));
-            }
-        }
-        b += 1;
-    }
-}
-
-const RULE_ID: &str = "unordered-float-reduction";
-
-/// Scans a statement from body position `start` to its `;` (at the
-/// statement's own brace depth). Returns (contains a par-iter adapter,
-/// contains a terminal consumer, body index of the statement end).
-fn scan_stmt(code: &[(usize, &Token)], body: &[usize], start: usize) -> (bool, bool, usize) {
-    let mut depth = 0i32;
-    let mut has_par = false;
-    let mut has_terminal = false;
-    let mut b = start;
-    while b < body.len() {
-        let tok = code[body[b]].1;
-        if tok.is_punct('{') || tok.is_punct('(') || tok.is_punct('[') {
-            depth += 1;
-        } else if tok.is_punct('}') || tok.is_punct(')') || tok.is_punct(']') {
-            depth -= 1;
-            if depth < 0 {
-                break;
-            }
-        } else if depth == 0 && tok.is_punct(';') {
-            break;
-        } else if tok.kind == TokenKind::Ident {
-            if crate::rules::PAR_ITER_IDENTS.contains(&tok.text.as_str()) {
-                has_par = true;
-            }
-            if PAR_TERMINAL_IDENTS.contains(&tok.text.as_str()) {
-                has_terminal = true;
-            }
-        }
-        b += 1;
-    }
-    (has_par, has_terminal, b)
-}
-
-/// Part (b): `total += …` inside a parallel-chain statement where `total`
-/// is captured from outside the chain (not a closure parameter, not a local
-/// `let` inside the chain) — racy or order-dependent accumulation that the
-/// ordered helpers exist to replace.
-fn captured_accumulators(
-    file: &SourceFile,
-    code: &[(usize, &Token)],
-    body: &[usize],
-    out: &mut Vec<Finding>,
-) {
-    let mut b = 0usize;
-    while b < body.len() {
-        let tok = code[body[b]].1;
-        let starts_chain = tok.kind == TokenKind::Ident
-            && crate::rules::PAR_ITER_IDENTS.contains(&tok.text.as_str())
-            && !file.is_test_line(tok.line);
-        if !starts_chain {
-            b += 1;
-            continue;
-        }
-        let (_, _, stmt_end) = scan_stmt(code, body, b);
-        let span = &body[b..stmt_end.min(body.len())];
-
-        // Names bound inside the span: closure parameters (idents between
-        // `|…|`) and span-local `let` bindings. Over-approximate toward
-        // *not* flagging: any ident between pipes counts (patterns, types).
-        let mut local: Vec<String> = Vec::new();
-        let mut k = 0usize;
-        while k < span.len() {
-            let t = code[span[k]].1;
-            if t.is_punct('|') {
-                let mut j = k + 1;
-                while j < span.len() && !code[span[j]].1.is_punct('|') {
-                    let p = code[span[j]].1;
-                    if p.kind == TokenKind::Ident && !is_keyword(&p.text) {
-                        local.push(p.text.clone());
-                    }
-                    j += 1;
-                }
-                k = j;
-            } else if t.is_ident("let") {
-                let mut j = k + 1;
-                if j < span.len() && code[span[j]].1.is_ident("mut") {
-                    j += 1;
-                }
-                if j < span.len() && code[span[j]].1.kind == TokenKind::Ident {
-                    local.push(code[span[j]].1.text.clone());
-                }
-            }
-            k += 1;
-        }
-
-        for k in 1..span.len() {
-            let op = code[span[k - 1]].1;
-            let eq = code[span[k]].1;
-            let compound = matches!(op.kind, TokenKind::Punct)
-                && matches!(op.text.as_str(), "+" | "-" | "*" | "/")
-                && eq.is_punct('=')
-                && eq.line == op.line
-                && eq.col == op.col + 1;
-            if !compound {
-                continue;
-            }
-            let Some(root) = lhs_root(code, span, k - 1) else {
-                continue;
-            };
-            if local.iter().any(|l| l == &root) {
-                continue;
-            }
-            out.push(Finding::new(
-                RULE_ID,
-                &file.path,
-                op.line,
-                op.col,
-                format!(
-                    "compound assignment `{}=` to `{root}` captured inside a parallel \
-                     chain accumulates in scheduling order; collect with ordered_par_map \
-                     and reduce serially",
-                    op.text
-                ),
-            ));
-        }
-        b = stmt_end.max(b + 1);
-    }
-}
-
-/// Walks left from the compound operator at span position `op` to the root
-/// identifier of the assignment target (`self.total` → `self`,
-/// `acc[i]` → `acc`).
-fn lhs_root(code: &[(usize, &Token)], span: &[usize], op: usize) -> Option<String> {
-    let mut k = op.checked_sub(1)?;
-    loop {
-        let tok = code[span[k]].1;
-        if tok.is_punct(']') || tok.is_punct(')') {
-            // Skip the bracketed group.
-            let close = if tok.is_punct(']') { ']' } else { ')' };
-            let open = if close == ']' { '[' } else { '(' };
-            let mut depth = 0i32;
-            loop {
-                let t = code[span[k]].1;
-                if t.is_punct(close) {
-                    depth += 1;
-                } else if t.is_punct(open) {
-                    depth -= 1;
-                    if depth == 0 {
-                        break;
-                    }
-                }
-                k = k.checked_sub(1)?;
-            }
-            k = k.checked_sub(1)?;
-        } else if tok.kind == TokenKind::Ident {
-            if k >= 2 && code[span[k - 1]].1.is_punct('.') {
-                k -= 2; // field/deref chain: keep walking to the base
-            } else {
-                return Some(tok.text.clone());
-            }
-        } else {
-            return None;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -787,81 +532,6 @@ mod tests {
         );
         let mut out = Vec::new();
         lock_across_blocking(&f, &mut out);
-        assert!(out.is_empty(), "{out:#?}");
-    }
-
-    #[test]
-    fn deferred_par_chain_reduced_later_is_flagged() {
-        let f = SourceFile::parse(
-            "crates/core/src/x.rs",
-            "pnc-core",
-            FileKind::Lib,
-            r#"
-            fn total(xs: &[f64]) -> f64 {
-                let chain = xs.par_iter().map(|x| x * 2.0);
-                chain.sum()
-            }
-            "#,
-        );
-        let mut out = Vec::new();
-        unordered_float_reduction(&f, &mut out);
-        assert_eq!(out.len(), 1, "{out:#?}");
-        assert!(out[0].message.contains("chain"), "{}", out[0].message);
-    }
-
-    #[test]
-    fn collected_chain_is_not_a_live_parallel_iterator() {
-        let f = SourceFile::parse(
-            "crates/core/src/x.rs",
-            "pnc-core",
-            FileKind::Lib,
-            r#"
-            fn total(xs: &[f64]) -> f64 {
-                let rows: Vec<f64> = xs.par_iter().map(|x| x * 2.0).collect();
-                rows.iter().sum()
-            }
-            "#,
-        );
-        let mut out = Vec::new();
-        unordered_float_reduction(&f, &mut out);
-        assert!(out.is_empty(), "{out:#?}");
-    }
-
-    #[test]
-    fn captured_accumulator_is_flagged_but_closure_locals_are_not() {
-        let f = SourceFile::parse(
-            "crates/core/src/x.rs",
-            "pnc-core",
-            FileKind::Lib,
-            r#"
-            fn bad(xs: &[f64], total: &mut f64) {
-                xs.par_iter().for_each(|x| { *total += x; });
-            }
-            fn good(xs: &[f64]) -> Vec<f64> {
-                xs.par_iter().map(|x| { let mut acc = 0.0; acc += x; acc }).collect()
-            }
-            "#,
-        );
-        let mut out = Vec::new();
-        unordered_float_reduction(&f, &mut out);
-        assert_eq!(out.len(), 1, "{out:#?}");
-        assert!(out[0].message.contains("total"), "{}", out[0].message);
-    }
-
-    #[test]
-    fn serial_fold_inside_a_per_item_closure_is_deterministic() {
-        let f = SourceFile::parse(
-            "crates/core/src/x.rs",
-            "pnc-core",
-            FileKind::Lib,
-            r#"
-            fn rows(xs: &[Vec<f64>]) -> Vec<f64> {
-                xs.par_iter().map(|row| row.iter().fold(0.0, |a, b| a + b)).collect()
-            }
-            "#,
-        );
-        let mut out = Vec::new();
-        unordered_float_reduction(&f, &mut out);
         assert!(out.is_empty(), "{out:#?}");
     }
 }

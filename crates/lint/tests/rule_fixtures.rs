@@ -101,41 +101,6 @@ fn no_hash_iteration_ignores_non_numeric_crates() {
 }
 
 #[test]
-fn ordered_reduction_catches_parallel_sum_only() {
-    let text = include_str!("fixtures/ordered_reduction.rs");
-    let findings = run(
-        "crates/core/src/par.rs",
-        "pnc-core",
-        FileKind::Lib,
-        text,
-        &Docs::default(),
-    );
-    // Exactly the `.sum()` chained on par_iter; the serial fold inside the
-    // closure and the fully serial sum stay quiet.
-    assert_eq!(
-        rule_lines(&findings, "ordered-reduction").len(),
-        1,
-        "{findings:?}"
-    );
-}
-
-#[test]
-fn ordered_reduction_exempts_the_helper_implementation() {
-    let text = include_str!("fixtures/ordered_reduction.rs");
-    let findings = run(
-        "crates/linalg/src/parallel.rs",
-        "pnc-linalg",
-        FileKind::Lib,
-        text,
-        &Docs::default(),
-    );
-    assert!(
-        rule_lines(&findings, "ordered-reduction").is_empty(),
-        "{findings:?}"
-    );
-}
-
-#[test]
 fn rayon_confinement_flags_every_rayon_use_outside_the_helper() {
     let text = include_str!("fixtures/rayon_confinement.rs");
     let findings = run(
@@ -163,29 +128,6 @@ fn rayon_confinement_flags_every_rayon_use_outside_the_helper() {
         rule_lines(&exempt, "rayon-confinement").is_empty(),
         "{exempt:?}"
     );
-}
-
-#[test]
-fn rayon_confinement_covers_the_retired_reduction_fixtures() {
-    // Every seeded violation of the two rules it replaces (ordered-reduction
-    // line 9; unordered-float-reduction lines 8 and 15), plus the rayon uses
-    // those rules let through.
-    for (fixture, lines) in [
-        (
-            include_str!("fixtures/ordered_reduction.rs"),
-            vec![4, 9, 15],
-        ),
-        (include_str!("fixtures/unordered_float.rs"), vec![8, 15, 23]),
-    ] {
-        let findings = run(
-            "crates/core/src/par.rs",
-            "pnc-core",
-            FileKind::Lib,
-            fixture,
-            &Docs::default(),
-        );
-        assert_eq!(rule_lines(&findings, "rayon-confinement"), lines);
-    }
 }
 
 #[test]

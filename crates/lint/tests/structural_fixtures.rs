@@ -207,26 +207,3 @@ fn lock_across_blocking_flags_the_held_guard_only() {
         locks[0].message
     );
 }
-
-#[test]
-fn unordered_float_reduction_catches_both_scope_aware_shapes() {
-    let text = include_str!("fixtures/unordered_float.rs");
-    let findings = run(
-        "crates/core/src/reduce.rs",
-        "pnc-core",
-        text,
-        &BTreeMap::new(),
-    );
-    let unordered = new_rule_findings(&findings, "unordered-float-reduction");
-    // The deferred `.sum()` and the captured `total +=`; `collected` and
-    // `serial` stay quiet.
-    assert_eq!(unordered.len(), 2, "{unordered:#?}");
-    assert!(
-        unordered.iter().any(|f| f.message.contains("`chain`")),
-        "{unordered:#?}"
-    );
-    assert!(
-        unordered.iter().any(|f| f.message.contains("`total`")),
-        "{unordered:#?}"
-    );
-}

@@ -6,8 +6,9 @@
 #      committed copy, so the report can never go stale.
 #   2. The oracle registry in lint_baseline.json pins every required
 #      frozen reference implementation (oracle-freeze's floor): the three
-#      cross-backend agreement oracles plus the streaming-equivalence
-#      anchors of DESIGN.md §17.
+#      cross-backend agreement oracles plus the two store codecs of
+#      DESIGN.md §17. The dataset builder is pinned by its output
+#      (crates/surrogate/tests/dataset_digest.rs), not by a body hash.
 #   3. The check itself stays fast: under 10 s of wall time, so the lint
 #      job never becomes the long pole.
 #
