@@ -385,8 +385,8 @@ pub fn build_dataset(
         .chunk(|_, records| {
             for record in records {
                 match record {
-                    Ok(entry) => entries.push(*entry),
-                    Err(failure) => failures.push(failure.clone()),
+                    Ok(entry) => entries.push(entry),
+                    Err(failure) => failures.push(failure),
                 }
             }
             Ok(())
@@ -489,7 +489,10 @@ impl<'a> Characterizer<'a> {
     /// keeps the chunk that crossed it for post-mortem.
     pub(crate) fn chunk(
         &mut self,
-        commit: impl FnOnce(usize, &[Result<DatasetEntry, FailureRecord>]) -> Result<(), SurrogateError>,
+        commit: impl FnOnce(
+            usize,
+            Vec<Result<DatasetEntry, FailureRecord>>,
+        ) -> Result<(), SurrogateError>,
     ) -> Result<Option<(usize, usize)>, SurrogateError> {
         let first = self.sampler.drawn();
         let total = self.config.total_points;
@@ -531,7 +534,21 @@ impl<'a> Characterizer<'a> {
         self.failures += failures;
         OBS_POINTS.add(points as u64);
         OBS_ENTRIES.add((points - failures) as u64);
-        commit(first, &records)?;
+        let max_fraction = self.config.max_failure_fraction;
+        let crossed = (self.failures as f64 > max_fraction * total as f64).then(|| {
+            let example = records.iter().find_map(|r| r.as_ref().err());
+            format!(
+                "{} of {} attempted circuit characterizations failed, over the \
+                 threshold {max_fraction} of {total} points{}",
+                self.failures,
+                first + points,
+                example.map_or(String::new(), |f| format!(
+                    "; first in the last chunk: index {}, {:?} stage: {}",
+                    f.index, f.stage, f.cause
+                )),
+            )
+        });
+        commit(first, records)?;
         let seconds = span.elapsed_seconds();
         drop(span);
         if pnc_obs::sink::enabled() {
@@ -546,21 +563,8 @@ impl<'a> Characterizer<'a> {
             );
         }
 
-        let max_fraction = self.config.max_failure_fraction;
-        if self.failures as f64 > max_fraction * total as f64 {
-            let example = records.iter().find_map(|r| r.as_ref().err());
-            return Err(SurrogateError::BadDataset {
-                detail: format!(
-                    "{} of {} attempted circuit characterizations failed, over the \
-                     threshold {max_fraction} of {total} points{}",
-                    self.failures,
-                    first + points,
-                    example.map_or(String::new(), |f| format!(
-                        "; first in the last chunk: index {}, {:?} stage: {}",
-                        f.index, f.stage, f.cause
-                    )),
-                ),
-            });
+        if let Some(detail) = crossed {
+            return Err(SurrogateError::BadDataset { detail });
         }
         Ok(Some((points, failures)))
     }

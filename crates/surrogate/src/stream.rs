@@ -193,11 +193,8 @@ impl<'a> StreamBuilder<'a> {
             let records: Vec<StoreRecord> = (first as u64..)
                 .zip(records)
                 .map(|(index, record)| match record {
-                    Ok(entry) => StoreRecord::Entry {
-                        index,
-                        entry: *entry,
-                    },
-                    Err(failure) => StoreRecord::Failure(failure.clone()),
+                    Ok(entry) => StoreRecord::Entry { index, entry },
+                    Err(failure) => StoreRecord::Failure(failure),
                 })
                 .collect();
             Ok(store.append_chunk(&records)?)
