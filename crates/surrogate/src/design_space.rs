@@ -180,8 +180,8 @@ impl DesignSpace {
 /// across calls, so the concatenation of any sequence of
 /// [`next_batch`](DesignSampler::next_batch) calls is **exactly** the prefix
 /// a single batch [`DesignSpace::sample`] of the same total would return.
-/// This is what lets the streaming builder (`StreamBuilder`) chunk the work
-/// arbitrarily and still be bit-identical to the frozen batch oracle.
+/// This is what lets both dataset builders chunk the work arbitrarily and
+/// still produce the same dataset.
 ///
 /// # Examples
 ///

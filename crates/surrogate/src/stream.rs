@@ -248,10 +248,10 @@ impl<'a> StreamBuilder<'a> {
     }
 }
 
-/// Materializes a completed store into the in-memory [`CircuitDataset`] the
-/// batch builder returns — the bridge from a streamed build to
+/// Materializes a completed store into the in-memory [`CircuitDataset`]
+/// [`crate::build_dataset`] returns — the bridge from a streamed build to
 /// [`train_surrogate`](crate::train_surrogate), used by the benchmark's
-/// pipeline and by the batch-equivalence tests.
+/// pipeline and by the stream-vs-in-memory equivalence tests.
 ///
 /// # Errors
 ///
