@@ -534,4 +534,45 @@ mod tests {
         lock_across_blocking(&f, &mut out);
         assert!(out.is_empty(), "{out:#?}");
     }
+
+    /// Lines of the `rayon-confinement` findings in `src`. The parallel
+    /// reduction shapes below once needed this pass's scope analysis; the
+    /// flat rule catches them at the `par_iter` that starts the chain, and
+    /// these tests keep that so.
+    fn rayon_lines(src: &str) -> Vec<u32> {
+        let f = SourceFile::parse("crates/core/src/x.rs", "pnc-core", FileKind::Lib, src);
+        crate::rules::check_file(&f)
+            .iter()
+            .filter(|x| x.rule == "rayon-confinement")
+            .map(|x| x.line)
+            .collect()
+    }
+
+    #[test]
+    fn deferred_par_chain_reduced_later_is_flagged() {
+        let lines = rayon_lines(
+            r#"
+            fn total(xs: &[f64]) -> f64 {
+                let chain = xs.par_iter().map(|x| x * 2.0);
+                chain.sum()
+            }
+            "#,
+        );
+        assert_eq!(lines, [3]);
+    }
+
+    #[test]
+    fn captured_accumulator_is_flagged_but_closure_locals_are_not() {
+        let lines = rayon_lines(
+            r#"
+            fn bad(xs: &[f64], total: &mut f64) {
+                xs.par_iter().for_each(|x| { *total += x; });
+            }
+            fn good(cfg: &ParallelConfig, xs: &[f64]) -> Vec<f64> {
+                cfg.ordered_par_map(xs, |x| { let mut acc = 0.0; acc += x; acc })
+            }
+            "#,
+        );
+        assert_eq!(lines, [3]);
+    }
 }

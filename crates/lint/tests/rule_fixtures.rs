@@ -130,6 +130,57 @@ fn rayon_confinement_flags_every_rayon_use_outside_the_helper() {
     );
 }
 
+/// A parallel sum, a serial fold inside the ordered helper's per-item
+/// closure, and a fully serial sum.
+const SUMS: &str = r#"
+use pnc_linalg::ParallelConfig;
+
+pub fn parallel_sum(xs: &[f64]) -> f64 {
+    xs.par_iter().map(|x| x * 2.0).sum()
+}
+
+pub fn serial_fold_per_item(cfg: &ParallelConfig, xss: &[Vec<f64>]) -> Vec<f64> {
+    cfg.ordered_par_map(xss, |xs| xs.iter().fold(0.0, |a, b| a + b))
+}
+
+pub fn serial_sum(xs: &[f64]) -> f64 {
+    xs.iter().sum()
+}
+"#;
+
+#[test]
+fn ordered_reduction_catches_parallel_sum_only() {
+    let findings = run(
+        "crates/core/src/par.rs",
+        "pnc-core",
+        FileKind::Lib,
+        SUMS,
+        &Docs::default(),
+    );
+    // Exactly the `.sum()` chained on par_iter; the fold inside the helper's
+    // closure and the fully serial sum stay quiet.
+    assert_eq!(
+        rule_lines(&findings, "rayon-confinement"),
+        [5],
+        "{findings:?}"
+    );
+}
+
+#[test]
+fn ordered_reduction_exempts_the_helper_implementation() {
+    let findings = run(
+        "crates/linalg/src/parallel.rs",
+        "pnc-linalg",
+        FileKind::Lib,
+        SUMS,
+        &Docs::default(),
+    );
+    assert!(
+        rule_lines(&findings, "rayon-confinement").is_empty(),
+        "{findings:?}"
+    );
+}
+
 #[test]
 fn no_panic_in_lib_catches_seeded_panics_and_honors_suppression() {
     let text = include_str!("fixtures/panics.rs");

@@ -207,3 +207,24 @@ fn lock_across_blocking_flags_the_held_guard_only() {
         locks[0].message
     );
 }
+
+#[test]
+fn unordered_float_reduction_catches_both_scope_aware_shapes() {
+    let text = include_str!("fixtures/rayon_confinement.rs");
+    let findings = run(
+        "crates/core/src/reduce.rs",
+        "pnc-core",
+        text,
+        &BTreeMap::new(),
+    );
+    let lines: Vec<u32> = new_rule_findings(&findings, "rayon-confinement")
+        .iter()
+        .map(|f| f.line)
+        .collect();
+    // The chain bound to `chain` and reduced a line later, and the chain
+    // whose closure adds into the captured `total`: no scope analysis is
+    // needed, the `par_iter` that starts each chain is the finding.
+    for (shape, line) in [("deferred `chain.sum()`", 15), ("captured `total +=`", 22)] {
+        assert!(lines.contains(&line), "{shape} not flagged: {findings:#?}");
+    }
+}
