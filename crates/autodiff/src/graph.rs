@@ -58,6 +58,10 @@ enum Op {
 struct Node {
     value: Matrix,
     op: Op,
+    /// Whether a gradient of this node can reach a leaf: true for a leaf,
+    /// false for a constant, and for an op true if any parent's flag is.
+    /// [`Graph::backward_into`] skips every target whose flag is false.
+    needs: bool,
 }
 
 /// Gradients produced by [`Graph::backward`], indexed by [`Var`].
@@ -392,8 +396,34 @@ impl Graph {
     }
 
     fn push(&mut self, value: Matrix, op: Op) -> Var {
-        self.nodes.push(Node { value, op });
+        let needs = |v: &Var| self.nodes[v.0].needs;
+        let needs = match &op {
+            Op::Leaf => true,
+            Op::Constant => false,
+            Op::Add(a, b) | Op::Sub(a, b) | Op::Mul(a, b) | Op::Div(a, b) | Op::MatMul(a, b) => {
+                needs(a) || needs(b)
+            }
+            Op::Abs(a)
+            | Op::Tanh(a)
+            | Op::Sigmoid(a)
+            | Op::Scale(a, _)
+            | Op::AddScalar(a)
+            | Op::Powi(a, _)
+            | Op::Sum(a)
+            | Op::Mean(a)
+            | Op::SumRows(a)
+            | Op::Ste(a)
+            | Op::SliceCols { parent: a, .. }
+            | Op::FusedLoss { scores: a, .. } => needs(a),
+            Op::ConcatCols(parts) => parts.iter().any(needs),
+        };
+        self.nodes.push(Node { value, op, needs });
         Var(self.nodes.len() - 1)
+    }
+
+    /// Whether a gradient of `v` can reach a leaf.
+    fn needs(&self, v: Var) -> bool {
+        self.nodes[v.0].needs
     }
 
     /// Registers a trainable leaf. The tape keeps its own copy of `value`,
@@ -687,31 +717,9 @@ impl Graph {
         targets: &[usize],
     ) -> Result<Var, AutodiffError> {
         let (batch, classes) = self.shape(scores);
-        check_targets(batch, classes, targets)?;
-
         let mut grad = Matrix::zeros(batch, classes);
-        let mut loss = 0.0;
-        {
-            let v = &self.nodes[scores.0].value;
-            let mut exps = vec![0.0; classes];
-            for i in 0..batch {
-                // Stable softmax.
-                let row_max = (0..classes)
-                    .map(|j| v[(i, j)])
-                    .fold(f64::NEG_INFINITY, f64::max);
-                for (j, e) in exps.iter_mut().enumerate() {
-                    *e = (v[(i, j)] - row_max).exp();
-                }
-                let denom: f64 = exps.iter().sum();
-                let y = targets[i];
-                loss += -(exps[y] / denom).ln();
-                for j in 0..classes {
-                    let p = exps[j] / denom;
-                    grad[(i, j)] = (p - if j == y { 1.0 } else { 0.0 }) / batch as f64;
-                }
-            }
-        }
-        loss /= batch as f64;
+        let loss =
+            crate::loss::cross_entropy_logits(&self.nodes[scores.0].value, targets, &mut grad)?;
         Ok(self.push(Matrix::filled(1, 1, loss), Op::FusedLoss { scores, grad }))
     }
 
@@ -731,34 +739,9 @@ impl Graph {
         margin: f64,
     ) -> Result<Var, AutodiffError> {
         let (batch, classes) = self.shape(scores);
-        check_targets(batch, classes, targets)?;
-
         let mut grad = Matrix::zeros(batch, classes);
-        let mut loss = 0.0;
-        {
-            let v = &self.nodes[scores.0].value;
-            for i in 0..batch {
-                let y = targets[i];
-                let (mut best_j, mut best) = (usize::MAX, f64::NEG_INFINITY);
-                for j in 0..classes {
-                    if j != y && v[(i, j)] > best {
-                        best = v[(i, j)];
-                        best_j = j;
-                    }
-                }
-                if best_j == usize::MAX {
-                    // Single-class degenerate case: loss is zero.
-                    continue;
-                }
-                let violation = margin - v[(i, y)] + best;
-                if violation > 0.0 {
-                    loss += violation;
-                    grad[(i, y)] -= 1.0 / batch as f64;
-                    grad[(i, best_j)] += 1.0 / batch as f64;
-                }
-            }
-        }
-        loss /= batch as f64;
+        let loss =
+            crate::loss::margin_loss(&self.nodes[scores.0].value, targets, margin, &mut grad)?;
         Ok(self.push(Matrix::filled(1, 1, loss), Op::FusedLoss { scores, grad }))
     }
 
@@ -921,8 +904,9 @@ impl Graph {
     ///
     /// The store is cleared first, each node's gradient is accumulated in
     /// place, and the per-op temporaries go through the transpose-free and
-    /// `_into` kernels. Results are bit-identical to
-    /// [`Graph::backward_reference`].
+    /// `_into` kernels. Targets that no leaf depends on (constants, and ops
+    /// over constants only) get no gradient. Leaf gradients are
+    /// bit-identical to [`Graph::backward_reference`].
     ///
     /// # Errors
     ///
@@ -933,10 +917,36 @@ impl Graph {
                 shape: self.shape(loss),
             });
         }
-        store.reset_for(self.nodes.len());
-        store.grads[loss.0] = Some(Matrix::filled(1, 1, 1.0));
+        self.backward_seeded(loss, Matrix::filled(1, 1, 1.0), store)
+    }
 
-        for id in (0..=loss.0).rev() {
+    /// Runs reverse-mode accumulation into `store` from the node `seed`,
+    /// whose gradient is given as `grad`, down through every node recorded
+    /// before it. [`Graph::backward_into`] is this with a `1×1` seed of
+    /// `1.0`; a caller that differentiated the rest of a computation by
+    /// hand seeds the node where its own backward pass ends.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`AutodiffError::ShapeMismatch`] if `grad` does not have the
+    /// seed node's shape.
+    pub fn backward_seeded(
+        &self,
+        seed: Var,
+        grad: Matrix,
+        store: &mut GradStore,
+    ) -> Result<(), AutodiffError> {
+        if grad.shape() != self.shape(seed) {
+            return Err(AutodiffError::ShapeMismatch {
+                op: "backward_seeded",
+                lhs: self.shape(seed),
+                rhs: grad.shape(),
+            });
+        }
+        store.reset_for(self.nodes.len());
+        store.grads[seed.0] = Some(grad);
+
+        for id in (0..=seed.0).rev() {
             // Take the node's gradient out of the arena for the duration of
             // the propagation (parents always have smaller indices, so the
             // slot cannot be touched), then put it back — no per-node clone.
@@ -960,37 +970,43 @@ impl Graph {
                 }
                 Op::Div(a, b) => {
                     self.flow_zip(store, *a, &grad, self.value(*b), |g, y| g / y)?;
-                    // g_b = −g·a/b²; fold a and b in two broadcast passes.
-                    let (qr, qc) = broadcast_shape(self.shape(*a), self.shape(*b)).ok_or(
-                        AutodiffError::ShapeMismatch {
-                            op: "div_bw",
-                            lhs: self.shape(*a),
-                            rhs: self.shape(*b),
-                        },
-                    )?;
-                    let mut a_over_b2 = Matrix::zeros(qr, qc);
-                    broadcast_fill(
-                        self.value(*a),
-                        self.value(*b),
-                        |x, y| -x / (y * y),
-                        &mut a_over_b2,
-                    );
-                    self.flow_zip(store, *b, &grad, &a_over_b2, |g, q| g * q)?;
+                    if self.needs(*b) {
+                        // g_b = −g·a/b²; fold a and b in two broadcast passes.
+                        let (qr, qc) = broadcast_shape(self.shape(*a), self.shape(*b)).ok_or(
+                            AutodiffError::ShapeMismatch {
+                                op: "div_bw",
+                                lhs: self.shape(*a),
+                                rhs: self.shape(*b),
+                            },
+                        )?;
+                        let mut a_over_b2 = Matrix::zeros(qr, qc);
+                        broadcast_fill(
+                            self.value(*a),
+                            self.value(*b),
+                            |x, y| -x / (y * y),
+                            &mut a_over_b2,
+                        );
+                        self.flow_zip(store, *b, &grad, &a_over_b2, |g, q| g * q)?;
+                    }
                 }
                 Op::MatMul(a, b) => {
                     // dL/dA = grad · Bᵀ and dL/dB = Aᵀ · grad, via the
                     // transpose-free kernels.
-                    let (ar, ac) = self.shape(*a);
-                    let mut ga = Matrix::zeros(ar, ac);
-                    grad.matmul_nt_into(self.value(*b), &mut ga)
-                        .map_err(bw_err("matmul_bw"))?;
-                    store.accumulate_owned(*a, ga)?;
-                    let (br, bc) = self.shape(*b);
-                    let mut gb = Matrix::zeros(br, bc);
-                    self.value(*a)
-                        .matmul_tn_into(&grad, &mut gb)
-                        .map_err(bw_err("matmul_bw"))?;
-                    store.accumulate_owned(*b, gb)?;
+                    if self.needs(*a) {
+                        let (ar, ac) = self.shape(*a);
+                        let mut ga = Matrix::zeros(ar, ac);
+                        grad.matmul_nt_into(self.value(*b), &mut ga)
+                            .map_err(bw_err("matmul_bw"))?;
+                        store.accumulate_owned(*a, ga)?;
+                    }
+                    if self.needs(*b) {
+                        let (br, bc) = self.shape(*b);
+                        let mut gb = Matrix::zeros(br, bc);
+                        self.value(*a)
+                            .matmul_tn_into(&grad, &mut gb)
+                            .map_err(bw_err("matmul_bw"))?;
+                        store.accumulate_owned(*b, gb)?;
+                    }
                 }
                 Op::Abs(a) => {
                     self.elementwise_bw(store, *a, &grad, self.value(*a), |g, x| g * sign(x))?;
@@ -1002,7 +1018,7 @@ impl Graph {
                     self.elementwise_bw(store, *a, &grad, &node.value, |g, s| g * s * (1.0 - s))?;
                 }
                 Op::Scale(a, s) => self.flow_scaled(store, *a, &grad, *s)?,
-                Op::AddScalar(a) => store.accumulate_ref(*a, &grad)?,
+                Op::AddScalar(a) => self.flow(store, *a, &grad)?,
                 Op::Powi(a, k) => {
                     self.elementwise_bw(store, *a, &grad, self.value(*a), |g, x| {
                         g * *k as f64 * x.powi(k - 1)
@@ -1010,14 +1026,14 @@ impl Graph {
                 }
                 Op::Sum(a) => {
                     let (r, c) = self.shape(*a);
-                    store.accumulate_owned(*a, Matrix::filled(r, c, grad[(0, 0)]))?;
+                    self.flow_owned(store, *a, Matrix::filled(r, c, grad[(0, 0)]))?;
                 }
                 Op::Mean(a) => {
                     let (r, c) = self.shape(*a);
                     let g = Matrix::filled(r, c, grad[(0, 0)] / (r * c) as f64);
-                    store.accumulate_owned(*a, g)?;
+                    self.flow_owned(store, *a, g)?;
                 }
-                Op::SumRows(a) => {
+                Op::SumRows(a) if self.needs(*a) => {
                     let (r, c) = self.shape(*a);
                     let mut g = Matrix::zeros(r, c);
                     for g_row in g.as_mut_slice().chunks_exact_mut(c) {
@@ -1025,7 +1041,7 @@ impl Graph {
                     }
                     store.accumulate_owned(*a, g)?;
                 }
-                Op::SliceCols { parent, start } => {
+                Op::SliceCols { parent, start } if self.needs(*parent) => {
                     let (r, c) = self.shape(*parent);
                     let (_, w) = node.value.shape();
                     let mut g = Matrix::zeros(r, c);
@@ -1043,6 +1059,10 @@ impl Graph {
                     let mut offset = 0;
                     for p in parts {
                         let (r, c) = self.shape(*p);
+                        if !self.needs(*p) {
+                            offset += c;
+                            continue;
+                        }
                         let mut g = Matrix::zeros(r, c);
                         for (g_row, grad_row) in g
                             .as_mut_slice()
@@ -1055,13 +1075,16 @@ impl Graph {
                         offset += c;
                     }
                 }
-                Op::Ste(a) => store.accumulate_ref(*a, &grad)?,
+                Op::Ste(a) => self.flow(store, *a, &grad)?,
                 Op::FusedLoss {
                     scores,
                     grad: template,
                 } => {
                     self.flow_scaled(store, *scores, template, grad[(0, 0)])?;
                 }
+                // A `SumRows` or `SliceCols` over a target no leaf depends
+                // on.
+                Op::SumRows(_) | Op::SliceCols { .. } => {}
             }
             store.grads[id] = Some(grad);
         }
@@ -1072,6 +1095,9 @@ impl Graph {
     /// when the shapes differ (same two-step order as the old `reduce_to` +
     /// accumulate path, so the bits match).
     fn flow(&self, store: &mut GradStore, v: Var, grad: &Matrix) -> Result<(), AutodiffError> {
+        if !self.needs(v) {
+            return Ok(());
+        }
         let target = self.shape(v);
         if grad.shape() == target {
             store.accumulate_ref(v, grad)
@@ -1091,6 +1117,9 @@ impl Graph {
         grad: &Matrix,
         s: f64,
     ) -> Result<(), AutodiffError> {
+        if !self.needs(v) {
+            return Ok(());
+        }
         self.flow_owned(store, v, grad.scale(s))
     }
 
@@ -1105,6 +1134,9 @@ impl Graph {
         other: &Matrix,
         f: impl Fn(f64, f64) -> f64,
     ) -> Result<(), AutodiffError> {
+        if !self.needs(v) {
+            return Ok(());
+        }
         let shape =
             broadcast_shape(grad.shape(), other.shape()).ok_or(AutodiffError::ShapeMismatch {
                 op: "zip_bw",
@@ -1119,6 +1151,9 @@ impl Graph {
     /// Accumulates the owned gradient `g` into `v`, summed down to `v`'s
     /// shape first when `g` is broadcast wider.
     fn flow_owned(&self, store: &mut GradStore, v: Var, g: Matrix) -> Result<(), AutodiffError> {
+        if !self.needs(v) {
+            return Ok(());
+        }
         let target = self.shape(v);
         if g.shape() == target {
             store.accumulate_owned(v, g)
@@ -1140,6 +1175,9 @@ impl Graph {
         x: &Matrix,
         f: impl Fn(f64, f64) -> f64,
     ) -> Result<(), AutodiffError> {
+        if !self.needs(v) {
+            return Ok(());
+        }
         let (r, c) = grad.shape();
         let mut g = Matrix::zeros(r, c);
         grad.zip_with_into(x, "elementwise_bw", &f, &mut g)
@@ -1156,22 +1194,6 @@ fn sign(x: f64) -> f64 {
     } else {
         0.0
     }
-}
-
-fn check_targets(batch: usize, classes: usize, targets: &[usize]) -> Result<(), AutodiffError> {
-    if targets.len() != batch {
-        return Err(AutodiffError::TargetLengthMismatch {
-            batch,
-            targets: targets.len(),
-        });
-    }
-    if let Some(&bad) = targets.iter().find(|&&t| t >= classes) {
-        return Err(AutodiffError::InvalidTarget {
-            class: bad,
-            num_classes: classes,
-        });
-    }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -1458,16 +1480,42 @@ mod tests {
     }
 
     #[test]
-    fn constants_do_not_stop_flow_but_get_grads_too() {
+    fn constants_do_not_stop_flow_and_get_no_grads() {
         let mut g = Graph::new();
         let x = g.leaf(m(&[&[2.0]]));
         let c = g.constant(Matrix::filled(1, 1, 10.0));
-        let y = g.mul(x, c).unwrap();
+        let c2 = g.scale(c, 3.0);
+        let y = g.mul(x, c2).unwrap();
         let grads = g.backward(y).unwrap();
-        assert_eq!(grads.get(x).unwrap()[(0, 0)], 10.0);
-        // Constants receive gradients (harmless); leaves are what optimizers
-        // read.
-        assert_eq!(grads.get(c).unwrap()[(0, 0)], 2.0);
+        assert_eq!(grads.get(x).unwrap()[(0, 0)], 30.0);
+        // Neither the constant nor an op over constants only is
+        // differentiated: no leaf depends on them.
+        assert!(grads.get(c).is_none());
+        assert!(grads.get(c2).is_none());
+        // The reference backward still differentiates everything.
+        let reference = g.backward_reference(y).unwrap();
+        assert_eq!(reference.get(c).unwrap()[(0, 0)], 6.0);
+    }
+
+    #[test]
+    fn seeded_backward_matches_a_dot_product_loss() {
+        // Seeding a node with a gradient equals differentiating
+        // sum(node ⊙ seed) from a scalar loss.
+        let mut g = Graph::new();
+        let x = g.leaf(m(&[&[0.3, -1.2]]));
+        let t = g.tanh(x);
+        let y = g.scale(t, 2.5);
+        let seed = m(&[&[0.7, -0.4]]);
+        let mut store = GradStore::new();
+        g.backward_seeded(y, seed.clone(), &mut store).unwrap();
+        let s = g.constant(&seed);
+        let dot = g.mul(y, s).unwrap();
+        let loss = g.sum(dot);
+        let reference = g.backward(loss).unwrap();
+        assert_eq!(store.get(x), reference.get(x));
+        assert!(g
+            .backward_seeded(y, Matrix::zeros(2, 1), &mut store)
+            .is_err());
     }
 
     /// Builds a tape exercising every op (matmul, broadcasts, elementwise,

@@ -19,7 +19,8 @@
 //!   II-C) to respect the printable-conductance constraint during training.
 //! * Fused classification losses ([`Graph::cross_entropy_logits`],
 //!   [`Graph::margin_loss`]) with hand-derived, numerically stable
-//!   gradients.
+//!   gradients; [`loss`] holds their arithmetic for callers that run a
+//!   hand-derived training step without the tape.
 //! * [`optim`] — the `Adam` optimizer over [`Parameter`]s that live
 //!   outside the graph (the tape is rebuilt every step).
 //! * [`gradcheck`] — a finite-difference gradient checker used extensively in
@@ -52,6 +53,7 @@
 mod error;
 pub mod gradcheck;
 mod graph;
+pub mod loss;
 pub mod optim;
 
 pub use error::AutodiffError;

@@ -36,10 +36,9 @@
 //! ```
 
 use crate::export::ArtifactLayer;
-use crate::layer::project_printable;
 use crate::network::Pnn;
+use crate::stages;
 use crate::PnnError;
-use pnc_linalg::simd::gemm_f64;
 use pnc_linalg::Matrix;
 use pnc_obs::Counter;
 
@@ -68,29 +67,15 @@ impl ArtifactLayer {
     }
 }
 
-/// Replicates the inverter transfer curve of [`crate::apply_inv`] with the
-/// graph's exact scalar operation sequence.
-#[inline]
-fn inv_curve(e: &[f64; 4], x: f64) -> f64 {
-    e[0] - ((x - e[2]) * e[3]).tanh() * e[1]
-}
-
-/// Replicates the ptanh activation of [`crate::apply_ptanh`] with the
-/// graph's exact scalar operation sequence.
-#[inline]
-fn ptanh_curve(e: &[f64; 4], x: f64) -> f64 {
-    ((x - e[2]) * e[3]).tanh() * e[1] + e[0]
-}
-
 /// Extracts the flattened layers of a trained network: the layer payload
 /// of a [`crate::PnnArtifact`] and what an [`InferencePlan`] executes.
 ///
 /// η comes from the plain [`crate::NonlinearCircuit::eta`], which is
 /// bit-identical to the [`crate::NonlinearCircuit::eta_graph`] chain the
 /// training forward builds (the surrogate's plain forward runs the tape's
-/// `matmul` → `add` → `tanh` sequence), and the weight arithmetic mirrors
-/// [`crate::PLayer::forward`] operation for operation — both are required
-/// for the f64 plan's bit-identity contract. `eta_act.len()` is 1 for the
+/// `matmul` → `add` → `tanh` sequence), and the weights come from the
+/// shared [`stages::normalize`] over the projected θ — both are required
+/// for the plan's bit-identity contract. `eta_act.len()` is 1 for the
 /// single-GEMM path (shared or per-layer circuit granularity) and `out_dim`
 /// for the per-neuron bespoke path — exactly the dispatch
 /// [`crate::PLayer::forward`] uses.
@@ -107,41 +92,26 @@ pub(crate) fn extract_layers(pnn: &Pnn) -> Vec<ArtifactLayer> {
     let mut layers = Vec::with_capacity(pnn.num_layers());
     for (i, layer) in pnn.layers().iter().enumerate() {
         let (rows, out_dim) = layer.theta_shape();
-        let in_dim = layer.in_dim();
-        let theta = layer.theta.value();
-
-        // Mirror the graph ops of `PLayer::forward` (nominal, no noise):
-        // project (STE value) → abs → ascending-row column sums → divide →
-        // multiply by the 1.0/0.0 sign masks.
-        let projected: Vec<f64> = theta
-            .as_slice()
-            .iter()
-            .map(|&t| project_printable(t, config.g_min, config.g_max))
-            .collect();
+        let projected = layer.printable_conductances(config.g_min, config.g_max);
         let mut total = vec![0.0_f64; out_dim];
-        for r in 0..rows {
-            for (j, tj) in total.iter_mut().enumerate() {
-                *tj += projected[r * out_dim + j].abs();
-            }
-        }
         let mut w_pos = vec![0.0_f64; rows * out_dim];
         let mut w_neg = vec![0.0_f64; rows * out_dim];
-        for r in 0..rows {
-            for j in 0..out_dim {
-                let p = projected[r * out_dim + j];
-                let weight = p.abs() / total[j];
-                let mask_pos = if p >= 0.0 { 1.0 } else { 0.0 };
-                let mask_neg = if p < 0.0 { 1.0 } else { 0.0 };
-                w_pos[r * out_dim + j] = weight * mask_pos;
-                w_neg[r * out_dim + j] = weight * mask_neg;
-            }
-        }
+        stages::normalize(
+            projected.as_slice(),
+            out_dim,
+            &mut total,
+            &mut w_pos,
+            &mut w_neg,
+        );
 
         let (eta_act, eta_inv): (Vec<[f64; 4]>, Vec<[f64; 4]>) =
             pair_etas[pnn.pair_range(i)].iter().copied().unzip();
-        let inv_ones = eta_inv.iter().map(|inv| inv_curve(inv, 1.0)).collect();
+        let inv_ones = eta_inv
+            .iter()
+            .map(|inv| stages::inv_curve(inv, 1.0).1)
+            .collect();
         layers.push(ArtifactLayer {
-            in_dim,
+            in_dim: layer.in_dim(),
             out_dim,
             w_pos,
             w_neg,
@@ -154,34 +124,38 @@ pub(crate) fn extract_layers(pnn: &Pnn) -> Vec<ArtifactLayer> {
     layers
 }
 
-/// Preallocated forward buffers of an f64 plan, sized at compile time for
+/// Preallocated forward buffers of a plan, sized at compile time for
 /// `capacity` rows. `h` ping-pongs activations between layers; `x_ext` and
 /// `x_inv` hold the `[x, 1, 0]` / `[inv(x), inv(1), 0]` extended inputs of
-/// Eq. 1; `z_pos`/`z_neg` hold the two crossbar GEMM results.
+/// Eq. 1; `z_pos`/`z_neg`/`z` hold the crossbar GEMMs and their sum; `t`
+/// and `t_act` take the inverter's and the activation's tanh values.
 #[derive(Debug, Clone)]
 struct Scratch {
     h: Vec<f64>,
     x_ext: Vec<f64>,
     x_inv: Vec<f64>,
+    t: Vec<f64>,
     z_pos: Vec<f64>,
     z_neg: Vec<f64>,
+    z: Vec<f64>,
+    t_act: Vec<f64>,
 }
 
 impl Scratch {
     fn new(layers: &[ArtifactLayer], capacity: usize) -> Scratch {
         let max_ext = layers.iter().map(ArtifactLayer::ext_dim).max().unwrap_or(2);
+        let max_in = layers.iter().map(|l| l.in_dim).max().unwrap_or(1);
         let max_out = layers.iter().map(|l| l.out_dim).max().unwrap_or(1);
-        let max_width = layers
-            .iter()
-            .map(|l| l.in_dim.max(l.out_dim))
-            .max()
-            .unwrap_or(1);
+        let out = vec![0.0; capacity * max_out];
         Scratch {
-            h: vec![0.0; capacity * max_width],
+            h: vec![0.0; capacity * max_in.max(max_out)],
             x_ext: vec![0.0; capacity * max_ext],
             x_inv: vec![0.0; capacity * max_ext],
-            z_pos: vec![0.0; capacity * max_out],
-            z_neg: vec![0.0; capacity * max_out],
+            t: vec![0.0; capacity * max_in],
+            z_pos: out.clone(),
+            z_neg: out.clone(),
+            z: out.clone(),
+            t_act: out,
         }
     }
 }
@@ -192,79 +166,40 @@ fn run_layers_f64(layers: &[ArtifactLayer], s: &mut Scratch, b: usize) {
     for layer in layers {
         let (input, ext, out) = (layer.in_dim, layer.ext_dim(), layer.out_dim);
         // Extended inputs [x, 1, 0] (and the copy frees `h` for the output).
-        for i in 0..b {
-            let row = i * ext;
-            s.x_ext[row..row + input].copy_from_slice(&s.h[i * input..(i + 1) * input]);
-            s.x_ext[row + input] = 1.0;
-            s.x_ext[row + input + 1] = 0.0;
-        }
-
+        stages::extend(&s.h[..b * input], input, &mut s.x_ext[..b * ext]);
+        let (x_ext, x_inv, t) = (
+            &s.x_ext[..b * ext],
+            &mut s.x_inv[..b * ext],
+            &mut s.t[..b * input],
+        );
+        let z = &mut s.z[..b * out];
         if layer.eta_act.len() == 1 {
             // Single circuit pair: the dual-GEMM path of Eq. 1 + Eq. 3.
-            let (eta_act, eta_inv) = (&layer.eta_act[0], &layer.eta_inv[0]);
-            for i in 0..b {
-                let src = &s.x_ext[i * ext..i * ext + input];
-                let dst = &mut s.x_inv[i * ext..(i + 1) * ext];
-                for (d, &x) in dst[..input].iter_mut().zip(src) {
-                    *d = inv_curve(eta_inv, x);
-                }
-                dst[input] = layer.inv_ones[0];
-                dst[input + 1] = 0.0;
-            }
-            gemm_f64(
-                b,
+            stages::invert(&layer.eta_inv[0], layer.inv_ones[0], x_ext, input, t, x_inv);
+            stages::crossbar(
                 ext,
                 out,
-                &s.x_ext[..b * ext],
+                x_ext,
+                x_inv,
                 &layer.w_pos,
-                &mut s.z_pos[..b * out],
-            );
-            gemm_f64(
-                b,
-                ext,
-                out,
-                &s.x_inv[..b * ext],
                 &layer.w_neg,
+                &mut s.z_pos[..b * out],
                 &mut s.z_neg[..b * out],
+                z,
             );
-            for idx in 0..b * out {
-                let z = s.z_pos[idx] + s.z_neg[idx];
-                s.h[idx] = if layer.apply_act {
-                    ptanh_curve(eta_act, z)
-                } else {
-                    z
-                };
-            }
         } else {
             // Per-neuron bespoke circuits: column j routes through its own
-            // inverter and activation design (dot products, k ascending).
-            for (j, (eta_act, eta_inv)) in layer.eta_act.iter().zip(&layer.eta_inv).enumerate() {
-                for i in 0..b {
-                    let row = i * ext;
-                    for k in 0..input {
-                        s.x_inv[row + k] = inv_curve(eta_inv, s.x_ext[row + k]);
-                    }
-                    s.x_inv[row + input] = layer.inv_ones[j];
-                    s.x_inv[row + input + 1] = 0.0;
-                }
-                for i in 0..b {
-                    let row = i * ext;
-                    let mut z_pos = 0.0;
-                    for k in 0..ext {
-                        z_pos += s.x_ext[row + k] * layer.w_pos[k * out + j];
-                    }
-                    let mut z_neg = 0.0;
-                    for k in 0..ext {
-                        z_neg += s.x_inv[row + k] * layer.w_neg[k * out + j];
-                    }
-                    let z = z_pos + z_neg;
-                    s.h[i * out + j] = if layer.apply_act {
-                        ptanh_curve(eta_act, z)
-                    } else {
-                        z
-                    };
-                }
+            // inverter design.
+            for (j, eta_inv) in layer.eta_inv.iter().enumerate() {
+                stages::invert(eta_inv, layer.inv_ones[j], x_ext, input, t, x_inv);
+                stages::crossbar_column(j, out, x_ext, x_inv, &layer.w_pos, &layer.w_neg, z);
             }
+        }
+        let h = &mut s.h[..b * out];
+        if layer.apply_act {
+            stages::activate(&layer.eta_act, out, z, &mut s.t_act[..b * out], h);
+        } else {
+            h.copy_from_slice(z);
         }
     }
 }

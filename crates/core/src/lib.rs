@@ -86,7 +86,9 @@ pub mod infer;
 mod layer;
 mod network;
 mod nonlinearity;
+mod stages;
 mod train;
+mod train_plan;
 mod variation;
 
 pub use error::PnnError;

@@ -1,15 +1,15 @@
 //! Nominal and variation-aware training (Sec. III-C).
 
 use crate::network::{LossKind, Pnn};
+use crate::train_plan::{Split, TrainPlan};
 use crate::variation::{NoiseSample, VariationModel};
 use crate::PnnError;
-use pnc_autodiff::{Adam, GradStore, Graph};
+use pnc_autodiff::Adam;
 use pnc_linalg::{Matrix, ParallelConfig};
 use pnc_obs::{Counter, FieldValue, Histogram};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
-use std::cell::RefCell;
 
 // Observability: training-loop effort and progress. Catalogued in
 // docs/METRICS.md.
@@ -17,6 +17,8 @@ static OBS_RUNS: Counter = Counter::new("core.train.runs");
 static OBS_EPOCHS: Counter = Counter::new("core.train.epochs");
 static OBS_MC_DRAWS: Counter = Counter::new("core.train.mc_draws");
 static OBS_EARLY_STOPS: Counter = Counter::new("core.train.early_stops");
+static OBS_NO_PROGRESS: Counter = Counter::new("core.train.no_progress_runs");
+static OBS_LATE_BEST: Counter = Counter::new("core.train.late_best_runs");
 static OBS_GRAD_NORM: Histogram = Histogram::new("core.train.grad_norm");
 static OBS_SEEDS: Counter = Counter::new("core.seed_search.seeds");
 
@@ -27,18 +29,11 @@ fn obs_register() {
         OBS_EPOCHS.register();
         OBS_MC_DRAWS.register();
         OBS_EARLY_STOPS.register();
+        OBS_NO_PROGRESS.register();
+        OBS_LATE_BEST.register();
         OBS_GRAD_NORM.register();
         OBS_SEEDS.register();
     });
-}
-
-thread_local! {
-    /// The tape and gradient store this thread records its Monte-Carlo
-    /// draws on, reset before each draw and released when a training run
-    /// completes. A fresh tape per draw would free all of a draw's memory
-    /// at once, and the allocator would hand it back to the operating
-    /// system only to fault it in again on the next draw (DESIGN.md §11).
-    static TAPE: RefCell<(Graph, GradStore)> = RefCell::default();
 }
 
 /// Infinity norm over a gradient group (the scalar the per-epoch
@@ -217,10 +212,15 @@ impl Trainer {
         &self.config
     }
 
+    /// Whether training draws no noise at all (one nominal draw per loss).
+    fn nominal(&self) -> bool {
+        self.config.variation.is_none() && self.config.aging.is_none()
+    }
+
     /// Draws the per-step noise list: one `None` for nominal training, or
     /// `n_train_mc` samples of the variation model.
     fn draw_noise(&self, pnn: &Pnn, rng: &mut StdRng, count: usize) -> Vec<Option<NoiseSample>> {
-        if self.config.variation.is_none() && self.config.aging.is_none() {
+        if self.nominal() {
             return vec![None];
         }
         let shapes = pnn.theta_shapes();
@@ -242,15 +242,14 @@ impl Trainer {
             .collect()
     }
 
-    /// Computes the Monte-Carlo loss over `noise` draws and returns
-    /// `(loss value, per-parameter gradients)`; gradients are `None` when
-    /// `backward` is false.
+    /// Computes the Monte-Carlo loss over `noise` draws on `split`'s rows
+    /// and returns `(loss value, per-parameter gradients)`; gradients are
+    /// `None` when `backward` is false.
     ///
-    /// Each draw records its forward pass (and, when requested, backward
-    /// pass) on its worker thread's [`Graph`], reset first, so draws run
-    /// independently on worker threads under [`TrainConfig::parallel`].
-    /// Per-draw losses and gradients come back in draw order and are reduced
-    /// left-to-right before the final `1/n` scaling — a fixed
+    /// Every draw runs in `plan`, the run's compiled step, on one of its
+    /// per-worker buffer sets; the draws fan out under
+    /// [`TrainConfig::parallel`]. Per-draw losses and gradients are reduced
+    /// left-to-right in draw order before the final `1/n` scaling — a fixed
     /// floating-point sequence, so the result is bit-identical at every
     /// thread count.
     ///
@@ -260,8 +259,9 @@ impl Trainer {
     /// forward/backward failures (lowest draw index wins, deterministically).
     fn mc_loss(
         &self,
+        plan: &mut TrainPlan<'_>,
         pnn: &Pnn,
-        data: LabeledData<'_>,
+        split: Split,
         noise: &[Option<NoiseSample>],
         backward: bool,
     ) -> Result<(f64, Option<GradPair>), PnnError> {
@@ -271,96 +271,40 @@ impl Trainer {
             });
         }
         OBS_MC_DRAWS.add(noise.len() as u64);
-        struct DrawOutcome {
-            loss: f64,
-            grads: Option<GradPair>,
-        }
-        let theta_shapes = pnn.theta_shapes();
-        let outcomes: Vec<DrawOutcome> =
-            self.config.parallel.try_ordered_par_map(noise, |sample| {
-                TAPE.with_borrow_mut(|(g, store)| -> Result<DrawOutcome, PnnError> {
-                    g.reset();
-                    let (scores, vars) = pnn.forward(g, data.features, sample.as_ref())?;
-                    let loss = pnn.loss(g, scores, data.labels, self.config.loss)?;
-                    let loss_value = g.value(loss)[(0, 0)];
-                    if !backward {
-                        return Ok(DrawOutcome {
-                            loss: loss_value,
-                            grads: None,
-                        });
-                    }
-                    g.backward_into(loss, store)?;
-                    // Missing leaf gradients (e.g. unused parameters) count
-                    // as zero so every draw contributes same-shaped terms.
-                    let theta_grads: Vec<Matrix> = vars
-                        .thetas
-                        .iter()
-                        .zip(&theta_shapes)
-                        .map(|(v, &(r, c))| {
-                            store
-                                .get(*v)
-                                .cloned()
-                                .unwrap_or_else(|| Matrix::zeros(r, c))
-                        })
-                        .collect();
-                    let w_grads: Vec<Matrix> = vars
-                        .circuit_ws
-                        .iter()
-                        .map(|v| {
-                            store
-                                .get(*v)
-                                .cloned()
-                                .unwrap_or_else(|| Matrix::zeros(1, 7))
-                        })
-                        .collect();
-                    Ok(DrawOutcome {
-                        loss: loss_value,
-                        grads: Some((theta_grads, w_grads)),
-                    })
-                })
-            })?;
+        plan.run(pnn, split, noise, backward, &self.config.parallel)?;
 
         // Deterministic ordered reduction: sum draws left-to-right in draw
         // order, then scale once by 1/n.
-        let scale = 1.0 / outcomes.len() as f64;
+        let scale = 1.0 / noise.len() as f64;
         let mut loss_total = 0.0;
-        for outcome in &outcomes {
+        let mut grads: Option<GradPair> = None;
+        plan.for_each_outcome(split, noise.len(), |outcome| {
             loss_total += outcome.loss;
-        }
+            if !backward {
+                return Ok(());
+            }
+            let (theta_grads, w_grads) = grads.get_or_insert_with(|| {
+                let zeros = |m: &Matrix| Matrix::zeros(m.rows(), m.cols());
+                (
+                    outcome.theta.iter().map(zeros).collect(),
+                    outcome.w.iter().map(zeros).collect(),
+                )
+            });
+            for (acc, g) in theta_grads.iter_mut().zip(&outcome.theta) {
+                acc.add_assign(g).map_err(grad_sum_err)?;
+            }
+            for (acc, g) in w_grads.iter_mut().zip(&outcome.w) {
+                acc.add_assign(g).map_err(grad_sum_err)?;
+            }
+            Ok(())
+        })?;
         let loss_value = loss_total * scale;
-
-        if !backward {
-            return Ok((loss_value, None));
-        }
-
-        let mut theta_grads: Vec<Matrix> = theta_shapes
-            .iter()
-            .map(|&(r, c)| Matrix::zeros(r, c))
-            .collect();
-        let missing_grads = || PnnError::Data {
-            detail: "Monte-Carlo draw produced no gradients despite backward=true".into(),
-        };
-        let first = outcomes
-            .first()
-            .and_then(|o| o.grads.as_ref())
-            .ok_or_else(missing_grads)?;
-        let mut w_grads: Vec<Matrix> = (0..first.1.len()).map(|_| Matrix::zeros(1, 7)).collect();
-        for outcome in &outcomes {
-            let (draw_theta, draw_w) = outcome.grads.as_ref().ok_or_else(missing_grads)?;
-            for (acc, g) in theta_grads.iter_mut().zip(draw_theta) {
-                acc.add_assign(g).map_err(grad_sum_err)?;
-            }
-            for (acc, g) in w_grads.iter_mut().zip(draw_w) {
-                acc.add_assign(g).map_err(grad_sum_err)?;
+        if let Some((theta_grads, w_grads)) = &mut grads {
+            for m in theta_grads.iter_mut().chain(w_grads) {
+                m.scale_in_place(scale);
             }
         }
-        for m in &mut theta_grads {
-            m.scale_in_place(scale);
-        }
-        for m in &mut w_grads {
-            m.scale_in_place(scale);
-        }
-        Ok((loss_value, Some((theta_grads, w_grads))))
+        Ok((loss_value, grads))
     }
 
     /// Trains `pnn` on `train`, early-stopping on `val`, and restores the
@@ -388,6 +332,27 @@ impl Trainer {
         let mut val_rng = StdRng::seed_from_u64(self.config.seed ^ 0x5A17_AB1E);
         let val_noise = self.draw_noise(pnn, &mut val_rng, self.config.n_val_mc.max(1));
 
+        // One buffer set per worker thread a Monte-Carlo loss can use,
+        // dropped with the plan when this function returns.
+        let threads = self.config.parallel.effective_threads();
+        let draws = |n: usize| {
+            if self.nominal() {
+                1
+            } else {
+                n.max(1)
+            }
+        };
+        let mut plan = TrainPlan::compile(
+            pnn,
+            self.config.loss,
+            train,
+            val,
+            (
+                threads.min(draws(self.config.n_train_mc)),
+                threads.min(draws(self.config.n_val_mc)),
+            ),
+        )?;
+
         let mut opt_theta = Adam::new(self.config.lr_theta);
         let mut opt_omega = Adam::new(self.config.lr_omega);
 
@@ -400,7 +365,7 @@ impl Trainer {
 
         for epoch in 0..self.config.max_epochs {
             let noise = self.draw_noise(pnn, &mut rng, self.config.n_train_mc.max(1));
-            let (train_loss, grads) = self.mc_loss(pnn, train, &noise, true)?;
+            let (train_loss, grads) = self.mc_loss(&mut plan, pnn, Split::Train, &noise, true)?;
             let (theta_grads, w_grads) = grads.ok_or_else(|| PnnError::Data {
                 detail: "mc_loss returned no gradients despite backward=true".into(),
             })?;
@@ -427,7 +392,7 @@ impl Trainer {
                 opt_omega.step_dense(&mut params, &grad_refs);
             }
 
-            let (val_loss, _) = self.mc_loss(pnn, val, &val_noise, false)?;
+            let (val_loss, _) = self.mc_loss(&mut plan, pnn, Split::Val, &val_noise, false)?;
             train_losses.push(train_loss);
             val_losses.push(val_loss);
 
@@ -456,7 +421,6 @@ impl Trainer {
             }
         }
 
-        TAPE.take();
         // Restore the best circuit: the one that would be printed.
         let epochs_run = train_losses.len();
         let (layers, circuits) = best_snapshot;
@@ -464,6 +428,15 @@ impl Trainer {
         pnn.circuits_mut().clone_from_slice(&circuits);
 
         OBS_RUNS.increment();
+        // The two training defects of a run: no epoch beat epoch 0's
+        // validation loss, or the best epoch fell in the last tenth of the
+        // epoch budget (the budget cut the run short).
+        if best_epoch == 0 {
+            OBS_NO_PROGRESS.increment();
+        }
+        if best_epoch >= self.config.max_epochs * 9 / 10 {
+            OBS_LATE_BEST.increment();
+        }
         if pnc_obs::sink::enabled() {
             pnc_obs::sink::emit(
                 "core.train.done",
@@ -760,8 +733,11 @@ mod tests {
         let data = LabeledData::new(&x, &y).unwrap();
         let pnn = Pnn::new(PnnConfig::for_dataset(2, 2), s).unwrap();
         let trainer = Trainer::new(quick_config());
+        let mut plan = TrainPlan::compile(&pnn, trainer.config.loss, data, data, (1, 1)).unwrap();
         for backward in [false, true] {
-            let err = trainer.mc_loss(&pnn, data, &[], backward).unwrap_err();
+            let err = trainer
+                .mc_loss(&mut plan, &pnn, Split::Train, &[], backward)
+                .unwrap_err();
             assert!(
                 matches!(err, PnnError::Data { .. }),
                 "expected PnnError::Data, got {err:?}"

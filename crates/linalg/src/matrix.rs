@@ -709,6 +709,32 @@ mod tests {
         assert_eq!(a.matmul(&b).unwrap(), a.matmul_reference(&b).unwrap());
     }
 
+    /// Output pin of the frozen oracle: an FNV-1a-64 digest, word by word
+    /// over `f64::to_bits`, of what [`Matrix::matmul_reference`] returns on
+    /// fixed odd-shaped operands, some of them crossing the 64-element
+    /// blocking tiles of the kernels it checks. A change to its arithmetic
+    /// or to its summation order moves the digest.
+    #[test]
+    fn matmul_reference_output_is_pinned() {
+        const DIGEST: u64 = 0x1157_5378_bd20_c4ff;
+        let mut digest = 0xcbf2_9ce4_8422_2325_u64;
+        for &(m, k, n) in &[
+            (1, 1, 1),
+            (3, 5, 7),
+            (7, 9, 5),
+            (67, 70, 5),
+            (5, 130, 67),
+            (65, 1, 66),
+        ] {
+            let a = Matrix::from_fn(m, k, |i, j| ((i * 31 + j * 17) % 23) as f64 * 0.37 - 4.1);
+            let b = Matrix::from_fn(k, n, |i, j| ((i * 13 + j * 7) % 19) as f64 * -0.29 + 2.3);
+            for v in a.matmul_reference(&b).unwrap().as_slice() {
+                digest = (digest ^ v.to_bits()).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+        assert_eq!(digest, DIGEST, "digest {digest:#018x}");
+    }
+
     #[test]
     fn matmul_into_rejects_wrong_output_shape() {
         let a = Matrix::zeros(2, 3);

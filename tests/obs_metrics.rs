@@ -7,13 +7,17 @@
 //! The metric registry is process-global, so the tests in this binary
 //! serialize through one mutex and `reset()` before each measured run.
 
+use printed_neuromorphic::datasets::generators::iris;
 use printed_neuromorphic::fit::fit_ptanh;
 use printed_neuromorphic::linalg::ParallelConfig;
 use printed_neuromorphic::obs;
+use printed_neuromorphic::pnn::{LabeledData, Pnn, PnnConfig, TrainConfig, TrainReport, Trainer};
 use printed_neuromorphic::spice::circuits::{characteristic_curve, NonlinearCircuitParams};
 use printed_neuromorphic::spice::{DcSolver, FaultInjection};
-use printed_neuromorphic::surrogate::{build_dataset, DatasetConfig, StreamBuilder, StreamConfig};
-use std::sync::{Mutex, MutexGuard, OnceLock};
+use printed_neuromorphic::surrogate::{
+    build_dataset, DatasetConfig, StreamBuilder, StreamConfig, SurrogateModel,
+};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
 fn test_lock() -> MutexGuard<'static, ()> {
     static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
@@ -44,6 +48,17 @@ const DOCUMENTED_HISTOGRAMS: &[&str] = &[
     "fit.ptanh.rmse",
     "surrogate.dataset.fit_rmse",
     "surrogate.dataset.chunk_seconds",
+];
+
+/// The training counters `docs/METRICS.md` documents, which every
+/// `Trainer::train` run registers.
+const DOCUMENTED_TRAIN_COUNTERS: &[&str] = &[
+    "core.train.runs",
+    "core.train.epochs",
+    "core.train.mc_draws",
+    "core.train.early_stops",
+    "core.train.no_progress_runs",
+    "core.train.late_best_runs",
 ];
 
 /// A miniature fig4 trajectory: one characteristic curve + fit, then a tiny
@@ -172,5 +187,71 @@ fn write_summary_produces_parseable_json_file() {
     drop(value);
     assert!(text.contains("spice.solve.total"));
     std::fs::remove_file(&path).ok();
+    obs::reset();
+}
+
+/// Trains an Iris pNN against the committed quick surrogate from a reset
+/// registry and returns the report with the two training-defect counters.
+fn train_iris(config: TrainConfig) -> (TrainReport, u64, u64) {
+    let path =
+        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("artifacts/surrogate-quick.json");
+    let surrogate = Arc::new(SurrogateModel::load(&path).expect("committed quick surrogate"));
+    let data = iris();
+    let (train, val, _) = data.split(1);
+    let mut pnn = Pnn::new(
+        PnnConfig::for_dataset(data.num_features(), data.num_classes).with_seed(2),
+        surrogate,
+    )
+    .expect("valid config");
+    obs::reset();
+    let report = Trainer::new(config)
+        .train(
+            &mut pnn,
+            LabeledData::new(&train.features, &train.labels).expect("train data"),
+            LabeledData::new(&val.features, &val.labels).expect("val data"),
+        )
+        .expect("trains");
+    let snap = obs::snapshot();
+    for name in DOCUMENTED_TRAIN_COUNTERS {
+        assert!(
+            snap.counter(name).is_some(),
+            "documented counter {name} missing from summary"
+        );
+    }
+    let count = |name: &str| snap.counter(name).unwrap_or(0);
+    (
+        report,
+        count("core.train.no_progress_runs"),
+        count("core.train.late_best_runs"),
+    )
+}
+
+/// Each training-defect counter rises by exactly one for one run of its
+/// kind and stays put for a run of the other kind.
+#[test]
+fn training_defect_counters_count_one_run_each() {
+    let _guard = test_lock();
+    let budget = TrainConfig {
+        n_train_mc: 1,
+        n_val_mc: 1,
+        max_epochs: 6,
+        patience: 6,
+        parallel: ParallelConfig::serial(),
+        ..TrainConfig::default()
+    };
+
+    // Zero learning rates: no epoch can beat epoch 0's validation loss.
+    let (report, no_progress, late_best) = train_iris(TrainConfig {
+        lr_theta: 0.0,
+        lr_omega: 0.0,
+        ..budget
+    });
+    assert_eq!(report.best_epoch, 0);
+    assert_eq!((no_progress, late_best), (1, 0));
+
+    // The default rates still improve at the last of 6 epochs.
+    let (report, no_progress, late_best) = train_iris(budget);
+    assert_eq!(report.best_epoch, 5, "{:?}", report.val_losses);
+    assert_eq!((no_progress, late_best), (0, 1));
     obs::reset();
 }
