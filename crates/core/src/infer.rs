@@ -11,15 +11,18 @@
 //! to [`Pnn::infer`] — and the per-call work collapses to a fixed sequence
 //! of microkernel GEMMs and tanh curve evaluations over preallocated
 //! buffers — zero allocations and zero graph-walking per forward, for
-//! single samples and micro-batches alike.
+//! single samples and micro-batches alike. That sequence is the forward
+//! half of the stages the trainer's compiled step runs
+//! (`crates/core/src/stages.rs`), so the arithmetic exists once.
 //!
 //! The plan is f64 only: it reproduces the printed circuit's nominal
 //! forward pass bit for bit at every batch size and chunking. See
 //! DESIGN.md §12 for the full contract and for the measurement that retired
 //! the f32 and Q1.14 plans.
 //!
-//! Plans capture the *nominal* network: printing variation (a training and
-//! robustness-evaluation concern) stays on the graph path.
+//! Plans capture the *nominal* network: printing variation is a training
+//! concern (the trainer's compiled step applies it per draw) and a
+//! robustness-evaluation one (`mc_evaluate` runs it on the graph).
 //!
 //! # Examples
 //!

@@ -275,7 +275,8 @@ struct CircuitState {
     /// Scratch for the next key.
     next_key: Vec<u64>,
     eta: [f64; 4],
-    /// Learnable circuits: the recorded ω→η chain.
+    /// The recorded ω→η chain, for a learnable circuit on a data set
+    /// that runs backward.
     chain: Option<EtaChain>,
 }
 
@@ -289,12 +290,12 @@ struct EtaChain {
 }
 
 impl CircuitState {
-    fn new(learnable: bool) -> Self {
+    fn new(differentiated: bool) -> Self {
         CircuitState {
             key: Vec::new(),
             next_key: Vec::new(),
             eta: [0.0; 4],
-            chain: learnable.then(EtaChain::default),
+            chain: differentiated.then(EtaChain::default),
         }
     }
 
@@ -484,7 +485,12 @@ impl Workspace {
         let classes = layers.last().map_or(0, |l| l.out_dim);
         Workspace {
             layers: buffers,
-            circuits: learnable.iter().map(|&l| CircuitState::new(l)).collect(),
+            // A forward-only set needs no ω→η tape: the plain η has the
+            // same bits.
+            circuits: learnable
+                .iter()
+                .map(|&l| CircuitState::new(l && backward))
+                .collect(),
             eta_grad: vec![None; learnable.len()],
             scaled: Matrix::zeros(rows, classes),
             loss_grad: Matrix::zeros(rows, classes),
@@ -592,14 +598,14 @@ impl Workspace {
             if let Some(prev) = before.last() {
                 stages::extend(prev.h.as_slice(), input, &mut lb.x_ext);
             }
-            let key_now = l == 0
+            let inv_cached = l == 0
                 && lb.inv_key.len() == 4 * lb.eta_inv.len()
                 && lb
                     .inv_key
                     .iter()
                     .zip(lb.eta_inv.iter().flatten())
                     .all(|(&k, v)| k == v.to_bits());
-            if !key_now {
+            if !inv_cached {
                 for (q, eta) in lb.eta_inv.iter().enumerate() {
                     let (t_one, inv_one) = stages::inv_curve(eta, 1.0);
                     lb.inv_one[q] = (inv_one, t_one);
