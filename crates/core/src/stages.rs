@@ -148,8 +148,8 @@ pub(crate) fn crossbar_column(
 }
 
 /// Eq. 2's ptanh over the `out`-wide rows of `z` into `h`, saving each
-/// tanh in `t`. Column `j` uses `etas[j % etas.len()]`: one circuit for the
-/// layer, or one per output neuron.
+/// tanh in `t`. `etas` holds one circuit for the layer, or one per output
+/// neuron.
 pub(crate) fn activate(etas: &[[f64; 4]], out: usize, z: &[f64], t: &mut [f64], h: &mut [f64]) {
     for ((z_row, t_row), h_row) in z
         .chunks_exact(out)
@@ -157,7 +157,8 @@ pub(crate) fn activate(etas: &[[f64; 4]], out: usize, z: &[f64], t: &mut [f64], 
         .zip(h.chunks_exact_mut(out))
     {
         for (j, ((&v, tk), hk)) in z_row.iter().zip(t_row).zip(h_row).enumerate() {
-            (*tk, *hk) = ptanh_curve(&etas[j % etas.len()], v);
+            let eta = &etas[if etas.len() == 1 { 0 } else { j }];
+            (*tk, *hk) = ptanh_curve(eta, v);
         }
     }
 }
