@@ -55,11 +55,21 @@ impl Ptanh {
 
     /// The gradient of `eval(v)` with respect to the four η parameters.
     pub fn grad_eta(&self, v: f64) -> [f64; 4] {
-        let [_, e2, e3, e4] = self.eta;
+        self.eval_with_grad_eta(v).1
+    }
+
+    /// `eval(v)` and `grad_eta(v)` from one `tanh`: the one formula the fit's
+    /// residual-and-Jacobian pass uses, bit-identical to the two separate
+    /// calls.
+    pub fn eval_with_grad_eta(&self, v: f64) -> (f64, [f64; 4]) {
+        let [e1, e2, e3, e4] = self.eta;
         let u = (v - e3) * e4;
         let t = u.tanh();
         let sech2 = 1.0 - t * t;
-        [1.0, t, -e2 * e4 * sech2, e2 * (v - e3) * sech2]
+        (
+            e1 + e2 * t,
+            [1.0, t, -e2 * e4 * sech2, e2 * (v - e3) * sech2],
+        )
     }
 
     /// The negated curve `−ptanh(v)`, i.e. the model of the negative-weight
@@ -156,19 +166,19 @@ pub fn fit_ptanh_with(points: &[(f64, f64)], options: LmOptions) -> Result<Ptanh
             let curve = Ptanh {
                 eta: [p[0], p[1], p[2], p[3]],
             };
-            let mut r: Vec<f64> = points.iter().map(|&(x, y)| curve.eval(x) - y).collect();
+            // One pass, one `tanh` per sample: the n data rows, then the
+            // 4 anchor rows (diagonal, zero elsewhere).
+            let mut r = Vec::with_capacity(n + 4);
+            let mut j = Matrix::zeros(n + 4, 4);
+            for (row, &(x, y)) in j.as_mut_slice().chunks_exact_mut(4).zip(points) {
+                let (value, grad) = curve.eval_with_grad_eta(x);
+                r.push(value - y);
+                row.copy_from_slice(&grad);
+            }
             for k in 0..4 {
                 r.push(ETA_PRIOR_WEIGHT[k] * (p[k] - ETA_PRIOR[k]));
+                j[(n + k, k)] = ETA_PRIOR_WEIGHT[k];
             }
-            let j = Matrix::from_fn(n + 4, 4, |i, col| {
-                if i < n {
-                    curve.grad_eta(points[i].0)[col]
-                } else if i - n == col {
-                    ETA_PRIOR_WEIGHT[col]
-                } else {
-                    0.0
-                }
-            });
             (r, j)
         })?;
         let better = best.as_ref().is_none_or(|(c, _)| result.cost < *c);
@@ -331,6 +341,17 @@ mod tests {
             dn.eta[k] -= h;
             let fd = (up.eval(v) - dn.eval(v)) / (2.0 * h);
             assert!((fd - gk).abs() < 1e-6, "component {k}: {fd} vs {gk}");
+        }
+    }
+
+    #[test]
+    fn fused_value_is_eval_bit_for_bit() {
+        let p = Ptanh {
+            eta: [0.4, -0.3, 0.6, 5.0],
+        };
+        for i in 0..50 {
+            let v = i as f64 / 49.0 - 0.2;
+            assert_eq!(p.eval_with_grad_eta(v).0.to_bits(), p.eval(v).to_bits());
         }
     }
 
