@@ -15,6 +15,7 @@ static OBS_ENTRIES: Counter = Counter::new("surrogate.dataset.entries");
 static OBS_FAIL_BUILD: Counter = Counter::new("surrogate.dataset.failures.build");
 static OBS_FAIL_SWEEP: Counter = Counter::new("surrogate.dataset.failures.sweep");
 static OBS_FAIL_FIT: Counter = Counter::new("surrogate.dataset.failures.fit");
+static OBS_UNCONVERGED_FITS: Counter = Counter::new("surrogate.dataset.unconverged_fits");
 static OBS_FIT_RMSE: Histogram = Histogram::new("surrogate.dataset.fit_rmse");
 static OBS_CHUNK_SECONDS: Histogram = Histogram::new("surrogate.dataset.chunk_seconds");
 
@@ -26,6 +27,7 @@ fn obs_register() {
         OBS_FAIL_BUILD.register();
         OBS_FAIL_SWEEP.register();
         OBS_FAIL_FIT.register();
+        OBS_UNCONVERGED_FITS.register();
         OBS_FIT_RMSE.register();
         OBS_CHUNK_SECONDS.register();
     });
@@ -425,6 +427,9 @@ fn characterize_point(
         .transfer_curve(grid)
         .map_err(|e| fail(FailureStage::Sweep, e.to_string()))?;
     let fit = fit_ptanh(&curve).map_err(|e| fail(FailureStage::Fit, e.to_string()))?;
+    if !fit.converged {
+        OBS_UNCONVERGED_FITS.increment();
+    }
     Ok(DatasetEntry {
         omega: *omega,
         eta: fit.curve.eta,

@@ -12,10 +12,13 @@ use printed_neuromorphic::fit::fit_ptanh;
 use printed_neuromorphic::linalg::ParallelConfig;
 use printed_neuromorphic::obs;
 use printed_neuromorphic::pnn::{LabeledData, Pnn, PnnConfig, TrainConfig, TrainReport, Trainer};
-use printed_neuromorphic::spice::circuits::{characteristic_curve, NonlinearCircuitParams};
+use printed_neuromorphic::spice::circuits::{
+    characteristic_curve, NonlinearCircuitParams, PtanhCircuit, VDD,
+};
+use printed_neuromorphic::spice::sweep::linspace;
 use printed_neuromorphic::spice::{DcSolver, FaultInjection};
 use printed_neuromorphic::surrogate::{
-    build_dataset, DatasetConfig, StreamBuilder, StreamConfig, SurrogateModel,
+    build_dataset, DatasetConfig, DesignSpace, StreamBuilder, StreamConfig, SurrogateModel,
 };
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
@@ -40,6 +43,7 @@ const DOCUMENTED_COUNTERS: &[&str] = &[
     "fit.ptanh.fits",
     "surrogate.dataset.points",
     "surrogate.dataset.entries",
+    "surrogate.dataset.unconverged_fits",
 ];
 
 const DOCUMENTED_HISTOGRAMS: &[&str] = &[
@@ -169,6 +173,40 @@ fn streamed_build_counts_failures_by_stage_and_fit_rmse() {
             .map(|h| h.count),
         Some(report.entries as u64)
     );
+    obs::reset();
+}
+
+/// `surrogate.dataset.unconverged_fits` equals a recount of the kept fits
+/// that report no convergence, made by fitting the same design points'
+/// sweeps directly.
+#[test]
+fn unconverged_fits_counter_matches_a_recount() {
+    const POINTS: usize = 48;
+    const SWEEP: usize = 61;
+    let _guard = test_lock();
+    let config = DatasetConfig {
+        parallel: ParallelConfig::with_threads(2),
+        ..DatasetConfig::new(POINTS, SWEEP)
+    };
+    obs::reset();
+    let data = build_dataset(&config, None).expect("builds");
+    let counted = obs::snapshot().counter("surrogate.dataset.unconverged_fits");
+    assert!(data.failures.is_empty(), "{:?}", data.failures);
+
+    let grid = linspace(0.0, VDD, SWEEP);
+    let recount = DesignSpace::paper()
+        .sample(POINTS)
+        .expect("samples")
+        .into_iter()
+        .filter(|omega| {
+            let curve = PtanhCircuit::build(&NonlinearCircuitParams::from_array(*omega))
+                .and_then(|mut circuit| circuit.transfer_curve(&grid))
+                .expect("simulates");
+            !fit_ptanh(&curve).expect("fits").converged
+        })
+        .count() as u64;
+    assert!(recount > 0, "the fixed build keeps an unconverged fit");
+    assert_eq!(counted, Some(recount));
     obs::reset();
 }
 
