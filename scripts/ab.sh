@@ -9,10 +9,11 @@
 # in each, then runs <pairs> alternating untraced pairs with the command of
 # BENCHMARK.json, the parent first in odd pairs and the change first in even
 # ones. Each run's result file is kept under
-# target/ab/<workload>-s<seed>/{parent,change}/, and the benchmark's
-# `compare` prints the verdict per end-to-end metric at the end; the script
-# exits with its status. `seed` defaults to 1 and `seconds` to the 10 s of
-# BENCHMARK.json.
+# target/ab/<workload>-s<seed>/{parent,change}/. Every pair prints both
+# sides' `throughput` and the pairs the change won; the benchmark's
+# `compare` prints the verdict per end-to-end metric at the end, and the
+# script exits with its status. `seed` defaults to 1 and `seconds` to the
+# 10 s of BENCHMARK.json.
 #
 # It writes only under target/; the benchmark/ of this checkout is untouched.
 set -euo pipefail
@@ -59,12 +60,18 @@ run() {
     rmdir "$out"
 }
 
+# The `throughput` value of one result file.
+throughput() {
+    grep -A1 '"throughput": {' "$1" | sed -n 's/.*"value": \([^,]*\),*/\1/p'
+}
+
 checkout parent "$parent_rev"
 checkout change "$change_rev"
 
 results=$ab/$workload-s$seed
 rm -rf "$results"
 mkdir -p "$results/parent" "$results/change"
+wins=0
 for pair in $(seq 1 "$pairs"); do
     if [ $((pair % 2)) -eq 1 ]; then
         run parent "$pair"
@@ -73,8 +80,12 @@ for pair in $(seq 1 "$pairs"); do
         run change "$pair"
         run parent "$pair"
     fi
-    echo "pair $pair/$pairs done" >&2
+    p=$(throughput "$results/parent/run-$pair.json")
+    c=$(throughput "$results/change/run-$pair.json")
+    echo "pair $pair/$pairs: throughput parent $p change $c" >&2
+    wins=$((wins + $(awk -v p="$p" -v c="$c" 'BEGIN { print (c > p) }')))
 done
+echo "the change had the higher throughput in $wins of $pairs pairs" >&2
 
 cd "$ab/change"
 "${bench[@]}" compare "$results/parent" "$results/change"
