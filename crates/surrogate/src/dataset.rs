@@ -9,7 +9,8 @@ use pnc_spice::DcSolver;
 use serde::{Deserialize, Serialize};
 
 // Observability: one family for every dataset build, in memory or
-// streamed, fed by `Characterizer::chunk`. Catalogued in docs/METRICS.md.
+// streamed, fed by `Characterizer::chunk` (`unconverged_fits` by
+// `characterize_point`). Catalogued in docs/METRICS.md.
 static OBS_POINTS: Counter = Counter::new("surrogate.dataset.points");
 static OBS_ENTRIES: Counter = Counter::new("surrogate.dataset.entries");
 static OBS_FAIL_BUILD: Counter = Counter::new("surrogate.dataset.failures.build");
