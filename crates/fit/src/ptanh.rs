@@ -54,6 +54,9 @@ impl Ptanh {
     }
 
     /// The gradient of `eval(v)` with respect to the four η parameters.
+    ///
+    /// Part of `Ptanh`'s public API next to `eval`, for callers that need
+    /// the gradient alone; the fit itself calls [`Ptanh::eval_with_grad_eta`].
     pub fn grad_eta(&self, v: f64) -> [f64; 4] {
         self.eval_with_grad_eta(v).1
     }
