@@ -1576,6 +1576,43 @@ mod tests {
         assert_eq!(wrapped.get(x), reference.get(x_f));
     }
 
+    /// Output pin of the reference backward: an FNV-1a-64 digest, word by
+    /// word over `f64::to_bits`, of every gradient slot
+    /// [`Graph::backward_reference`] fills on the mixed tape (constants
+    /// included, empty slots marked), plus the shape it reports for a
+    /// non-scalar loss. Unlike the differential tests, which compare two
+    /// implementations of today's code, the constant holds across code
+    /// changes: an edit that moves both the same way moves the digest.
+    #[test]
+    fn backward_reference_output_is_pinned() {
+        const DIGEST: u64 = 0x3d2b_8f2c_f42d_fba2;
+        let mut digest = 0xcbf2_9ce4_8422_2325_u64;
+        let mut mix = |word: u64| digest = (digest ^ word).wrapping_mul(0x0000_0100_0000_01b3);
+        for seed in [0.0, 0.05] {
+            let mut g = Graph::new();
+            let (loss, w, _) = build_mixed_tape(&mut g, seed);
+            let store = g.backward_reference(loss).unwrap();
+            assert_eq!(store.grads.len(), g.len());
+            for slot in &store.grads {
+                let Some(grad) = slot else {
+                    mix(u64::MAX);
+                    continue;
+                };
+                let (r, c) = grad.shape();
+                mix(r as u64);
+                mix(c as u64);
+                for v in grad.as_slice() {
+                    mix(v.to_bits());
+                }
+            }
+            assert_eq!(
+                g.backward_reference(w).unwrap_err(),
+                AutodiffError::NonScalarLoss { shape: (2, 2) }
+            );
+        }
+        assert_eq!(digest, DIGEST, "digest {digest:#018x}");
+    }
+
     #[test]
     fn reset_reuse_cycles_stay_bit_identical() {
         // One graph + one store reused across draws must reproduce the bits

@@ -713,7 +713,8 @@ mod tests {
     /// over `f64::to_bits`, of what [`Matrix::matmul_reference`] returns on
     /// fixed odd-shaped operands, some of them crossing the 64-element
     /// blocking tiles of the kernels it checks. A change to its arithmetic
-    /// or to its summation order moves the digest.
+    /// or to its summation order moves the digest; the output shapes and
+    /// the error for mismatched operands are pinned alongside.
     #[test]
     fn matmul_reference_output_is_pinned() {
         const DIGEST: u64 = 0x1157_5378_bd20_c4ff;
@@ -728,11 +729,21 @@ mod tests {
         ] {
             let a = Matrix::from_fn(m, k, |i, j| ((i * 31 + j * 17) % 23) as f64 * 0.37 - 4.1);
             let b = Matrix::from_fn(k, n, |i, j| ((i * 13 + j * 7) % 19) as f64 * -0.29 + 2.3);
-            for v in a.matmul_reference(&b).unwrap().as_slice() {
+            let c = a.matmul_reference(&b).unwrap();
+            assert_eq!(c.shape(), (m, n));
+            for v in c.as_slice() {
                 digest = (digest ^ v.to_bits()).wrapping_mul(0x0000_0100_0000_01b3);
             }
         }
         assert_eq!(digest, DIGEST, "digest {digest:#018x}");
+        assert_eq!(
+            Matrix::zeros(2, 3).matmul_reference(&Matrix::zeros(4, 5)),
+            Err(LinalgError::DimensionMismatch {
+                op: "matmul",
+                lhs: (2, 3),
+                rhs: (4, 5),
+            })
+        );
     }
 
     #[test]

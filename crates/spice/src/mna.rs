@@ -1176,6 +1176,31 @@ mod tests {
         assert!((sol.voltage(n) - 1.0).abs() < 1e-6);
     }
 
+    /// Newton damping limits node voltages only. A 1 V source across
+    /// 10 mΩ settles its 100 A branch current in the first step while the
+    /// node voltage climbs `max_step` per iteration, on the full-Newton
+    /// and the cached modified-Newton branch alike.
+    #[test]
+    fn damping_limits_node_voltages_but_not_source_currents() {
+        let mut c = Circuit::new();
+        let a = c.new_node();
+        c.vsource(a, GROUND, 1.0).unwrap();
+        c.resistor(a, GROUND, 0.01).unwrap();
+        let solver = DcSolver::new();
+        let full = solver.solve(&c).unwrap();
+        let modified = solver
+            .solve_with_cache(&c, None, &mut NewtonCache::new())
+            .unwrap();
+        for (sol, factorizations, current_bits) in [
+            (&full, 5, 0xc059_0000_0000_0045_u64),
+            (&modified, 4, 0xc059_0000_0000_0046),
+        ] {
+            let d = sol.diagnostics();
+            assert_eq!((d.iterations, d.factorizations), (5, factorizations));
+            assert_eq!(sol.source_current(0).to_bits(), current_bits);
+        }
+    }
+
     #[test]
     fn floating_node_is_pulled_to_ground_by_gmin() {
         let mut c = Circuit::new();

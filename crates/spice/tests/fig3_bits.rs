@@ -8,6 +8,10 @@
 //! recorded from the dense-LU oracle before the dense and sparse assemblies
 //! were merged into one stamp pass; a deliberate numeric change must
 //! re-record them and say why.
+//!
+//! A second digest pins the same 61 points solved without a cache, i.e.
+//! the classic full-Newton branch that warm-started `solve_with_guess`
+//! calls and the recovery ladder run.
 
 use pnc_spice::circuits::{NonlinearCircuitParams, PtanhCircuit, VDD};
 use pnc_spice::sweep::linspace;
@@ -107,4 +111,38 @@ fn nominal_fig3_sweep_is_bit_identical_to_the_recorded_oracle() {
         }
     }
     assert_eq!(digest, DIGEST, "digest of every node voltage and current");
+}
+
+/// Word-wise FNV-1a over, per point of the cache-less sweep: iterations,
+/// factorizations, every node voltage (ground excluded) and both source
+/// currents.
+const FULL_NEWTON_DIGEST: u64 = 0x189a_30c8_6f62_13e1;
+
+#[test]
+fn cacheless_fig3_sweep_is_bit_identical_to_the_recorded_oracle() {
+    let ckt = PtanhCircuit::build(&NonlinearCircuitParams::nominal()).expect("builds");
+    let mut circuit = ckt.circuit().clone();
+    let mut guess: Option<Vec<f64>> = None;
+    let mut digest: u64 = 0xcbf2_9ce4_8422_2325;
+    for v in linspace(0.0, VDD, POINTS.len()) {
+        circuit
+            .set_vsource(ckt.input_source(), v)
+            .expect("input source");
+        let sol = ckt
+            .solver()
+            .solve_with_guess(&circuit, guess.as_deref())
+            .expect("nominal point converges");
+        let d = sol.diagnostics();
+        let counts = [d.iterations as u64, d.factorizations as u64];
+        let currents = [sol.source_current(0), sol.source_current(1)];
+        let bits = sol.voltages()[1..]
+            .iter()
+            .chain(&currents)
+            .map(|v| v.to_bits());
+        for word in counts.into_iter().chain(bits) {
+            digest = (digest ^ word).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        guess = Some(sol.voltages()[1..].to_vec());
+    }
+    assert_eq!(digest, FULL_NEWTON_DIGEST, "digest {digest:#018x}");
 }

@@ -931,6 +931,38 @@ mod tests {
         }
     }
 
+    /// Golden pin of the record bytes: FNV-1a-64 over one entry, one
+    /// failure record per [`FailureStage`], and a failure whose multi-byte
+    /// cause overruns [`CAUSE_CAP`] mid-character. The decoder ignores a
+    /// failure's η, RMSE and padding, so only these bytes hold them fixed.
+    #[test]
+    fn failure_record_bytes_are_pinned() {
+        const RECORDS_FNV: u64 = 0x9756_5d66_789c_7a06;
+        let stage_failure = |index: usize, stage: FailureStage, cause: String| {
+            StoreRecord::Failure(FailureRecord {
+                index,
+                omega: std::array::from_fn(|k| index as f64 - 0.25 * k as f64),
+                stage,
+                cause,
+            })
+        };
+        let records = [
+            entry(7),
+            stage_failure(11, FailureStage::Build, "netlist rejected".into()),
+            stage_failure(12, FailureStage::Sweep, "no convergence".into()),
+            stage_failure(13, FailureStage::Fit, "fit diverged".into()),
+            // 3-byte chars: CAUSE_CAP falls inside one, so the cut backs off.
+            stage_failure(14, FailureStage::Fit, "€".repeat(CAUSE_CAP / 2)),
+        ];
+        let mut bytes = Vec::new();
+        for r in &records {
+            let encoded = r.encode();
+            assert_eq!(encoded.len(), RECORD_BYTES);
+            bytes.extend_from_slice(&encoded);
+        }
+        assert_eq!(fnv1a64(&bytes), RECORDS_FNV, "{:#018x}", fnv1a64(&bytes));
+    }
+
     #[test]
     fn long_causes_truncate_at_char_boundaries() {
         let long_cause = "é".repeat(CAUSE_CAP); // 2 bytes per char
