@@ -764,7 +764,8 @@ impl Graph {
     ///
     /// Kept — like [`Matrix::matmul_reference`] — as the independent
     /// reference the equivalence tests check [`Graph::backward_into`]
-    /// against bitwise. Not for hot loops.
+    /// against bitwise. Not for hot loops. Its output is pinned by
+    /// `backward_reference_output_is_pinned`.
     ///
     /// # Errors
     ///

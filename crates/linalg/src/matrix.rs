@@ -246,7 +246,7 @@ impl Matrix {
 
     /// Naive triple-loop matrix product: the bit-exactness oracle for the
     /// blocked and transpose kernels. Prefer [`Matrix::matmul`] everywhere
-    /// else.
+    /// else. Its output is pinned by `matmul_reference_output_is_pinned`.
     ///
     /// # Errors
     ///
@@ -709,7 +709,7 @@ mod tests {
         assert_eq!(a.matmul(&b).unwrap(), a.matmul_reference(&b).unwrap());
     }
 
-    /// Output pin of the frozen oracle: an FNV-1a-64 digest, word by word
+    /// Output pin of the reference oracle: an FNV-1a-64 digest, word by word
     /// over `f64::to_bits`, of what [`Matrix::matmul_reference`] returns on
     /// fixed odd-shaped operands, some of them crossing the 64-element
     /// blocking tiles of the kernels it checks. A change to its arithmetic

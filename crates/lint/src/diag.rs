@@ -2,17 +2,14 @@
 
 use std::fmt;
 
-/// Lifecycle state of a finding after suppressions and the baseline have
-/// been applied.
+/// Lifecycle state of a finding after suppressions have been applied.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Status {
-    /// Unsuppressed, not covered by the baseline — fails `check`.
+    /// Unsuppressed — fails `check`.
     New,
     /// Silenced by an inline `pnc-lint: allow(...)` comment; carries the
     /// stated reason.
     Suppressed(String),
-    /// Covered by the checked-in ratchet baseline (pre-existing debt).
-    Baselined,
 }
 
 /// One diagnostic produced by a rule (or by the engine's suppression
@@ -29,7 +26,7 @@ pub struct Finding {
     pub col: u32,
     /// Human-readable explanation with the remedy.
     pub message: String,
-    /// Suppression/baseline state.
+    /// Suppression state.
     pub status: Status,
 }
 

@@ -1,31 +1,22 @@
 //! Ties the rules together: runs them over a set of files and documents,
 //! applies inline suppressions, and reports suppression hygiene.
 
-use crate::baseline::OracleEntry;
 use crate::diag::{sort_findings, Finding, Status};
 use crate::docs::Docs;
 use crate::rules::{self, SUPPRESSION_RULE};
 use crate::source::SourceFile;
 use crate::structural;
-use std::collections::BTreeMap;
 use std::collections::BTreeSet;
 
 /// Runs every rule over `files` + `docs`, applies suppressions, and returns
-/// the findings in stable order. `oracles` is the registry section of the
-/// baseline (input to `oracle-freeze`); the ratchet *counts* are still a
-/// separate post-processing step ([`crate::baseline::apply`]) so callers
-/// can inspect pre-baseline state.
-pub fn analyze(
-    files: &[SourceFile],
-    docs: &Docs,
-    oracles: &BTreeMap<String, OracleEntry>,
-) -> Vec<Finding> {
+/// the findings in stable order.
+pub fn analyze(files: &[SourceFile], docs: &Docs) -> Vec<Finding> {
     let mut findings = Vec::new();
     for file in files {
         findings.extend(rules::check_file(file));
     }
     findings.extend(rules::check_workspace(files, docs));
-    findings.extend(structural::check_structural(files, oracles));
+    findings.extend(structural::check_structural(files));
 
     // Apply inline suppressions: a suppression covers findings of its rule
     // on its own line and the line directly below — and when suppressions

@@ -11,21 +11,16 @@
 //!   (`no-hash-iteration`), and no rayon outside the one ordered helper,
 //!   `ParallelConfig::ordered_par_map` (`rayon-confinement`).
 //! * **Panic-freedom** — shipping code returns `Result` instead of
-//!   aborting (`no-panic-in-lib`, ratcheted down via a checked-in
-//!   baseline), and every crate keeps `#![forbid(unsafe_code)]`
-//!   (`forbid-unsafe-kept`).
+//!   aborting (`no-panic-in-lib`), and every crate keeps
+//!   `#![forbid(unsafe_code)]` (`forbid-unsafe-kept`).
 //! * **Doc/code consistency** — metric names match `docs/METRICS.md` 1:1
 //!   (`metric-key-drift`) and every `PNC_…` environment variable read is in
 //!   the README table (`env-var-registry`).
 //!
 //! On top of the flat token rules, a structural layer ([`scope`],
-//! [`fingerprint`], [`callgraph`], [`structural`]) adds three rules that
-//! reason about extents instead of lines:
+//! [`callgraph`], [`structural`]) adds two rules that reason about extents
+//! instead of lines:
 //!
-//! * **`oracle-freeze`** — the registry in `lint_baseline.json` pins
-//!   content hashes of the designated oracle fns (`matmul_reference`,
-//!   `backward_reference`, `newton_dense`); any body edit is a finding
-//!   until re-frozen with `update-oracles --justify`.
 //! * **`panic-reachability`** — walks the workspace call graph from every
 //!   `pub` library fn to residual panic sites (including `[]` indexing in
 //!   the input-facing crates) and reports the shortest call path.
@@ -44,22 +39,18 @@
 //! architecture notes are DESIGN.md §10. Run it as:
 //!
 //! ```text
-//! cargo run -p pnc-lint -- check            # gate: nonzero exit on new findings
-//! cargo run -p pnc-lint -- report           # everything, including suppressed
-//! cargo run -p pnc-lint -- update-baseline  # re-ratchet after paying down debt
-//! cargo run -p pnc-lint -- update-oracles --justify "<why>"  # re-freeze oracles
-//! cargo run -p pnc-lint -- rules            # list rule ids and summaries
+//! cargo run -p pnc-lint -- check    # gate: nonzero exit on any unsuppressed finding
+//! cargo run -p pnc-lint -- report   # everything, including suppressed
+//! cargo run -p pnc-lint -- rules    # list rule ids and summaries
 //! ```
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
-pub mod baseline;
 pub mod callgraph;
 pub mod diag;
 pub mod docs;
 pub mod engine;
-pub mod fingerprint;
 pub mod lexer;
 pub mod report;
 pub mod rules;

@@ -2,15 +2,11 @@
 
 #![forbid(unsafe_code)]
 
-use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use pnc_lint::baseline::{self, Baseline, OracleEntry};
 use pnc_lint::diag::Status;
-use pnc_lint::fingerprint::fn_fingerprint;
-use pnc_lint::structural::REQUIRED_ORACLES;
-use pnc_lint::{engine, report, rules, workspace, FileKind};
+use pnc_lint::{engine, report, rules, workspace};
 use pnc_obs::{Counter, Histogram, Span};
 
 /// Files scanned per invocation (satellite of the observability contract:
@@ -30,49 +26,41 @@ USAGE:
     pnc-lint <COMMAND> [OPTIONS]
 
 COMMANDS:
-    check             Fail (exit 1) on unsuppressed, non-baselined findings
-    report            Print every finding, including suppressed/baselined
-    update-baseline   Rewrite the ratchet baseline from current findings
-    update-oracles    Re-freeze oracle fn hashes (requires --justify)
-    rules             List rule ids and one-line summaries
-    help              Show this message
+    check     Fail (exit 1) on any unsuppressed finding
+    report    Print every finding, including suppressed ones
+    rules     List rule ids and one-line summaries
+    help      Show this message
 
 OPTIONS:
     --root <DIR>        Workspace root (default: auto-detected from cwd)
-    --baseline <PATH>   Baseline file (default: <root>/lint_baseline.json)
     --report <PATH>     JSON report path (default: <root>/artifacts/lint_report.json)
     --no-report         Skip writing the JSON report
-    --justify <TEXT>    Justification recorded with update-oracles (mandatory)
 ";
 
 struct Options {
     command: String,
     root: Option<PathBuf>,
-    baseline: Option<PathBuf>,
     report: Option<PathBuf>,
     no_report: bool,
-    justify: Option<String>,
 }
 
 fn parse_args(args: &[String]) -> Result<Options, String> {
     let mut opts = Options {
         command: String::new(),
         root: None,
-        baseline: None,
         report: None,
         no_report: false,
-        justify: None,
     };
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
-            "--root" | "--baseline" | "--report" | "--justify" => {
+            "--root" | "--report" => {
                 let value = it.next().ok_or_else(|| format!("{arg} requires a value"))?;
-                match arg.as_str() {
-                    "--root" => opts.root = Some(PathBuf::from(value)),
-                    "--baseline" => opts.baseline = Some(PathBuf::from(value)),
-                    "--report" => opts.report = Some(PathBuf::from(value)),
-                    _ => opts.justify = Some(value.clone()),
+                let path = Some(PathBuf::from(value));
+                if arg == "--root" {
+                    opts.root = path;
+                } else {
+                    opts.report = path;
                 }
             }
             "--no-report" => opts.no_report = true,
@@ -114,8 +102,7 @@ fn run(opts: &Options) -> Result<ExitCode, String> {
         }
         "rules" => {
             for rule in rules::RULES {
-                let ratchet = if rule.baselinable { " [baselined]" } else { "" };
-                println!("{:<26} {}{}", rule.id, rule.summary, ratchet);
+                println!("{:<26} {}", rule.id, rule.summary);
             }
             println!(
                 "{:<26} engine hygiene: malformed/unknown/unused suppressions (not suppressible)",
@@ -123,7 +110,7 @@ fn run(opts: &Options) -> Result<ExitCode, String> {
             );
             return Ok(ExitCode::SUCCESS);
         }
-        "check" | "report" | "update-baseline" | "update-oracles" => {}
+        "check" | "report" => {}
         other => return Err(format!("unknown command `{other}`\n\n{USAGE}")),
     }
 
@@ -139,44 +126,9 @@ fn run(opts: &Options) -> Result<ExitCode, String> {
     let ws = workspace::load(&root).map_err(|e| format!("loading workspace: {e}"))?;
     OBS_FILES.add(ws.files.len() as u64);
 
-    let baseline_path = opts
-        .baseline
-        .clone()
-        .unwrap_or_else(|| root.join("lint_baseline.json"));
-    let old_baseline = if baseline_path.is_file() {
-        let text = std::fs::read_to_string(&baseline_path)
-            .map_err(|e| format!("reading {}: {e}", baseline_path.display()))?;
-        Baseline::parse(&text).map_err(|e| format!("parsing {}: {e}", baseline_path.display()))?
-    } else {
-        Baseline::default()
-    };
-
-    if opts.command == "update-oracles" {
-        return update_oracles(opts, &ws, old_baseline, &baseline_path);
-    }
-
-    let mut findings = engine::analyze(&ws.files, &ws.docs, &old_baseline.oracles);
+    let findings = engine::analyze(&ws.files, &ws.docs);
     OBS_FINDINGS.add(findings.len() as u64);
     OBS_RULES_RUN.add(rules::RULES.len() as u64 + 1);
-
-    if opts.command == "update-baseline" {
-        let mut new_baseline = Baseline::from_findings(&findings);
-        // The oracle registry is not a ratchet — re-baselining must never
-        // silently unfreeze an oracle.
-        new_baseline.oracles = old_baseline.oracles;
-        std::fs::write(&baseline_path, new_baseline.to_json())
-            .map_err(|e| format!("writing {}: {e}", baseline_path.display()))?;
-        println!(
-            "baseline written: {} ({} entries, {} findings, {} oracles preserved)",
-            baseline_path.display(),
-            new_baseline.counts.len(),
-            new_baseline.counts.values().sum::<u64>(),
-            new_baseline.oracles.len()
-        );
-        return Ok(ExitCode::SUCCESS);
-    }
-
-    let stale = baseline::apply(&mut findings, &old_baseline);
 
     if !opts.no_report {
         let report_path = opts
@@ -194,19 +146,12 @@ fn run(opts: &Options) -> Result<ExitCode, String> {
 
     let show_all = opts.command == "report";
     let mut new = 0usize;
-    let mut baselined = 0usize;
     let mut suppressed = 0usize;
     for f in &findings {
         match &f.status {
             Status::New => {
                 new += 1;
                 println!("{f}");
-            }
-            Status::Baselined => {
-                baselined += 1;
-                if show_all {
-                    println!("{f} (baselined)");
-                }
             }
             Status::Suppressed(reason) => {
                 suppressed += 1;
@@ -216,18 +161,10 @@ fn run(opts: &Options) -> Result<ExitCode, String> {
             }
         }
     }
-    for entry in &stale {
-        println!(
-            "note: baseline entry `{}` records {} findings but only {} remain — run \
-             `cargo run -p pnc-lint -- update-baseline` to ratchet down",
-            entry.key, entry.recorded, entry.current
-        );
-    }
     println!(
-        "pnc-lint: {} files, {} new, {} baselined, {} suppressed",
+        "pnc-lint: {} files, {} new, {} suppressed",
         ws.files.len(),
         new,
-        baselined,
         suppressed
     );
     if opts.command == "check" && new > 0 {
@@ -238,89 +175,4 @@ fn run(opts: &Options) -> Result<ExitCode, String> {
         return Ok(ExitCode::FAILURE);
     }
     Ok(ExitCode::SUCCESS)
-}
-
-/// Recomputes the pinned hash of every registered oracle (seeding the
-/// required three if absent) and records the mandatory justification on
-/// each entry whose hash actually changed.
-fn update_oracles(
-    opts: &Options,
-    ws: &workspace::Workspace,
-    mut baseline: Baseline,
-    baseline_path: &std::path::Path,
-) -> Result<ExitCode, String> {
-    let justify = opts
-        .justify
-        .as_deref()
-        .map(str::trim)
-        .filter(|j| !j.is_empty())
-        .ok_or(
-            "update-oracles requires --justify \"<why the pinned bodies are the trusted \
-             oracles>\" — freezes are auditable by design",
-        )?;
-
-    // Seed required oracles that are missing from the registry.
-    for req in REQUIRED_ORACLES {
-        let present = baseline
-            .oracles
-            .keys()
-            .any(|k| k.split_once(' ').map(|(q, _)| q) == Some(*req));
-        if present {
-            continue;
-        }
-        let Some((file, _)) = find_oracle_fn(ws, req) else {
-            return Err(format!(
-                "required oracle `{req}` was not found in any library file; cannot seed it"
-            ));
-        };
-        baseline
-            .oracles
-            .insert(format!("{req} {}", file), OracleEntry::default());
-    }
-
-    let mut frozen = 0usize;
-    let mut unchanged = 0usize;
-    let mut updated: BTreeMap<String, OracleEntry> = BTreeMap::new();
-    for (key, entry) in &baseline.oracles {
-        let Some((qual, path)) = key.split_once(' ') else {
-            return Err(format!("malformed oracle registry key `{key}`"));
-        };
-        let Some(file) = ws.files.iter().find(|f| f.path == path) else {
-            return Err(format!("oracle `{qual}`: file `{path}` not found"));
-        };
-        let Some(item) = file.fns.iter().find(|f| f.qual == qual || f.name == qual) else {
-            return Err(format!("oracle fn `{qual}` not found in `{path}`"));
-        };
-        let hash = fn_fingerprint(&file.tokens, item);
-        let mut new_entry = entry.clone();
-        if entry.hash == hash && !entry.justification.trim().is_empty() {
-            unchanged += 1;
-        } else {
-            new_entry.hash = hash;
-            new_entry.justification = justify.to_string();
-            frozen += 1;
-        }
-        updated.insert(key.clone(), new_entry);
-    }
-    baseline.oracles = updated;
-    std::fs::write(baseline_path, baseline.to_json())
-        .map_err(|e| format!("writing {}: {e}", baseline_path.display()))?;
-    println!(
-        "oracle registry written: {} ({frozen} frozen/re-frozen, {unchanged} unchanged)",
-        baseline_path.display()
-    );
-    Ok(ExitCode::SUCCESS)
-}
-
-/// Finds the library file defining a fn whose qualified name is `qual`.
-fn find_oracle_fn<'a>(ws: &'a workspace::Workspace, qual: &str) -> Option<(&'a str, u32)> {
-    for file in &ws.files {
-        if !matches!(file.kind, FileKind::CrateRoot | FileKind::Lib) {
-            continue;
-        }
-        if let Some(item) = file.fns.iter().find(|f| f.qual == qual) {
-            return Some((&file.path, item.line));
-        }
-    }
-    None
 }

@@ -20,24 +20,19 @@ fn escape(s: &str) -> String {
 }
 
 /// Renders the full report. `files_scanned` is the number of source files
-/// analyzed; findings must already be in final (post-baseline) state.
+/// analyzed; findings must already be in final (post-suppression) state.
 pub fn render(findings: &[Finding], files_scanned: usize) -> String {
     let total = findings.len();
     let new = findings.iter().filter(|f| f.status == Status::New).count();
-    let baselined = findings
-        .iter()
-        .filter(|f| f.status == Status::Baselined)
-        .count();
-    let suppressed = total - new - baselined;
+    let suppressed = total - new;
     // Suppression hygiene rides along with the registered rules.
     let rules_run = crate::rules::RULES.len() + 1;
 
-    let mut out = String::from("{\n  \"schema\": \"pnc-lint-report/2\",\n");
+    let mut out = String::from("{\n  \"schema\": \"pnc-lint-report/3\",\n");
     out.push_str(&format!("  \"files_scanned\": {files_scanned},\n"));
     out.push_str(&format!("  \"rules_run\": {rules_run},\n"));
     out.push_str(&format!(
-        "  \"summary\": {{\"total\": {total}, \"new\": {new}, \"baselined\": {baselined}, \
-         \"suppressed\": {suppressed}}},\n"
+        "  \"summary\": {{\"total\": {total}, \"new\": {new}, \"suppressed\": {suppressed}}},\n"
     ));
     out.push_str("  \"findings\": [");
     for (i, f) in findings.iter().enumerate() {
@@ -46,7 +41,6 @@ pub fn render(findings: &[Finding], files_scanned: usize) -> String {
         }
         let (status, reason) = match &f.status {
             Status::New => ("new", None),
-            Status::Baselined => ("baselined", None),
             Status::Suppressed(reason) => ("suppressed", Some(reason.as_str())),
         };
         out.push_str(&format!(

@@ -20,8 +20,6 @@ pub struct RuleInfo {
     pub id: &'static str,
     /// One-line summary.
     pub summary: &'static str,
-    /// Whether pre-existing findings may live in the ratchet baseline.
-    pub baselinable: bool,
 }
 
 /// Rule id of the engine's own suppression-hygiene diagnostics (malformed,
@@ -33,54 +31,39 @@ pub const RULES: &[RuleInfo] = &[
     RuleInfo {
         id: "no-wallclock",
         summary: "Instant::now/SystemTime only in pnc-obs, pnc-bench, tests, benches, examples",
-        baselinable: false,
     },
     RuleInfo {
         id: "no-hash-iteration",
         summary: "HashMap/HashSet banned in numeric crates (iteration order is nondeterministic)",
-        baselinable: false,
     },
     RuleInfo {
         id: "rayon-confinement",
         summary:
             "rayon is named only in crates/linalg/src/parallel.rs (ParallelConfig::ordered_par_map)",
-        baselinable: false,
     },
     RuleInfo {
         id: "no-panic-in-lib",
         summary: "unwrap/expect/panic!/unreachable!/todo!/unimplemented! banned in shipping code",
-        baselinable: true,
     },
     RuleInfo {
         id: "forbid-unsafe-kept",
         summary: "every crate root must retain #![forbid(unsafe_code)]",
-        baselinable: false,
     },
     RuleInfo {
         id: "metric-key-drift",
         summary: "Counter/Histogram name literals and docs/METRICS.md must match 1:1",
-        baselinable: false,
     },
     RuleInfo {
         id: "env-var-registry",
         summary: "every std::env::var(\"PNC_…\") read must be documented in the README table",
-        baselinable: false,
-    },
-    RuleInfo {
-        id: "oracle-freeze",
-        summary:
-            "registered oracle fns are content-hash-frozen; edits require update-oracles --justify",
-        baselinable: false,
     },
     RuleInfo {
         id: "panic-reachability",
         summary: "no pub library API may reach a residual panic site; shortest call path reported",
-        baselinable: false,
     },
     RuleInfo {
         id: "lock-across-blocking",
         summary: "MutexGuard live across Condvar::wait or TCP/file I/O in pnc-serve",
-        baselinable: false,
     },
 ];
 

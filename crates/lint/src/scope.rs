@@ -1,8 +1,8 @@
 //! A brace-matched item/scope parser over the token stream — deliberately
 //! *not* a full AST.
 //!
-//! The structural rules (`oracle-freeze`, `panic-reachability`,
-//! `lock-across-blocking`) need to know where
+//! The structural rules (`panic-reachability`, `lock-across-blocking`)
+//! need to know where
 //! functions begin and end, what they are called, whether they are `pub`,
 //! and which `impl`/`mod` they live in. Nothing more: expressions stay
 //! opaque token runs, and rules match patterns inside a function's token

@@ -1,6 +1,5 @@
-//! The three structural rules, built on the scope parser
-//! ([`crate::scope`]), content fingerprints ([`crate::fingerprint`]), and
-//! workspace call graph ([`crate::callgraph`]).
+//! The two structural rules, built on the scope parser ([`crate::scope`])
+//! and the workspace call graph ([`crate::callgraph`]).
 //!
 //! Where the flat rules in [`crate::rules`] match token patterns on single
 //! lines, these reason about *extents*: which function a token belongs to,
@@ -9,29 +8,11 @@
 //! positive costs one justified suppression, a false negative costs a
 //! silently broken contract.
 
-use crate::baseline::OracleEntry;
 use crate::callgraph;
 use crate::diag::Finding;
-use crate::fingerprint::fn_fingerprint;
 use crate::lexer::{Token, TokenKind};
 use crate::scope::is_keyword;
 use crate::source::{FileKind, SourceFile};
-use std::collections::BTreeMap;
-
-/// The functions the oracle registry must always pin: the reference
-/// implementations designated in docs/SOLVERS.md and DESIGN.md, plus the
-/// two store codecs whose byte layout the on-disk format version pins
-/// (DESIGN.md §17). The dataset builder and its per-point characterization
-/// are pinned by their output instead
-/// (`crates/surrogate/tests/dataset_digest.rs`). The registry may pin more;
-/// it may not pin fewer.
-pub const REQUIRED_ORACLES: &[&str] = &[
-    "Matrix::matmul_reference",
-    "Graph::backward_reference",
-    "DcSolver::newton_dense",
-    "StoreMeta::encode",
-    "StoreRecord::encode",
-];
 
 /// Crates where `[]` indexing and panicking slice methods count as panic
 /// sites for reachability: their shipping code sits behind
@@ -73,123 +54,14 @@ const BLOCKING_IDENTS: &[&str] = &[
     "send_timeout",
 ];
 
-/// Runs every structural rule. `oracles` is the registry section of the
-/// baseline file (rule input, unlike the ratchet counts which post-process
-/// findings).
-pub fn check_structural(
-    files: &[SourceFile],
-    oracles: &BTreeMap<String, OracleEntry>,
-) -> Vec<Finding> {
+/// Runs every structural rule.
+pub fn check_structural(files: &[SourceFile]) -> Vec<Finding> {
     let mut findings = Vec::new();
-    oracle_freeze(files, oracles, &mut findings);
     panic_reachability(files, &mut findings);
     for file in files {
         lock_across_blocking(file, &mut findings);
     }
     findings
-}
-
-// ---------------------------------------------------------------- oracle-freeze
-
-fn oracle_freeze(
-    files: &[SourceFile],
-    oracles: &BTreeMap<String, OracleEntry>,
-    out: &mut Vec<Finding>,
-) {
-    const RULE: &str = "oracle-freeze";
-    for (key, entry) in oracles {
-        let Some((qual, path)) = key.split_once(' ') else {
-            out.push(Finding::new(
-                RULE,
-                "lint_baseline.json",
-                1,
-                1,
-                format!("malformed oracle registry key `{key}` (expected `<Qual::fn> <path>`)"),
-            ));
-            continue;
-        };
-        let Some(file) = files.iter().find(|f| f.path == path) else {
-            out.push(Finding::new(
-                RULE,
-                path,
-                1,
-                1,
-                format!(
-                    "oracle registry pins `{qual}` in this file, but the file is gone — \
-                     restore it or remove the registry entry with a justification"
-                ),
-            ));
-            continue;
-        };
-        let Some(item) = file.fns.iter().find(|f| f.qual == qual || f.name == qual) else {
-            out.push(Finding::new(
-                RULE,
-                path,
-                1,
-                1,
-                format!(
-                    "frozen oracle fn `{qual}` no longer exists in this file (renamed or \
-                     deleted?); oracles may only change via `update-oracles --justify`"
-                ),
-            ));
-            continue;
-        };
-        if entry.justification.trim().is_empty() {
-            out.push(Finding::new(
-                RULE,
-                path,
-                item.line,
-                item.col,
-                format!(
-                    "oracle registry entry for `{qual}` has no justification; every freeze \
-                     (and re-freeze) must say why the pinned body is the trusted one"
-                ),
-            ));
-        }
-        let actual = fn_fingerprint(&file.tokens, item);
-        if entry.hash.is_empty() {
-            out.push(Finding::new(
-                RULE,
-                path,
-                item.line,
-                item.col,
-                format!(
-                    "oracle `{qual}` is registered but has no pinned hash; run \
-                     `cargo run -p pnc-lint -- update-oracles --justify \"<why>\"`"
-                ),
-            ));
-        } else if actual != entry.hash {
-            out.push(Finding::new(
-                RULE,
-                path,
-                item.line,
-                item.col,
-                format!(
-                    "frozen oracle fn `{qual}` was edited: content hash is {actual}, registry \
-                     pins {}; if the new body is the intended oracle, re-freeze with \
-                     `update-oracles --justify \"<why the change preserves the contract>\"`",
-                    entry.hash
-                ),
-            ));
-        }
-    }
-    for req in REQUIRED_ORACLES {
-        let registered = oracles
-            .keys()
-            .any(|k| k.split_once(' ').map(|(q, _)| q) == Some(req));
-        if !registered {
-            out.push(Finding::new(
-                RULE,
-                "lint_baseline.json",
-                1,
-                1,
-                format!(
-                    "required oracle `{req}` is not pinned in the registry; run \
-                     `update-oracles --justify \"<why>\"` to freeze it"
-                ),
-            ));
-        }
-    }
 }
 
 // ---------------------------------------------------------- panic-reachability

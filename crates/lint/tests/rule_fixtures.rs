@@ -17,7 +17,7 @@ fn run(
     docs: &Docs,
 ) -> Vec<pnc_lint::Finding> {
     let file = SourceFile::parse(path, crate_name, kind, text);
-    analyze(&[file], docs, &std::collections::BTreeMap::new())
+    analyze(&[file], docs)
 }
 
 fn rule_lines(findings: &[pnc_lint::Finding], rule: &str) -> Vec<u32> {

@@ -1,11 +1,9 @@
-//! Self-check: the analyzer must run clean on the real workspace (modulo
-//! the checked-in ratchet baseline). This is the same invariant the CI
-//! `lint` job enforces via `pnc-lint check`; keeping it as a test means
-//! `cargo test` alone catches a regression.
+//! Self-check: the analyzer must run clean on the real workspace. This is
+//! the same invariant the CI `lint` job enforces via `pnc-lint check`;
+//! keeping it as a test means `cargo test` alone catches a regression.
 
 use std::path::Path;
 
-use pnc_lint::baseline::{self, Baseline};
 use pnc_lint::{engine, workspace, Status};
 
 #[test]
@@ -17,15 +15,7 @@ fn real_workspace_has_no_unsuppressed_findings() {
         "workspace discovery looks broken: only {} files",
         ws.files.len()
     );
-    let baseline_path = root.join("lint_baseline.json");
-    let parsed = if baseline_path.is_file() {
-        let text = std::fs::read_to_string(&baseline_path).expect("baseline readable");
-        Baseline::parse(&text).expect("baseline parses")
-    } else {
-        Baseline::default()
-    };
-    let mut findings = engine::analyze(&ws.files, &ws.docs, &parsed.oracles);
-    baseline::apply(&mut findings, &parsed);
+    let findings = engine::analyze(&ws.files, &ws.docs);
 
     let new: Vec<String> = findings
         .iter()
@@ -34,35 +24,9 @@ fn real_workspace_has_no_unsuppressed_findings() {
         .collect();
     assert!(
         new.is_empty(),
-        "pnc-lint found unsuppressed, non-baselined findings:\n{}",
+        "pnc-lint found unsuppressed findings:\n{}",
         new.join("\n")
     );
-}
-
-#[test]
-fn baseline_registry_pins_every_required_oracle() {
-    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-    let text = std::fs::read_to_string(root.join("lint_baseline.json"))
-        .expect("lint_baseline.json exists at the workspace root");
-    let parsed = Baseline::parse(&text).expect("baseline parses");
-    for required in pnc_lint::structural::REQUIRED_ORACLES {
-        let entry = parsed
-            .oracles
-            .iter()
-            .find(|(k, _)| k.split_once(' ').map(|(q, _)| q) == Some(required))
-            .map(|(_, e)| e)
-            .unwrap_or_else(|| panic!("required oracle `{required}` is not in the registry"));
-        assert_eq!(
-            entry.hash.len(),
-            16,
-            "oracle `{required}` has no 16-hex pinned hash: {:?}",
-            entry.hash
-        );
-        assert!(
-            !entry.justification.trim().is_empty(),
-            "oracle `{required}` is pinned without a justification"
-        );
-    }
 }
 
 #[test]

@@ -827,9 +827,12 @@ impl DcSolver {
     }
 
     /// The Newton loop: full dense assembly and dense LU per iteration (or
-    /// modified Newton with `cache`). A frozen oracle: its fingerprint is
-    /// pinned in `lint_baseline.json`, and `crates/spice/tests/fig3_bits.rs`
-    /// pins its output on the Fig. 3 sweep bit for bit.
+    /// modified Newton with `cache`). An oracle pinned by its output:
+    /// `crates/spice/tests/fig3_bits.rs` pins the Fig. 3 sweep bit for bit
+    /// on both branches (`nominal_fig3_sweep_is_bit_identical_to_the_recorded_oracle`
+    /// with a cache, `cacheless_fig3_sweep_is_bit_identical_to_the_recorded_oracle`
+    /// without), and `damping_limits_node_voltages_but_not_source_currents`
+    /// pins which unknowns the damping limits.
     fn newton_dense(
         &self,
         circuit: &Circuit,

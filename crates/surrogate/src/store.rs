@@ -32,10 +32,10 @@
 //! ```
 //!
 //! The header layout (including the format version) and the record layout
-//! are pinned in the `pnc-lint` oracle registry ([`StoreMeta::encode`],
-//! [`StoreRecord::encode`]): changing the format requires an explicit
-//! re-freeze with a justification, because old stores on disk outlive the
-//! code that wrote them. The sampling byte and seed slot are relics of a
+//! are pinned by their bytes ([`StoreMeta::encode`], [`StoreRecord::encode`]
+//! and the golden tests named on each): changing the format requires a
+//! version bump and a migration story, because old stores on disk outlive
+//! the code that wrote them. The sampling byte and seed slot are relics of a
 //! retired active-sampling mode: the writer sets both to zero, and a reader
 //! rejects a header whose sampling byte is not zero rather than resume a
 //! store whose points were not the Sobol' stream.
@@ -251,9 +251,9 @@ impl StoreMeta {
     /// constants, every configuration field, and the trailing checksum.
     ///
     /// This function **is** the on-disk header format (version
-    /// [`FORMAT_VERSION`]); its content hash is pinned in the `pnc-lint`
-    /// oracle registry, so any layout change demands an explicit re-freeze
-    /// with a migration justification.
+    /// [`FORMAT_VERSION`]). `uniform_store_bytes_are_pinned` pins its bytes
+    /// for one fixed configuration, so a layout change fails there and
+    /// needs a format version bump with a migration story.
     pub fn encode(&self) -> Vec<u8> {
         let mut buf = Vec::with_capacity(64 + 16 * OMEGA_DIM);
         buf.extend_from_slice(HEADER_MAGIC);
@@ -404,9 +404,10 @@ impl StoreRecord {
     /// causes longer than [`CAUSE_CAP`] bytes are truncated at a character
     /// boundary (recorded length is the truncated length).
     ///
-    /// This function **is** the on-disk record format; its content hash is
-    /// pinned in the `pnc-lint` oracle registry alongside
-    /// [`StoreMeta::encode`].
+    /// This function **is** the on-disk record format.
+    /// `failure_record_bytes_are_pinned` pins the bytes of an entry and of a
+    /// failure of every stage, and `uniform_store_bytes_are_pinned` those
+    /// of a whole store.
     pub fn encode(&self) -> Vec<u8> {
         let mut buf = Vec::with_capacity(RECORD_BYTES);
         let (index, kind, omega, eta, rmse, cause) = match self {
