@@ -14,8 +14,8 @@
 //! * [`Ptanh`] — the curve model with analytic Jacobian,
 //! * [`levenberg_marquardt`] — a generic damped Gauss–Newton solver over any
 //!   residual model,
-//! * [`fit_ptanh`] — the production entry point with data-driven
-//!   initialization and multi-start fallback.
+//! * [`fit_ptanh`] — the production entry point: data-driven starts, run
+//!   in order until the first whose LM run converges.
 //!
 //! # Examples
 //!

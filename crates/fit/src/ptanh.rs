@@ -1,4 +1,4 @@
-use crate::{levenberg_marquardt, FitError, LmOptions};
+use crate::{levenberg_marquardt, FitError, LmOptions, LmResult};
 use pnc_linalg::Matrix;
 use pnc_obs::{Counter, Histogram};
 use serde::{Deserialize, Serialize};
@@ -148,10 +148,12 @@ const ETA_PRIOR_WEIGHT: [f64; 4] = [0.01, 0.01, 0.01, 0.001];
 /// Fits Eq. 2 to `(V_in, V_out)` samples with explicit optimizer options.
 ///
 /// Initialization is data-driven (plateau levels, half-swing crossing,
-/// steepest slope) with a small deterministic multi-start fallback for flat
-/// or noisy curves. A very light Tikhonov anchor (see the module source)
-/// keeps non-identified parameters of degenerate curves bounded; the
-/// reported [`PtanhFit::rmse`] is computed from the data residuals only.
+/// steepest slope) with fallback starts for flat or noisy curves; the first
+/// start whose LM run converges is kept, else the lowest-cost run. A light
+/// Tikhonov anchor (see the module source) bounds the non-identified η of
+/// degenerate curves; [`PtanhFit::rmse`] is computed from the data residuals
+/// only. Pinned by `ptanh_fits_and_their_lm_work_are_pinned` (fit bits and LM
+/// work) and `in_memory_dataset_is_pinned` (the dataset built from them).
 ///
 /// # Errors
 ///
@@ -160,55 +162,9 @@ pub fn fit_ptanh_with(points: &[(f64, f64)], options: LmOptions) -> Result<Ptanh
     obs_register();
     validate(points)?;
 
-    let starts = initial_guesses(points);
-    let mut best: Option<(f64, crate::LmResult)> = None;
-    let n = points.len();
-
-    for start in starts {
-        let result = levenberg_marquardt(&start, options, |p| {
-            let curve = Ptanh {
-                eta: [p[0], p[1], p[2], p[3]],
-            };
-            // One pass, one `tanh` per sample: the n data rows, then the
-            // 4 anchor rows (diagonal, zero elsewhere).
-            let mut r = Vec::with_capacity(n + 4);
-            let mut j = Matrix::zeros(n + 4, 4);
-            for (row, &(x, y)) in j.as_mut_slice().chunks_exact_mut(4).zip(points) {
-                let (value, grad) = curve.eval_with_grad_eta(x);
-                r.push(value - y);
-                row.copy_from_slice(&grad);
-            }
-            for k in 0..4 {
-                r.push(ETA_PRIOR_WEIGHT[k] * (p[k] - ETA_PRIOR[k]));
-                j[(n + k, k)] = ETA_PRIOR_WEIGHT[k];
-            }
-            (r, j)
-        })?;
-        let better = best.as_ref().is_none_or(|(c, _)| result.cost < *c);
-        if better {
-            best = Some((result.cost, result));
-        }
-        // Early exit on an essentially perfect fit.
-        if best
-            .as_ref()
-            .is_some_and(|(c, _)| *c < 1e-18 * points.len() as f64)
-        {
-            break;
-        }
-    }
-
-    let Some((_, result)) = best else {
-        return Err(FitError::InvalidData {
-            detail: "no optimizer start produced a result".into(),
-        });
-    };
+    let result = keep_run(initial_guesses(points), |s| run_start(points, s, options))?;
     let curve = Ptanh {
-        eta: [
-            result.params[0],
-            result.params[1],
-            result.params[2],
-            result.params[3],
-        ],
+        eta: std::array::from_fn(|k| result.params[k]),
     }
     .canonical();
     // Data-only fit quality (the anchor residuals are excluded).
@@ -223,6 +179,49 @@ pub fn fit_ptanh_with(points: &[(f64, f64)], options: LmOptions) -> Result<Ptanh
         curve,
         rmse,
         converged: result.converged,
+    })
+}
+
+/// One LM run of the anchored Eq. 2 model from `start`.
+fn run_start(points: &[(f64, f64)], start: &[f64], options: LmOptions) -> LmOutcome {
+    let n = points.len();
+    levenberg_marquardt(start, options, |p| {
+        let curve = Ptanh {
+            eta: [p[0], p[1], p[2], p[3]],
+        };
+        // One pass, one `tanh` per sample: the n data rows, then the
+        // 4 anchor rows (diagonal, zero elsewhere).
+        let mut r = Vec::with_capacity(n + 4);
+        let mut j = Matrix::zeros(n + 4, 4);
+        for (row, &(x, y)) in j.as_mut_slice().chunks_exact_mut(4).zip(points) {
+            let (value, grad) = curve.eval_with_grad_eta(x);
+            r.push(value - y);
+            row.copy_from_slice(&grad);
+        }
+        for k in 0..4 {
+            r.push(ETA_PRIOR_WEIGHT[k] * (p[k] - ETA_PRIOR[k]));
+            j[(n + k, k)] = ETA_PRIOR_WEIGHT[k];
+        }
+        (r, j)
+    })
+}
+
+type LmOutcome = Result<LmResult, FitError>;
+
+/// The first converged run, starting none after it; else the cheapest one.
+fn keep_run(starts: Vec<[f64; 4]>, mut lm: impl FnMut(&[f64]) -> LmOutcome) -> LmOutcome {
+    let mut cheapest: Option<LmResult> = None;
+    for start in starts {
+        let run = lm(&start)?;
+        if run.converged {
+            return Ok(run);
+        }
+        if cheapest.as_ref().is_none_or(|c| run.cost < c.cost) {
+            cheapest = Some(run);
+        }
+    }
+    cheapest.ok_or_else(|| FitError::InvalidData {
+        detail: "no optimizer start produced a result".into(),
     })
 }
 
@@ -480,15 +479,129 @@ mod tests {
         let pts = vec![(0.5, 0.0), (0.5, 0.1), (0.5, 0.2), (0.5, 0.3), (0.5, 0.4)];
         assert!(fit_ptanh(&pts).is_err());
     }
+
+    /// The curve `fit_ptanh_with` reports for a kept LM run.
+    pub(super) fn kept_curve(run: &LmResult) -> Ptanh {
+        Ptanh {
+            eta: std::array::from_fn(|k| run.params[k]),
+        }
+        .canonical()
+    }
+
+    /// The fit's stop rule over its own starts, with the LM runs it started.
+    fn counted_keep_run(points: &[(f64, f64)], options: LmOptions) -> (LmResult, usize) {
+        let mut runs = 0;
+        let kept = keep_run(initial_guesses(points), |start| {
+            runs += 1;
+            run_start(points, start, options)
+        })
+        .unwrap();
+        (kept, runs)
+    }
+
+    #[test]
+    fn converged_primary_start_costs_one_lm_run() {
+        let pts = samples(
+            &Ptanh {
+                eta: [0.5, 0.4, 0.55, 9.0],
+            },
+            61,
+        );
+        let (kept, runs) = counted_keep_run(&pts, LmOptions::default());
+        assert!(kept.converged);
+        assert_eq!(runs, 1, "the primary start converged, so no other runs");
+        let fit = fit_ptanh(&pts).unwrap();
+        assert!(fit.converged);
+        assert_eq!(fit.curve, kept_curve(&kept));
+    }
+
+    #[test]
+    fn without_a_converged_start_all_five_run_and_the_cheapest_is_kept() {
+        let options = LmOptions {
+            max_iterations: 1,
+            ..LmOptions::default()
+        };
+        let pts = samples(
+            &Ptanh {
+                eta: [0.5, 0.4, 0.55, 9.0],
+            },
+            61,
+        );
+        let (kept, runs) = counted_keep_run(&pts, options);
+        assert_eq!(runs, 5);
+        let all: Vec<LmResult> = initial_guesses(&pts)
+            .iter()
+            .map(|start| run_start(&pts, start, options).unwrap())
+            .collect();
+        assert!(all.iter().all(|run| !run.converged));
+        let cheapest = all
+            .iter()
+            .fold(&all[0], |c, run| if run.cost < c.cost { run } else { c });
+        assert_eq!(&kept, cheapest);
+        let fit = fit_ptanh_with(&pts, options).unwrap();
+        assert!(!fit.converged);
+        assert_eq!(fit.curve, kept_curve(cheapest));
+    }
 }
 
 #[cfg(test)]
 mod proptests {
+    use super::tests::kept_curve;
     use super::*;
     use proptest::prelude::*;
 
+    fn data_rmse(points: &[(f64, f64)], curve: &Ptanh) -> f64 {
+        let sse: f64 = points
+            .iter()
+            .map(|&(x, y)| (curve.eval(x) - y).powi(2))
+            .sum();
+        (sse / points.len() as f64).sqrt()
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
+        /// Stopping at the first converged start fits about as well as the
+        /// best of all five starts run to completion. On exact curves whose
+        /// transition is in view the kept data RMSE is within 1e-5 relative
+        /// (8.3e-7 at most over 3,000 cases of this generator). With noise,
+        /// or with the transition at or past the window's edge, a weakly
+        /// identified η lets the first converged start settle up to 1.7 %
+        /// (4.7e-5 V) above the best, so the bound there is 1e-4 V.
+        #[test]
+        fn first_converged_start_fits_as_well_as_the_best_start(
+            (e1, e2, e3, e4) in (0.2..0.8f64, 0.05..0.45f64, -0.2..1.2f64, 0.5..30.0f64),
+            rising in proptest::bool::ANY,
+            n in 8usize..100,
+            noise in proptest::collection::vec(-0.005..0.005f64, 100),
+            noisy in proptest::bool::ANY,
+        ) {
+            let truth = Ptanh { eta: [e1, if rising { e2 } else { -e2 }, e3, e4] };
+            let pts: Vec<(f64, f64)> = (0..n)
+                .map(|i| {
+                    let x = i as f64 / (n - 1) as f64;
+                    (x, truth.eval(x) + if noisy { noise[i] } else { 0.0 })
+                })
+                .collect();
+            let fit = fit_ptanh(&pts).unwrap();
+            let best = initial_guesses(&pts)
+                .iter()
+                .map(|start| {
+                    let run = run_start(&pts, start, LmOptions::default()).unwrap();
+                    data_rmse(&pts, &kept_curve(&run))
+                })
+                .fold(f64::INFINITY, f64::min);
+            prop_assert!(
+                fit.rmse <= best + 1e-4,
+                "kept RMSE {} vs best {} for eta {:?}", fit.rmse, best, truth.eta
+            );
+            if !noisy && (0.1..=0.9).contains(&e3) {
+                prop_assert!(
+                    fit.rmse <= best * (1.0 + 1e-5),
+                    "kept RMSE {} vs best {} for exact eta {:?}", fit.rmse, best, truth.eta
+                );
+            }
+        }
+
         #[test]
         fn fitted_curve_matches_generated_curve(
             e1 in 0.2..0.8f64,

@@ -499,10 +499,11 @@ mod tests {
     /// store and of one fixed header. Unlike the equivalence tests above,
     /// which compare two builds of the same code, these constants hold
     /// across code changes; a change to either means the `PNCDSTR1` v1
-    /// format or the Sobol' point stream moved.
+    /// format, the Sobol' point stream or the per-point characterization
+    /// (sweep, fit) moved.
     #[test]
     fn uniform_store_bytes_are_pinned() {
-        const STORE_FNV: u64 = 0xe58f_cc2c_6a87_8abb;
+        const STORE_FNV: u64 = 0x95fc_5d88_8126_f01e;
         const HEADER_FNV: u64 = 0xb01d_1cb9_2515_e786;
         let header = small_config(22, 8).meta(&DesignSpace::paper()).encode();
         assert_eq!(crate::store::fnv1a64(&header), HEADER_FNV, "header digest");

@@ -16,7 +16,7 @@ use pnc_surrogate::{build_dataset, CircuitDataset, DatasetConfig};
 /// Sample indices whose sweeps fail unrecoverably at `V_in = 0.5`.
 const BAD: &[usize] = &[3, 17, 22];
 
-const DATASET_FNV: u64 = 0x31b3_503c_912c_ffb4;
+const DATASET_FNV: u64 = 0x07d1_7679_b057_c9b5;
 
 fn faulting_solver(index: usize) -> DcSolver {
     let mut solver = DcSolver::new();

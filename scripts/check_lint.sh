@@ -6,9 +6,10 @@
 #      committed copy, so the report can never go stale.
 #   2. Every reference implementation keeps its output pin: the three
 #      cross-backend agreement oracles (matmul_reference,
-#      backward_reference, newton_dense) and the two store codecs of
-#      DESIGN.md §17 (StoreMeta::encode, StoreRecord::encode). Each pin
-#      test must still exist in its file; `cargo test` runs them.
+#      backward_reference, newton_dense), the two store codecs of
+#      DESIGN.md §17 (StoreMeta::encode, StoreRecord::encode), and the
+#      ptanh fit with the dataset built from it (fit_ptanh_with). Each
+#      pin test must still exist in its file; `cargo test` runs them.
 #   3. The check itself stays fast: under 10 s of wall time, so the lint
 #      job never becomes the long pole.
 #
@@ -39,7 +40,9 @@ for pin in "crates/linalg/src/matrix.rs matmul_reference_output_is_pinned" \
            "crates/spice/tests/fig3_bits.rs nominal_fig3_sweep_is_bit_identical_to_the_recorded_oracle" \
            "crates/spice/tests/fig3_bits.rs cacheless_fig3_sweep_is_bit_identical_to_the_recorded_oracle" \
            "crates/surrogate/src/stream.rs uniform_store_bytes_are_pinned" \
-           "crates/surrogate/src/store.rs failure_record_bytes_are_pinned"; do
+           "crates/surrogate/src/store.rs failure_record_bytes_are_pinned" \
+           "crates/surrogate/tests/fit_digest.rs ptanh_fits_and_their_lm_work_are_pinned" \
+           "crates/surrogate/tests/dataset_digest.rs in_memory_dataset_is_pinned"; do
     file=${pin%% *}
     test_fn=${pin#* }
     if ! grep -q "fn ${test_fn}()" "$file"; then
