@@ -480,6 +480,11 @@ mod tests {
         assert!(fit_ptanh(&pts).is_err());
     }
 
+    /// A fully visible rising curve, on which the primary start converges.
+    const RISING: Ptanh = Ptanh {
+        eta: [0.5, 0.4, 0.55, 9.0],
+    };
+
     /// The curve `fit_ptanh_with` reports for a kept LM run.
     pub(super) fn kept_curve(run: &LmResult) -> Ptanh {
         Ptanh {
@@ -501,12 +506,7 @@ mod tests {
 
     #[test]
     fn converged_primary_start_costs_one_lm_run() {
-        let pts = samples(
-            &Ptanh {
-                eta: [0.5, 0.4, 0.55, 9.0],
-            },
-            61,
-        );
+        let pts = samples(&RISING, 61);
         let (kept, runs) = counted_keep_run(&pts, LmOptions::default());
         assert!(kept.converged);
         assert_eq!(runs, 1, "the primary start converged, so no other runs");
@@ -521,12 +521,7 @@ mod tests {
             max_iterations: 1,
             ..LmOptions::default()
         };
-        let pts = samples(
-            &Ptanh {
-                eta: [0.5, 0.4, 0.55, 9.0],
-            },
-            61,
-        );
+        let pts = samples(&RISING, 61);
         let (kept, runs) = counted_keep_run(&pts, options);
         assert_eq!(runs, 5);
         let all: Vec<LmResult> = initial_guesses(&pts)
