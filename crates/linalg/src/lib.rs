@@ -23,6 +23,8 @@
 //!   microkernels shared by the blocked matmul and the compiled inference
 //!   plan in `pnc-core`, all safe code, all honoring the same ascending-`k`
 //!   accumulation order.
+//! * [`tanh()`] — the one branch-free hyperbolic tangent of the pNN curves,
+//!   the autodiff tape and the surrogate MLP, within 3 ulp of libm.
 //!
 //! # Examples
 //!
@@ -51,8 +53,10 @@ mod matrix;
 pub mod parallel;
 pub mod simd;
 pub mod stats;
+mod tanh;
 
 pub use error::LinalgError;
 pub use lu::{solve, Lu};
 pub use matrix::Matrix;
 pub use parallel::ParallelConfig;
+pub use tanh::tanh;

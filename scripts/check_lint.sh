@@ -7,9 +7,10 @@
 #   2. Every reference implementation keeps its output pin: the three
 #      cross-backend agreement oracles (matmul_reference,
 #      backward_reference, newton_dense), the two store codecs of
-#      DESIGN.md §17 (StoreMeta::encode, StoreRecord::encode), and the
-#      ptanh fit with the dataset built from it (fit_ptanh_with). Each
-#      pin test must still exist in its file; `cargo test` runs them.
+#      DESIGN.md §17 (StoreMeta::encode, StoreRecord::encode), the
+#      ptanh fit with the dataset built from it (fit_ptanh_with), and
+#      the one ML-side tanh (pnc_linalg::tanh). Each pin test must still
+#      exist in its file; `cargo test` runs them.
 #   3. The check itself stays fast: under 10 s of wall time, so the lint
 #      job never becomes the long pole.
 #
@@ -36,6 +37,7 @@ fi
 
 # --- 2. oracle output pins ---------------------------------------------
 for pin in "crates/linalg/src/matrix.rs matmul_reference_output_is_pinned" \
+           "crates/linalg/src/tanh.rs output_is_pinned" \
            "crates/autodiff/src/graph.rs backward_reference_output_is_pinned" \
            "crates/spice/tests/fig3_bits.rs nominal_fig3_sweep_is_bit_identical_to_the_recorded_oracle" \
            "crates/spice/tests/fig3_bits.rs cacheless_fig3_sweep_is_bit_identical_to_the_recorded_oracle" \
