@@ -540,9 +540,11 @@ impl Graph {
         self.unary(a, f64::abs, Op::Abs(a))
     }
 
-    /// Elementwise hyperbolic tangent.
+    /// Elementwise hyperbolic tangent: [`pnc_linalg::tanh`], the one `tanh`
+    /// of the pNN curves, the compiled plans and the surrogate MLP, so
+    /// every one of them sees the bits the tape records.
     pub fn tanh(&mut self, a: Var) -> Var {
-        self.unary(a, f64::tanh, Op::Tanh(a))
+        self.unary(a, pnc_linalg::tanh, Op::Tanh(a))
     }
 
     /// Elementwise logistic sigmoid.
@@ -1313,7 +1315,7 @@ mod tests {
 
         // Analytic chain.
         let xv = 0.3f64;
-        let tv = xv.tanh();
+        let tv = pnc_linalg::tanh(xv);
         let sv = 1.0 / (1.0 + (-tv).exp());
         let expected = 3.0 * sv * sv * sv * (1.0 - sv) * (1.0 - tv * tv);
         assert!((grads.get(x).unwrap()[(0, 0)] - expected).abs() < 1e-12);
@@ -1586,7 +1588,7 @@ mod tests {
     /// changes: an edit that moves both the same way moves the digest.
     #[test]
     fn backward_reference_output_is_pinned() {
-        const DIGEST: u64 = 0x3d2b_8f2c_f42d_fba2;
+        const DIGEST: u64 = 0x317e_167b_a46d_e131;
         let mut digest = 0xcbf2_9ce4_8422_2325_u64;
         let mut mix = |word: u64| digest = (digest ^ word).wrapping_mul(0x0000_0100_0000_01b3);
         for seed in [0.0, 0.05] {

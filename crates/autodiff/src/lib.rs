@@ -42,7 +42,7 @@
 //! let grads = g.backward(loss)?;
 //! let gx = grads.get(x).expect("leaf gradient");
 //! // d tanh(x)/dx = 1 - tanh²(x)
-//! assert!((gx[(0, 0)] - (1.0 - 1.0f64.tanh().powi(2))).abs() < 1e-12);
+//! assert!((gx[(0, 0)] - (1.0 - pnc_linalg::tanh(1.0).powi(2))).abs() < 1e-12);
 //! # Ok(())
 //! # }
 //! ```

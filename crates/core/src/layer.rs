@@ -311,7 +311,7 @@ mod tests {
             .forward(&mut g, theta, x, &[(act, inv_eta)], 0.01, 1.0, None, false)
             .unwrap();
         // inv(0.9) with η = [0.45, 0.4, 0.5, 5.0]: the falling inverter curve.
-        let inv_val = 0.45 - 0.4 * ((0.9f64 - 0.5) * 5.0).tanh();
+        let inv_val = 0.45 - 0.4 * pnc_linalg::tanh((0.9f64 - 0.5) * 5.0);
         let expected = (0.5 * inv_val + 0.3 * 1.0) / (0.5 + 0.3 + 0.2);
         assert!(
             (g.value(out)[(0, 0)] - expected).abs() < 1e-12,

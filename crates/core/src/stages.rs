@@ -8,10 +8,12 @@
 //! the arithmetic exists once. Every forward stage performs the IEEE
 //! operations of the autodiff ops [`crate::Pnn::forward`] records, in the
 //! same order, and every backward stage forms and sums its terms in the
-//! order `Graph::backward_into` does. Both plans are therefore bit for bit
-//! equal to the tape.
+//! order `Graph::backward_into` does. The curves call
+//! [`pnc_linalg::tanh`], the function `Graph::tanh` records. Both plans are
+//! therefore bit for bit equal to the tape.
 
 use pnc_linalg::simd::gemm_f64;
+use pnc_linalg::tanh;
 
 /// Eq. 1's weights from effective conductances `theta` (`rows × out`,
 /// row-major): the column totals `Σ_r |θ|` (rows ascending), then
@@ -55,7 +57,7 @@ pub(crate) fn extend(x: &[f64], in_dim: usize, x_ext: &mut [f64]) {
 /// `(tanh value, output)`: the operation sequence of [`crate::apply_inv`].
 #[inline]
 pub(crate) fn inv_curve(e: &[f64; 4], v: f64) -> (f64, f64) {
-    let t = ((v - e[2]) * e[3]).tanh();
+    let t = tanh((v - e[2]) * e[3]);
     (t, e[0] - t * e[1])
 }
 
@@ -63,7 +65,7 @@ pub(crate) fn inv_curve(e: &[f64; 4], v: f64) -> (f64, f64) {
 /// `(tanh value, output)`: the operation sequence of [`crate::apply_ptanh`].
 #[inline]
 fn ptanh_curve(e: &[f64; 4], v: f64) -> (f64, f64) {
-    let t = ((v - e[2]) * e[3]).tanh();
+    let t = tanh((v - e[2]) * e[3]);
     (t, t * e[1] + e[0])
 }
 

@@ -1,5 +1,5 @@
 use pnc_autodiff::{Graph, Parameter, Var};
-use pnc_linalg::Matrix;
+use pnc_linalg::{tanh, Matrix};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -9,7 +9,8 @@ use serde::{Deserialize, Serialize};
 pub const PAPER_LAYER_SIZES: [usize; 14] = [10, 9, 9, 8, 8, 7, 7, 6, 6, 6, 5, 5, 5, 4];
 
 /// A fully connected regression network with tanh hidden activations and a
-/// linear output layer.
+/// linear output layer. Every hidden `tanh`, taped or not, is
+/// [`pnc_linalg::tanh`].
 ///
 /// The network is deliberately minimal: it exists to approximate the smooth
 /// mapping ω̃ ↦ η̃ from normalized circuit parameters to normalized curve
@@ -172,7 +173,7 @@ impl Mlp {
                     acc += h[i] * wm[(i, j)];
                 }
                 let acc = acc + bm[(0, j)];
-                out[j] = if layer < last { acc.tanh() } else { acc };
+                out[j] = if layer < last { tanh(acc) } else { acc };
             }
             h = out;
         }
