@@ -415,12 +415,18 @@ mod tests {
         let truth = Ptanh {
             eta: [0.5, 0.4, 0.5, 6.0],
         };
-        // Deterministic pseudo-noise.
+        // Zero-mean uniform noise of ±2.5 mV from a seeded splitmix64.
+        let mut state = 0x2545_f491_4f6c_dd1d_u64;
         let pts: Vec<(f64, f64)> = (0..100)
             .map(|i| {
+                state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+                let mut z = state;
+                z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+                z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+                z ^= z >> 31;
+                let u = (z >> 11) as f64 / (1u64 << 53) as f64;
                 let x = i as f64 / 99.0;
-                let noise = 0.005 * ((i * 2654435761_usize) as f64 / usize::MAX as f64 - 0.5);
-                (x, truth.eval(x) + noise)
+                (x, truth.eval(x) + 0.005 * (u - 0.5))
             })
             .collect();
         let fit = fit_ptanh(&pts).unwrap();
