@@ -71,8 +71,9 @@ pub fn tanh(x: f64) -> f64 {
         .iter()
         .fold(EXPM1_POLY[0], |q, &c| q * r + c);
     let p = r + (r * r) * q;
-    // n ∈ [−87, 0] sits in the low bits of `shifted`; 2ⁿ's biased exponent
-    // is n + 1023. The wrapping arithmetic only matters for a NaN `x`.
+    // n ∈ [−87, 0] is the difference of the bits of `shifted` and `ROUND`,
+    // so the subtraction wraps through zero; 2ⁿ's biased exponent is
+    // n + 1023.
     let biased = shifted
         .to_bits()
         .wrapping_sub(ROUND.to_bits())
@@ -86,7 +87,7 @@ pub fn tanh(x: f64) -> f64 {
 mod tests {
     use super::*;
 
-    /// Distance in ulp between two finite doubles of the same sign class.
+    /// Distance in ulp between two finite doubles; ±0 count as one value.
     fn ulps(a: f64, b: f64) -> u64 {
         let ordered = |v: f64| {
             let bits = v.to_bits() as i64;
