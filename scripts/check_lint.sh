@@ -8,9 +8,10 @@
 #      cross-backend agreement oracles (matmul_reference,
 #      backward_reference, newton_dense), the two store codecs of
 #      DESIGN.md §17 (StoreMeta::encode, StoreRecord::encode), the
-#      ptanh fit with the dataset built from it (fit_ptanh_with), and
-#      the one ML-side tanh (pnc_linalg::tanh). Each pin test must still
-#      exist in its file; `cargo test` runs them.
+#      ptanh fit with the dataset built from it (fit_ptanh_with), the
+#      one ML-side tanh (pnc_linalg::tanh) and the surrogate's training
+#      trajectory (train_surrogate). Each pin test must still exist in
+#      its file; `cargo test` runs them.
 #   3. The check itself stays fast: under 10 s of wall time, so the lint
 #      job never becomes the long pole.
 #
@@ -44,7 +45,8 @@ for pin in "crates/linalg/src/matrix.rs matmul_reference_output_is_pinned" \
            "crates/surrogate/src/stream.rs uniform_store_bytes_are_pinned" \
            "crates/surrogate/src/store.rs failure_record_bytes_are_pinned" \
            "crates/surrogate/tests/fit_digest.rs ptanh_fits_and_their_lm_work_are_pinned" \
-           "crates/surrogate/tests/dataset_digest.rs in_memory_dataset_is_pinned"; do
+           "crates/surrogate/tests/dataset_digest.rs in_memory_dataset_is_pinned" \
+           "crates/surrogate/tests/train_digest.rs surrogate_training_trajectory_is_pinned"; do
     file=${pin%% *}
     test_fn=${pin#* }
     if ! grep -q "fn ${test_fn}()" "$file"; then
