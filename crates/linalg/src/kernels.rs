@@ -1,9 +1,14 @@
 //! Cache-blocked dense kernels behind [`Matrix`]'s hot methods.
 //!
-//! The inner loops here are the workspace's floating-point hot path: every
+//! The blocked driver here and the register-tiled microkernels of
+//! [`crate::simd`] are the workspace's floating-point hot path: every
 //! autodiff forward/backward pass, every Levenberg–Marquardt normal-equation
-//! build, and every assembled-Jacobian product funnels into them. Three rules
-//! govern the implementations:
+//! build, and every assembled-Jacobian product funnels into them. `matmul`
+//! runs [`matmul_blocked_into`]; the transpose variants `matmul_nt_into` and
+//! `matmul_tn_into` call [`gemm_nt_f64`](crate::simd::gemm_nt_f64) and
+//! [`gemm_tn_f64`](crate::simd::gemm_tn_f64) directly, since their operands
+//! in this workspace (backward passes over a few hundred rows, the fit's
+//! `JᵀJ`) never outgrow the cache. Three rules govern the implementations:
 //!
 //! 1. **Bit-identical accumulation order.** For every output element
 //!    `out[i][j]` the contraction index `k` is visited in ascending order, no
@@ -96,45 +101,6 @@ pub(crate) fn matmul_reference_into(a: &Matrix, b: &Matrix, out_data: &mut [f64]
             let b_row = b.row(k);
             for (o, &bv) in out_row.iter_mut().zip(b_row) {
                 *o += aik * bv;
-            }
-        }
-    }
-}
-
-/// `out = a · bᵀ` (both row-major) into `out_data`, fully overwritten. Each
-/// output element is a dot product of two contiguous rows, so no transpose
-/// is ever materialized; `k` ascends exactly as in
-/// `a.matmul(&b.transpose())`.
-pub(crate) fn matmul_nt_into_raw(a: &Matrix, b: &Matrix, out_data: &mut [f64]) {
-    let n = b.rows();
-    for i in 0..a.rows() {
-        let a_row = a.row(i);
-        let out_row = &mut out_data[i * n..(i + 1) * n];
-        for (j, o) in out_row.iter_mut().enumerate() {
-            let b_row = b.row(j);
-            let mut acc = 0.0;
-            for (&av, &bv) in a_row.iter().zip(b_row) {
-                acc += av * bv;
-            }
-            *o = acc;
-        }
-    }
-}
-
-/// `out = aᵀ · b` (both row-major) into `out_data`, zeroed first. The
-/// contraction index `k` (rows of `a` and `b`) is the outermost loop and
-/// ascends, matching `a.transpose().matmul(&b)` bit for bit while streaming
-/// both operands row-major.
-pub(crate) fn matmul_tn_into_raw(a: &Matrix, b: &Matrix, out_data: &mut [f64]) {
-    let n = b.cols();
-    out_data.fill(0.0);
-    for k in 0..a.rows() {
-        let a_row = a.row(k);
-        let b_row = b.row(k);
-        for (i, &aki) in a_row.iter().enumerate() {
-            let out_row = &mut out_data[i * n..(i + 1) * n];
-            for (o, &bv) in out_row.iter_mut().zip(b_row) {
-                *o += aki * bv;
             }
         }
     }

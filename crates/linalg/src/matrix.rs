@@ -268,10 +268,10 @@ impl Matrix {
     /// Product with a transposed right operand, `self · rhsᵀ`, written into
     /// a preallocated `out` (fully overwritten).
     ///
-    /// Both operands are walked row-major (each output element is a dot
-    /// product of two contiguous rows), so backward passes need not
-    /// materialize an explicit transpose. Bit-identical to
-    /// `self.matmul(&rhs.transpose())`.
+    /// Each output element is a dot product of two contiguous rows, so
+    /// backward passes need not materialize an explicit transpose; the
+    /// register-tiled [`gemm_nt_f64`](crate::simd::gemm_nt_f64) computes
+    /// it. Bit-identical to `self.matmul(&rhs.transpose())`.
     ///
     /// # Errors
     ///
@@ -293,16 +293,24 @@ impl Matrix {
                 rhs: out.shape(),
             });
         }
-        kernels::matmul_nt_into_raw(self, rhs, &mut out.data);
+        crate::simd::gemm_nt_f64(
+            self.rows,
+            self.cols,
+            rhs.rows,
+            &self.data,
+            &rhs.data,
+            &mut out.data,
+        );
         Ok(())
     }
 
     /// Product with a transposed left operand, `selfᵀ · rhs`, written into
     /// a preallocated `out` (fully overwritten).
     ///
-    /// The contraction index (shared row index) is the outermost loop, so
-    /// both operands stream row-major without materializing a transpose.
-    /// Bit-identical to `self.transpose().matmul(rhs)`.
+    /// The contraction index is the shared row index, so both operands
+    /// stream row-major without materializing a transpose; the
+    /// register-tiled [`gemm_tn_f64`](crate::simd::gemm_tn_f64) computes
+    /// it. Bit-identical to `self.transpose().matmul(rhs)`.
     ///
     /// # Errors
     ///
@@ -324,7 +332,14 @@ impl Matrix {
                 rhs: out.shape(),
             });
         }
-        kernels::matmul_tn_into_raw(self, rhs, &mut out.data);
+        crate::simd::gemm_tn_f64(
+            self.cols,
+            self.rows,
+            rhs.cols,
+            &self.data,
+            &rhs.data,
+            &mut out.data,
+        );
         Ok(())
     }
 
