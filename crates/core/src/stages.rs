@@ -228,36 +228,6 @@ pub(crate) fn accumulate_eta(slot: &mut Option<[f64; 4]>, sums: [f64; 4]) {
     }
 }
 
-/// `out = aᵀ·g` for row-major `a` (`rows × p`) and `g` (`rows × q`): each
-/// element summed from 0 with the row index ascending, as the tape's
-/// `matmul_tn_into` does for `∂L/∂W`.
-pub(crate) fn matmul_tn(a: &[f64], p: usize, g: &[f64], q: usize, out: &mut [f64]) {
-    out.fill(0.0);
-    for (a_row, g_row) in a.chunks_exact(p).zip(g.chunks_exact(q)) {
-        for (&a_ir, out_row) in a_row.iter().zip(out.chunks_exact_mut(q)) {
-            for (o, &gv) in out_row.iter_mut().zip(g_row) {
-                *o += a_ir * gv;
-            }
-        }
-    }
-}
-
-/// `out = g·wᵀ` for row-major `g` (`rows × q`) and `w` (`p × q`): each
-/// element a dot product from 0 with `j` ascending, as the tape's
-/// `matmul_nt_into` does for `∂L/∂X`.
-pub(crate) fn matmul_nt(g: &[f64], w: &[f64], q: usize, out: &mut [f64]) {
-    let p = w.len() / q;
-    for (g_row, out_row) in g.chunks_exact(q).zip(out.chunks_exact_mut(p)) {
-        for (o, w_row) in out_row.iter_mut().zip(w.chunks_exact(q)) {
-            let mut acc = 0.0;
-            for (&gv, &wv) in g_row.iter().zip(w_row) {
-                acc += gv * wv;
-            }
-            *o = acc;
-        }
-    }
-}
-
 /// Sums per-column gradients `cols` (`rows × out`) into `acc` the way the
 /// tape sums the `slice_cols` gradients of a per-neuron layer: column
 /// `out − 1` arrives first, zero-padded to the full width, and every

@@ -35,6 +35,7 @@ use crate::train::LabeledData;
 use crate::variation::NoiseSample;
 use crate::PnnError;
 use pnc_autodiff::{GradStore, Graph, Var};
+use pnc_linalg::simd::{gemm_nt_f64, gemm_tn_f64};
 use pnc_linalg::{Matrix, ParallelConfig};
 use pnc_surrogate::SurrogateModel;
 use std::sync::{Mutex, PoisonError};
@@ -711,8 +712,9 @@ impl Workspace {
 
             // ∂L/∂W⁺ and ∂L/∂W⁻: one product each, or per column, summed
             // with the zero padding of the tape's column slices.
+            let rows = lb.z_g.len() / out;
             if per_neuron {
-                stages::matmul_tn(&lb.x_ext, ext, &lb.z_g, out, &mut lb.gw_cols);
+                gemm_tn_f64(ext, rows, out, &lb.x_ext, &lb.z_g, &mut lb.gw_cols);
                 stages::accumulate_padded_columns(&lb.gw_cols, out, &mut lb.gw_pos);
                 for (j, x_neg) in lb.x_neg.iter().enumerate() {
                     // Column j of x_negⱼᵀ·z_g.
@@ -727,8 +729,8 @@ impl Workspace {
                 }
                 stages::accumulate_padded_columns(&lb.gw_cols, out, &mut lb.gw_neg);
             } else {
-                stages::matmul_tn(&lb.x_neg[0], ext, &lb.z_g, out, &mut lb.gw_neg);
-                stages::matmul_tn(&lb.x_ext, ext, &lb.z_g, out, &mut lb.gw_pos);
+                gemm_tn_f64(ext, rows, out, &lb.x_neg[0], &lb.z_g, &mut lb.gw_neg);
+                gemm_tn_f64(ext, rows, out, &lb.x_ext, &lb.z_g, &mut lb.gw_pos);
             }
 
             // ∂L/∂x through both paths and the inverters' ∂L/∂η, column by
@@ -743,7 +745,6 @@ impl Workspace {
                     continue;
                 }
                 if per_neuron {
-                    let rows = lb.z_g.len() / out;
                     for i in 0..rows {
                         let zg = lb.z_g[i * out + q];
                         for r in 0..ext {
@@ -756,14 +757,13 @@ impl Workspace {
                         }
                     }
                 } else {
-                    stages::matmul_nt(&lb.z_g, &lb.w_neg, out, &mut lb.x_neg_g);
+                    gemm_nt_f64(rows, out, ext, &lb.z_g, &lb.w_neg, &mut lb.x_neg_g);
                     if x_needs {
-                        stages::matmul_nt(&lb.z_g, &lb.w_pos, out, &mut lb.x_pos_g);
+                        gemm_nt_f64(rows, out, ext, &lb.z_g, &lb.w_pos, &mut lb.x_pos_g);
                     }
                 }
                 let eta = lb.eta_inv[q];
                 let (neg_g, t_inv, x_ext) = (&lb.x_neg_g, &lb.t_inv[q], &lb.x_ext);
-                let rows = x_ext.len() / ext;
                 // The inverter on the 1 V bias input, then on x.
                 if inv_learns {
                     let (_, t_one) = lb.inv_one[q];
