@@ -1,4 +1,5 @@
 use pnc_autodiff::{Graph, Parameter, Var};
+use pnc_linalg::simd::gemm_f64;
 use pnc_linalg::{tanh, Matrix};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -18,7 +19,9 @@ pub const PAPER_LAYER_SIZES: [usize; 14] = [10, 9, 9, 8, 8, 7, 7, 6, 6, 6, 5, 5,
 ///
 /// * [`Mlp::predict`] — plain `f64` forward pass (no tape), for evaluation,
 ///   compiled inference and test-time Monte-Carlo robustness sweeps; it is
-///   bit-identical to `forward_const` (same operations, same order);
+///   the one-row case of the batched forward that scores surrogate
+///   training, and bit-identical to `forward_const` (same operations, same
+///   order);
 /// * [`Mlp::forward_train`] — weights as trainable leaves, for surrogate
 ///   training;
 /// * [`Mlp::forward_const`] — weights as constants inside a larger graph, so
@@ -147,35 +150,55 @@ impl Mlp {
             + self.biases.iter().map(|b| b.value().len()).sum::<usize>()
     }
 
-    /// Plain forward pass on a single input row.
-    ///
-    /// Bit-identical to [`Mlp::forward_const`] on a `1×n` row: each unit
-    /// sums `h·w` from `0.0` with the input index ascending (the order the
-    /// `matmul` kernel uses), then adds the bias, then applies `tanh` —
-    /// the graph's `matmul` → `add` → `tanh` sequence, operation for
-    /// operation.
+    /// Plain forward pass on a single input row: the one-row case of the
+    /// batched forward, so it is bit-identical to [`Mlp::forward_const`]
+    /// on a `1×n` row.
     ///
     /// # Panics
     ///
     /// Panics if `x.len() != self.input_dim()`.
     pub fn predict(&self, x: &[f64]) -> Vec<f64> {
         assert_eq!(x.len(), self.input_dim(), "input dimension mismatch");
-        let mut h = x.to_vec();
+        self.predict_rows(x)
+    }
+
+    /// Plain forward pass over a batch: `x` holds whole input rows
+    /// (`input_dim()` values each, row-major; its length is a multiple of
+    /// the input width) and the result holds their outputs the same way.
+    ///
+    /// Each layer runs the graph's `matmul` → `add` → `tanh` sequence on
+    /// the whole batch, operation for operation: the product through
+    /// [`gemm_f64`], the microkernel `Matrix::matmul_into` runs (each unit
+    /// summed from `0.0` with the input index ascending), then the bias,
+    /// then [`tanh`] on every hidden layer. Row `i` of the result is
+    /// therefore bit for bit [`Mlp::predict`] on row `i` and
+    /// [`Mlp::forward_const`] on the batch.
+    pub(crate) fn predict_rows(&self, x: &[f64]) -> Vec<f64> {
+        let rows = x.len() / self.input_dim();
+        let mut h = Vec::new();
+        let mut next = Vec::new();
         let last = self.weights.len() - 1;
         for (layer, (w, b)) in self.weights.iter().zip(&self.biases).enumerate() {
-            let wm = w.value();
-            let bm = b.value();
-            let (fan_in, fan_out) = wm.shape();
-            let mut out = vec![0.0; fan_out];
-            for j in 0..fan_out {
-                let mut acc = 0.0;
-                for i in 0..fan_in {
-                    acc += h[i] * wm[(i, j)];
+            let (fan_in, fan_out) = w.value().shape();
+            let input = if layer == 0 { x } else { &h };
+            next.clear();
+            next.resize(rows * fan_out, 0.0);
+            gemm_f64(
+                rows,
+                fan_in,
+                fan_out,
+                input,
+                w.value().as_slice(),
+                &mut next,
+            );
+            let bias = b.value().as_slice();
+            for row in next.chunks_exact_mut(fan_out) {
+                for (v, &bj) in row.iter_mut().zip(bias) {
+                    let lin = *v + bj;
+                    *v = if layer < last { tanh(lin) } else { lin };
                 }
-                let acc = acc + bm[(0, j)];
-                out[j] = if layer < last { tanh(acc) } else { acc };
             }
-            h = out;
+            std::mem::swap(&mut h, &mut next);
         }
         h
     }
@@ -273,6 +296,28 @@ mod tests {
         let node = g.constant(Matrix::row_vector(&x));
         let (out, _) = mlp.forward_train(&mut g, node).unwrap();
         assert_eq!(g.value(out), &plain);
+
+        // The batched forward: per-row `predict` and `forward_const` on the
+        // whole batch, bit for bit, on 0, 1 and many rows. 70 rows is more
+        // than one of the matmul's 64-row cache blocks; the paper's 13
+        // layers cover every microkernel remainder.
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for mlp in [mlp, Mlp::new(&PAPER_LAYER_SIZES, 3)] {
+            let width = mlp.input_dim();
+            for rows in [0, 1, 70] {
+                let xs = Matrix::from_fn(rows, width, |i, j| {
+                    ((i * width + j) as f64 * 0.37).sin() * 1.5
+                });
+                let batched = mlp.predict_rows(xs.as_slice());
+                let per_row: Vec<f64> = (0..rows).flat_map(|i| mlp.predict(xs.row(i))).collect();
+                assert_eq!(bits(&batched), bits(&per_row), "{rows} rows");
+                assert_eq!(batched.len(), rows * mlp.output_dim());
+                let mut g = Graph::new();
+                let node = g.constant(&xs);
+                let out = mlp.forward_const(&mut g, node).unwrap();
+                assert_eq!(bits(&batched), bits(g.value(out).as_slice()), "{rows} rows");
+            }
+        }
     }
 
     #[test]

@@ -267,13 +267,13 @@ fn matrices(data: &CircuitDataset, idx: &[usize]) -> (Matrix, Matrix) {
     (x, y)
 }
 
+/// Mean squared error of the network's batched forward on `x` against
+/// `y`, the squares summed in row-major order.
 fn mse_of(mlp: &Mlp, x: &Matrix, y: &Matrix) -> f64 {
+    let pred = mlp.predict_rows(x.as_slice());
     let mut se = 0.0;
-    for i in 0..x.rows() {
-        let pred = mlp.predict(x.row(i));
-        for (j, p) in pred.iter().enumerate() {
-            se += (p - y[(i, j)]).powi(2);
-        }
+    for (p, t) in pred.iter().zip(y.as_slice()) {
+        se += (p - t).powi(2);
     }
     se / (x.rows() * y.cols()) as f64
 }
@@ -335,22 +335,14 @@ pub fn train_surrogate(
         }
     }
 
-    // Pooled test R².
-    let mut targets = Vec::with_capacity(x_test.rows() * 4);
-    let mut preds = Vec::with_capacity(x_test.rows() * 4);
-    for i in 0..x_test.rows() {
-        let p = best.predict(x_test.row(i));
-        for j in 0..4 {
-            targets.push(y_test[(i, j)]);
-            preds.push(p[j]);
-        }
-    }
+    // Pooled test R² over all four components, row-major.
+    let test_preds = best.predict_rows(x_test.as_slice());
 
     let report = TrainReport {
         train_mse: mse_of(&best, &x_train, &y_train),
         val_mse: best_val,
         test_mse: mse_of(&best, &x_test, &y_test),
-        test_r2: stats::r_squared(&targets, &preds),
+        test_r2: stats::r_squared(y_test.as_slice(), &test_preds),
         epochs_run,
     };
     let model = SurrogateModel {
