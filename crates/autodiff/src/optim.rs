@@ -135,7 +135,7 @@ impl Adam {
             let Some(grad) = grads.get(*var) else {
                 continue;
             };
-            self.update(param, &grad.clone());
+            self.update(param, grad);
         }
     }
 
