@@ -10,13 +10,14 @@
 # the `run_seconds` of BENCHMARK.json, the parent first in odd pairs and the
 # change first in even ones. Each run's result file is kept under
 # target/ab/<workload>-s<seed>/{parent,change}/. Every pair prints both
-# sides' `throughput`, `failed` and `correct`; the end prints the pairs the
-# change won on `throughput`, both sides' total `failed`, and the
-# benchmark's `compare` verdict per end-to-end metric. `seed` defaults to 1.
+# sides' `failed`, `correct` and every end-to-end metric of BENCHMARK.json;
+# the end prints, for each of those metrics, the pairs the change won in
+# the direction its `better` field gives, then both sides' total `failed`
+# and the benchmark's `compare` verdict per metric. `seed` defaults to 1.
 #
 # Exits with the status of `compare`, or 1 when any run is not `correct` or
-# the change fails more operations in total than the parent: a throughput
-# gain does not count then.
+# the change fails more operations in total than the parent: a gain does
+# not count then.
 #
 # It writes only under target/; the benchmark/ of this checkout is untouched.
 # Needs `jq` to read BENCHMARK.json and the result files.
@@ -37,6 +38,8 @@ root=$PWD
 ab=$root/target/ab
 mapfile -t bench < <(jq -r '.command[]' BENCHMARK.json)
 seconds=$(jq -r '.run_seconds' BENCHMARK.json)
+# End-to-end metrics as "<name> <better>" lines, in BENCHMARK.json order.
+mapfile -t metrics < <(jq -r '.end_to_end[] | "\(.name) \(.better)"' BENCHMARK.json)
 
 # Extracts <rev> into target/ab/<side> unless that commit is already there,
 # then builds its benchmark.
@@ -66,9 +69,20 @@ run() {
     rmdir "$out"
 }
 
-# `throughput`, `failed` and `correct` of one result file, on one line.
-reading() {
-    jq -r '"\(.metrics.throughput.value) \(.failed) \(.correct)"' "$1"
+# `failed` and `correct` of one result file, on one line.
+status_of() {
+    jq -r '"\(.failed) \(.correct)"' "$1"
+}
+
+# The value of end-to-end metric <name> in one result file, or `null`.
+value_of() {
+    jq -r --arg m "$2" '.metrics[$m].value // null' "$1"
+}
+
+# 1 when <change> beats <parent> in direction <better> (higher/lower).
+beats() {
+    awk -v p="$1" -v c="$2" -v better="$3" \
+        'BEGIN { print (better == "higher" ? c > p : c < p) }'
 }
 
 checkout parent "$parent_rev"
@@ -77,7 +91,7 @@ checkout change "$change_rev"
 results=$ab/$workload-s$seed
 rm -rf "$results"
 mkdir -p "$results/parent" "$results/change"
-wins=0
+declare -A wins
 failed_parent=0
 failed_change=0
 incorrect=0
@@ -89,17 +103,28 @@ for pair in $(seq 1 "$pairs"); do
         run change "$pair"
         run parent "$pair"
     fi
-    read -r p pf pc < <(reading "$results/parent/run-$pair.json")
-    read -r c cf cc < <(reading "$results/change/run-$pair.json")
-    echo "pair $pair/$pairs: parent throughput $p failed $pf correct $pc;" \
-        "change throughput $c failed $cf correct $cc" >&2
-    wins=$((wins + $(awk -v p="$p" -v c="$c" 'BEGIN { print (c > p) }')))
+    read -r pf pc < <(status_of "$results/parent/run-$pair.json")
+    read -r cf cc < <(status_of "$results/change/run-$pair.json")
+    line="pair $pair/$pairs: failed $pf/$cf correct $pc/$cc"
+    for entry in "${metrics[@]}"; do
+        read -r name better <<<"$entry"
+        p=$(value_of "$results/parent/run-$pair.json" "$name")
+        c=$(value_of "$results/change/run-$pair.json" "$name")
+        line="$line; $name $p/$c"
+        if [ "$p" != null ] && [ "$c" != null ]; then
+            wins[$name]=$((${wins[$name]:-0} + $(beats "$p" "$c" "$better")))
+        fi
+    done
+    echo "$line (parent/change)" >&2
     failed_parent=$((failed_parent + pf))
     failed_change=$((failed_change + cf))
     [ "$pc" = true ] || incorrect=$((incorrect + 1))
     [ "$cc" = true ] || incorrect=$((incorrect + 1))
 done
-echo "the change had the higher throughput in $wins of $pairs pairs" >&2
+for entry in "${metrics[@]}"; do
+    read -r name better <<<"$entry"
+    echo "the change won ${wins[$name]:-0} of $pairs pairs on $name ($better is better)" >&2
+done
 echo "failed operations in total: parent $failed_parent, change $failed_change" >&2
 
 status=0
