@@ -9,8 +9,13 @@
 //! operations of the autodiff ops [`crate::Pnn::forward`] records, in the
 //! same order, and every backward stage forms and sums its terms in the
 //! order `Graph::backward_into` does. The curves call
-//! [`pnc_linalg::tanh`], the function `Graph::tanh` records. Both plans are
-//! therefore bit for bit equal to the tape.
+//! [`pnc_linalg::tanh`], the function `Graph::tanh` records, and the
+//! crossbar's gradient products `∂W = Xᵀ·∂Z` and `∂X = ∂Z·Wᵀ` are not
+//! stages of their own: the trainer calls
+//! [`gemm_tn_f64`](pnc_linalg::simd::gemm_tn_f64) and
+//! [`gemm_nt_f64`](pnc_linalg::simd::gemm_nt_f64), the kernels behind the
+//! tape's `matmul` backward. Both plans are therefore bit for bit equal to
+//! the tape.
 
 use pnc_linalg::simd::gemm_f64;
 use pnc_linalg::tanh;
