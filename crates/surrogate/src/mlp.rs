@@ -168,8 +168,8 @@ impl Mlp {
     ///
     /// Each layer runs the graph's `matmul` → `add` → `tanh` sequence on
     /// the whole batch, operation for operation: the product through
-    /// [`gemm_f64`], the microkernel `Matrix::matmul_into` runs (each unit
-    /// summed from `0.0` with the input index ascending), then the bias,
+    /// [`gemm_f64`], the microkernel behind `Matrix::matmul_into` (each
+    /// unit summed from `0.0` with the input index ascending), then the bias,
     /// then [`tanh`] on every hidden layer. Row `i` of the result is
     /// therefore bit for bit [`Mlp::predict`] on row `i` and
     /// [`Mlp::forward_const`] on the batch.
@@ -298,9 +298,10 @@ mod tests {
         assert_eq!(g.value(out), &plain);
 
         // The batched forward: per-row `predict` and `forward_const` on the
-        // whole batch, bit for bit, on 0, 1 and many rows. 70 rows is more
-        // than one of the matmul's 64-row cache blocks; the paper's 13
-        // layers cover every microkernel remainder.
+        // whole batch, bit for bit, on 0, 1 and many rows. At 70 rows the
+        // graph's matmul splits its rows into 64-row cache blocks while
+        // `predict_rows` runs one microkernel call; the paper's layer widths
+        // cover every column remainder.
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         for mlp in [mlp, Mlp::new(&PAPER_LAYER_SIZES, 3)] {
             let width = mlp.input_dim();
