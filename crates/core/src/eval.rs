@@ -1,7 +1,14 @@
 //! Accuracy and Monte-Carlo robustness evaluation (Sec. IV-C).
+//!
+//! Every draw runs the training step's compiled forward pass
+//! (`crate::train_plan::EvalPlan`) over buffers sized once per call, with
+//! no autodiff tape. Its scores are [`Pnn::infer`]'s bit for bit, so each
+//! accuracy is the argmax accuracy of [`Pnn::predict`] under the same draw;
+//! `tests/eval_oracle.rs` checks that.
 
 use crate::network::Pnn;
 use crate::train::LabeledData;
+use crate::train_plan::EvalPlan;
 use crate::variation::{NoiseSample, VariationModel};
 use crate::PnnError;
 use pnc_linalg::{stats, ParallelConfig};
@@ -14,7 +21,8 @@ use serde::{Deserialize, Serialize};
 ///
 /// # Errors
 ///
-/// Propagates forward-pass failures.
+/// Returns [`PnnError::Data`] for empty data, data that does not match the
+/// network's input width, or a draw that does not match its shape.
 ///
 /// # Examples
 ///
@@ -30,13 +38,9 @@ pub fn accuracy(
             detail: "cannot evaluate on empty data".into(),
         });
     }
-    let preds = pnn.predict(data.features, noise)?;
-    let correct = preds
-        .iter()
-        .zip(data.labels)
-        .filter(|(p, t)| p == t)
-        .count();
-    Ok(correct as f64 / data.len() as f64)
+    let plan = EvalPlan::compile(pnn, data, 1)?;
+    let accuracies = plan.accuracies(pnn, &[noise.cloned()], &ParallelConfig::serial())?;
+    Ok(accuracies[0])
 }
 
 /// Monte-Carlo robustness statistics: accuracy mean and standard deviation
@@ -98,9 +102,10 @@ pub fn mc_evaluate(
 /// [`mc_evaluate`] with an explicit thread-count configuration.
 ///
 /// All noise is pre-drawn serially from the seeded generator (so the draw
-/// sequence never depends on scheduling), then the independent accuracy
-/// evaluations fan out over `parallel` workers and come back in draw order
-/// — the returned statistics are identical at every thread count.
+/// sequence never depends on scheduling), then the draws split into one
+/// contiguous chunk per worker, each run over its own compiled buffers,
+/// and come back in draw order — the returned statistics are identical at
+/// every thread count.
 ///
 /// # Errors
 ///
@@ -134,8 +139,13 @@ pub fn mc_evaluate_with(
             }
         })
         .collect();
-    let accuracies =
-        parallel.try_ordered_par_map(&noise, |sample| accuracy(pnn, data, sample.as_ref()))?;
+    if data.is_empty() {
+        return Err(PnnError::Data {
+            detail: "cannot evaluate on empty data".into(),
+        });
+    }
+    let workers = parallel.effective_threads().min(n_test);
+    let accuracies = EvalPlan::compile(pnn, data, workers)?.accuracies(pnn, &noise, &parallel)?;
     Ok(McStats {
         mean: stats::mean(&accuracies),
         std: stats::std(&accuracies),

@@ -4,7 +4,7 @@ use crate::PnnError;
 use pnc_autodiff::{Graph, Parameter, Var};
 use pnc_linalg::Matrix;
 use pnc_spice::circuits::NonlinearCircuitParams;
-use pnc_surrogate::{DesignSpace, SurrogateModel};
+use pnc_surrogate::{DesignSpace, EtaTrace, SurrogateModel};
 
 /// One nonlinear subcircuit (activation or negative-weight) of a pNN.
 ///
@@ -94,23 +94,7 @@ impl NonlinearCircuit {
     pub fn printable_omega(&self) -> [f64; 7] {
         match self {
             NonlinearCircuit::Fixed { omega } => *omega,
-            NonlinearCircuit::Learnable { w } => {
-                let space = DesignSpace::paper();
-                let raw = w.value();
-                let sig = |x: f64| 1.0 / (1.0 + (-x).exp());
-                let s: Vec<f64> = (0..7).map(|k| sig(raw[(0, k)])).collect();
-                let denorm = |k_box: usize, s: f64| {
-                    space.lo[k_box] + s * (space.hi[k_box] - space.lo[k_box])
-                };
-                let r1 = denorm(0, s[0]);
-                let r3 = denorm(2, s[1]);
-                let r5 = denorm(4, s[2]);
-                let w_ = denorm(5, s[3]);
-                let l = denorm(6, s[4]);
-                let r2 = (r1 * s[5]).clamp(space.lo[1], space.hi[1]);
-                let r4 = (r3 * s[6]).clamp(space.lo[3], space.hi[3]);
-                [r1, r2, r3, r4, r5, w_, l]
-            }
+            NonlinearCircuit::Learnable { w } => fig5(w.value().as_slice()).1,
         }
     }
 
@@ -209,6 +193,111 @@ impl NonlinearCircuit {
             }
         }
         surrogate.predict_eta(&omega)
+    }
+}
+
+/// The logistic sigmoid as the tape's `sigmoid` computes it.
+fn sigmoid(x: f64) -> f64 {
+    1.0 / (1.0 + (-x).exp())
+}
+
+/// Fig. 5's chain from a learnable circuit's 𝔴 (`raw`, 7 values) to its
+/// printable ω: sigmoid, denormalize the five box parameters, reassemble
+/// `R₂ = k₁·R₁` and `R₄ = k₂·R₃` and clip them to their boxes. Returns the
+/// sigmoid outputs with ω, in the operations
+/// [`NonlinearCircuit::printable_omega_graph`] records.
+fn fig5(raw: &[f64]) -> ([f64; 7], [f64; 7]) {
+    let space = DesignSpace::paper();
+    let s: [f64; 7] = std::array::from_fn(|k| sigmoid(raw[k]));
+    let denorm = |k_box: usize, s: f64| space.lo[k_box] + s * (space.hi[k_box] - space.lo[k_box]);
+    let r1 = denorm(0, s[0]);
+    let r3 = denorm(2, s[1]);
+    let r5 = denorm(4, s[2]);
+    let w = denorm(5, s[3]);
+    let l = denorm(6, s[4]);
+    let r2 = (r1 * s[5]).clamp(space.lo[1], space.hi[1]);
+    let r4 = (r3 * s[6]).clamp(space.lo[3], space.hi[3]);
+    (s, [r1, r2, r3, r4, r5, w, l])
+}
+
+/// One learnable circuit's ω→η chain, run forward and backward by hand
+/// for the training plan: Fig. 5's chain from 𝔴, the draw's ω factors,
+/// then the surrogate ([`SurrogateModel::predict_eta_traced`]).
+///
+/// [`EtaChain::w_grad`] is the backward pass `Graph::backward_seeded` runs
+/// over [`NonlinearCircuit::eta_graph`], in the tape's order and with its
+/// formulas, so `∂L/∂𝔴` has the tape's bits. The buffers are reused from
+/// draw to draw.
+#[derive(Debug, Default)]
+pub(crate) struct EtaChain {
+    /// The sigmoid outputs of the last forward pass.
+    s: [f64; 7],
+    /// Its printable ω, before the ω factors.
+    omega: [f64; 7],
+    factors: Option<[f64; 7]>,
+    trace: EtaTrace,
+}
+
+impl EtaChain {
+    /// η from 𝔴 (`raw`, 7 values) under the optional ω factors, with the
+    /// bits of [`NonlinearCircuit::eta`]; keeps what the backward needs.
+    pub(crate) fn forward(
+        &mut self,
+        raw: &[f64],
+        surrogate: &SurrogateModel,
+        variation: Option<&[f64; 7]>,
+    ) -> [f64; 4] {
+        (self.s, self.omega) = fig5(raw);
+        self.factors = variation.copied();
+        let mut omega = self.omega;
+        if let Some(f) = variation {
+            for (o, &fk) in omega.iter_mut().zip(f) {
+                *o *= fk;
+            }
+        }
+        surrogate.predict_eta_traced(&omega, &mut self.trace)
+    }
+
+    /// `∂L/∂𝔴` of the last [`EtaChain::forward`] from `eta_grad` =
+    /// `∂L/∂η`. After the surrogate's `∂L/∂ω`, the tape's nodes in reverse:
+    /// the factor `mul`; the `concat_cols` of ω handing each component its
+    /// gradient; `R₄ = R₃·k₂` then `R₂ = R₁·k₁` (each `clamp_ste` passes its
+    /// gradient straight through, each `mul` adds `g·k` to `R` and gives
+    /// `g·R` to `k`); each box's `scale` by `hi − lo`; the seven
+    /// `slice_cols` of the sigmoid, last first, as zero-padded `1×7`
+    /// gradients; and the sigmoid's `g·s·(1 − s)`.
+    pub(crate) fn w_grad(&mut self, surrogate: &SurrogateModel, eta_grad: &[f64; 4]) -> [f64; 7] {
+        let mut g = surrogate.omega_grad(&mut self.trace, eta_grad);
+        if let Some(f) = &self.factors {
+            for (gk, &fk) in g.iter_mut().zip(f) {
+                *gk *= fk;
+            }
+        }
+        let (s, omega) = (&self.s, &self.omega);
+        let [mut g_r1, g_r2, mut g_r3, g_r4, g_r5, g_w, g_l] = g;
+        g_r3 += g_r4 * s[6];
+        let g_k2 = g_r4 * omega[2];
+        g_r1 += g_r2 * s[5];
+        let g_k1 = g_r2 * omega[0];
+        let space = DesignSpace::paper();
+        let range = |k_box: usize| space.hi[k_box] - space.lo[k_box];
+        let slice_g = [
+            g_r1 * range(0),
+            g_r3 * range(2),
+            g_r5 * range(4),
+            g_w * range(5),
+            g_l * range(6),
+            g_k1,
+            g_k2,
+        ];
+        let mut s_g = [0.0; 7];
+        s_g[6] = slice_g[6];
+        for col in (0..6).rev() {
+            for (k, acc) in s_g.iter_mut().enumerate() {
+                *acc += if k == col { slice_g[col] } else { 0.0 };
+            }
+        }
+        std::array::from_fn(|k| s_g[k] * s[k] * (1.0 - s[k]))
     }
 }
 
@@ -396,6 +485,76 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The hand-derived chain equals the tape: for random `∂L/∂η`, its η
+    /// is [`NonlinearCircuit::eta_graph`]'s value and its `∂L/∂𝔴` is
+    /// `Graph::backward_seeded` from η, bit for bit, on both committed
+    /// surrogates, with and without ω factors, over 𝔴 that include
+    /// saturated sigmoids and `R₂`/`R₄` that `clamp_ste` clips.
+    #[test]
+    fn chain_backward_matches_backward_seeded() {
+        use pnc_autodiff::GradStore;
+        use rand::{Rng, SeedableRng};
+        let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../artifacts");
+        let space = DesignSpace::paper();
+        let mut rng = rand::rngs::StdRng::seed_from_u64(11);
+        let nominal = NonlinearCircuitParams::nominal();
+        let mut raws: Vec<[f64; 7]> = vec![[37.0; 7], [-37.0; 7]];
+        for _ in 0..96 {
+            raws.push(std::array::from_fn(|_| match rng.gen_range(0usize..6) {
+                0 => rng.gen_range(-40.0..-15.0),
+                1 => rng.gen_range(15.0..40.0),
+                _ => rng.gen_range(-5.0..5.0),
+            }));
+        }
+        let (mut clipped, mut saturated) = (0, 0);
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let mut g = Graph::new();
+        let mut store = GradStore::new();
+        let mut chain = EtaChain::default();
+        for name in ["surrogate-default.json", "surrogate-quick.json"] {
+            let surrogate = SurrogateModel::load(&dir.join(name)).unwrap();
+            for (k, raw) in raws.iter().enumerate() {
+                let mut c = NonlinearCircuit::learnable_from(nominal);
+                if let Some(w) = c.parameter_mut() {
+                    w.value_mut().as_mut_slice().copy_from_slice(raw);
+                }
+                let (s, omega) = fig5(raw);
+                saturated += usize::from(s.iter().any(|&v| v == 1.0 || v < 1e-6));
+                let (r2, r4) = (omega[0] * s[5], omega[2] * s[6]);
+                clipped += usize::from(
+                    r2 != r2.clamp(space.lo[1], space.hi[1])
+                        || r4 != r4.clamp(space.lo[3], space.hi[3]),
+                );
+                let factors: [f64; 7] = std::array::from_fn(|_| rng.gen_range(0.9..1.1));
+                for variation in [None, Some(&factors)] {
+                    let eta_grad: [f64; 4] = std::array::from_fn(|_| rng.gen_range(-2.0..2.0));
+                    let eta = chain.forward(raw, &surrogate, variation);
+                    let w_grad = chain.w_grad(&surrogate, &eta_grad);
+                    g.reset();
+                    let w = c.register(&mut g);
+                    let node = c.eta_graph(&mut g, w, &surrogate, variation).unwrap();
+                    assert_eq!(
+                        bits(&eta),
+                        bits(g.value(node).as_slice()),
+                        "{name}, η of 𝔴 {k}"
+                    );
+                    g.backward_seeded(node, Matrix::row_vector(&eta_grad), &mut store)
+                        .unwrap();
+                    let want = store.get(w.unwrap()).unwrap();
+                    assert_eq!(
+                        bits(&w_grad),
+                        bits(want.as_slice()),
+                        "{name}, ∂L/∂𝔴 of 𝔴 {k}, variation {variation:?}"
+                    );
+                }
+            }
+        }
+        assert!(
+            clipped > 0 && saturated > 0,
+            "{clipped} clipped, {saturated} saturated"
+        );
     }
 
     #[test]

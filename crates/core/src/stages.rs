@@ -66,17 +66,44 @@ pub(crate) fn inv_curve(e: &[f64; 4], v: f64) -> (f64, f64) {
     (t, e[0] - t * e[1])
 }
 
-/// Eq. 2's ptanh `η₁ + η₂·tanh((v − η₃)·η₄)` at `v`, as
-/// `(tanh value, output)`: the operation sequence of [`crate::apply_ptanh`].
-#[inline]
-fn ptanh_curve(e: &[f64; 4], v: f64) -> (f64, f64) {
-    let t = tanh((v - e[2]) * e[3]);
-    (t, t * e[1] + e[0])
+/// Applies `f(η, v)` to every element of the `out`-wide rows of `src`,
+/// writing `dst`: `etas` holds one circuit for every column, or one per
+/// column. The one-circuit case is a flat loop LLVM vectorizes.
+#[inline(always)]
+fn map_curve(
+    etas: &[[f64; 4]],
+    out: usize,
+    src: &[f64],
+    dst: &mut [f64],
+    f: impl Fn(&[f64; 4], f64) -> f64,
+) {
+    if let [eta] = etas {
+        for (d, &v) in dst.iter_mut().zip(src) {
+            *d = f(eta, v);
+        }
+    } else {
+        for (d_row, s_row) in dst.chunks_exact_mut(out).zip(src.chunks_exact(out)) {
+            for ((d, &v), eta) in d_row.iter_mut().zip(s_row).zip(etas) {
+                *d = f(eta, v);
+            }
+        }
+    }
+}
+
+/// [`tanh`] in place over a flat slice: the middle pass of both curves.
+fn tanh_in_place(values: &mut [f64]) {
+    for v in values {
+        *v = tanh(*v);
+    }
 }
 
 /// The negative-path input `[inv(x), inv(1), 0]` of Eq. 3 from the
 /// extended input `x_ext`, given `inv_one = inv(1 V)`; the tanh of every
 /// input element goes to `t` (`rows × in_dim`) for the backward pass.
+///
+/// Three passes, each a flat loop: the tanh argument `(v − η₃)·η₄` into
+/// `t`, [`tanh`] over `t` in place, then `η₁ − t·η₂` into `x_neg`. Every
+/// element sees the operations of [`inv_curve`] in its order.
 pub(crate) fn invert(
     eta: &[f64; 4],
     inv_one: f64,
@@ -86,13 +113,15 @@ pub(crate) fn invert(
     x_neg: &mut [f64],
 ) {
     let ext = in_dim + 2;
-    for ((src, dst), t_row) in x_ext
-        .chunks_exact(ext)
-        .zip(x_neg.chunks_exact_mut(ext))
-        .zip(t.chunks_exact_mut(in_dim))
-    {
-        for ((d, tk), &v) in dst.iter_mut().zip(t_row.iter_mut()).zip(&src[..in_dim]) {
-            (*tk, *d) = inv_curve(eta, v);
+    for (t_row, src) in t.chunks_exact_mut(in_dim).zip(x_ext.chunks_exact(ext)) {
+        for (a, &v) in t_row.iter_mut().zip(&src[..in_dim]) {
+            *a = (v - eta[2]) * eta[3];
+        }
+    }
+    tanh_in_place(t);
+    for (dst, t_row) in x_neg.chunks_exact_mut(ext).zip(t.chunks_exact(in_dim)) {
+        for (d, &tk) in dst.iter_mut().zip(t_row) {
+            *d = eta[0] - tk * eta[1];
         }
         dst[in_dim] = inv_one;
         dst[in_dim + 1] = 0.0;
@@ -154,20 +183,17 @@ pub(crate) fn crossbar_column(
     }
 }
 
-/// Eq. 2's ptanh over the `out`-wide rows of `z` into `h`, saving each
-/// tanh in `t`. `etas` holds one circuit for the layer, or one per output
-/// neuron.
+/// Eq. 2's ptanh `η₁ + η₂·tanh((v − η₃)·η₄)` over the `out`-wide rows of
+/// `z` into `h`, saving each tanh in `t`. `etas` holds one circuit for the
+/// layer, or one per output neuron.
+///
+/// Three passes, as [`invert`]: the argument `(v − η₃)·η₄` into `t`,
+/// [`tanh`] over `t`, then `t·η₂ + η₁` into `h` — per element the
+/// operations `Graph::tanh` and its neighbours record, in their order.
 pub(crate) fn activate(etas: &[[f64; 4]], out: usize, z: &[f64], t: &mut [f64], h: &mut [f64]) {
-    for ((z_row, t_row), h_row) in z
-        .chunks_exact(out)
-        .zip(t.chunks_exact_mut(out))
-        .zip(h.chunks_exact_mut(out))
-    {
-        for (j, ((&v, tk), hk)) in z_row.iter().zip(t_row).zip(h_row).enumerate() {
-            let eta = &etas[if etas.len() == 1 { 0 } else { j }];
-            (*tk, *hk) = ptanh_curve(eta, v);
-        }
-    }
+    map_curve(etas, out, z, t, |e, v| (v - e[2]) * e[3]);
+    tanh_in_place(t);
+    map_curve(etas, out, t, h, |e, tk| tk * e[1] + e[0]);
 }
 
 /// Which transfer curve a backward pass runs through.

@@ -28,13 +28,12 @@
 //! on every parallel call. They are dropped when the plan is, which is
 //! when `train` returns, on the error path too.
 
-use crate::network::{LossKind, Pnn};
-use crate::nonlinearity::NonlinearCircuit;
+use crate::network::{argmax_row, LossKind, Pnn};
+use crate::nonlinearity::{EtaChain, NonlinearCircuit};
 use crate::stages::{self, Curve};
 use crate::train::LabeledData;
 use crate::variation::NoiseSample;
 use crate::PnnError;
-use pnc_autodiff::{GradStore, Graph, Var};
 use pnc_linalg::simd::{gemm_nt_f64, gemm_tn_f64};
 use pnc_linalg::{Matrix, ParallelConfig};
 use pnc_surrogate::SurrogateModel;
@@ -80,52 +79,24 @@ pub(crate) struct DrawOutcome {
     pub(crate) w: Vec<Matrix>,
 }
 
-/// A compiled training step over one training and one validation set.
+/// The network-wide part of a plan: layer shapes, which circuits learn,
+/// and the printable θ of the current step.
 #[derive(Debug)]
-pub(crate) struct TrainPlan<'d> {
+struct Net {
     layers: Vec<LayerPlan>,
-    loss: LossKind,
     /// Per circuit (activation then negative-weight, pair by pair):
     /// whether its 𝔴 is learnable.
     learnable: Vec<bool>,
     /// The printable θ of the current step, per layer: projected once per
-    /// Monte-Carlo loss and shared by its draws.
+    /// Monte-Carlo loss or evaluation and shared by its draws.
     projected: Vec<Vec<f64>>,
-    train: DataPlan<'d>,
-    val: DataPlan<'d>,
 }
 
-/// One data set and the per-worker buffers its draws run in.
-#[derive(Debug)]
-struct DataPlan<'d> {
-    data: LabeledData<'d>,
-    workers: Vec<Mutex<Workspace>>,
-}
-
-impl DataPlan<'_> {
-    /// Draws per worker when `draws` draws split into contiguous chunks.
-    fn chunk_len(&self, draws: usize) -> usize {
-        draws.div_ceil(self.workers.len()).max(1)
-    }
-}
-
-impl<'d> TrainPlan<'d> {
-    /// Compiles the step for `pnn` with `train_workers` buffer sets on the
-    /// training rows and `val_workers` on the validation rows.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PnnError::Data`] if either data set does not match the
-    /// network's input width.
-    pub(crate) fn compile(
-        pnn: &Pnn,
-        loss: LossKind,
-        train: LabeledData<'d>,
-        val: LabeledData<'d>,
-        (train_workers, val_workers): (usize, usize),
-    ) -> Result<Self, PnnError> {
+impl Net {
+    /// The plan of `pnn`, checking that `data` sets match its input width.
+    fn compile(pnn: &Pnn, data: &[LabeledData<'_>]) -> Result<Self, PnnError> {
         let config = pnn.config();
-        for data in [train, val] {
+        for data in data {
             if data.features.cols() != config.layer_sizes[0] {
                 return Err(PnnError::Data {
                     detail: format!(
@@ -148,27 +119,113 @@ impl<'d> TrainPlan<'d> {
                 apply_act: i < last || config.activation_on_output,
             })
             .collect();
-        let learnable: Vec<bool> = circuits(pnn)
-            .map(|c| matches!(c, NonlinearCircuit::Learnable { .. }))
-            .collect();
-        let data_plan = |data: LabeledData<'d>, workers: usize, backward: bool| DataPlan {
-            data,
-            workers: (0..workers.max(1))
-                .map(|_| Mutex::new(Workspace::new(&layers, &learnable, data.features, backward)))
-                .collect(),
-        };
-        let train = data_plan(train, train_workers, true);
-        let val = data_plan(val, val_workers, false);
-        Ok(TrainPlan {
+        Ok(Net {
             projected: layers
                 .iter()
                 .map(|l| vec![0.0; l.ext() * l.out_dim])
                 .collect(),
+            learnable: circuits(pnn)
+                .map(|c| matches!(c, NonlinearCircuit::Learnable { .. }))
+                .collect(),
             layers,
+        })
+    }
+
+    /// `workers` buffer sets for `data`, with backward buffers when
+    /// `backward`.
+    fn data_plan<'d>(&self, data: LabeledData<'d>, workers: usize, backward: bool) -> DataPlan<'d> {
+        DataPlan {
+            data,
+            workers: (0..workers.max(1))
+                .map(|_| {
+                    Mutex::new(Workspace::new(
+                        &self.layers,
+                        &self.learnable,
+                        data.features,
+                        backward,
+                    ))
+                })
+                .collect(),
+        }
+    }
+
+    /// Projects `pnn`'s θ to its printable values for the draws that
+    /// follow.
+    fn project(&mut self, pnn: &Pnn) {
+        let config = pnn.config();
+        for (proj, layer) in self.projected.iter_mut().zip(pnn.layers()) {
+            for (p, &t) in proj.iter_mut().zip(layer.theta.value().as_slice()) {
+                *p = crate::project_printable(t, config.g_min, config.g_max);
+            }
+        }
+    }
+}
+
+/// A compiled training step over one training and one validation set.
+#[derive(Debug)]
+pub(crate) struct TrainPlan<'d> {
+    net: Net,
+    loss: LossKind,
+    train: DataPlan<'d>,
+    val: DataPlan<'d>,
+}
+
+/// One data set and the per-worker buffers its draws run in.
+#[derive(Debug)]
+struct DataPlan<'d> {
+    data: LabeledData<'d>,
+    workers: Vec<Mutex<Workspace>>,
+}
+
+impl DataPlan<'_> {
+    /// Draws per worker when `draws` draws split into contiguous chunks.
+    fn chunk_len(&self, draws: usize) -> usize {
+        draws.div_ceil(self.workers.len()).max(1)
+    }
+
+    /// Runs `draw` on every draw of `noise` with the buffers of one worker
+    /// per contiguous chunk, spread over `parallel`; returns the chunks'
+    /// results in draw order.
+    fn run_chunks<R: Send>(
+        &self,
+        noise: &[Option<NoiseSample>],
+        parallel: &ParallelConfig,
+        draw: impl Fn(&mut Workspace, &[Option<NoiseSample>]) -> Result<R, PnnError> + Sync,
+    ) -> Result<Vec<R>, PnnError> {
+        let chunks: Vec<(usize, &[Option<NoiseSample>])> = noise
+            .chunks(self.chunk_len(noise.len()))
+            .enumerate()
+            .collect();
+        parallel.try_ordered_par_map(&chunks, |&(worker, draws)| {
+            let mut ws = self.workers[worker]
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner);
+            draw(&mut ws, draws)
+        })
+    }
+}
+
+impl<'d> TrainPlan<'d> {
+    /// Compiles the step for `pnn` with `train_workers` buffer sets on the
+    /// training rows and `val_workers` on the validation rows.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`PnnError::Data`] if either data set does not match the
+    /// network's input width.
+    pub(crate) fn compile(
+        pnn: &Pnn,
+        loss: LossKind,
+        train: LabeledData<'d>,
+        val: LabeledData<'d>,
+        (train_workers, val_workers): (usize, usize),
+    ) -> Result<Self, PnnError> {
+        let net = Net::compile(pnn, &[train, val])?;
+        Ok(TrainPlan {
+            train: net.data_plan(train, train_workers, true),
+            val: net.data_plan(val, val_workers, false),
+            net,
             loss,
-            learnable,
-            train,
-            val,
         })
     }
 
@@ -188,17 +245,9 @@ impl<'d> TrainPlan<'d> {
         backward: bool,
         parallel: &ParallelConfig,
     ) -> Result<(), PnnError> {
-        let config = pnn.config();
-        for (proj, layer) in self.projected.iter_mut().zip(pnn.layers()) {
-            for (p, &t) in proj.iter_mut().zip(layer.theta.value().as_slice()) {
-                *p = crate::project_printable(t, config.g_min, config.g_max);
-            }
-        }
+        self.net.project(pnn);
         let step = Step {
-            layers: &self.layers,
-            loss: self.loss,
-            learnable: &self.learnable,
-            projected: &self.projected,
+            net: &self.net,
             pnn,
             backward,
         };
@@ -206,17 +255,11 @@ impl<'d> TrainPlan<'d> {
             Split::Train => &self.train,
             Split::Val => &self.val,
         };
-        let chunks: Vec<(usize, &[Option<NoiseSample>])> = noise
-            .chunks(data.chunk_len(noise.len()))
-            .enumerate()
-            .collect();
-        parallel.try_ordered_par_map(&chunks, |&(worker, draws)| -> Result<(), PnnError> {
-            let mut ws = data.workers[worker]
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner);
+        let loss = self.loss;
+        data.run_chunks(noise, parallel, |ws, draws| {
             ws.ensure_slots(draws.len(), pnn, &step);
             for (slot, sample) in draws.iter().enumerate() {
-                ws.draw(&step, data.data, sample.as_ref(), slot)?;
+                ws.draw(&step, loss, data.data, sample.as_ref(), slot)?;
             }
             Ok(())
         })?;
@@ -251,18 +294,86 @@ impl<'d> TrainPlan<'d> {
     }
 }
 
+/// The forward pass of the training step, compiled over one labelled set
+/// for Monte-Carlo evaluation: per-worker buffers without backward
+/// buffers, and each draw scored by [`argmax_row`] accuracy.
+#[derive(Debug)]
+pub(crate) struct EvalPlan<'d> {
+    net: Net,
+    data: DataPlan<'d>,
+}
+
+impl<'d> EvalPlan<'d> {
+    /// Compiles the forward of `pnn` over `data` with `workers` buffer
+    /// sets.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`PnnError::Data`] if `data` does not match the network's
+    /// input width.
+    pub(crate) fn compile(
+        pnn: &Pnn,
+        data: LabeledData<'d>,
+        workers: usize,
+    ) -> Result<Self, PnnError> {
+        let mut net = Net::compile(pnn, &[data])?;
+        net.project(pnn);
+        Ok(EvalPlan {
+            data: net.data_plan(data, workers, false),
+            net,
+        })
+    }
+
+    /// The accuracy of `pnn` (the network the plan was compiled from)
+    /// under every draw of `noise`, in draw order: the draws run in
+    /// contiguous chunks, one worker's buffers each, spread over
+    /// `parallel`.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the lowest-index draw's failure.
+    pub(crate) fn accuracies(
+        &self,
+        pnn: &Pnn,
+        noise: &[Option<NoiseSample>],
+        parallel: &ParallelConfig,
+    ) -> Result<Vec<f64>, PnnError> {
+        let step = Step {
+            net: &self.net,
+            pnn,
+            backward: false,
+        };
+        let labels = self.data.data.labels;
+        let chunks = self.data.run_chunks(noise, parallel, |ws, draws| {
+            draws
+                .iter()
+                .map(|sample| {
+                    ws.forward_draw(&step, sample.as_ref())?;
+                    let scores = ws.scores();
+                    let out = scores.cols();
+                    let correct = scores
+                        .as_slice()
+                        .chunks_exact(out)
+                        .zip(labels)
+                        .filter(|&(row, &label)| argmax_row(row) == label)
+                        .count();
+                    Ok(correct as f64 / labels.len() as f64)
+                })
+                .collect::<Result<Vec<f64>, PnnError>>()
+        })?;
+        Ok(chunks.concat())
+    }
+}
+
 /// The activation and negative-weight circuits of `pnn`, pair by pair —
 /// the order of [`NoiseSample::omega_factors`].
 fn circuits(pnn: &Pnn) -> impl Iterator<Item = &NonlinearCircuit> {
     pnn.circuits().iter().flat_map(|(a, i)| [a, i])
 }
 
-/// Everything one Monte-Carlo loss shares across its draws.
+/// Everything one Monte-Carlo loss or evaluation shares across its draws.
 struct Step<'a> {
-    layers: &'a [LayerPlan],
-    loss: LossKind,
-    learnable: &'a [bool],
-    projected: &'a [Vec<f64>],
+    net: &'a Net,
     pnn: &'a Pnn,
     backward: bool,
 }
@@ -276,18 +387,9 @@ struct CircuitState {
     /// Scratch for the next key.
     next_key: Vec<u64>,
     eta: [f64; 4],
-    /// The recorded ω→η chain, for a learnable circuit on a data set
-    /// that runs backward.
+    /// The ω→η chain's saved forward, for a learnable circuit on a data
+    /// set that runs backward.
     chain: Option<EtaChain>,
-}
-
-/// The tape of one learnable circuit's ω→η chain.
-#[derive(Debug, Default)]
-struct EtaChain {
-    tape: Graph,
-    w: Option<Var>,
-    eta: Option<Var>,
-    store: GradStore,
 }
 
 impl CircuitState {
@@ -307,7 +409,7 @@ impl CircuitState {
         circuit: &NonlinearCircuit,
         surrogate: &SurrogateModel,
         factors: Option<&[f64; 7]>,
-    ) -> Result<(), PnnError> {
+    ) {
         self.next_key.clear();
         if let NonlinearCircuit::Learnable { w } = circuit {
             self.next_key
@@ -321,52 +423,28 @@ impl CircuitState {
             None => self.next_key.push(0),
         }
         if self.next_key == self.key {
-            return Ok(());
+            return;
         }
-        // Forget the cached η first, so a failed recording leaves none.
-        self.key.clear();
-        match &mut self.chain {
-            None => self.eta = circuit.eta(surrogate, factors),
-            Some(chain) => {
-                chain.tape.reset();
-                let w = circuit.register(&mut chain.tape);
-                let eta = circuit.eta_graph(&mut chain.tape, w, surrogate, factors)?;
-                for (e, &v) in self.eta.iter_mut().zip(chain.tape.value(eta).as_slice()) {
-                    *e = v;
-                }
-                (chain.w, chain.eta) = (w, Some(eta));
+        self.eta = match (&mut self.chain, circuit) {
+            (Some(chain), NonlinearCircuit::Learnable { w }) => {
+                chain.forward(w.value().as_slice(), surrogate, factors)
             }
-        }
+            _ => circuit.eta(surrogate, factors),
+        };
         std::mem::swap(&mut self.key, &mut self.next_key);
-        Ok(())
     }
 
-    /// Writes `∂L/∂𝔴` into `out` by differentiating the recorded chain
-    /// from `eta_grad`; zero when η got no gradient, as the tape's missing
-    /// leaf gradient counts.
-    fn w_grad(&mut self, eta_grad: Option<[f64; 4]>, out: &mut Matrix) -> Result<(), PnnError> {
-        out.as_mut_slice().fill(0.0);
-        let (Some(chain), Some(g)) = (&mut self.chain, eta_grad) else {
-            return Ok(());
-        };
-        let (Some(w), Some(eta)) = (chain.w, chain.eta) else {
-            return Ok(());
-        };
-        chain
-            .tape
-            .backward_seeded(eta, Matrix::row_vector(&g), &mut chain.store)?;
-        if let Some(gw) = chain.store.get(w) {
-            out.copy_from(gw).map_err(grad_shape_err)?;
+    /// Writes `∂L/∂𝔴` into `out` through the chain's backward from
+    /// `eta_grad`; zero when η got no gradient, as the tape's missing leaf
+    /// gradient counts.
+    fn w_grad(&mut self, surrogate: &SurrogateModel, eta_grad: Option<[f64; 4]>, out: &mut Matrix) {
+        match (&mut self.chain, eta_grad) {
+            (Some(chain), Some(g)) => out
+                .as_mut_slice()
+                .copy_from_slice(&chain.w_grad(surrogate, &g)),
+            _ => out.as_mut_slice().fill(0.0),
         }
-        Ok(())
     }
-}
-
-fn grad_shape_err(source: pnc_linalg::LinalgError) -> PnnError {
-    PnnError::Autodiff(pnc_autodiff::AutodiffError::Backward {
-        op: "train_plan",
-        source,
-    })
 }
 
 /// One layer's buffers, `rows` tall.
@@ -510,6 +588,7 @@ impl Workspace {
                     .map(|&(r, c)| Matrix::zeros(r, c))
                     .collect(),
                 w: step
+                    .net
                     .learnable
                     .iter()
                     .filter(|&&l| l)
@@ -519,21 +598,21 @@ impl Workspace {
         }
     }
 
-    /// Runs one draw into outcome slot `slot`.
-    fn draw(
+    /// Runs one draw's forward pass, leaving its scores in
+    /// [`Self::scores`]: checks the sample's shapes, brings every circuit's
+    /// η up to date, then runs the layers.
+    fn forward_draw(
         &mut self,
         step: &Step<'_>,
-        data: LabeledData<'_>,
         sample: Option<&NoiseSample>,
-        slot: usize,
     ) -> Result<(), PnnError> {
-        let pnn = step.pnn;
+        let (pnn, layers) = (step.pnn, &step.net.layers);
         if let Some(n) = sample {
-            let shapes_match = n.theta_factors.len() == step.layers.len()
+            let shapes_match = n.theta_factors.len() == layers.len()
                 && n.omega_factors.len() == self.circuits.len()
                 && n.theta_factors
                     .iter()
-                    .zip(step.layers)
+                    .zip(layers)
                     .all(|(f, l)| f.shape() == (l.ext(), l.out_dim));
             if !shapes_match {
                 return Err(PnnError::Data {
@@ -546,11 +625,29 @@ impl Workspace {
                 circuit,
                 pnn.surrogate(),
                 sample.map(|n| &n.omega_factors[c]),
-            )?;
+            );
         }
         self.forward(step, sample);
-        let scores = &self.layers[step.layers.len() - 1].h;
-        let loss = match step.loss {
+        Ok(())
+    }
+
+    /// The last layer's output of the last forward pass.
+    fn scores(&self) -> &Matrix {
+        &self.layers[self.layers.len() - 1].h
+    }
+
+    /// Runs one draw into outcome slot `slot`.
+    fn draw(
+        &mut self,
+        step: &Step<'_>,
+        loss: LossKind,
+        data: LabeledData<'_>,
+        sample: Option<&NoiseSample>,
+        slot: usize,
+    ) -> Result<(), PnnError> {
+        self.forward_draw(step, sample)?;
+        let scores = &self.layers[self.layers.len() - 1].h;
+        let value = match loss {
             LossKind::Margin { margin } => {
                 pnc_autodiff::loss::margin_loss(scores, data.labels, margin, &mut self.loss_grad)?
             }
@@ -566,15 +663,16 @@ impl Workspace {
                 )?
             }
         };
-        self.outcomes[slot].loss = loss;
+        self.outcomes[slot].loss = value;
         if step.backward {
-            self.backward(step, sample, slot)?;
+            self.backward(step, loss, sample, slot);
         }
         Ok(())
     }
 
     fn forward(&mut self, step: &Step<'_>, sample: Option<&NoiseSample>) {
-        for (l, plan) in step.layers.iter().enumerate() {
+        let net = step.net;
+        for (l, plan) in net.layers.iter().enumerate() {
             let (before, rest) = self.layers.split_at_mut(l);
             let lb = &mut rest[0];
             let (input, ext, out) = (plan.in_dim, plan.ext(), plan.out_dim);
@@ -587,11 +685,11 @@ impl Workspace {
             match sample {
                 Some(n) => {
                     let f = n.theta_factors[l].as_slice();
-                    for ((t, &p), &fk) in lb.theta.iter_mut().zip(&step.projected[l]).zip(f) {
+                    for ((t, &p), &fk) in lb.theta.iter_mut().zip(&net.projected[l]).zip(f) {
                         *t = p * fk;
                     }
                 }
-                None => lb.theta.copy_from_slice(&step.projected[l]),
+                None => lb.theta.copy_from_slice(&net.projected[l]),
             }
             stages::normalize(&lb.theta, out, &mut lb.total, &mut lb.w_pos, &mut lb.w_neg);
 
@@ -656,13 +754,15 @@ impl Workspace {
     fn backward(
         &mut self,
         step: &Step<'_>,
+        loss: LossKind,
         sample: Option<&NoiseSample>,
         slot: usize,
-    ) -> Result<(), PnnError> {
+    ) {
         // The loss node's gradient 1.0 scales the template; cross-entropy
         // then passes through the 1/temperature scale.
         let last = self.layers.len() - 1;
-        let scale = match step.loss {
+        let learnable = &step.net.learnable;
+        let scale = match loss {
             LossKind::Margin { .. } => None,
             LossKind::CrossEntropy { temperature } => Some(1.0 / temperature),
         };
@@ -679,7 +779,7 @@ impl Workspace {
         }
         self.eta_grad.fill(None);
 
-        for (l, plan) in step.layers.iter().enumerate().rev() {
+        for (l, plan) in step.net.layers.iter().enumerate().rev() {
             let (before, rest) = self.layers.split_at_mut(l);
             let lb = &mut rest[0];
             let mut x_g = before.last_mut().map(|prev| prev.g_h.as_mut_slice());
@@ -702,7 +802,7 @@ impl Workspace {
                         |i, k| (g_h[index(i, k)], t[index(i, k)], z[index(i, k)]),
                         |i, k, g| z_g[index(i, k)] = g,
                     );
-                    if step.learnable[2 * (pairs + q)] {
+                    if learnable[2 * (pairs + q)] {
                         stages::accumulate_eta(&mut self.eta_grad[2 * (pairs + q)], sums);
                     }
                 }
@@ -740,7 +840,7 @@ impl Workspace {
             for (visit, q) in (0..columns).rev().enumerate() {
                 let first = visit == 0;
                 let p = pairs + q;
-                let inv_learns = step.learnable[2 * p + 1];
+                let inv_learns = learnable[2 * p + 1];
                 if !x_needs && !inv_learns {
                     continue;
                 }
@@ -818,11 +918,10 @@ impl Workspace {
         for (state, grad) in self.circuits.iter_mut().zip(&self.eta_grad) {
             if state.chain.is_some() {
                 if let Some(out) = w.next() {
-                    state.w_grad(*grad, out)?;
+                    state.w_grad(step.pnn.surrogate(), *grad, out);
                 }
             }
         }
-        Ok(())
     }
 }
 
@@ -832,6 +931,7 @@ mod tests {
     use crate::aging::{age_noise, AgingAwareness, AgingModel};
     use crate::network::{NonlinearityGranularity, PnnConfig};
     use crate::variation::VariationModel;
+    use pnc_autodiff::{GradStore, Graph};
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};

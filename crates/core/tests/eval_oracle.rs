@@ -6,8 +6,8 @@
 //! test pins both the draw sequence and the forward pass.
 
 use pnc_core::{
-    accuracy, mc_evaluate_with, LabeledData, NoiseSample, NonlinearityGranularity, Pnn,
-    PnnConfig, VariationModel,
+    accuracy, mc_evaluate_with, LabeledData, NoiseSample, NonlinearityGranularity, Pnn, PnnConfig,
+    VariationModel,
 };
 use pnc_linalg::{stats, Matrix, ParallelConfig};
 use pnc_surrogate::SurrogateModel;

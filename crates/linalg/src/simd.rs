@@ -41,8 +41,9 @@ const NR: usize = 4;
 /// Accumulates `out[0..m, 0..n] += A[0..m, 0..kk] · B[0..kk, 0..n]` over
 /// strided row-major panels (`lda`/`ldb`/`ldo` elements between row
 /// starts); the final argument is the `(m, kk, n)` shape triple. Per
-/// output element the contraction index `k` ascends, so the result is
-/// bit-identical to the naive triple loop for any tiling.
+/// output element the contraction index `k` ascends from the incoming
+/// `out` value, so the result is bit-identical to the naive triple loop
+/// for any tiling.
 ///
 /// Panics (via slice indexing) if a panel reaches past its backing
 /// slice; shapes are the caller's responsibility.
@@ -55,93 +56,15 @@ pub fn gemm_f64_acc_strided(
     ldo: usize,
     (m, kk, n): (usize, usize, usize),
 ) {
-    let mut i = 0;
-    // Four-row register tile: every loaded B slice feeds 4 rows.
-    while i + MR <= m {
-        let a0 = &a[i * lda..i * lda + kk];
-        let a1 = &a[(i + 1) * lda..(i + 1) * lda + kk];
-        let a2 = &a[(i + 2) * lda..(i + 2) * lda + kk];
-        let a3 = &a[(i + 3) * lda..(i + 3) * lda + kk];
-        let mut j = 0;
-        while j + NR <= n {
-            let mut c0 = [0.0; NR];
-            let mut c1 = [0.0; NR];
-            let mut c2 = [0.0; NR];
-            let mut c3 = [0.0; NR];
-            c0.copy_from_slice(&out[i * ldo + j..i * ldo + j + NR]);
-            c1.copy_from_slice(&out[(i + 1) * ldo + j..(i + 1) * ldo + j + NR]);
-            c2.copy_from_slice(&out[(i + 2) * ldo + j..(i + 2) * ldo + j + NR]);
-            c3.copy_from_slice(&out[(i + 3) * ldo + j..(i + 3) * ldo + j + NR]);
-            for k in 0..kk {
-                let bv = &b[k * ldb + j..k * ldb + j + NR];
-                let (x0, x1, x2, x3) = (a0[k], a1[k], a2[k], a3[k]);
-                for l in 0..NR {
-                    c0[l] += x0 * bv[l];
-                }
-                for l in 0..NR {
-                    c1[l] += x1 * bv[l];
-                }
-                for l in 0..NR {
-                    c2[l] += x2 * bv[l];
-                }
-                for l in 0..NR {
-                    c3[l] += x3 * bv[l];
-                }
-            }
-            out[i * ldo + j..i * ldo + j + NR].copy_from_slice(&c0);
-            out[(i + 1) * ldo + j..(i + 1) * ldo + j + NR].copy_from_slice(&c1);
-            out[(i + 2) * ldo + j..(i + 2) * ldo + j + NR].copy_from_slice(&c2);
-            out[(i + 3) * ldo + j..(i + 3) * ldo + j + NR].copy_from_slice(&c3);
-            j += NR;
-        }
-        // Column remainder: scalar accumulators, same k order.
-        while j < n {
-            let mut c0 = out[i * ldo + j];
-            let mut c1 = out[(i + 1) * ldo + j];
-            let mut c2 = out[(i + 2) * ldo + j];
-            let mut c3 = out[(i + 3) * ldo + j];
-            for k in 0..kk {
-                let bv = b[k * ldb + j];
-                c0 += a0[k] * bv;
-                c1 += a1[k] * bv;
-                c2 += a2[k] * bv;
-                c3 += a3[k] * bv;
-            }
-            out[i * ldo + j] = c0;
-            out[(i + 1) * ldo + j] = c1;
-            out[(i + 2) * ldo + j] = c2;
-            out[(i + 3) * ldo + j] = c3;
-            j += 1;
-        }
-        i += MR;
-    }
-    // Row remainder: single-row tile, NR-wide then scalar columns.
-    while i < m {
-        let ar = &a[i * lda..i * lda + kk];
-        let mut j = 0;
-        while j + NR <= n {
-            let mut c = [0.0; NR];
-            c.copy_from_slice(&out[i * ldo + j..i * ldo + j + NR]);
-            for k in 0..kk {
-                let bv = &b[k * ldb + j..k * ldb + j + NR];
-                let x = ar[k];
-                for l in 0..NR {
-                    c[l] += x * bv[l];
-                }
-            }
-            out[i * ldo + j..i * ldo + j + NR].copy_from_slice(&c);
-            j += NR;
-        }
-        while j < n {
-            let mut c = out[i * ldo + j];
-            for k in 0..kk {
-                c += ar[k] * b[k * ldb + j];
-            }
-            out[i * ldo + j] = c;
-            j += 1;
-        }
-        i += 1;
-    }
+    let t = Nn {
+        a,
+        lda,
+        b,
+        ldb,
+        kk,
+        ldo,
+    };
+    sweep_tiles(&t, m, n, out);
 }
 
 /// `out = A · B` for contiguous row-major `f64` slices (`A` is `m×kk`, `B`
@@ -155,9 +78,10 @@ pub fn gemm_f64(m: usize, kk: usize, n: usize, a: &[f64], b: &[f64], out: &mut [
     gemm_f64_acc_strided(a, kk, b, n, out, n, (m, kk, n));
 }
 
-/// One register tile of a transpose product: the `R × W` block of the
-/// output whose top-left element is `(i, j)`, summed in registers with `k`
-/// ascending from `0.0` and stored once.
+/// One register tile of a product: the `R × W` block of the output whose
+/// top-left element is `(i, j)`, summed in registers with `k` ascending
+/// (from `0.0`, or from the block's incoming value for [`Nn`]) and stored
+/// once.
 trait Tile {
     fn tile<const R: usize, const W: usize>(&self, i: usize, j: usize, out: &mut [f64]);
 }
@@ -194,8 +118,8 @@ fn row_of_tiles<T: Tile, const R: usize>(t: &T, i: usize, n: usize, out: &mut [f
     }
 }
 
-/// Stores a finished `R × W` tile at `(i, j)` of a row-major output with
-/// `n` columns.
+/// Stores a finished `R × W` tile at `(i, j)` of a row-major output whose
+/// rows start `n` elements apart.
 #[inline(always)]
 fn store_tile<const R: usize, const W: usize>(
     c: &[[f64; W]; R],
@@ -204,6 +128,40 @@ fn store_tile<const R: usize, const W: usize>(
 ) {
     for (r, c_row) in c.iter().enumerate() {
         out[(i + r) * n + j..][..W].copy_from_slice(c_row);
+    }
+}
+
+/// `A·B` accumulated into a strided output: a tile starts from the `R × W`
+/// block already in `out`, and each step reads `R` values down column `k`
+/// of `A` and `W` contiguous values of `B`'s row `k`.
+struct Nn<'a> {
+    a: &'a [f64],
+    lda: usize,
+    b: &'a [f64],
+    ldb: usize,
+    kk: usize,
+    ldo: usize,
+}
+
+impl Tile for Nn<'_> {
+    #[inline(always)]
+    fn tile<const R: usize, const W: usize>(&self, i: usize, j: usize, out: &mut [f64]) {
+        let (kk, ldo) = (self.kk, self.ldo);
+        let a_rows: [&[f64]; R] = std::array::from_fn(|r| &self.a[(i + r) * self.lda..][..kk]);
+        let mut c = [[0.0; W]; R];
+        for (r, c_row) in c.iter_mut().enumerate() {
+            c_row.copy_from_slice(&out[(i + r) * ldo + j..][..W]);
+        }
+        for k in 0..kk {
+            let b_at = k * self.ldb + j;
+            for (c_row, a_row) in c.iter_mut().zip(&a_rows) {
+                let x = a_row[k];
+                for (l, acc) in c_row.iter_mut().enumerate() {
+                    *acc += x * self.b[b_at + l];
+                }
+            }
+        }
+        store_tile(&c, (i, j, ldo), out);
     }
 }
 
@@ -402,9 +360,50 @@ mod proptests {
                 .all(|(g, w)| g.to_bits() == w.to_bits() || (g.is_nan() && w.is_nan()))
     }
 
+    /// `n` [`value`]s.
+    fn values(n: usize) -> impl Strategy<Value = Vec<f64>> {
+        proptest::collection::vec(value(), n)
+    }
+
+    /// Equal bit for bit, a NaN meeting any NaN (see [`same_bits`]).
+    fn same_slice_bits(got: &[f64], want: &[f64]) -> bool {
+        got.len() == want.len()
+            && got
+                .iter()
+                .zip(want)
+                .all(|(g, w)| g.to_bits() == w.to_bits() || (g.is_nan() && w.is_nan()))
+    }
+
     proptest! {
         // Every tile remainder: 0–9 rows, p and q (the output's two sides).
         #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The accumulating product over strided panels is the naive triple
+        /// loop from the incoming `out`: `m`, `kk` and `n` over 0–9, row
+        /// strides up to two wider than each panel, and padding that must
+        /// come back untouched.
+        #[test]
+        fn gemm_acc_strided_is_the_naive_loop(
+            (shape, pads, a, b, out) in (0usize..10, 0usize..10, 0usize..10, 0usize..3, 0usize..3, 0usize..3)
+                .prop_flat_map(|(m, kk, n, pa, pb, po)| {
+                    let (lda, ldb, ldo) = (kk + pa, n + pb, n + po);
+                    (values(m * lda), values(kk * ldb), values(m * ldo))
+                        .prop_map(move |(a, b, out)| ((m, kk, n), (lda, ldb, ldo), a, b, out))
+                })
+        ) {
+            let ((m, kk, n), (lda, ldb, ldo)) = (shape, pads);
+            let mut want = out.clone();
+            for i in 0..m {
+                for k in 0..kk {
+                    for j in 0..n {
+                        want[i * ldo + j] += a[i * lda + k] * b[k * ldb + j];
+                    }
+                }
+            }
+            let mut got = out;
+            gemm_f64_acc_strided(&a, lda, &b, ldb, &mut got, ldo, (m, kk, n));
+            prop_assert!(same_slice_bits(&got, &want), "{got:?} vs {want:?}");
+        }
 
         #[test]
         fn gemm_tn_is_the_reference_on_the_explicit_transpose(

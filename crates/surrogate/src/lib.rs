@@ -62,8 +62,8 @@ pub use design_space::{DesignSampler, DesignSpace, EXTENDED_DIM, OMEGA_DIM};
 pub use error::SurrogateError;
 pub use mlp::{Mlp, PAPER_LAYER_SIZES};
 pub use model::{
-    artifact_dir, default_surrogate, quick_surrogate, train_surrogate, SurrogateModel, TrainConfig,
-    TrainReport,
+    artifact_dir, default_surrogate, quick_surrogate, train_surrogate, EtaTrace, SurrogateModel,
+    TrainConfig, TrainReport,
 };
 pub use store::{
     DatasetStore, ResumeReport, StoreError, StoreMeta, StoreRecord, CAUSE_CAP, FORMAT_VERSION,

@@ -1,5 +1,5 @@
 use pnc_autodiff::{Graph, Parameter, Var};
-use pnc_linalg::simd::gemm_f64;
+use pnc_linalg::simd::{gemm_f64, gemm_nt_f64};
 use pnc_linalg::{tanh, Matrix};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -201,6 +201,57 @@ impl Mlp {
             std::mem::swap(&mut h, &mut next);
         }
         h
+    }
+
+    /// [`Mlp::predict`] on one row that keeps every layer's output in
+    /// `acts`, layer after layer (the hidden ones after their `tanh`), for
+    /// [`Mlp::input_grad`]. The output row is the tail of `acts`; it has
+    /// the bits of `predict`, which runs the same operations.
+    pub(crate) fn forward_keep(&self, x: &[f64], acts: &mut Vec<f64>) {
+        acts.clear();
+        let last = self.weights.len() - 1;
+        for (layer, (w, b)) in self.weights.iter().zip(&self.biases).enumerate() {
+            let (fan_in, fan_out) = w.value().shape();
+            let begin = acts.len();
+            acts.resize(begin + fan_out, 0.0);
+            let (prev, next) = acts.split_at_mut(begin);
+            let input = if layer == 0 {
+                x
+            } else {
+                &prev[begin - fan_in..]
+            };
+            gemm_f64(1, fan_in, fan_out, input, w.value().as_slice(), next);
+            for (v, &bj) in next.iter_mut().zip(b.value().as_slice()) {
+                let lin = *v + bj;
+                *v = if layer < last { tanh(lin) } else { lin };
+            }
+        }
+    }
+
+    /// `∂L/∂x` of the row [`Mlp::forward_keep`] left in `acts`, from `g`
+    /// holding `∂L/∂y`; `g` ends holding `∂L/∂x` and `scratch` is spare
+    /// room. This is the tape's backward of [`Mlp::forward_const`], layer
+    /// by layer from the last: `g·(1 − t²)` through each hidden `tanh`, the
+    /// bias `add` passing `g` on, and `g·Wᵀ` through [`gemm_nt_f64`], the
+    /// kernel behind the tape's `matmul` backward — so the bits are the
+    /// tape's.
+    pub(crate) fn input_grad(&self, acts: &[f64], g: &mut Vec<f64>, scratch: &mut Vec<f64>) {
+        let last = self.weights.len() - 1;
+        let mut end = acts.len();
+        for (layer, w) in self.weights.iter().enumerate().rev() {
+            let (fan_in, fan_out) = w.value().shape();
+            let t = &acts[end - fan_out..end];
+            end -= fan_out;
+            if layer < last {
+                for (gj, &tj) in g.iter_mut().zip(t) {
+                    *gj *= 1.0 - tj * tj;
+                }
+            }
+            scratch.clear();
+            scratch.resize(fan_in, 0.0);
+            gemm_nt_f64(1, fan_out, fan_in, g, w.value().as_slice(), scratch);
+            std::mem::swap(g, scratch);
+        }
     }
 
     /// Forward pass with weights registered as trainable leaves.

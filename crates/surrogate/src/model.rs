@@ -7,6 +7,17 @@ use pnc_linalg::{stats, Matrix};
 use serde::{Deserialize, Serialize};
 use std::path::{Path, PathBuf};
 
+/// What one traced η prediction keeps for its backward pass: the ω it
+/// saw and every MLP layer's output, plus scratch rows. Reused across
+/// predictions, so a long run allocates it once.
+#[derive(Debug, Clone, Default)]
+pub struct EtaTrace {
+    omega: [f64; OMEGA_DIM],
+    acts: Vec<f64>,
+    grad: Vec<f64>,
+    scratch: Vec<f64>,
+}
+
 /// Training configuration for the surrogate network.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TrainConfig {
@@ -86,6 +97,63 @@ impl SurrogateModel {
         let mut eta_norm = [0.0; 4];
         eta_norm.copy_from_slice(&out);
         self.eta_bounds.denormalize(&eta_norm)
+    }
+
+    /// [`SurrogateModel::predict_eta`] that keeps what
+    /// [`SurrogateModel::omega_grad`] needs in `trace`; the same bits.
+    pub fn predict_eta_traced(&self, omega: &[f64; OMEGA_DIM], trace: &mut EtaTrace) -> [f64; 4] {
+        trace.omega = *omega;
+        let norm = self.space.normalize_omega(omega);
+        self.mlp.forward_keep(&norm, &mut trace.acts);
+        let mut eta_norm = [0.0; 4];
+        eta_norm.copy_from_slice(&trace.acts[trace.acts.len() - 4..]);
+        self.eta_bounds.denormalize(&eta_norm)
+    }
+
+    /// `∂L/∂ω` of the prediction [`SurrogateModel::predict_eta_traced`]
+    /// left in `trace`, from `eta_grad` = `∂L/∂η`.
+    ///
+    /// Hand-derived, it runs the backward pass `Graph::backward_seeded`
+    /// runs over [`SurrogateModel::predict_eta_graph`] in the tape's order,
+    /// with the tape's formulas: the denormalizing `mul` (`g·range`), the
+    /// MLP ([`Mlp`]'s input gradient), the normalizing `div` (`g / range`)
+    /// and `sub`, then the `concat_cols` of ω with the ratios
+    /// `R₂/R₁`, `R₄/R₃`, `W/L` — each `div`'s `g / b` and `g·(−a/b²)` — and
+    /// last the zero-padded `1×7` gradients of the six `slice_cols` of ω,
+    /// added in reverse order of recording. The bits are the tape's.
+    pub fn omega_grad(&self, trace: &mut EtaTrace, eta_grad: &[f64; 4]) -> [f64; OMEGA_DIM] {
+        let g = &mut trace.grad;
+        g.clear();
+        g.extend(
+            eta_grad
+                .iter()
+                .zip(self.eta_bounds.lo.iter().zip(&self.eta_bounds.hi))
+                .map(|(&gk, (&l, &h))| gk * (h - l)),
+        );
+        self.mlp.input_grad(&trace.acts, g, &mut trace.scratch);
+        let (lo, hi) = (self.space.extended_lo(), self.space.extended_hi());
+        let mut ext_g = [0.0; EXTENDED_DIM];
+        for (k, e) in ext_g.iter_mut().enumerate() {
+            *e = g[k] / (hi[k] - lo[k]);
+        }
+        let omega = &trace.omega;
+        let mut omega_g = [0.0; OMEGA_DIM];
+        omega_g.copy_from_slice(&ext_g[..OMEGA_DIM]);
+        // The three ratios, last recorded first: (numerator, denominator)
+        // columns of ω and the ratio's gradient.
+        let mut slice_g = [0.0; OMEGA_DIM];
+        for (num, den, g_ratio) in [(5, 6, ext_g[9]), (3, 2, ext_g[8]), (1, 0, ext_g[7])] {
+            let (a, b) = (omega[num], omega[den]);
+            slice_g[num] = g_ratio / b;
+            slice_g[den] = g_ratio * (-a / (b * b));
+        }
+        // The slices of R₁, R₂, R₃, R₄, W, L were recorded in that order.
+        for col in [6, 5, 3, 2, 1, 0] {
+            for (k, acc) in omega_g.iter_mut().enumerate() {
+                *acc += if k == col { slice_g[col] } else { 0.0 };
+            }
+        }
+        omega_g
     }
 
     /// Graph version of [`SurrogateModel::predict_eta`]: takes a `1×7` node
@@ -206,8 +274,8 @@ pub fn artifact_dir() -> PathBuf {
 }
 
 /// The default surrogate model: 2000 QMC design points with 61-point
-/// sweeps and the paper's 13-layer network. Trains once (about a minute in
-/// release mode) and is cached at `surrogate-default.json` in
+/// sweeps and the paper's 13-layer network. Trains once (about 5 s in
+/// release mode on 2 vCPUs) and is cached at `surrogate-default.json` in
 /// [`artifact_dir`] afterwards.
 ///
 /// # Errors

@@ -9,15 +9,17 @@
 # in each, then runs <pairs> alternating untraced pairs with the command and
 # the `run_seconds` of BENCHMARK.json, the parent first in odd pairs and the
 # change first in even ones. Each run's result file is kept under
-# target/ab/<workload>-s<seed>/{parent,change}/. Every pair prints both
-# sides' `failed`, `correct` and every end-to-end metric of BENCHMARK.json;
+# target/ab/<workload>-s<seed>/{parent,change}/, with its exit status in
+# code-<pair>. Every pair prints both sides' exit status, `failed`,
+# `correct` and every end-to-end metric of BENCHMARK.json;
 # the end prints, for each of those metrics, the pairs the change won in
 # the direction its `better` field gives, then both sides' total `failed`
 # and the benchmark's `compare` verdict per metric. `seed` defaults to 1.
 #
-# Exits with the status of `compare`, or 1 when any run is not `correct` or
-# the change fails more operations in total than the parent: a gain does
-# not count then.
+# Exits with the status of `compare`, or 1 when any run exits non-zero, is
+# not `correct`, or the change fails more operations in total than the
+# parent: a gain does not count then. A run that leaves no result file
+# stops the script at once; every failing run is named by side and pair.
 #
 # It writes only under target/; the benchmark/ of this checkout is untouched.
 # Needs `jq` to read BENCHMARK.json and the result files.
@@ -57,14 +59,21 @@ checkout() {
     (cd "$dir" && cargo build --release --quiet --offline --manifest-path benchmark/Cargo.toml)
 }
 
-# One untraced run on <side>; its result file is kept as run-<pair>.json.
-# The benchmark exits non-zero on an incorrect run; its result file is still
-# written, and the `correct` field in it is checked below.
+# One untraced run on <side>; its result file is kept as run-<pair>.json and
+# its exit status as code-<pair>. The benchmark exits non-zero on an
+# incorrect run and still writes its result file, so a non-zero status is
+# recorded and judged after the pairs; a missing result file ends the
+# script here.
 run() {
     local side=$1 pair=$2
-    local out=$results/$side/pair-$pair
+    local out=$results/$side/pair-$pair code=0
     (cd "$ab/$side" && "${bench[@]}" --workload "$workload" --seed "$seed" \
-        --seconds "$seconds" --trace 0 --out "$out" >/dev/null) || true
+        --seconds "$seconds" --trace 0 --out "$out" >/dev/null) || code=$?
+    echo "$code" >"$results/$side/code-$pair"
+    if [ ! -f "$out/$workload-s$seed.json" ]; then
+        echo "the $side run of pair $pair exited with status $code and wrote no result file" >&2
+        exit 1
+    fi
     mv "$out/$workload-s$seed.json" "$results/$side/run-$pair.json"
     rmdir "$out"
 }
@@ -95,6 +104,7 @@ declare -A wins
 failed_parent=0
 failed_change=0
 incorrect=0
+exited=()
 for pair in $(seq 1 "$pairs"); do
     if [ $((pair % 2)) -eq 1 ]; then
         run parent "$pair"
@@ -105,7 +115,11 @@ for pair in $(seq 1 "$pairs"); do
     fi
     read -r pf pc < <(status_of "$results/parent/run-$pair.json")
     read -r cf cc < <(status_of "$results/change/run-$pair.json")
-    line="pair $pair/$pairs: failed $pf/$cf correct $pc/$cc"
+    pe=$(cat "$results/parent/code-$pair")
+    ce=$(cat "$results/change/code-$pair")
+    [ "$pe" -eq 0 ] || exited+=("parent run of pair $pair exited with status $pe")
+    [ "$ce" -eq 0 ] || exited+=("change run of pair $pair exited with status $ce")
+    line="pair $pair/$pairs: exit $pe/$ce failed $pf/$cf correct $pc/$cc"
     for entry in "${metrics[@]}"; do
         read -r name better <<<"$entry"
         p=$(value_of "$results/parent/run-$pair.json" "$name")
@@ -129,6 +143,10 @@ echo "failed operations in total: parent $failed_parent, change $failed_change" 
 
 status=0
 (cd "$ab/change" && "${bench[@]}" compare "$results/parent" "$results/change") || status=$?
+for msg in ${exited[@]+"${exited[@]}"}; do
+    echo "$msg" >&2
+    status=1
+done
 if [ "$incorrect" -gt 0 ]; then
     echo "$incorrect run(s) not correct" >&2
     status=1

@@ -10,10 +10,11 @@
 #      DESIGN.md §17 (StoreMeta::encode, StoreRecord::encode), the
 #      ptanh fit with the dataset built from it (fit_ptanh_with), the
 #      one ML-side tanh (pnc_linalg::tanh), the surrogate's training
-#      trajectory (train_surrogate) and the tape oracle of the Monte-Carlo
-#      evaluation (mc_evaluate_with against Pnn::predict). Each pin test
-#      must still exist in its file (as a plain or a proptest fn);
-#      `cargo test` runs them.
+#      trajectory (train_surrogate), and the tape oracles of the
+#      Monte-Carlo evaluation (mc_evaluate_with against Pnn::predict) and
+#      of the hand-derived ω→η chain (against Graph::backward_seeded).
+#      Each pin test must still exist in its file (as a plain or a
+#      proptest fn); `cargo test` runs them.
 #   3. The check itself stays fast: under 10 s of wall time, so the lint
 #      job never becomes the long pole.
 #
@@ -49,7 +50,8 @@ for pin in "crates/linalg/src/matrix.rs matmul_reference_output_is_pinned" \
            "crates/surrogate/tests/fit_digest.rs ptanh_fits_and_their_lm_work_are_pinned" \
            "crates/surrogate/tests/dataset_digest.rs in_memory_dataset_is_pinned" \
            "crates/surrogate/tests/train_digest.rs surrogate_training_trajectory_is_pinned" \
-           "crates/core/tests/eval_oracle.rs mc_evaluate_matches_tape_predict"; do
+           "crates/core/tests/eval_oracle.rs mc_evaluate_matches_tape_predict" \
+           "crates/core/src/nonlinearity.rs chain_backward_matches_backward_seeded"; do
     file=${pin%% *}
     test_fn=${pin#* }
     if ! grep -q "fn ${test_fn}(" "$file"; then
