@@ -39,7 +39,7 @@ pub fn accuracy(
         });
     }
     let plan = EvalPlan::compile(pnn, data, 1)?;
-    let accuracies = plan.accuracies(pnn, &[noise.cloned()], &ParallelConfig::serial())?;
+    let accuracies = plan.accuracies(&[noise.cloned()], &ParallelConfig::serial())?;
     Ok(accuracies[0])
 }
 
@@ -145,7 +145,7 @@ pub fn mc_evaluate_with(
         });
     }
     let workers = parallel.effective_threads().min(n_test);
-    let accuracies = EvalPlan::compile(pnn, data, workers)?.accuracies(pnn, &noise, &parallel)?;
+    let accuracies = EvalPlan::compile(pnn, data, workers)?.accuracies(&noise, &parallel)?;
     Ok(McStats {
         mean: stats::mean(&accuracies),
         std: stats::std(&accuracies),

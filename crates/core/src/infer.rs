@@ -21,8 +21,8 @@
 //! the f32 and Q1.14 plans.
 //!
 //! Plans capture the *nominal* network: printing variation is a training
-//! concern (the trainer's compiled step applies it per draw) and a
-//! robustness-evaluation one (`mc_evaluate` runs it on the graph).
+//! concern and a robustness-evaluation one, and both apply it per draw in
+//! the trainer's compiled step (`mc_evaluate` runs that step's forward).
 //!
 //! # Examples
 //!

@@ -9,7 +9,9 @@
 //! operations of the autodiff ops [`crate::Pnn::forward`] records, in the
 //! same order, and every backward stage forms and sums its terms in the
 //! order `Graph::backward_into` does. The curves call
-//! [`pnc_linalg::tanh`], the function `Graph::tanh` records, and the
+//! [`pnc_linalg::tanh`], the function `Graph::tanh` records, in three flat
+//! passes over a layer (the tanh argument, `tanh`, the output map) that
+//! LLVM vectorizes where a per-element curve call would not, and the
 //! crossbar's gradient products `∂W = Xᵀ·∂Z` and `∂X = ∂Z·Wᵀ` are not
 //! stages of their own: the trainer calls
 //! [`gemm_tn_f64`](pnc_linalg::simd::gemm_tn_f64) and

@@ -1,21 +1,25 @@
 //! `TrainPlan`: the training step of a [`Pnn`], compiled once per
-//! [`crate::Trainer::train`] run.
+//! [`crate::Trainer::train`] run, and `EvalPlan`, its forward pass
+//! compiled once per Monte-Carlo evaluation ([`crate::mc_evaluate`]).
 //!
 //! Every Monte-Carlo draw of the training and validation losses runs a
 //! hand-derived forward and backward pass over buffers the run owns: the
 //! crossbar with the straight-through projection and θ variation, the
 //! `|θ|` normalization and sign masks, the dual GEMM, the inverter, the
 //! ptanh and the loss. The stage arithmetic is [`crate::stages`], shared
-//! with [`crate::InferencePlan`]. The autodiff tape keeps one job: each
-//! learnable circuit records its small ω→η chain (Fig. 5 plus the
-//! surrogate MLP) and is differentiated from the plan's `∂L/∂η` with
-//! [`Graph::backward_seeded`].
+//! with [`crate::InferencePlan`]. Each learnable circuit's ω→η chain
+//! (Fig. 5 plus the surrogate MLP) runs forward and backward by hand too
+//! (`crate::nonlinearity::EtaChain`), seeded from the plan's `∂L/∂η`; no
+//! draw records an autodiff tape. An evaluation draw runs the same forward
+//! and scores the rows by [`argmax_row`].
 //!
 //! The plan reproduces the tape bit for bit: each stage performs the
 //! tape's IEEE operations in the tape's order, and each gradient is summed
 //! in the order `Graph::backward_into` sums it, including the zero-padded
 //! `slice_cols` gradients. `plan_matches_tape_bitwise` checks loss and
-//! gradients on every draw against [`Pnn::forward`] + `backward_into`.
+//! gradients on every draw against [`Pnn::forward`] + `backward_into`, and
+//! `tests/eval_oracle.rs` checks every evaluation draw against
+//! [`Pnn::predict`].
 //!
 //! Work that depends only on ω and the fixed inputs runs once per distinct
 //! ω instead of once per draw: a circuit's η is kept while its 𝔴 and ω
@@ -26,7 +30,7 @@
 //! Buffers are sized once per run: one set per worker and data set, each
 //! behind an uncontended mutex, since the thread pool starts fresh threads
 //! on every parallel call. They are dropped when the plan is, which is
-//! when `train` returns, on the error path too.
+//! when `train` (or the evaluation) returns, on the error path too.
 
 use crate::network::{argmax_row, LossKind, Pnn};
 use crate::nonlinearity::{EtaChain, NonlinearCircuit};
@@ -294,11 +298,12 @@ impl<'d> TrainPlan<'d> {
     }
 }
 
-/// The forward pass of the training step, compiled over one labelled set
-/// for Monte-Carlo evaluation: per-worker buffers without backward
-/// buffers, and each draw scored by [`argmax_row`] accuracy.
+/// The forward pass of the training step, compiled for one network over
+/// one labelled set for Monte-Carlo evaluation: per-worker buffers without
+/// backward buffers, and each draw scored by [`argmax_row`] accuracy.
 #[derive(Debug)]
 pub(crate) struct EvalPlan<'d> {
+    pnn: &'d Pnn,
     net: Net,
     data: DataPlan<'d>,
 }
@@ -312,21 +317,21 @@ impl<'d> EvalPlan<'d> {
     /// Returns [`PnnError::Data`] if `data` does not match the network's
     /// input width.
     pub(crate) fn compile(
-        pnn: &Pnn,
+        pnn: &'d Pnn,
         data: LabeledData<'d>,
         workers: usize,
     ) -> Result<Self, PnnError> {
         let mut net = Net::compile(pnn, &[data])?;
         net.project(pnn);
         Ok(EvalPlan {
+            pnn,
             data: net.data_plan(data, workers, false),
             net,
         })
     }
 
-    /// The accuracy of `pnn` (the network the plan was compiled from)
-    /// under every draw of `noise`, in draw order: the draws run in
-    /// contiguous chunks, one worker's buffers each, spread over
+    /// The accuracy under every draw of `noise`, in draw order: the draws
+    /// run in contiguous chunks, one worker's buffers each, spread over
     /// `parallel`.
     ///
     /// # Errors
@@ -334,13 +339,12 @@ impl<'d> EvalPlan<'d> {
     /// Propagates the lowest-index draw's failure.
     pub(crate) fn accuracies(
         &self,
-        pnn: &Pnn,
         noise: &[Option<NoiseSample>],
         parallel: &ParallelConfig,
     ) -> Result<Vec<f64>, PnnError> {
         let step = Step {
             net: &self.net,
-            pnn,
+            pnn: self.pnn,
             backward: false,
         };
         let labels = self.data.data.labels;
@@ -350,10 +354,9 @@ impl<'d> EvalPlan<'d> {
                 .map(|sample| {
                     ws.forward_draw(&step, sample.as_ref())?;
                     let scores = ws.scores();
-                    let out = scores.cols();
                     let correct = scores
                         .as_slice()
-                        .chunks_exact(out)
+                        .chunks_exact(scores.cols())
                         .zip(labels)
                         .filter(|&(row, &label)| argmax_row(row) == label)
                         .count();

@@ -27,9 +27,12 @@
 //! * [`gemm_tn_f64`]: `out = Aᵀ·B`, the weight gradient `∂W = Xᵀ·G`.
 //! * [`gemm_nt_f64`]: `out = A·Bᵀ`, the input gradient `∂X = G·Wᵀ`.
 //!
-//! The two transpose kernels keep an up-to-4×4 output tile in registers
-//! across the whole contraction and write it once; the row and column
-//! remainders are const-generic tiles of the same code.
+//! All three kernels keep an up-to-4×4 output tile in registers across
+//! the whole contraction and write it once; the row and column remainders
+//! are const-generic tiles of the same code, so a 3-wide product (every
+//! pNN crossbar) sums three outputs of four rows per loaded row of `B`.
+//! [`gemm_f64_acc_strided`]'s tiles start from the values already in
+//! `out`, the transpose kernels' from `0.0`.
 
 /// Rows per register tile: four independent output rows share each loaded
 /// slice of `B`, quadrupling the arithmetic intensity of the inner loop.
@@ -154,10 +157,22 @@ impl Tile for Nn<'_> {
         }
         for k in 0..kk {
             let b_at = k * self.ldb + j;
-            for (c_row, a_row) in c.iter_mut().zip(&a_rows) {
-                let x = a_row[k];
-                for (l, acc) in c_row.iter_mut().enumerate() {
-                    *acc += x * self.b[b_at + l];
+            // A full-width tile reads B's row as one slice; a narrower one
+            // reads it element by element, which measured faster for 1–3.
+            if W == NR {
+                let b_row = &self.b[b_at..b_at + W];
+                for (c_row, a_row) in c.iter_mut().zip(&a_rows) {
+                    let x = a_row[k];
+                    for (acc, &y) in c_row.iter_mut().zip(b_row) {
+                        *acc += x * y;
+                    }
+                }
+            } else {
+                for (c_row, a_row) in c.iter_mut().zip(&a_rows) {
+                    let x = a_row[k];
+                    for (l, acc) in c_row.iter_mut().enumerate() {
+                        *acc += x * self.b[b_at + l];
+                    }
                 }
             }
         }
