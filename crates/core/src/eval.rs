@@ -33,11 +33,6 @@ pub fn accuracy(
     data: LabeledData<'_>,
     noise: Option<&NoiseSample>,
 ) -> Result<f64, PnnError> {
-    if data.is_empty() {
-        return Err(PnnError::Data {
-            detail: "cannot evaluate on empty data".into(),
-        });
-    }
     let plan = EvalPlan::compile(pnn, data, 1)?;
     let accuracies = plan.accuracies(&[noise.cloned()], &ParallelConfig::serial())?;
     Ok(accuracies[0])
@@ -139,11 +134,6 @@ pub fn mc_evaluate_with(
             }
         })
         .collect();
-    if data.is_empty() {
-        return Err(PnnError::Data {
-            detail: "cannot evaluate on empty data".into(),
-        });
-    }
     let workers = parallel.effective_threads().min(n_test);
     let accuracies = EvalPlan::compile(pnn, data, workers)?.accuracies(&noise, &parallel)?;
     Ok(McStats {

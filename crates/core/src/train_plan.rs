@@ -314,13 +314,18 @@ impl<'d> EvalPlan<'d> {
     ///
     /// # Errors
     ///
-    /// Returns [`PnnError::Data`] if `data` does not match the network's
-    /// input width.
+    /// Returns [`PnnError::Data`] if `data` is empty or does not match the
+    /// network's input width.
     pub(crate) fn compile(
         pnn: &'d Pnn,
         data: LabeledData<'d>,
         workers: usize,
     ) -> Result<Self, PnnError> {
+        if data.is_empty() {
+            return Err(PnnError::Data {
+                detail: "cannot evaluate on empty data".into(),
+            });
+        }
         let mut net = Net::compile(pnn, &[data])?;
         net.project(pnn);
         Ok(EvalPlan {
