@@ -6,8 +6,9 @@
 #      committed copy, so the report can never go stale.
 #   2. Every reference implementation keeps its output pin: the three
 #      cross-backend agreement oracles (matmul_reference,
-#      backward_reference, newton_dense), the two store codecs of
-#      DESIGN.md §17 (StoreMeta::encode, StoreRecord::encode), the
+#      backward_reference, newton_dense; the Newton loop's recovery rungs
+#      and transient capacitor stamp are pinned beside it), the two store
+#      codecs of DESIGN.md §17 (StoreMeta::encode, StoreRecord::encode), the
 #      ptanh fit with the dataset built from it (fit_ptanh_with), the
 #      one ML-side tanh (pnc_linalg::tanh), the surrogate's training
 #      trajectory (train_surrogate), and the tape oracles of the
@@ -45,6 +46,9 @@ for pin in "crates/linalg/src/matrix.rs matmul_reference_output_is_pinned" \
            "crates/autodiff/src/graph.rs backward_reference_output_is_pinned" \
            "crates/spice/tests/fig3_bits.rs nominal_fig3_sweep_is_bit_identical_to_the_recorded_oracle" \
            "crates/spice/tests/fig3_bits.rs cacheless_fig3_sweep_is_bit_identical_to_the_recorded_oracle" \
+           "crates/spice/tests/stamp_bits.rs gmin_rescued_sweep_is_bit_identical_to_the_recorded_oracle" \
+           "crates/spice/tests/stamp_bits.rs source_rescued_sweep_is_bit_identical_to_the_recorded_oracle" \
+           "crates/spice/tests/stamp_bits.rs latency_step_response_is_bit_identical_to_the_recorded_oracle" \
            "crates/surrogate/src/stream.rs uniform_store_bytes_are_pinned" \
            "crates/surrogate/src/store.rs failure_record_bytes_are_pinned" \
            "crates/surrogate/tests/fit_digest.rs ptanh_fits_and_their_lm_work_are_pinned" \
