@@ -145,9 +145,10 @@ pub fn levenberg_marquardt(
     let mut iterations = 0;
     let mut lambda_escalations: u64 = 0;
     // Hoisted scratch for the normal equations: the parameter count is fixed,
-    // so the n×n system, the negated gradient, and the step vector are
-    // allocated once and refilled every (re-damped) attempt.
+    // so the n×n system, its LU factors, the negated gradient, and the step
+    // vector are allocated once and refilled every (re-damped) attempt.
     let mut jtj = Matrix::zeros(n, n);
+    let mut lu = Lu::default();
     let mut damped = Matrix::zeros(n, n);
     let mut neg_g = vec![0.0; n];
     let mut step = vec![0.0; n];
@@ -185,7 +186,10 @@ pub fn levenberg_marquardt(
                 let d = jtj[(j, j)];
                 damped[(j, j)] = d + lambda * if d > 0.0 { d } else { 1.0 };
             }
-            match Lu::factor(&damped).and_then(|lu| lu.solve_into(&neg_g, &mut step)) {
+            match lu
+                .refactor(&damped)
+                .and_then(|()| lu.solve_into(&neg_g, &mut step))
+            {
                 Ok(()) => {}
                 Err(source) => {
                     last_singular = Some(source);

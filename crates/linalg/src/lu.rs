@@ -7,6 +7,10 @@ use crate::{LinalgError, Matrix};
 /// of both the Newton iteration in `pnc-spice` (modified nodal analysis) and
 /// the damped normal equations in `pnc-fit` (Levenberg–Marquardt).
 ///
+/// The factors are stored row-major; elimination and both substitutions run
+/// over row slices. Hot loops keep one `Lu` and call [`Lu::refactor`], which
+/// reuses its storage, instead of allocating a new factorization per solve.
+///
 /// # Examples
 ///
 /// ```
@@ -22,11 +26,12 @@ use crate::{LinalgError, Matrix};
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct Lu {
     /// Combined L (strict lower, unit diagonal implied) and U (upper) factors.
     factors: Matrix,
     /// Row permutation: `perm[i]` is the original row now at position `i`.
+    /// Empty after a failed [`Lu::refactor`], so the dimension reads 0.
     perm: Vec<usize>,
 }
 
@@ -42,6 +47,21 @@ impl Lu {
     /// [`LinalgError::Singular`] if a pivot below the singularity tolerance is
     /// encountered.
     pub fn factor(a: &Matrix) -> Result<Self, LinalgError> {
+        let mut lu = Lu::default();
+        lu.refactor(a)?;
+        Ok(lu)
+    }
+
+    /// Factors `a` into this factorization's storage, allocating only when
+    /// the dimension changes. Bit-identical to [`Lu::factor`].
+    ///
+    /// # Errors
+    ///
+    /// As for [`Lu::factor`]. After an error `self` holds no factorization:
+    /// its [`Lu::dim`] is 0 and every [`Lu::solve_into`] with a non-empty
+    /// right-hand side is rejected.
+    pub fn refactor(&mut self, a: &Matrix) -> Result<(), LinalgError> {
+        self.perm.clear();
         let (n, m) = a.shape();
         if n != m {
             return Err(LinalgError::DimensionMismatch {
@@ -50,48 +70,50 @@ impl Lu {
                 rhs: a.shape(),
             });
         }
-        let mut f = a.clone();
-        let mut perm: Vec<usize> = (0..n).collect();
+        if self.factors.copy_from(a).is_err() {
+            self.factors = a.clone();
+        }
+        self.perm.extend(0..n);
+        let f = self.factors.as_mut_slice();
 
         for k in 0..n {
             // Partial pivoting: find the largest |entry| in column k at/below k.
             let mut pivot_row = k;
-            let mut pivot_val = f[(k, k)].abs();
+            let mut pivot_val = f[k * n + k].abs();
             for i in (k + 1)..n {
-                let v = f[(i, k)].abs();
+                let v = f[i * n + k].abs();
                 if v > pivot_val {
                     pivot_val = v;
                     pivot_row = i;
                 }
             }
             if pivot_val < Self::PIVOT_TOL {
+                self.perm.clear();
                 return Err(LinalgError::Singular { pivot: k });
             }
             if pivot_row != k {
-                for j in 0..n {
-                    let tmp = f[(k, j)];
-                    f[(k, j)] = f[(pivot_row, j)];
-                    f[(pivot_row, j)] = tmp;
-                }
-                perm.swap(k, pivot_row);
+                let (upper, lower) = f.split_at_mut(pivot_row * n);
+                upper[k * n..(k + 1) * n].swap_with_slice(&mut lower[..n]);
+                self.perm.swap(k, pivot_row);
             }
-            let pivot = f[(k, k)];
-            for i in (k + 1)..n {
-                let factor = f[(i, k)] / pivot;
-                f[(i, k)] = factor;
-                for j in (k + 1)..n {
-                    let sub = factor * f[(k, j)];
-                    f[(i, j)] -= sub;
+            // Eliminate below the pivot: row_i -= (f_ik / f_kk) · row_k.
+            let (upper, lower) = f.split_at_mut((k + 1) * n);
+            let row_k = &upper[k * n..];
+            let pivot = row_k[k];
+            for row_i in lower.chunks_exact_mut(n) {
+                let factor = row_i[k] / pivot;
+                row_i[k] = factor;
+                for (fij, fkj) in row_i[k + 1..].iter_mut().zip(&row_k[k + 1..]) {
+                    *fij -= factor * fkj;
                 }
             }
         }
-
-        Ok(Lu { factors: f, perm })
+        Ok(())
     }
 
     /// Dimension of the factored matrix.
     pub fn dim(&self) -> usize {
-        self.factors.rows()
+        self.perm.len()
     }
 
     /// Solves `A·x = b` using the stored factorization.
@@ -124,23 +146,27 @@ impl Lu {
             });
         }
         // Forward substitution with permuted b (L has unit diagonal).
-        for (i, xi) in x.iter_mut().enumerate() {
-            *xi = b[self.perm[i]];
+        for (xi, &p) in x.iter_mut().zip(&self.perm) {
+            *xi = b[p];
         }
-        for i in 1..n {
-            let mut acc = x[i];
-            for (j, xj) in x.iter().enumerate().take(i) {
-                acc -= self.factors[(i, j)] * xj;
+        // `n` is 0 after a failed refactor, whatever the storage still holds.
+        let rows = self.factors.as_slice()[..n * n].chunks_exact(n.max(1));
+        for (i, row) in rows.clone().enumerate().skip(1) {
+            let (solved, rest) = x.split_at_mut(i);
+            let mut acc = rest[0];
+            for (lij, xj) in row[..i].iter().zip(solved.iter()) {
+                acc -= lij * xj;
             }
-            x[i] = acc;
+            rest[0] = acc;
         }
         // Backward substitution with U.
-        for i in (0..n).rev() {
-            let mut acc = x[i];
-            for (j, xj) in x.iter().enumerate().skip(i + 1) {
-                acc -= self.factors[(i, j)] * xj;
+        for (i, row) in rows.enumerate().rev() {
+            let (head, solved) = x.split_at_mut(i + 1);
+            let mut acc = head[i];
+            for (uij, xj) in row[i + 1..].iter().zip(solved.iter()) {
+                acc -= uij * xj;
             }
-            x[i] = acc / self.factors[(i, i)];
+            head[i] = acc / row[i];
         }
         Ok(())
     }
@@ -227,6 +253,37 @@ mod tests {
         // Wrong output length is rejected.
         let mut short = vec![0.0; 2];
         assert!(lu.solve_into(&b, &mut short).is_err());
+    }
+
+    #[test]
+    fn refactor_reuses_storage_and_matches_factor_bitwise() {
+        let a = Matrix::from_rows(&[&[1.0, 2.0, 0.0], &[3.0, 4.0, 4.0], &[5.0, 6.0, 3.0]]).unwrap();
+        let b = [3.0, 7.0, 8.0];
+        let fresh = Lu::factor(&a).unwrap().solve(&b).unwrap();
+        // A held factorization of another size and contents is overwritten.
+        let mut lu = Lu::factor(&Matrix::identity(2)).unwrap();
+        lu.refactor(&a).unwrap();
+        assert_eq!(lu.dim(), 3);
+        assert_eq!(lu.solve(&b).unwrap(), fresh);
+        // Same size: factored in place.
+        lu.refactor(&Matrix::identity(3)).unwrap();
+        lu.refactor(&a).unwrap();
+        assert_eq!(lu.solve(&b).unwrap(), fresh);
+    }
+
+    #[test]
+    fn failed_refactor_holds_no_factorization() {
+        let mut lu = Lu::factor(&Matrix::identity(2)).unwrap();
+        let singular = Matrix::from_rows(&[&[1.0, 2.0], &[2.0, 4.0]]).unwrap();
+        assert!(matches!(
+            lu.refactor(&singular),
+            Err(LinalgError::Singular { pivot: 1 })
+        ));
+        assert_eq!(lu.dim(), 0);
+        assert!(lu.solve(&[1.0, 2.0]).is_err());
+        assert_eq!(lu.solve(&[]).unwrap(), Vec::<f64>::new());
+        assert!(lu.refactor(&Matrix::zeros(2, 3)).is_err());
+        assert_eq!(lu.dim(), 0);
     }
 }
 

@@ -1,4 +1,4 @@
-use crate::{Circuit, Device, SpiceError};
+use crate::{Circuit, Device, EgtModel, Node, SpiceError};
 use pnc_linalg::{Lu, Matrix};
 use pnc_obs::{Counter, FieldValue, Histogram};
 use serde::{Deserialize, Serialize};
@@ -51,7 +51,8 @@ const STALL_CONTRACTION: f64 = 0.5;
 const CACHE_GUESS_TOL: f64 = 0.05;
 
 /// Reusable modified-Newton state: the most recent Jacobian LU
-/// factorization and the operating point it was taken at.
+/// factorization and the operating point it was taken at, plus the Newton
+/// loop's buffers.
 ///
 /// Thread one cache through consecutive warm-started solves (e.g. the
 /// points of a transfer-curve sweep) via [`DcSolver::solve_with_cache`].
@@ -62,11 +63,43 @@ const CACHE_GUESS_TOL: f64 = 0.05;
 /// without one run classic full Newton. The cache is pure acceleration
 /// state: every iteration still evaluates the exact residual of the freshly
 /// assembled system, so dropping (or never supplying) a cache only costs
-/// speed, never accuracy.
+/// speed, never accuracy. Its buffers (the compiled stamp table, the MNA
+/// system, the residual, the update and the LU storage) are reused by every
+/// solve it is passed to, so a cached sweep allocates them once.
 #[derive(Debug, Default)]
 pub struct NewtonCache {
-    lu: Option<Lu>,
+    held: HeldFactorization,
+    work: Workspace,
+}
+
+/// The factorization modified Newton keeps across iterations and solves.
+#[derive(Debug, Default)]
+struct HeldFactorization {
+    /// The factors; meaningful only while `warm`.
+    lu: Lu,
+    warm: bool,
+    /// The iterate the factors were taken at.
     x_at_factor: Vec<f64>,
+}
+
+impl HeldFactorization {
+    fn clear(&mut self) {
+        self.warm = false;
+        self.x_at_factor.clear();
+    }
+
+    /// `true` if the held factorization can be trusted for a solve of
+    /// dimension `dim` starting from `x`.
+    fn matches(&self, dim: usize, x: &[f64]) -> bool {
+        if !self.warm || self.x_at_factor.len() != dim {
+            return false;
+        }
+        let mut dist = 0.0_f64;
+        for (a, b) in self.x_at_factor.iter().zip(x) {
+            dist = dist.max((a - b).abs());
+        }
+        dist <= CACHE_GUESS_TOL
+    }
 }
 
 impl NewtonCache {
@@ -77,26 +110,274 @@ impl NewtonCache {
 
     /// `true` when the cache holds a factorization ready for reuse.
     pub fn is_warm(&self) -> bool {
-        self.lu.is_some()
+        self.held.warm
     }
 
-    /// Drops any held factorization.
+    /// Drops any held factorization (its storage is kept for the next one).
     pub fn clear(&mut self) {
-        self.lu = None;
-        self.x_at_factor.clear();
+        self.held.clear();
+    }
+}
+
+/// One device compiled for the Newton loop: MNA row/column indices with
+/// ground resolved to `None`, and every value that does not depend on the
+/// iterate computed once per solve.
+#[derive(Debug, Clone, Copy)]
+enum Stamp {
+    /// Conductance `g = 1/R` between `a` and `b`.
+    Resistor {
+        a: Option<usize>,
+        b: Option<usize>,
+        g: f64,
+    },
+    /// A voltage source whose branch current is unknown `k`.
+    VSource {
+        plus: Option<usize>,
+        minus: Option<usize>,
+        k: usize,
+        voltage: f64,
+    },
+    /// Backward-Euler companion of a capacitor: conductance `g = C/h` and
+    /// the history current `i_hist = g · v_prev` it drives into `a`.
+    Capacitor {
+        a: Option<usize>,
+        b: Option<usize>,
+        g: f64,
+        i_hist: f64,
+    },
+    /// A current source driving `current` from `from` into `to`.
+    ISource {
+        from: Option<usize>,
+        to: Option<usize>,
+        current: f64,
+    },
+    /// An EGT, linearized at the iterate every stamp.
+    Egt {
+        drain: Option<usize>,
+        gate: Option<usize>,
+        source: Option<usize>,
+        model: EgtModel,
+    },
+}
+
+/// Row/column of a node in the MNA system, `None` for ground.
+fn mna_index(node: Node) -> Option<usize> {
+    node.index().checked_sub(1)
+}
+
+/// Adds conductance `g` between `a` and `b` to the row-major `dim × dim`
+/// matrix `m`.
+fn stamp_conductance(m: &mut [f64], dim: usize, a: Option<usize>, b: Option<usize>, g: f64) {
+    if let Some(i) = a {
+        m[i * dim + i] += g;
+    }
+    if let Some(j) = b {
+        m[j * dim + j] += g;
+    }
+    if let (Some(i), Some(j)) = (a, b) {
+        m[i * dim + j] -= g;
+        m[j * dim + i] -= g;
+    }
+}
+
+/// The Newton loop's state besides the iterate: the compiled stamp table,
+/// the linearized MNA system `G·x = rhs` (G row-major), the residual `F`,
+/// the update `Δ`, and LU storage. Sized once per solve by
+/// [`Workspace::compile`]; every iteration overwrites it.
+#[derive(Debug, Default)]
+struct Workspace {
+    stamps: Vec<Stamp>,
+    g: Matrix,
+    rhs: Vec<f64>,
+    f: Vec<f64>,
+    /// `Δ` on the modified-Newton path; the next iterate on the full one.
+    delta: Vec<f64>,
+    lu: Lu,
+}
+
+impl Workspace {
+    /// Compiles `circuit` into the stamp table, in device order, and sizes
+    /// the buffers for its `dim` unknowns. With `cap_state = Some((prev,
+    /// h))` capacitors become their backward-Euler companions at the
+    /// previous node voltages `prev` (ground included) and timestep `h`;
+    /// otherwise they are open circuits (DC analysis) and compile to
+    /// nothing.
+    fn compile(&mut self, circuit: &Circuit, cap_state: Option<(&[f64], f64)>, dim: usize) {
+        let mut k = circuit.num_nodes();
+        self.stamps.clear();
+        for device in circuit.devices() {
+            self.stamps.push(match *device {
+                Device::Resistor { a, b, resistance } => Stamp::Resistor {
+                    a: mna_index(a),
+                    b: mna_index(b),
+                    g: 1.0 / resistance,
+                },
+                Device::VSource {
+                    plus,
+                    minus,
+                    voltage,
+                } => {
+                    k += 1;
+                    Stamp::VSource {
+                        plus: mna_index(plus),
+                        minus: mna_index(minus),
+                        k: k - 1,
+                        voltage,
+                    }
+                }
+                Device::Capacitor { a, b, capacitance } => {
+                    let Some((prev, h)) = cap_state else {
+                        continue;
+                    };
+                    let g = capacitance / h;
+                    Stamp::Capacitor {
+                        a: mna_index(a),
+                        b: mna_index(b),
+                        g,
+                        i_hist: g * (prev[a.index()] - prev[b.index()]),
+                    }
+                }
+                Device::ISource { from, to, current } => Stamp::ISource {
+                    from: mna_index(from),
+                    to: mna_index(to),
+                    current,
+                },
+                Device::Egt {
+                    drain,
+                    gate,
+                    source,
+                    model,
+                } => Stamp::Egt {
+                    drain: mna_index(drain),
+                    gate: mna_index(gate),
+                    source: mna_index(source),
+                    model,
+                },
+            });
+        }
+        if self.g.shape() != (dim, dim) {
+            self.g = Matrix::zeros(dim, dim);
+        }
+        for buf in [&mut self.rhs, &mut self.f, &mut self.delta] {
+            buf.resize(dim, 0.0);
+        }
     }
 
-    /// `true` if the held factorization can be trusted for a solve of
-    /// dimension `dim` starting from `x`.
-    fn matches(&self, dim: usize, x: &[f64]) -> bool {
-        if self.lu.is_none() || self.x_at_factor.len() != dim {
-            return false;
+    /// The MNA stamp pass: zeroes `G` and `rhs`, adds `gmin` from each of
+    /// the `n` nodes to ground, then stamps the table linearized at `x`.
+    /// Every entry receives its additions in device order.
+    fn stamp(&mut self, x: &[f64], n: usize, gmin: f64) {
+        let dim = self.rhs.len();
+        let g = self.g.as_mut_slice();
+        let rhs = &mut self.rhs[..];
+        g.fill(0.0);
+        rhs.fill(0.0);
+
+        // gmin from every node to ground keeps floating nodes solvable.
+        for i in 0..n {
+            g[i * dim + i] += gmin;
         }
-        let mut dist = 0.0_f64;
-        for (a, b) in self.x_at_factor.iter().zip(x) {
-            dist = dist.max((a - b).abs());
+
+        // Voltage of a node under the current estimate (ground = 0).
+        let volt = |node: Option<usize>| node.map_or(0.0, |i| x[i]);
+
+        for stamp in &self.stamps {
+            match *stamp {
+                Stamp::Resistor { a, b, g: cond } => stamp_conductance(g, dim, a, b, cond),
+                Stamp::VSource {
+                    plus,
+                    minus,
+                    k,
+                    voltage,
+                } => {
+                    if let Some(i) = plus {
+                        g[i * dim + k] += 1.0;
+                        g[k * dim + i] += 1.0;
+                    }
+                    if let Some(j) = minus {
+                        g[j * dim + k] -= 1.0;
+                        g[k * dim + j] -= 1.0;
+                    }
+                    rhs[k] = voltage;
+                }
+                Stamp::Capacitor {
+                    a,
+                    b,
+                    g: g_c,
+                    i_hist,
+                } => {
+                    stamp_conductance(g, dim, a, b, g_c);
+                    if let Some(i) = a {
+                        rhs[i] += i_hist;
+                    }
+                    if let Some(j) = b {
+                        rhs[j] -= i_hist;
+                    }
+                }
+                Stamp::ISource { from, to, current } => {
+                    if let Some(i) = from {
+                        rhs[i] -= current;
+                    }
+                    if let Some(j) = to {
+                        rhs[j] += current;
+                    }
+                }
+                Stamp::Egt {
+                    drain,
+                    gate,
+                    source,
+                    ref model,
+                } => {
+                    let vgs = volt(gate) - volt(source);
+                    let vds = volt(drain) - volt(source);
+                    let op = model.evaluate(vgs, vds);
+                    // Companion model: i_d ≈ i_eq + gm·v_gs + gds·v_ds.
+                    let i_eq = op.id - op.gm * vgs - op.gds * vds;
+
+                    // KCL at drain: +i_d leaves the node into the channel.
+                    if let Some(di) = drain {
+                        rhs[di] -= i_eq;
+                        if let Some(gi) = gate {
+                            g[di * dim + gi] += op.gm;
+                        }
+                        g[di * dim + di] += op.gds;
+                        if let Some(si) = source {
+                            g[di * dim + si] -= op.gm + op.gds;
+                        }
+                    }
+                    // KCL at source: −i_d (channel current enters the node).
+                    if let Some(si) = source {
+                        rhs[si] += i_eq;
+                        if let Some(gi) = gate {
+                            g[si * dim + gi] -= op.gm;
+                        }
+                        if let Some(di) = drain {
+                            g[si * dim + di] -= op.gds;
+                        }
+                        g[si * dim + si] += op.gm + op.gds;
+                    }
+                    // Gate draws no DC current.
+                }
+            }
         }
-        dist <= CACHE_GUESS_TOL
+    }
+
+    /// KCL residual of the nonlinear system at `x` into `F`, returning its
+    /// infinity norm: the companion linearization is exact at its expansion
+    /// point, so F(x) = G(x)·x − rhs(x). Each row sums `−rhs_i` first, then
+    /// `G_ij·x_j` for ascending `j`.
+    fn residual(&mut self, x: &[f64]) -> f64 {
+        let rows = self.g.as_slice().chunks_exact(x.len().max(1));
+        let mut residual = 0.0_f64;
+        for ((fi, row), ri) in self.f.iter_mut().zip(rows).zip(&self.rhs) {
+            let mut acc = -ri;
+            for (gij, xj) in row.iter().zip(x) {
+                acc += gij * xj;
+            }
+            *fi = acc;
+            residual = residual.max(acc.abs());
+        }
+        residual
     }
 }
 
@@ -826,55 +1107,50 @@ impl DcSolver {
         self.newton_dense(circuit, x, cap_state, rung, cache)
     }
 
-    /// The Newton loop: full dense assembly and dense LU per iteration (or
-    /// modified Newton with `cache`). An oracle pinned by its output:
+    /// The Newton loop: the circuit is compiled into a stamp table once,
+    /// then every iteration stamps the dense MNA system into reused buffers
+    /// and solves it by dense LU (full Newton), or by a held factorization
+    /// (modified Newton with `cache`). An oracle pinned by its output:
     /// `crates/spice/tests/fig3_bits.rs` pins the Fig. 3 sweep bit for bit
     /// on both branches (`nominal_fig3_sweep_is_bit_identical_to_the_recorded_oracle`
     /// with a cache, `cacheless_fig3_sweep_is_bit_identical_to_the_recorded_oracle`
-    /// without), and `damping_limits_node_voltages_but_not_source_currents`
-    /// pins which unknowns the damping limits.
+    /// without), `crates/spice/tests/stamp_bits.rs` pins the gmin and
+    /// source rungs and the transient capacitor companion, and
+    /// `damping_limits_node_voltages_but_not_source_currents` pins which
+    /// unknowns the damping limits.
     fn newton_dense(
         &self,
         circuit: &Circuit,
         mut x: Vec<f64>,
         cap_state: Option<(&[f64], f64)>,
         rung: RecoveryRung,
-        mut cache: Option<&mut NewtonCache>,
+        cache: Option<&mut NewtonCache>,
     ) -> Result<Solution, SpiceError> {
         let n = circuit.num_nodes();
         let dim = x.len();
 
-        // A factorization carried over from an earlier solve is only
-        // trusted when the warm-start point stayed near where it was taken;
-        // otherwise start cold.
-        let reuse = cache.is_some();
-        if let Some(c) = cache.as_deref_mut() {
-            if !reuse || !c.matches(dim, &x) {
-                c.clear();
+        let mut own = Workspace::default();
+        let (work, mut held) = match cache {
+            Some(NewtonCache { held, work }) => {
+                // A factorization carried over from an earlier solve is only
+                // trusted when the warm-start point stayed near where it was
+                // taken; otherwise start cold.
+                if !held.matches(dim, &x) {
+                    held.clear();
+                }
+                (work, Some(held))
             }
-        }
+            None => (&mut own, None),
+        };
+        work.compile(circuit, cap_state, dim);
 
         let mut last_update = f64::INFINITY;
         let mut last_residual = f64::INFINITY;
         let mut prev_residual = f64::INFINITY;
         let mut factorizations = 0usize;
-        let mut f = vec![0.0; dim];
-        let mut delta = vec![0.0; dim];
         for iter in 0..=self.max_iterations {
-            let (g, rhs) = self.assemble(circuit, &x, cap_state);
-
-            // KCL residual of the nonlinear system at x: the companion
-            // linearization is exact at its expansion point, so
-            // F(x) = G(x)·x − rhs(x).
-            let mut residual = 0.0_f64;
-            for (i, fi) in f.iter_mut().enumerate() {
-                let mut acc = -rhs[i];
-                for (j, xj) in x.iter().enumerate() {
-                    acc += g[(i, j)] * xj;
-                }
-                *fi = acc;
-                residual = residual.max(acc.abs());
-            }
+            work.stamp(&x, n, self.gmin);
+            let residual = work.residual(&x);
             last_residual = residual;
 
             if last_update < self.tolerance && residual < self.residual_tolerance {
@@ -897,24 +1173,26 @@ impl DcSolver {
             }
 
             let mut max_delta = 0.0_f64;
-            if let Some(c) = cache.as_deref_mut().filter(|_| reuse) {
+            if let Some(h) = held.as_deref_mut() {
                 // Modified Newton, delta form with a possibly stale
                 // Jacobian: J_stale·Δ = −F(x). Refactor when there is no
                 // factorization yet or the residual stopped contracting
-                // geometrically under the stale one.
-                if c.lu.is_none() || residual > STALL_CONTRACTION * prev_residual {
-                    c.lu = Some(Lu::factor(&g)?);
-                    c.x_at_factor.clear();
-                    c.x_at_factor.extend_from_slice(&x);
+                // geometrically under the stale one. The new factors are
+                // built in the workspace and swapped in on success, so a
+                // singular Jacobian leaves the held one as it was.
+                if !h.warm || residual > STALL_CONTRACTION * prev_residual {
+                    work.lu.refactor(&work.g)?;
+                    std::mem::swap(&mut h.lu, &mut work.lu);
+                    h.warm = true;
+                    h.x_at_factor.clear();
+                    h.x_at_factor.extend_from_slice(&x);
                     factorizations += 1;
                 }
-                for fi in f.iter_mut() {
+                for fi in work.f.iter_mut() {
                     *fi = -*fi;
                 }
-                if let Some(lu) = c.lu.as_ref() {
-                    lu.solve_into(&f, &mut delta)?;
-                }
-                for (i, d) in delta.iter().enumerate() {
+                h.lu.solve_into(&work.f, &mut work.delta)?;
+                for (i, d) in work.delta.iter().enumerate() {
                     let mut d = *d;
                     // Only damp node voltages; source branch currents may
                     // move freely.
@@ -928,14 +1206,14 @@ impl DcSolver {
                 }
             } else {
                 // Classic full Newton: factor every iteration and solve for
-                // the next iterate directly (bitwise-unchanged legacy path).
-                let lu = Lu::factor(&g)?;
+                // the next iterate directly.
+                work.lu.refactor(&work.g)?;
                 factorizations += 1;
-                let x_new = lu.solve(&rhs)?;
+                work.lu.solve_into(&work.rhs, &mut work.delta)?;
 
                 // Damped update: limit each voltage step.
-                for i in 0..dim {
-                    let mut delta = x_new[i] - x[i];
+                for (i, x_new) in work.delta.iter().enumerate() {
+                    let mut delta = x_new - x[i];
                     // Only damp node voltages; source branch currents may move freely.
                     if i < n {
                         delta = delta.clamp(-self.max_step, self.max_step);
@@ -954,165 +1232,6 @@ impl DcSolver {
             iterations: self.max_iterations,
             residual: last_residual,
         })
-    }
-
-    /// Assembles the linearized MNA system `G·x = rhs` at the estimate `x`
-    /// into a dense matrix (see [`Self::stamp`]).
-    fn assemble(
-        &self,
-        circuit: &Circuit,
-        x: &[f64],
-        cap_state: Option<(&[f64], f64)>,
-    ) -> (Matrix, Vec<f64>) {
-        let dim = circuit.num_nodes() + circuit.num_vsources();
-        let mut g = Matrix::zeros(dim, dim);
-        let rhs = self.stamp(circuit, x, cap_state, &mut g);
-        (g, rhs)
-    }
-
-    /// The MNA stamp pass: adds the linearized system at the estimate `x`
-    /// into `g` and returns its right-hand side.
-    ///
-    /// With `cap_state = Some((prev_voltages, h))`, capacitors contribute
-    /// their backward-Euler companion (conductance `C/h` plus a history
-    /// current); otherwise they are open circuits (DC analysis).
-    fn stamp(
-        &self,
-        circuit: &Circuit,
-        x: &[f64],
-        cap_state: Option<(&[f64], f64)>,
-        g: &mut Matrix,
-    ) -> Vec<f64> {
-        let n = circuit.num_nodes();
-        let m = circuit.num_vsources();
-        let mut rhs = vec![0.0; n + m];
-
-        // gmin from every node to ground keeps floating nodes solvable.
-        for i in 0..n {
-            g[(i, i)] += self.gmin;
-        }
-
-        // Voltage of a node under the current estimate (ground = 0).
-        let volt = |node: crate::Node| -> f64 {
-            if node.index() == 0 {
-                0.0
-            } else {
-                x[node.index() - 1]
-            }
-        };
-        // Row/col index of a node in the MNA system, None for ground.
-        let idx = |node: crate::Node| -> Option<usize> {
-            if node.index() == 0 {
-                None
-            } else {
-                Some(node.index() - 1)
-            }
-        };
-
-        let mut vsrc_counter = 0usize;
-        for device in circuit.devices() {
-            match device {
-                Device::Resistor { a, b, resistance } => {
-                    let cond = 1.0 / resistance;
-                    if let Some(i) = idx(*a) {
-                        g[(i, i)] += cond;
-                    }
-                    if let Some(j) = idx(*b) {
-                        g[(j, j)] += cond;
-                    }
-                    if let (Some(i), Some(j)) = (idx(*a), idx(*b)) {
-                        g[(i, j)] -= cond;
-                        g[(j, i)] -= cond;
-                    }
-                }
-                Device::VSource {
-                    plus,
-                    minus,
-                    voltage,
-                } => {
-                    let k = n + vsrc_counter;
-                    vsrc_counter += 1;
-                    if let Some(i) = idx(*plus) {
-                        g[(i, k)] += 1.0;
-                        g[(k, i)] += 1.0;
-                    }
-                    if let Some(j) = idx(*minus) {
-                        g[(j, k)] -= 1.0;
-                        g[(k, j)] -= 1.0;
-                    }
-                    rhs[k] = *voltage;
-                }
-                Device::Capacitor { a, b, capacitance } => {
-                    let Some((prev, h)) = cap_state else {
-                        continue; // open circuit in DC analysis
-                    };
-                    let g_c = capacitance / h;
-                    let v_prev = prev[a.index()] - prev[b.index()];
-                    if let Some(i) = idx(*a) {
-                        g[(i, i)] += g_c;
-                        rhs[i] += g_c * v_prev;
-                    }
-                    if let Some(j) = idx(*b) {
-                        g[(j, j)] += g_c;
-                        rhs[j] -= g_c * v_prev;
-                    }
-                    if let (Some(i), Some(j)) = (idx(*a), idx(*b)) {
-                        g[(i, j)] -= g_c;
-                        g[(j, i)] -= g_c;
-                    }
-                }
-                Device::ISource { from, to, current } => {
-                    if let Some(i) = idx(*from) {
-                        rhs[i] -= current;
-                    }
-                    if let Some(j) = idx(*to) {
-                        rhs[j] += current;
-                    }
-                }
-                Device::Egt {
-                    drain,
-                    gate,
-                    source,
-                    model,
-                } => {
-                    let vgs = volt(*gate) - volt(*source);
-                    let vds = volt(*drain) - volt(*source);
-                    let op = model.evaluate(vgs, vds);
-                    // Companion model: i_d ≈ i_eq + gm·v_gs + gds·v_ds.
-                    let i_eq = op.id - op.gm * vgs - op.gds * vds;
-
-                    let d = idx(*drain);
-                    let gt = idx(*gate);
-                    let s = idx(*source);
-
-                    // KCL at drain: +i_d leaves the node into the channel.
-                    if let Some(di) = d {
-                        rhs[di] -= i_eq;
-                        if let Some(gi) = gt {
-                            g[(di, gi)] += op.gm;
-                        }
-                        g[(di, di)] += op.gds;
-                        if let Some(si) = s {
-                            g[(di, si)] -= op.gm + op.gds;
-                        }
-                    }
-                    // KCL at source: −i_d (channel current enters the node).
-                    if let Some(si) = s {
-                        rhs[si] += i_eq;
-                        if let Some(gi) = gt {
-                            g[(si, gi)] -= op.gm;
-                        }
-                        if let Some(di) = d {
-                            g[(si, di)] -= op.gds;
-                        }
-                        g[(si, si)] += op.gm + op.gds;
-                    }
-                    // Gate draws no DC current.
-                }
-            }
-        }
-
-        rhs
     }
 }
 

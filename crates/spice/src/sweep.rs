@@ -46,14 +46,15 @@ pub fn dc_sweep(
     // One modified-Newton cache across the whole continuation: consecutive
     // points warm-start near each other, so the factored Jacobian usually
     // carries over and iterations-per-factorization climbs above one (see
-    // `DcSolver::solve_with_cache`).
+    // `DcSolver::solve_with_cache`). The cache also carries the Newton
+    // loop's buffers, so the sweep allocates them once; each point starts
+    // from the node voltages of the solution before it.
     let mut cache = NewtonCache::new();
-    let mut out = Vec::with_capacity(values.len());
-    let mut guess: Option<Vec<f64>> = None;
+    let mut out: Vec<Solution> = Vec::with_capacity(values.len());
     for &v in values {
         circuit.set_vsource(source, v)?;
-        let sol = solver.solve_with_cache(circuit, guess.as_deref(), &mut cache)?;
-        guess = Some(sol.voltages()[1..].to_vec());
+        let guess = out.last().map(|prev| &prev.voltages()[1..]);
+        let sol = solver.solve_with_cache(circuit, guess, &mut cache)?;
         out.push(sol);
     }
     Ok(out)
