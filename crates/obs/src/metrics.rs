@@ -83,11 +83,7 @@ impl Counter {
     }
 
     fn ensure_registered(&'static self) {
-        if self
-            .registered
-            .compare_exchange(false, true, Ordering::Relaxed, Ordering::Relaxed)
-            .is_ok()
-        {
+        if first_use(&self.registered) {
             registry()
                 .counters
                 .lock()
@@ -180,11 +176,7 @@ impl Histogram {
     }
 
     fn ensure_registered(&'static self) {
-        if self
-            .registered
-            .compare_exchange(false, true, Ordering::Relaxed, Ordering::Relaxed)
-            .is_ok()
-        {
+        if first_use(&self.registered) {
             registry()
                 .histograms
                 .lock()
@@ -261,11 +253,7 @@ impl Gauge {
     }
 
     fn ensure_registered(&'static self) {
-        if self
-            .registered
-            .compare_exchange(false, true, Ordering::Relaxed, Ordering::Relaxed)
-            .is_ok()
-        {
+        if first_use(&self.registered) {
             registry()
                 .gauges
                 .lock()
@@ -273,6 +261,18 @@ impl Gauge {
                 .push(self);
         }
     }
+}
+
+/// `true` exactly once per flag: for the one caller that flips `registered`
+/// from false to true. Once the flag is set this is a single relaxed load,
+/// so a metric update past its first costs no locked instruction beyond its
+/// own tally (a failed compare-exchange is still a locked read-modify-write
+/// on x86).
+fn first_use(registered: &AtomicBool) -> bool {
+    !registered.load(Ordering::Relaxed)
+        && registered
+            .compare_exchange(false, true, Ordering::Relaxed, Ordering::Relaxed)
+            .is_ok()
 }
 
 /// CAS loop replacing the stored extremum when `better(new, current)` holds.
@@ -647,6 +647,40 @@ mod tests {
         assert_eq!(TEST_MAX_GAUGE.value(), Some(11));
         let snap = snapshot();
         assert_eq!(snap.gauge("test.gauge.max"), Some(11));
+    }
+
+    #[test]
+    fn concurrent_first_use_registers_each_metric_once() {
+        static RACE_COUNTER: Counter = Counter::new("test.race.counter");
+        static RACE_HISTOGRAM: Histogram = Histogram::new("test.race.histogram");
+        static RACE_GAUGE: Gauge = Gauge::new("test.race.gauge");
+        const THREADS: u64 = 4;
+        let start = std::sync::Barrier::new(THREADS as usize);
+        std::thread::scope(|scope| {
+            for t in 0..THREADS {
+                let start = &start;
+                scope.spawn(move || {
+                    start.wait();
+                    RACE_COUNTER.add(1);
+                    RACE_HISTOGRAM.observe(1.0);
+                    RACE_GAUGE.record(t);
+                });
+            }
+        });
+        let snap = snapshot();
+        let named = |names: Vec<&str>, name: &str| names.iter().filter(|n| **n == name).count();
+        let counters = snap.counters.iter().map(|c| c.name).collect();
+        let histograms = snap.histograms.iter().map(|h| h.name).collect();
+        let gauges = snap.gauges.iter().map(|g| g.name).collect();
+        assert_eq!(named(counters, "test.race.counter"), 1);
+        assert_eq!(named(histograms, "test.race.histogram"), 1);
+        assert_eq!(named(gauges, "test.race.gauge"), 1);
+        assert_eq!(snap.counter("test.race.counter"), Some(THREADS));
+        assert_eq!(
+            snap.histogram("test.race.histogram").map(|h| h.count),
+            Some(THREADS)
+        );
+        assert_eq!(snap.gauge("test.race.gauge"), Some(THREADS - 1));
     }
 
     #[test]
