@@ -166,7 +166,9 @@ pub struct Fig4 {
     pub epochs: usize,
     /// Per-split parity.
     pub splits: Vec<SplitParity>,
-    /// The run's observability counters and histograms (docs/METRICS.md).
+    /// The run's observability counters and histograms (docs/METRICS.md),
+    /// without the wall-clock `_seconds` histograms, so the artifact is
+    /// reproducible byte for byte.
     pub metrics: Value,
 }
 
@@ -210,6 +212,9 @@ pub fn fig4() -> Result<Fig4, Box<dyn Error>> {
         })
         .collect();
     let tally = data.failure_tally();
+    // Durations are exempt from the determinism contract (DESIGN.md §9).
+    let mut metrics = pnc_obs::snapshot();
+    metrics.histograms.retain(|h| !h.name.ends_with("_seconds"));
     Ok(Fig4 {
         eta: fit.curve.eta,
         fit_rmse: fit.rmse,
@@ -219,7 +224,7 @@ pub fn fig4() -> Result<Fig4, Box<dyn Error>> {
         failures: [tally.build, tally.sweep, tally.fit],
         epochs: report.epochs_run,
         splits,
-        metrics: serde_json::from_str(&pnc_obs::snapshot().to_json())?,
+        metrics: serde_json::from_str(&metrics.to_json())?,
     })
 }
 
