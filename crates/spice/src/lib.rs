@@ -29,9 +29,10 @@
 //! capacitors in transient analysis, linearized companion models for EGTs —
 //! and each voltage source contributes a branch row `v₊ − v₋ = V` plus
 //! `±1` couplings that inject its branch current into the terminal node
-//! rows. One stamp pass writes this system into a dense matrix, and a
-//! solve is accepted only when the voltage update *and* the KCL residual
-//! settle below their tolerances.
+//! rows. Each solve compiles the circuit once into a stamp table, and one
+//! stamp pass per Newton iteration writes the system into a reused dense
+//! matrix; a solve is accepted only when the voltage update *and* the KCL
+//! residual settle below their tolerances.
 //!
 //! The substitution preserves what the downstream pipeline needs: a smooth
 //! family of tanh-like transfer curves, nonlinearly parameterized by the seven
