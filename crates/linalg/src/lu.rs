@@ -70,6 +70,7 @@ impl Lu {
                 rhs: a.shape(),
             });
         }
+        // Same shape: overwrite in place; otherwise reallocate.
         if self.factors.copy_from(a).is_err() {
             self.factors = a.clone();
         }

@@ -203,6 +203,7 @@ impl Workspace {
     /// otherwise they are open circuits (DC analysis) and compile to
     /// nothing.
     fn compile(&mut self, circuit: &Circuit, cap_state: Option<(&[f64], f64)>, dim: usize) {
+        // Branch unknowns follow the node voltages, in source order.
         let mut k = circuit.num_nodes();
         self.stamps.clear();
         for device in circuit.devices() {
@@ -217,13 +218,14 @@ impl Workspace {
                     minus,
                     voltage,
                 } => {
-                    k += 1;
-                    Stamp::VSource {
+                    let stamp = Stamp::VSource {
                         plus: mna_index(plus),
                         minus: mna_index(minus),
-                        k: k - 1,
+                        k,
                         voltage,
-                    }
+                    };
+                    k += 1;
+                    stamp
                 }
                 Device::Capacitor { a, b, capacitance } => {
                     let Some((prev, h)) = cap_state else {
